@@ -590,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=6,
                         help="rank search enumeration depth")
     parser.add_argument("--samples", type=int, default=1000,
-                        help="rank search random subspace samples")
+                        help="random subspaces drawn by the rank search, "
+                             "only when neither exact route (rank-one flats, "
+                             "complete kernel-lattice closure) decides")
     parser.add_argument("--max-finite", type=int, default=DEFAULT_BOUND,
                         help="largest finite group enumerated exactly")
     return parser

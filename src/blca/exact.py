@@ -96,6 +96,8 @@ class ExactValue:
         return out
 
     def __float__(self) -> float:
+        if self.is_rational():
+            return float(self.as_fraction())
         return math.exp(sum(float(e) * math.log(p) for p, e in self._exp.items()))
 
     def _cmp(self, other: Rationalish) -> int:

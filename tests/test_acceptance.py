@@ -16,7 +16,7 @@ from blca.homs import BlockHom, ClosedSubgroup, Datum
 from blca.intmat import mat_vec
 from blca.oracle import (alternating_maximization, discretized_compact_check,
                          scalar_gaussian_probe)
-from blca.rank import FAILS, rank_condition
+from blca.rank import FAILS, HOLDS_CERTIFIED, rank_condition
 from blca.structure import (FINITE, INFINITE, bl_constant, duality_check,
                             reduce_p_infinity, reduce_p_one,
                             reduce_transversal)
@@ -133,12 +133,7 @@ def test_criterion_3_rank_checker_sound_against_exhaustive_search():
         recips = [F(0) if q is None else 1 / q for q in p]
         if verdict.status == FAILS:
             fails_seen += 1
-            basis = [list(w) for w in verdict.witness]
-            dim_w = _int_rank(basis)
-            assert dim_w > 0
-            spent = sum(r * _int_rank([mat_vec(m, w) for w in basis])
-                        for m, r in zip(maps, recips))
-            assert F(dim_w) > spent, "FAILS witness must verify exactly"
+            _assert_witness_violates(verdict.witness, maps, recips)
         else:
             holds_seen += 1
             vecs, subs = subsets_by_n[n]
@@ -151,10 +146,121 @@ def test_criterion_3_rank_checker_sound_against_exhaustive_search():
                 assert F(dim_w) <= spent, (
                     f"trial {trial}: checker said {verdict.status} but "
                     f"{basis} violates")
+    # n = 4, J = 4..5: rank-one data (decided over the flats) and data whose
+    # kernels form a chain (certified by the terminated closure), the two
+    # routes that claim HOLDS_CERTIFIED beyond n, J <= 3
+    vecs, subs = _height_one_subspaces_of_q4()
+    holds4 = 0
+    for trial in range(40):
+        J = rnd.randint(4, 5)
+        if trial % 2:  # homogeneous, as in Barthe's criterion
+            maps, p = _rank_one_maps_q4(rnd, J), [F(J, 4)] * J
+        else:
+            maps, p = _chain_maps_q4(rnd, J), [rnd.choice(p_pool) for _ in range(J)]
+        verdict = rank_condition(maps, p, dim=4, seed=trial)
+        recips = [F(0) if q is None else 1 / q for q in p]
+        if verdict.status == FAILS:
+            fails_seen += 1
+            _assert_witness_violates(verdict.witness, maps, recips)
+            continue
+        assert verdict.status == HOLDS_CERTIFIED
+        assert verdict.evidence["samples"] == 0
+        holds_seen += 1
+        holds4 += 1
+        images = [[mat_vec(m, v) for v in vecs] for m in maps]
+        for idxs in subs:
+            spent = sum(r * _int_rank([img[i] for i in idxs])
+                        for img, r in zip(images, recips))
+            assert F(len(idxs)) <= spent, (
+                f"n=4 trial {trial}: checker said {verdict.status} but "
+                f"{[vecs[i] for i in idxs]} violates")
+    assert holds4 >= 5
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    _line(3, f"200 random data, {fails_seen} FAILS all verified, "
-             f"{holds_seen} holds confirmed exhaustively, {elapsed:.1f}s")
+    _line(3, f"240 random data (40 with n=4, J=4..5), {fails_seen} FAILS all "
+             f"verified, {holds_seen} holds confirmed exhaustively, "
+             f"{elapsed:.1f}s")
+
+
+def _assert_witness_violates(witness, maps, recips):
+    basis = [list(w) for w in witness]
+    dim_w = _int_rank(basis)
+    assert dim_w > 0
+    spent = sum(r * _int_rank([mat_vec(m, w) for w in basis])
+                for m, r in zip(maps, recips))
+    assert F(dim_w) > spent, "FAILS witness must verify exactly"
+
+
+def _normalized(coords):
+    g = 0
+    for x in coords:
+        g = math.gcd(g, x)
+    coords = [x // g for x in coords]
+    sign = next(x for x in coords if x) > 0
+    return tuple(coords if sign else [-x for x in coords])
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _height_one_subspaces_of_q4():
+    """Every subspace of Q^4 spanned by height-one vectors, once each, as
+    index tuples into the vector list.  Planes are told apart by their
+    Pluecker coordinates and hyperplanes by their normal vectors."""
+    from itertools import combinations
+    vecs = _height_one_vectors(4)
+    lines = [(i,) for i in range(len(vecs))]
+    planes = {}
+    for i, j in combinations(range(len(vecs)), 2):
+        u, v = vecs[i], vecs[j]
+        key = _normalized([u[a] * v[b] - u[b] * v[a]
+                           for a, b in combinations(range(4), 2)])
+        planes.setdefault(key, (i, j))
+    hyperplanes = {}
+    for i, j in planes.values():
+        for k in range(len(vecs)):
+            rows = [vecs[i], vecs[j], vecs[k]]
+            normal = [(-1) ** c * _det3([[r[x] for x in range(4) if x != c]
+                                          for r in rows]) for c in range(4)]
+            if any(normal):
+                hyperplanes.setdefault(_normalized(normal), (i, j, k))
+    units = tuple(vecs.index([int(x == c) for x in range(4)]) for c in range(4))
+    return vecs, lines + list(planes.values()) + list(hyperplanes.values()) + [units]
+
+
+def _rank_one_maps_q4(rnd, J):
+    maps = []
+    for _ in range(J):
+        row = [rnd.randint(-1, 1) for _ in range(4)]
+        maps.append([[c * x for x in row] for c in rnd.sample([1, 2, -1], rnd.randint(1, 2))])
+    return maps
+
+
+def _chain_maps_q4(rnd, J):
+    """Maps A_j = R_j M_k: the first k rows of M = L^-1, mixed by a unit
+    triangular R_j.  With L unit lower triangular with entries in
+    {-1, 0, 1}, ker A_j is spanned by the last 4 - k columns of L, so the
+    kernels form a chain of height-one subspaces."""
+    low = [[1 if r == c else (rnd.randint(-1, 1) if r > c else 0)
+            for c in range(4)] for r in range(4)]
+    inv = [[int(r == c) for c in range(4)] for r in range(4)]
+    for c in range(4):  # forward substitution, column by column
+        for r in range(c + 1, 4):
+            for k in range(4):
+                inv[r][k] -= low[r][c] * inv[c][k]
+    maps = []
+    for _ in range(J):
+        k = rnd.randint(1, 4)
+        rows = [list(inv[i]) for i in range(k)]
+        for i in range(k):
+            for l in range(i + 1, k):
+                c = rnd.randint(-1, 1)
+                rows[i] = [x + c * y for x, y in zip(rows[i], inv[l])]
+        maps.append(rows)
+    return maps
 
 
 def _duality_cases():

@@ -20,6 +20,13 @@ def test_one_and_of():
     assert ExactValue.of(F(3, 4)).as_fraction() == F(3, 4)
 
 
+def test_float_of_rational_is_exact():
+    assert float(ExactValue.of(8)) == 8.0
+    assert float(ExactValue.of(F(1, 3))) == 1 / 3
+    assert float(ExactValue.of(8) ** F(2, 3)) == 4.0
+    assert float(ExactValue.of(F(10, 7)) ** 3) == float(F(1000, 343))
+
+
 def test_multiplication_and_division():
     v = ExactValue.of(2) * ExactValue.of(3)
     assert v.as_fraction() == 6

@@ -101,3 +101,123 @@ def test_verdict_truthiness():
     assert RankVerdict(HOLDS_CERTIFIED)
     assert RankVerdict(LIKELY_HOLDS)
     assert not RankVerdict(FAILS)
+
+
+# -- the rank-one route against brute force over index subsets --------------
+
+def _frac_rank(rows):
+    """Rank over Q by Fraction elimination, independent of the library."""
+    m = [[F(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _brute_force_rank_one(rows, recips, n):
+    """Largest deficit over the flats ker(S) = {x : a_j x = 0, j in S}.
+
+    dim ker(S) = n - rank(S), and ker(S) lies in ker a_j exactly when a_j is
+    in the span of the rows of S; every subset S of indices is visited.
+    """
+    worst = None
+    for mask in range(1 << len(rows)):
+        chosen = [rows[j] for j in range(len(rows)) if mask >> j & 1]
+        r_s = _frac_rank(chosen)
+        spent = sum(r for row, r in zip(rows, recips)
+                    if _frac_rank(chosen + [row]) > r_s)
+        d = n - r_s - spent
+        worst = d if worst is None else max(worst, d)
+    return worst
+
+
+def _random_rank_one_maps(rnd, n, J):
+    """Maps given by multiples of one row each (proportional rows, zero rows,
+    parallel kernels), with that row, or zero for a zero map."""
+    maps, rows = [], []
+    for _ in range(J):
+        row = [rnd.randint(-2, 2) for _ in range(n)]
+        if rows and rnd.random() < 0.25:
+            row = [2 * x for x in rnd.choice(rows)]
+        scales = rnd.sample([1, -1, 2, 3, 0], rnd.randint(1, 3))
+        maps.append([[s * x for x in row] for s in scales])
+        rows.append(row if any(scales) else [0] * n)
+    return maps, rows
+
+
+def test_rank_one_route_matches_brute_force_over_subsets():
+    import random
+    rnd = random.Random(20261017)
+    p_pool = [F(1), F(21, 20), F(4, 3), F(3, 2), F(2), F(3), None]
+    seen = {FAILS: 0, HOLDS_CERTIFIED: 0}
+    for trial in range(150):
+        n = rnd.randint(1, 4)
+        J = rnd.randint(1, 6)
+        maps, rows = _random_rank_one_maps(rnd, n, J)
+        p = [rnd.choice(p_pool) for _ in range(J)]
+        recips = [F(0) if q is None else 1 / q for q in p]
+        verdict = rank_condition(maps, p, dim=n, seed=trial)
+        worst = _brute_force_rank_one(rows, recips, n)
+        assert verdict.status == (FAILS if worst > 0 else HOLDS_CERTIFIED), trial
+        assert verdict.evidence["samples"] == 0
+        assert verdict.evidence["max_deficit"] == worst
+        seen[verdict.status] += 1
+        if verdict.status == FAILS:
+            basis = [list(w) for w in verdict.witness]
+            dim_w = _frac_rank(basis)
+            spent = sum(r * _frac_rank([mat_vec(m, w) for w in basis])
+                        for m, r in zip(maps, recips))
+            assert dim_w > 0 and F(dim_w) > spent, "witness must verify exactly"
+    assert seen[FAILS] > 10 and seen[HOLDS_CERTIFIED] > 10
+
+
+def test_rank_one_route_evidence():
+    maps = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]], [[1, 1, 1], [2, 2, 2]]]
+    v = rank_condition(maps, [F(4, 3)] * 4, dim=3, samples=50)
+    assert v.status == HOLDS_CERTIFIED
+    assert v.evidence["samples"] == 0
+    assert v.evidence["max_deficit"] == 0
+    assert v.evidence["flats"] == 1 + 4 + 6 + 1  # Q^3, planes, lines, 0
+    assert "Barthe" in v.evidence["certificate"]
+    assert "closure_size" not in v.evidence
+
+
+def test_certified_closure_draws_no_samples():
+    # rank-two maps on Q^3: the closure terminates and n <= 3 certifies
+    maps = [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 0, 1]]]
+    v = rank_condition(maps, [F(3, 2)] * 3, dim=3, samples=500)
+    assert v.status == HOLDS_CERTIFIED
+    assert v.evidence["closure_terminated"]
+    assert v.evidence["samples"] == 0
+    assert "closure of kernel lattice complete" in v.evidence["certificate"]
+
+
+def test_uncertified_closure_still_samples():
+    # rank-three maps on Q^4 with kernels through e1, e2, e3, e4 and
+    # (1, 1, 1, 1): a projective frame, whose join/meet lattice is infinite,
+    # so the closure cannot terminate and sampling has to run
+    maps = [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+            [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]]]
+    v = rank_condition(maps, [F(15, 4)] * 5, dim=4, depth=3, samples=40)
+    assert not v.evidence["closure_terminated"]
+    assert v.evidence["samples"] == 40
+    assert v.status == LIKELY_HOLDS
+    # the same frame in Q^3: n <= 3 certifies only a terminated closure
+    maps = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
+    v = rank_condition(maps, [F(8, 3)] * 4, dim=3, samples=40)
+    assert not v.evidence["closure_terminated"]
+    assert v.evidence["samples"] == 40
+    assert v.status == LIKELY_HOLDS
