@@ -6,6 +6,12 @@ arithmetic: subgroups are enumerated completely, values are ExactValue
 products of rational powers, and the maximum is decided by integer
 comparisons rather than floats.
 
+Subgroups are listed by a depth-first search over their canonical Hermite
+bases, which yields each one once without a deduplication set, and carries
+the orders of the subgroup and of its images along the search.  The maximum
+is taken as the subgroups stream past: the value depends only on those
+orders, so it is computed once per distinct tuple of orders.
+
 The annihilator_datum construction gives the matching datum on the dual side:
 its subgroup constant with conjugate exponents equals the input's, which the
 test suite checks exactly on random small data.
@@ -14,9 +20,10 @@ test suite checks exactly on random small data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import Degenerate, ShapeMismatch, TooLarge
 from .exact import ExactValue
@@ -45,32 +52,101 @@ class SubgroupList:
         return iter(zip(self.subgroups, self.sizes))
 
 
-def enumerate_subgroups(group: ElementaryGroup, bound: int = DEFAULT_BOUND) -> SubgroupList:
-    """Every subgroup of a finite abelian group, each exactly once.
+Basis = Tuple[Tuple[int, ...], ...]
 
-    Join-closure of the cyclic subgroups: every subgroup is a join of cyclic
-    ones, and the canonical Hermite basis makes deduplication a set lookup.
-    """
+
+def _subgroup_orders(group: ElementaryGroup, bound: int) -> Tuple[int, ...]:
     _require_finite(group, "subgroup enumeration ambient")
     if group.finite_order > bound:
         raise TooLarge(f"group order {group.finite_order} exceeds the bound {bound}")
-    orders = group.torsion
-    cyclics = {LatticeSubgroup.from_generators(orders, [list(e)])
-               for e in itertools.product(*(range(d) for d in orders))}
-    cyclics = sorted(cyclics, key=lambda s: s.key())
-    seen = set(cyclics)
-    frontier = list(cyclics)
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for c in cyclics:
-                joined = s.join(c)
-                if joined not in seen:
-                    seen.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    ranked = sorted(seen, key=lambda s: (s.finite_size(), s.key()))
-    return SubgroupList(group, tuple(ranked), tuple(s.finite_size() for s in ranked))
+    return group.torsion
+
+
+def _insert(echelon: Basis, vec: Sequence[int], orders: Tuple[int, ...]) -> Basis:
+    """Echelon basis of the lattice spanned by `echelon`, `vec` and the order
+    vectors.
+
+    Row s is zero before coordinate s and has its pivot there, the pivot of
+    the Hermite basis, so the subgroup has order prod_s orders[s] / pivot_s.
+    Euclid's steps on coordinate s are unimodular, and the lattice holds
+    every order vector, so entries are kept reduced modulo the orders.
+    """
+    rows = list(echelon)
+    vec = [x % t for x, t in zip(vec, orders)]
+    for s in range(len(orders)):
+        row = rows[s]
+        while vec[s]:
+            q = row[s] // vec[s]
+            row, vec = vec, [(a - q * b) % t for a, b, t in zip(row, vec, orders)]
+        rows[s] = tuple(row)
+    return tuple(rows)
+
+
+def _subgroups(orders: Tuple[int, ...],
+               maps: Sequence[Tuple[Sequence[Sequence[int]], Tuple[int, ...]]] = ()
+               ) -> Iterator[Tuple[Basis, Tuple[int, ...]]]:
+    """(canonical Hermite basis, (|H|, |image_1 H|, ...)) for every subgroup
+    H of prod_i Z/orders[i], each exactly once, images under `maps`.
+
+    The basis that `hermite_basis` gives the preimage lattice is lower
+    triangular: column i has its pivot h_i | d_i at row i, and the entries
+    below it lie in [0, h_k) for the pivot h_k of their row.  Columns are
+    chosen from the last to the first.  Columns i.. span H restricted to the
+    factors i.., and column i is kept only if d_i e_i lies in the lattice,
+    that is if (d_i / h_i) times its entries below the pivot has integral
+    forward-substitution coefficients on the later columns.  Every kept
+    suffix is a subgroup of the last factors and extends to one of the whole
+    group, so the search is polynomial in its output and needs no
+    deduplication.  |H| is the index prod_i d_i / h_i, and each image keeps
+    an echelon basis that grows by one generator per column.
+    """
+    n = len(orders)
+    cols: List[Tuple[int, ...]] = [()] * n
+    pivots = [0] * n
+
+    def extend(i: int, size: int, echelons: Tuple[Basis, ...]
+               ) -> Iterator[Tuple[Basis, Tuple[int, ...]]]:
+        if i < 0:
+            yield tuple(cols), (size,) + tuple(
+                math.prod(t // ech[s][s] for s, t in enumerate(tors))
+                for (_, tors), ech in zip(maps, echelons))
+            return
+        d = orders[i]
+        for h in (h for h in range(1, d + 1) if d % h == 0):
+            c = d // h
+            pivots[i] = h
+            for below in itertools.product(*(range(pivots[k]) for k in range(i + 1, n))):
+                rest = [0] * (i + 1) + [c * x for x in below]
+                for k in range(i + 1, n):
+                    q, r = divmod(rest[k], pivots[k])
+                    if r:
+                        break
+                    for t in range(k + 1, n):
+                        rest[t] -= q * cols[k][t]
+                else:
+                    col = (0,) * i + (h,) + below
+                    cols[i] = col
+                    yield from extend(i - 1, size * c, tuple(
+                        _insert(ech, [sum(a * b for a, b in zip(row, col)) for row in ff], tors)
+                        for (ff, tors), ech in zip(maps, echelons)))
+
+    start = tuple(tuple(tuple(t if s == r else 0 for s in range(len(tors)))
+                        for r, t in enumerate(tors)) for _, tors in maps)
+    return extend(n - 1, 1, start)
+
+
+def enumerate_subgroups(group: ElementaryGroup, bound: int = DEFAULT_BOUND) -> SubgroupList:
+    """Every subgroup of a finite abelian group, each exactly once, sorted by
+    (order, Hermite key).
+
+    The subgroups come from the same depth-first search over canonical
+    Hermite bases that `subgroup_bl_constant` streams, so no deduplication
+    is needed; this list is for callers that want all of them at once.
+    """
+    orders = _subgroup_orders(group, bound)
+    ranked = sorted((sig[0], basis) for basis, sig in _subgroups(orders))
+    return SubgroupList(group, tuple(LatticeSubgroup(orders, b) for _, b in ranked),
+                        tuple(size for size, _ in ranked))
 
 
 @dataclass(frozen=True)
@@ -97,32 +173,32 @@ def _finite_targets(d: Datum) -> None:
 def subgroup_bl_constant(d: Datum, bound: int = DEFAULT_BOUND) -> FiniteResult:
     """Exact maximum of (|H| m) / prod_j (|image_j(H)| m_j)^(1/p_j).
 
-    m and m_j are the per-point masses from the Haar records.  Ties in the
-    exact value are broken toward the largest subgroup, then the
-    lexicographically smallest Hermite basis, so the argmax is deterministic.
+    m and m_j are the per-point masses from the Haar records.  The subgroups
+    stream past without being stored: the value depends only on the orders
+    (|H|, |image_1 H|, ...), so it is computed once per distinct tuple of
+    orders.  Ties in the exact value go to the largest subgroup, and that
+    subgroup is unique: log |H| is modular and each log |image_j H|
+    submodular on the subgroup lattice, so the subgroups attaining the
+    maximum are closed under sums.  The argmax therefore does not depend on
+    the order of the search.
     """
     _finite_targets(d)
-    subs = enumerate_subgroups(d.domain, bound)
-    m_dom = d.domain.haar.f_point
-    recips = d.reciprocal_exponents()
-    best_val: Optional[ExactValue] = None
-    best: Optional[Tuple[int, LatticeSubgroup]] = None
-    for sub, size in subs:
-        val = ExactValue.of(Fraction(size) * m_dom)
-        for h, r in zip(d.homs, recips):
-            if r == 0:
-                continue
-            img = sub.image_under(h.FF, h.codomain.torsion)
-            val = val / ExactValue.of(
-                Fraction(img.finite_size()) * h.codomain.haar.f_point) ** r
-        if best_val is None or val > best_val:
-            best_val, best = val, (size, sub)
-        elif val == best_val:
-            assert best is not None
-            if size > best[0] or (size == best[0] and sub.key() < best[1].key()):
-                best = (size, sub)
-    assert best_val is not None and best is not None
-    return FiniteResult(best_val, best[1], best[0], len(subs))
+    orders = _subgroup_orders(d.domain, bound)
+    used = [(h, r) for h, r in zip(d.homs, d.reciprocal_exponents()) if r != 0]
+    bases: Dict[Tuple[int, ...], Basis] = {}
+    count = 0
+    for basis, sig in _subgroups(orders, [(h.FF, h.codomain.torsion) for h, _ in used]):
+        count += 1
+        bases.setdefault(sig, basis)
+    best: Optional[Tuple[ExactValue, int, Basis]] = None
+    for sig, basis in bases.items():
+        val = ExactValue.of(Fraction(sig[0]) * d.domain.haar.f_point)
+        for img, (h, r) in zip(sig[1:], used):
+            val = val / ExactValue.of(Fraction(img) * h.codomain.haar.f_point) ** r
+        if best is None or val > best[0] or (val == best[0] and sig[0] > best[1]):
+            best = (val, sig[0], basis)
+    assert best is not None
+    return FiniteResult(best[0], LatticeSubgroup(orders, best[2]), best[1], count)
 
 
 def annihilator_datum(d: Datum) -> Datum:

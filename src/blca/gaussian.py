@@ -23,13 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch, SingularDenominator
 from .homs import Datum
 from .rank import RankVerdict, homogeneity_check, rank_condition
+
+# numpy is imported inside the functions that use it, so that importing
+# blca, and running its exact sectors, does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 CONVERGED = "CONVERGED"
 DIVERGED = "DIVERGED"
@@ -40,6 +43,7 @@ CONDITION_CEILING = 1e12
 
 
 def _vector_blocks(d: Datum) -> List[np.ndarray]:
+    import numpy as np
     mats = []
     for h in d.homs:
         mats.append(np.array([[float(x) for x in row] for row in h.RR], dtype=float).reshape(
@@ -60,6 +64,7 @@ class GaussianPoint:
     __slots__ = ("mats",)
 
     def __init__(self, mats: Sequence):
+        import numpy as np
         self.mats = []
         for m in mats:
             arr = np.array(m, dtype=float)
@@ -74,6 +79,7 @@ class GaussianPoint:
 
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "GaussianPoint":
+        import numpy as np
         return cls([np.eye(n) for n in dims])
 
     def __iter__(self):
@@ -86,6 +92,7 @@ class GaussianPoint:
 def _log_objective(sigmas: Sequence[np.ndarray], recips: Sequence[float],
                    mats: Sequence[np.ndarray], a: int) -> Tuple[float, float]:
     """(log objective, condition of the denominator matrix)."""
+    import numpy as np
     q = np.zeros((a, a))
     num = 0.0
     for s, r, m in zip(sigmas, recips, mats):
@@ -136,6 +143,7 @@ class GaussianResult:
 
 
 def _ascend(sigmas, recips, a, init_mats, tol, budget):
+    import numpy as np
     mats = [m.copy() for m in init_mats]
     try:
         log_obj, cond = _log_objective(sigmas, recips, mats, a)
@@ -189,6 +197,7 @@ def gaussian_bl_constant(d: Datum, tol: float = 1e-10, budget: int = 100000,
     everything; otherwise the best final value decides, with BUDGET status if
     the best run did not settle.
     """
+    import numpy as np
     sigmas = _vector_blocks(d)
     recips = [float(r) for r in d.reciprocal_exponents()]
     a = d.domain.a

