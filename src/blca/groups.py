@@ -257,14 +257,8 @@ class LatticeSubgroup:
         return free_cols, torsion_cols, torsion_orders
 
     def finite_size(self) -> int:
-        """Order of the torsion part; with every coordinate finite, the index
-        of the full-rank lattice: prod_i d_i over the Hermite pivots."""
-        out = 1
-        if all(self.orders):
-            for i, d in enumerate(self.orders):
-                out = out * d // self.basis[i][i]
-            return out
         _, _, tors = self.structure()
+        out = 1
         for s in tors:
             out *= s
         return out

@@ -1,5 +1,4 @@
 """Group records, Haar bookkeeping, duals, and lattice subgroups."""
-import random
 from fractions import Fraction
 
 import pytest
@@ -133,15 +132,3 @@ def test_lattice_join_contains_both(gens):
         assert lat.contains(g)
     assert LatticeSubgroup.from_generators((0, 0), lat.basis) == lat
     assert lat.meet(LatticeSubgroup.full((0, 0))) == lat
-
-
-def test_finite_size_closed_form_matches_structure():
-    rng = random.Random(3)
-    for _ in range(200):
-        orders = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(1, 4))]
-        gens = [[rng.randrange(-20, 20) for _ in orders] for _ in range(rng.randint(0, 3))]
-        lat = LatticeSubgroup.from_generators(orders, gens)
-        want = 1
-        for s in lat.structure()[2]:
-            want *= s
-        assert lat.finite_size() == want
