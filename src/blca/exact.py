@@ -48,7 +48,7 @@ class ExactValue:
 
     @classmethod
     def one(cls) -> "ExactValue":
-        return cls()
+        return _ONE
 
     @classmethod
     def of(cls, q: Rationalish) -> "ExactValue":
@@ -57,6 +57,8 @@ class ExactValue:
         q = Fraction(q)
         if q <= 0:
             raise ValueError("ExactValue is for positive numbers")
+        if q == 1:
+            return _ONE
         exp: Dict[int, Fraction] = {}
         for p, e in _factor(q.numerator).items():
             exp[p] = exp.get(p, Fraction(0)) + e
@@ -66,6 +68,10 @@ class ExactValue:
 
     def __mul__(self, other: Rationalish) -> "ExactValue":
         other = ExactValue.of(other)
+        if not other._exp:
+            return self
+        if not self._exp:
+            return other
         exp = dict(self._exp)
         for p, e in other._exp.items():
             exp[p] = exp.get(p, Fraction(0)) + e
@@ -75,12 +81,16 @@ class ExactValue:
 
     def __truediv__(self, other: Rationalish) -> "ExactValue":
         other = ExactValue.of(other)
+        if not other._exp:
+            return self
         exp = dict(self._exp)
         for p, e in other._exp.items():
             exp[p] = exp.get(p, Fraction(0)) - e
         return ExactValue(exp)
 
     def __pow__(self, k) -> "ExactValue":
+        if not self._exp:
+            return self
         k = Fraction(k)
         return ExactValue({p: e * k for p, e in self._exp.items()})
 
@@ -152,3 +162,8 @@ class ExactValue:
 
     def __repr__(self) -> str:
         return f"ExactValue({self})"
+
+
+# Values are immutable, so every unit, and every product or quotient by one,
+# shares this instance or its other operand instead of allocating a copy.
+_ONE = ExactValue()

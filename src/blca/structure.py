@@ -68,7 +68,7 @@ def _weakest(levels: Sequence[str]) -> str:
 
 # -- reports ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorReport:
     """Outcome for one diagonal part of the decomposition."""
 
@@ -92,7 +92,7 @@ class FactorReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantReport:
     """Total constant with its provenance.
 

@@ -20,6 +20,15 @@ def test_one_and_of():
     assert ExactValue.of(F(3, 4)).as_fraction() == F(3, 4)
 
 
+def test_unit_is_shared():
+    one = ExactValue.one()
+    v = ExactValue.of(6) ** F(1, 2)
+    assert ExactValue.of(1) is one and ExactValue.of(F(3, 3)) is one
+    assert v * one is v and one * v is v and v / 1 is v
+    assert one ** F(2, 3) is one
+    assert (one / v) * v == 1 and (one / v) ** 2 == F(1, 6)
+
+
 def test_float_of_rational_is_exact():
     assert float(ExactValue.of(8)) == 8.0
     assert float(ExactValue.of(F(1, 3))) == 1 / 3

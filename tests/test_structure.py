@@ -223,6 +223,18 @@ def test_sector_mixing_dual_preserves_constant():
     assert chk.passed is True
 
 
+def test_finite_report_holds_no_copies():
+    k = ElementaryGroup(torsion=(2, 4))
+    s1 = BlockHom(k, ElementaryGroup(torsion=(2,)), FF=[[1, 0]])
+    s2 = BlockHom(k, ElementaryGroup(torsion=(4,)), FF=[[0, 1]])
+    rep = bl_constant(Datum(k, [s1, s2], [F(3, 2), F(3, 2)]))
+    assert rep.kind == FINITE
+    fin = [f for f in rep.factors if f.name == "finite"][0]
+    assert rep.exact is fin.exact
+    assert all(f.exact is ExactValue.one() for f in rep.factors if f is not fin)
+    assert not any(hasattr(r, "__dict__") for r in (rep,) + rep.factors)
+
+
 def test_report_shape():
     rep = bl_constant(young_datum())
     doc = rep.to_dict()
