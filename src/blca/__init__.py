@@ -82,12 +82,14 @@ from .structure import (
     ConstantReport,
     DualityReport,
     FactorReport,
+    analyze,
     bl_constant,
     dual_datum,
     duality_check,
     reduce_p_infinity,
     reduce_p_one,
     reduce_transversal,
+    verify,
 )
 
 __all__ = [
@@ -109,7 +111,7 @@ __all__ = [
     "tower_limit",
     "bl_form", "alternating_maximization", "scalar_gaussian_probe",
     "discretized_compact_check",
-    "ConstantReport", "DualityReport", "FactorReport", "bl_constant",
+    "ConstantReport", "DualityReport", "FactorReport", "analyze", "bl_constant",
     "dual_datum", "duality_check", "reduce_p_infinity", "reduce_p_one",
-    "reduce_transversal",
+    "reduce_transversal", "verify",
 ]

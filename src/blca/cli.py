@@ -41,12 +41,9 @@ from typing import List, Optional, Sequence
 from .errors import BlcaError, Degenerate, EmptyDatum, NotProper, TooLarge
 from .finite import DEFAULT_BOUND, tower_limit
 from .groups import ElementaryGroup, HaarRecord
-from .homs import BlockHom, Datum, is_proper
-from .oracle import (alternating_maximization, discretized_compact_check,
-                     scalar_gaussian_probe)
-from .structure import (FINITE, INFINITE, bl_constant, dual_datum,
-                        duality_check, reduce_p_infinity, reduce_p_one)
-from .subquot import _is_nondegenerate, decompose, make_nondegenerate
+from .homs import BlockHom, Datum
+from .structure import (FINITE, INFINITE, analyze, bl_constant, dual_datum,
+                        duality_check, reduce_p_infinity, reduce_p_one, verify)
 
 SCHEMA_VERSION = 1
 
@@ -302,20 +299,21 @@ def _knobs(args) -> dict:
 def _cmd_analyze(args) -> int:
     d = load_datum(args.file)
     out = _Out(args.json, "analyze", args.seed)
-    rep = is_proper(d)
-    out.put("proper", bool(rep))
-    out.say(f"proper: {'yes' if rep else 'no'}")
-    if not rep:
-        out.put("reason", rep.reason)
-        out.say(f"  {rep.reason}")
+    try:
+        norm, why, parts = analyze(d)
+    except NotProper as exc:
+        out.put("proper", False)
+        out.say("proper: no")
+        out.put("reason", str(exc))
+        out.say(f"  {exc}")
         out.say("the constant is infinite for improper data")
         out.flush()
         return 1
-    norm = make_nondegenerate(d)
+    out.put("proper", True)
+    out.say("proper: yes")
     out.put("ledger", list(norm.ledger))
     for note in norm.ledger:
         out.say(f"normalize: {note}")
-    why = _is_nondegenerate(norm.datum)
     out.put("nondegenerate", why is None)
     if why is not None:
         out.put("obstruction", why)
@@ -323,7 +321,6 @@ def _cmd_analyze(args) -> int:
         out.say("the constant is infinite at finite exponents")
         out.flush()
         return 1
-    parts = decompose(norm.datum)
     names = ("torus", "vector", "finite", "free")
     desc = []
     for name, part in zip(names, parts):
@@ -465,98 +462,18 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _verify_rows(d: Datum, rep, seed: int, tol: float) -> List[dict]:
-    parts = dict(zip(("torus", "vector", "finite", "free"),
-                     decompose(make_nondegenerate(d).datum)))
-    by_name = {f.name: f for f in rep.factors}
-    rows = []
-
-    tor = by_name["torus"]
-    part = parts["torus"]
-    if part.domain.b == 0:
-        rows.append({"part": "torus", "status": "skipped",
-                     "note": "no torus directions"})
-    elif tor.kind == FINITE:
-        n = 16
-        while n >= 4:
-            try:
-                probe = discretized_compact_check(part.domain.b, n, part)
-                break
-            except TooLarge:
-                n //= 2
-        else:
-            probe = None
-        if probe is None:
-            rows.append({"part": "torus", "status": "skipped",
-                         "note": "discretization too large"})
-        else:
-            ok = probe <= tor.value * (1 + tol) + tol
-            rows.append({"part": "torus", "status": "ok" if ok else "MISMATCH",
-                         "pipeline": tor.value, "oracle": probe,
-                         "note": f"lower bound at n={n}"})
-    else:
-        rows.append({"part": "torus", "status": "skipped",
-                     "note": f"factor is {tor.kind}"})
-
-    vec = by_name["vector"]
-    part = parts["vector"]
-    if part.domain.a == 0:
-        rows.append({"part": "vector", "status": "skipped",
-                     "note": "no vector directions"})
-    elif vec.kind == FINITE and all(h.codomain.a <= 1 for h in part.homs) \
-            and all(p is not None and p != 1 for p in part.exponents):
-        probe = scalar_gaussian_probe(part)
-        ok = abs(probe - vec.value) <= 1e-4 + tol * max(1.0, abs(vec.value))
-        rows.append({"part": "vector", "status": "ok" if ok else "MISMATCH",
-                     "pipeline": vec.value, "oracle": probe,
-                     "note": "scalar gaussian grid"})
-    elif vec.kind != FINITE:
-        rows.append({"part": "vector", "status": "skipped",
-                     "note": f"factor is {vec.kind}"})
-    else:
-        rows.append({"part": "vector", "status": "skipped",
-                     "note": "probe needs one-dimensional targets and "
-                             "exponents strictly between 1 and infinity"})
-
-    fin = by_name["finite"]
-    part = parts["finite"]
-    if part.domain.finite_order == 1:
-        rows.append({"part": "finite", "status": "skipped",
-                     "note": "trivial finite part"})
-    elif fin.kind == FINITE and all(p is not None and p != 1
-                                    for p in part.exponents):
-        lower = alternating_maximization(part, restarts=20, seed=seed)
-        ok = lower <= fin.value + 1e-9 and lower >= fin.value - max(1e-6, tol)
-        rows.append({"part": "finite", "status": "ok" if ok else "MISMATCH",
-                     "pipeline": fin.value, "oracle": lower,
-                     "note": "alternating maximization lower bound"})
-    elif fin.kind != FINITE:
-        rows.append({"part": "finite", "status": "skipped",
-                     "note": f"factor is {fin.kind}"})
-    else:
-        rows.append({"part": "finite", "status": "skipped",
-                     "note": "oracle needs exponents strictly above 1"})
-
-    rows.append({"part": "free", "status": "skipped",
-                 "note": "rank decision is exact; no numerical oracle"})
-    return rows
-
-
 def _cmd_verify(args) -> int:
     d = load_datum(args.file)
     out = _Out(args.json, "verify", args.seed)
-    rep = bl_constant(d, **_knobs(args))
+    rep, rows = verify(d, **_knobs(args))
     out.put("report", rep.to_dict())
+    out.put("rows", rows)
     out.say(f"pipeline: {rep.kind}, {_value_text(rep)}")
     if rep.kind == INFINITE:
         for w in rep.witnesses:
             out.say(f"witness: {w}")
-        out.put("rows", [])
         out.flush()
         return 1
-    tol = args.tol if args.tol is not None else 1e-6
-    rows = _verify_rows(d, rep, args.seed, tol)
-    out.put("rows", rows)
     for row in rows:
         line = f"  {row['part']:<7} {row['status']:<9}"
         if "pipeline" in row:

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Union
 
+from .intmat import clear_denominators
+
 Rationalish = Union[int, Fraction, "ExactValue"]
 
 
@@ -118,12 +120,8 @@ class ExactValue:
         diff = {p: e for p, e in diff.items() if e != 0}
         if not diff:
             return 0
-        scale = 1
-        for e in diff.values():
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
         pos = neg = 1
-        for p, e in diff.items():
-            n = int(e * scale)
+        for p, n in zip(diff, clear_denominators(list(diff.values()))):
             if n > 0:
                 pos *= p**n
             else:

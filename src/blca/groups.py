@@ -14,16 +14,18 @@ canonical column Hermite form so equal subgroups compare equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
 from .intmat import (
+    clear_denominators,
     det_rational,
+    diagonal_of,
     from_columns,
     hermite_basis,
+    identity,
     integer_kernel,
     mat_vec,
     matmul,
@@ -31,6 +33,7 @@ from .intmat import (
     smith_normal_form,
     solve_integer,
     transpose,
+    unimodular_inverse,
 )
 
 
@@ -186,8 +189,7 @@ class LatticeSubgroup:
 
     @classmethod
     def full(cls, orders: Sequence[int]) -> "LatticeSubgroup":
-        n = len(orders)
-        return cls.from_generators(orders, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
+        return cls.from_generators(orders, identity(len(orders)))
 
     def key(self):
         return (self.orders, self.basis)
@@ -206,9 +208,6 @@ class LatticeSubgroup:
     @property
     def modular_count(self) -> int:
         return sum(1 for d in self.orders if d)
-
-    def lattice_rank(self) -> int:
-        return len(self.basis)
 
     def free_rank(self) -> int:
         return len(self.basis) - self.modular_count
@@ -239,11 +238,11 @@ class LatticeSubgroup:
         rel = from_columns(rel_cols, r)
         u, d, _ = smith_normal_form(rel)
         # new generators are the columns of B U^{-1}; invert U exactly
-        uinv = _unimodular_inverse(u)
+        uinv = unimodular_inverse(u)
         newgens = matmul(bmat, uinv)
         cols = transpose(newgens)
         k = len(rel_cols)
-        diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+        diag = diagonal_of(d)
         free_cols = [list(cols[i]) for i in range(k, r)]
         torsion_cols = []
         torsion_orders = []
@@ -292,39 +291,11 @@ class LatticeSubgroup:
         return abs(int(det_rational(from_columns(self.basis, self.n))))
 
 
-def _unimodular_inverse(u):
-    n = len(u)
-    if n == 0:
-        return []
-    aug = [[Fraction(x) for x in row] for row in u]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    out = [[int(x) for x in row] for row in inv]
-    return out
-
-
 def saturate_columns(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:
     """Canonical basis of span_Q(cols) intersected with Z^n."""
     if not cols:
         return []
     covectors = rational_kernel(transpose(from_columns(cols, n)))
     if not covectors:
-        return hermite_basis([[1 if i == j else 0 for i in range(n)] for j in range(n)], n)
-    rows = []
-    for cov in covectors:
-        denom = 1
-        for x in cov:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        rows.append([int(x * denom) for x in cov])
-    return hermite_basis(integer_kernel(rows), n)
+        return identity(n)
+    return hermite_basis(integer_kernel([clear_denominators(cov) for cov in covectors]), n)

@@ -25,9 +25,11 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import BadExponent, EmptyDatum, IrrationalEntry, NotWellDefined, ShapeMismatch
 from .groups import ElementaryGroup, LatticeSubgroup, dual_group
 from .intmat import (
+    clear_denominators,
     congruence_kernel,
     from_columns,
     hermite_basis,
+    identity,
     integer_kernel,
     mat_add,
     mat_vec,
@@ -77,10 +79,6 @@ def _integer_matrix(rows, nrows, ncols, name):
     return out
 
 
-def _unit_vectors(n):
-    return [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-
-
 class GroupElement(NamedTuple):
     """Element of R^a x T^b x Z^c x F; t holds a rational lift of the torus part."""
 
@@ -91,10 +89,6 @@ class GroupElement(NamedTuple):
 
     def flat(self) -> List[Fraction]:
         return [*self.x, *self.t, *map(Fraction, self.m), *map(Fraction, self.u)]
-
-
-def zero_element(g: ElementaryGroup) -> GroupElement:
-    return GroupElement((Fraction(0),) * g.a, (Fraction(0),) * g.b, (0,) * g.c, (0,) * g.k)
 
 
 def make_element(g: ElementaryGroup, x=(), t=(), m=(), u=()) -> GroupElement:
@@ -145,9 +139,7 @@ class BlockHom:
 
     @classmethod
     def identity(cls, g: ElementaryGroup) -> "BlockHom":
-        def ident(n):
-            return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls(g, g, RR=ident(g.a), TT=ident(g.b), ZZ=ident(g.c), FF=ident(g.k))
+        return cls(g, g, RR=identity(g.a), TT=identity(g.b), ZZ=identity(g.c), FF=identity(g.k))
 
     @classmethod
     def zero(cls, domain: ElementaryGroup, codomain: ElementaryGroup) -> "BlockHom":
@@ -281,10 +273,6 @@ def parse_exponent(v) -> Optional[Fraction]:
     return q
 
 
-def format_exponent(p: Optional[Fraction]) -> str:
-    return "inf" if p is None else str(p)
-
-
 @dataclass(frozen=True, eq=False)
 class Datum:
     """(domain, maps out of it, exponents); exponent None means infinity."""
@@ -351,16 +339,14 @@ class ClosedSubgroup:
 
     @classmethod
     def full(cls, group: ElementaryGroup) -> "ClosedSubgroup":
-        lie = _unit_vectors(group.a + group.b)
+        lie = identity(group.a + group.b)
         gens = []
-        for i in range(group.c):
+        for e in identity(group.c):
             gens.append(GroupElement((Fraction(0),) * group.a, (Fraction(0),) * group.b,
-                                     tuple(1 if j == i else 0 for j in range(group.c)),
-                                     (0,) * group.k))
-        for i in range(group.k):
+                                     tuple(e), (0,) * group.k))
+        for e in identity(group.k):
             gens.append(GroupElement((Fraction(0),) * group.a, (Fraction(0),) * group.b,
-                                     (0,) * group.c,
-                                     tuple(1 if j == i else 0 for j in range(group.k))))
+                                     (0,) * group.c, tuple(e)))
         return cls(group, lie, gens)
 
     @classmethod
@@ -456,7 +442,7 @@ def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> Closed
     if a + b == 0:
         lie = []
     elif not lie_rows:
-        lie = _unit_vectors(a + b)
+        lie = identity(a + b)
     else:
         lie = rational_kernel(lie_rows)
 
@@ -478,7 +464,7 @@ def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> Closed
         seg.append(pos)
         pos += h.codomain.a + h.codomain.b
     if a + b == 0:
-        ells = _unit_vectors(pos)
+        ells = identity(pos)
     elif not lie_rows:
         ells = []
     else:
@@ -515,23 +501,11 @@ def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> Closed
             row[offs[j] + bj + r] = Fraction(-h.codomain.torsion[r])
             rows.append(row)
 
-    int_rows = []
-    for row in rows:
-        denom = 1
-        for q in row:
-            denom = denom * q.denominator // math.gcd(denom, q.denominator)
-        int_rows.append([int(q * denom) for q in row])
-    if int_rows:
-        lattice = hermite_basis(integer_kernel(int_rows), total)
+    if rows:
+        lattice = hermite_basis(integer_kernel([clear_denominators(row) for row in rows]), total)
     else:
-        lattice = [[1 if i == j else 0 for i in range(total)] for j in range(total)]
+        lattice = identity(total)
 
-    big_rows = []
-    for h in homs:
-        for r in range(h.codomain.a):
-            big_rows.append(list(h.RR[r]) + [Fraction(0)] * b)
-        for r in range(h.codomain.b):
-            big_rows.append(list(h.RT[r]) + [Fraction(v) for v in h.TT[r]])
     gens = []
     for vec in lattice:
         m = list(vec[:c])
@@ -546,8 +520,8 @@ def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> Closed
                 rhs.append(Fraction(n_part[r])
                            - sum((h.ZT[r][i] * m[i] for i in range(c)), Fraction(0))
                            - sum((h.FT[r][i] * u[i] for i in range(k)), Fraction(0)))
-        if big_rows:
-            sol = solve_rational(big_rows, rhs)
+        if lie_rows:
+            sol = solve_rational(lie_rows, rhs)
             if sol is None:
                 raise RuntimeError("lattice vector lost its rational lift")
         else:
@@ -590,37 +564,6 @@ def is_proper(d: Datum) -> ProperReport:
     return ProperReport(True, "joint kernel compact; image closed and relatively open", ker, 0)
 
 
-def image_subgroup(h: BlockHom) -> ClosedSubgroup:
-    g, t = h.domain, h.codomain
-    lie = []
-    for i in range(g.a):
-        lie.append([h.RR[r][i] for r in range(t.a)] + [h.RT[r][i] for r in range(t.b)])
-    for i in range(g.b):
-        lie.append([Fraction(0)] * t.a + [Fraction(h.TT[r][i]) for r in range(t.b)])
-    gens = []
-    for i in range(g.c):
-        gens.append(GroupElement(
-            tuple(h.ZR[r][i] for r in range(t.a)),
-            tuple(h.ZT[r][i] for r in range(t.b)),
-            tuple(h.ZZ[r][i] for r in range(t.c)),
-            tuple(h.ZF[r][i] for r in range(t.k))))
-    for i in range(g.k):
-        gens.append(GroupElement(
-            (Fraction(0),) * t.a,
-            tuple(h.FT[r][i] for r in range(t.b)),
-            (0,) * t.c,
-            tuple(h.FF[r][i] for r in range(t.k))))
-    return ClosedSubgroup(t, _prune_dependent(lie), gens)
-
-
-def _prune_dependent(vecs):
-    kept = []
-    for v in vecs:
-        if rational_rank(kept + [list(v)]) > len(kept):
-            kept.append(list(v))
-    return kept
-
-
 def image_is_open(h: BlockHom) -> bool:
     """True when h(G) is open in the codomain.
 
@@ -638,7 +581,7 @@ def image_is_open(h: BlockHom) -> bool:
     span = [[Fraction(v) for v in col] for col in transpose(h.TT)]
     if h.domain.a:
         if t.a == 0:
-            ker = _unit_vectors(h.domain.a)
+            ker = identity(h.domain.a)
         else:
             ker = rational_kernel(h.RR)
         for v in ker:
@@ -676,8 +619,7 @@ def annihilator_lattice(t_mat: Sequence[Sequence[int]], orders: Sequence[int]) -
     if len(cols) != len(orders):
         raise ShapeMismatch("one order per generator column")
     if not cols:
-        return LatticeSubgroup.from_generators(
-            (0,) * n, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
+        return LatticeSubgroup.from_generators((0,) * n, identity(n))
     rows = []
     moduli = []
     for col, d in zip(cols, orders):

@@ -13,15 +13,23 @@ canonical bases are reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 RatMatrix = List[List[Fraction]]
 
 
-def identity_int(n: int) -> IntMatrix:
+def identity(n: int) -> IntMatrix:
+    """The n x n identity; its rows double as the unit vectors of Z^n."""
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def clear_denominators(vec: Sequence) -> List[int]:
+    """The integer vector s * vec, s the lcm of the denominators of its
+    entries (ints or Fractions)."""
+    s = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (s // x.denominator) for x in vec]
 
 
 def zeros_int(nr: int, nc: int) -> IntMatrix:
@@ -90,8 +98,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
     a = mat_copy(m)
     nr = len(a)
     nc = len(a[0]) if a else 0
-    u = identity_int(nr)
-    v = identity_int(nc)
+    u = identity(nr)
+    v = identity(nc)
     t = 0
     while t < min(nr, nc):
         best = None
@@ -218,7 +226,7 @@ def integer_kernel(m: Sequence[Sequence[int]]) -> List[List[int]]:
     if nc == 0:
         return []
     if nr == 0:
-        return [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
+        return identity(nc)
     _, d, v = smith_normal_form(m)
     diag = diagonal_of(d)
     rank = sum(1 for x in diag if x)
@@ -247,28 +255,38 @@ def solve_integer(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List
     return mat_vec(v, y)
 
 
-def rational_rref(m: Sequence[Sequence]) -> Tuple[RatMatrix, List[int]]:
-    """Reduced row echelon form over Q plus the list of pivot columns."""
-    a = [[Fraction(x) for x in row] for row in m]
+def _gauss_jordan(a: RatMatrix, ncols: int) -> Tuple[List[int], Fraction]:
+    """Bring a to reduced row echelon form over Q in place, pivoting on its first
+    ncols columns only.  Returns the pivot columns and the product of the
+    pivots, negated once per row swap (the determinant when a is square)."""
     nr = len(a)
-    nc = len(a[0]) if a else 0
     pivots = []
-    pr = 0
-    for col in range(nc):
+    det = Fraction(1)
+    for col in range(ncols):
+        pr = len(pivots)
+        if pr == nr:
+            break
         piv = next((i for i in range(pr, nr) if a[i][col] != 0), None)
         if piv is None:
             continue
-        a[pr], a[piv] = a[piv], a[pr]
+        if piv != pr:
+            a[pr], a[piv] = a[piv], a[pr]
+            det = -det
         inv = a[pr][col]
+        det *= inv
         a[pr] = [x / inv for x in a[pr]]
         for i in range(nr):
             if i != pr and a[i][col] != 0:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
         pivots.append(col)
-        pr += 1
-        if pr == nr:
-            break
+    return pivots, det
+
+
+def rational_rref(m: Sequence[Sequence]) -> Tuple[RatMatrix, List[int]]:
+    """Reduced row echelon form over Q plus the list of pivot columns."""
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots, _ = _gauss_jordan(a, len(a[0]) if a else 0)
     return a, pivots
 
 
@@ -281,8 +299,6 @@ def rational_kernel(m: Sequence[Sequence]) -> List[List[Fraction]]:
     nc = len(m[0]) if m else 0
     if nc == 0:
         return []
-    if not m:
-        return [[Fraction(1 if i == j else 0) for i in range(nc)] for j in range(nc)]
     rref, pivots = rational_rref(m)
     free = [j for j in range(nc) if j not in pivots]
     basis = []
@@ -311,18 +327,6 @@ def solve_rational(m: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction
     return x
 
 
-def denominator_scale(rows: Sequence[Sequence]) -> List[int]:
-    """Per-row lcm of denominators, treating ints as denominator 1."""
-    scales = []
-    for row in rows:
-        s = 1
-        for x in row:
-            d = Fraction(x).denominator
-            s = s * d // gcd(s, d)
-        scales.append(s)
-    return scales
-
-
 def congruence_kernel(rows: Sequence[Sequence], moduli: Sequence) -> List[List[int]]:
     """Basis (columns) of {w in Z^n : row_i . w = 0 mod moduli[i]}.
 
@@ -331,20 +335,10 @@ def congruence_kernel(rows: Sequence[Sequence], moduli: Sequence) -> List[List[i
     """
     n = len(rows[0]) if rows else 0
     if not rows:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    int_rows: List[List[int]] = []
-    int_mods: List[int] = []
-    for row, mod in zip(rows, moduli):
-        fr = [Fraction(x) for x in row]
-        fm = Fraction(mod)
-        s = 1
-        for x in list(fr) + ([fm] if fm else []):
-            d = x.denominator
-            s = s * d // gcd(s, d)
-        int_rows.append([int(x * s) for x in fr])
-        int_mods.append(int(fm * s))
-    aux = [i for i, mod in enumerate(int_mods) if mod]
-    big = [list(r) + [int_mods[i] if i == j else 0 for j in aux] for i, r in enumerate(int_rows)]
+        return identity(n)
+    cleared = [clear_denominators([*row, mod]) for row, mod in zip(rows, moduli)]
+    aux = [i for i, c in enumerate(cleared) if c[-1]]
+    big = [c[:-1] + [c[-1] if i == j else 0 for j in aux] for i, c in enumerate(cleared)]
     ker = integer_kernel(big)
     return hermite_basis([k[:n] for k in ker], n)
 
@@ -363,7 +357,7 @@ def solve_semi_integer(real_cols: Sequence[Sequence], int_cols: Sequence[Sequenc
     if real_cols:
         proj = rational_kernel(transpose(from_columns(real_cols, n)))
     else:
-        proj = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
+        proj = identity(n)
     if not proj:
         return True
     rows = []
@@ -373,38 +367,19 @@ def solve_semi_integer(real_cols: Sequence[Sequence], int_cols: Sequence[Sequenc
         rhs.append(sum(pi * ti for pi, ti in zip(p, target)))
     if not int_cols:
         return all(x == 0 for x in rhs)
-    int_rows = []
-    int_rhs = []
-    for row, b in zip(rows, rhs):
-        s = 1
-        for x in list(row) + [b]:
-            d = Fraction(x).denominator
-            s = s * d // gcd(s, d)
-        int_rows.append([int(Fraction(x) * s) for x in row])
-        int_rhs.append(int(Fraction(b) * s))
-    return solve_integer(int_rows, int_rhs) is not None
+    cleared = [clear_denominators([*row, b]) for row, b in zip(rows, rhs)]
+    return solve_integer([c[:-1] for c in cleared], [c[-1] for c in cleared]) is not None
 
 
 def det_rational(m: Sequence[Sequence]) -> Fraction:
     a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
+    pivots, det = _gauss_jordan(a, len(a))
+    return det if len(pivots) == len(a) else Fraction(0)
 
 
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else 0
+def unimodular_inverse(u: Sequence[Sequence[int]]) -> IntMatrix:
+    """Exact inverse of an integer matrix of determinant +-1."""
+    n = len(u)
+    aug = [[Fraction(x) for x in row] + e for row, e in zip(u, identity(n))]
+    _gauss_jordan(aug, n)
+    return [[int(x) for x in row[n:]] for row in aug]

@@ -26,13 +26,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ShapeMismatch
 from .groups import ElementaryGroup, LatticeSubgroup, saturate_columns
 from .homs import ClosedSubgroup, Datum, annihilator_lattice, parse_exponent
-from .intmat import from_columns, matmul, rational_kernel, rational_rank
+from .intmat import (clear_denominators, from_columns, identity, matmul,
+                     rational_kernel, rational_rank)
 
 FAILS = "FAILS"
 HOLDS_CERTIFIED = "HOLDS_CERTIFIED"
@@ -68,16 +68,8 @@ def growth_index(g: Union[ElementaryGroup, LatticeSubgroup, ClosedSubgroup]) -> 
 # Subspaces of Q^n are kept as canonical saturated Hermite bases (tuples of
 # integer columns) so they can be dedup'd in sets and compared for reporting.
 
-def _intify(vec) -> List[int]:
-    denom = 1
-    for x in vec:
-        f = Fraction(x)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return [int(Fraction(x) * denom) for x in vec]
-
-
 def _canon(cols, n) -> Tuple[Tuple[int, ...], ...]:
-    cleaned = [_intify(c) for c in cols if any(Fraction(x) != 0 for x in c)]
+    cleaned = [clear_denominators(c) for c in cols if any(Fraction(x) != 0 for x in c)]
     if not cleaned:
         return ()
     return tuple(tuple(c) for c in saturate_columns(cleaned, n))
@@ -100,7 +92,7 @@ def _meet_space(s1, s2, n):
 
 
 def _full_space(n):
-    return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
+    return tuple(map(tuple, identity(n)))
 
 
 def _space_dim(s) -> int:

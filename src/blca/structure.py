@@ -35,21 +35,24 @@ from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (BadSubgroup, Degenerate, EmptyDatum, NotUnitExponent,
-                     ShapeMismatch, TooLarge)
+from .errors import (BadSubgroup, Degenerate, EmptyDatum, NotProper,
+                     NotUnitExponent, ShapeMismatch, TooLarge)
 from .exact import ExactValue
 from .finite import DEFAULT_BOUND, subgroup_bl_constant
 from .gaussian import bcct_finiteness, gaussian_bl_constant
 from .groups import ElementaryGroup, HaarRecord, dual_group
 from .homs import (BlockHom, ClosedSubgroup, Datum, adjoint_hom, image_is_open,
-                   is_proper, is_surjective, kernel_info)
+                   is_surjective, kernel_info)
 from .intmat import det_rational, hstack, rational_rank
+from .oracle import (alternating_maximization, discretized_compact_check,
+                     scalar_gaussian_probe)
 from .rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, dual_rank_condition,
                    rank_condition)
-from .subquot import (_annihilator_of_compact_kernel, _is_nondegenerate,
-                      corestrict_open, decompose, discrete_image_lattice,
-                      kernel_embedding, lattice_inclusion_hom,
-                      make_nondegenerate, merge_finite_coordinates)
+from .subquot import (NondegenerateResult, _annihilator_of_compact_kernel,
+                      _is_nondegenerate, _sector_parts, corestrict_open,
+                      decompose, discrete_image_lattice, kernel_embedding,
+                      lattice_inclusion_hom, make_nondegenerate,
+                      merge_finite_coordinates)
 
 FINITE = "FINITE"
 INFINITE = "INFINITE"
@@ -287,9 +290,7 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
         raise Degenerate(
             "a noncompact transversal subgroup with exponent 1 at the "
             "surviving index is outside this reduction; use reduce_p_one")
-    g = d.domain
-    ghat = dual_group(g)
-    ann = _annihilator_of_compact_kernel(n, g)
+    ann = _annihilator_of_compact_kernel(n, d.domain)
     new_homs: List[BlockHom] = []
     for j, h in enumerate(d.homs):
         if j == k:
@@ -416,6 +417,20 @@ def _vector_factor(fd: Datum, tol: float, budget: int, restarts: int,
 
 # -- the pipeline -----------------------------------------------------------
 
+def analyze(d: Datum) -> Tuple[NondegenerateResult, Optional[str],
+                               Optional[Tuple[Datum, Datum, Datum, Datum]]]:
+    """Normalize d and split it, checking properness and nondegeneracy once.
+
+    Returns make_nondegenerate's result, the obstruction that survives it
+    (None when the normalized datum is nondegenerate) and, when there is
+    none, decompose's four parts (torus, vector, finite, free).  Raises
+    NotProper for an improper datum.
+    """
+    norm = make_nondegenerate(d)
+    why = _is_nondegenerate(norm.datum)
+    return norm, why, None if why is not None else _sector_parts(norm.datum)
+
+
 def _early_report(kind, value, exact, cert, ledger, witnesses=()):
     return ConstantReport(kind, value, exact, cert, (), tuple(ledger),
                           tuple(witnesses))
@@ -446,21 +461,19 @@ def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
     if d2.J != d.J:
         ledger.append(f"dropped {d.J - d2.J} index(es) with infinite "
                       f"exponent")
-    proper = is_proper(d2)
-    if not proper:
-        ledger.append(proper.reason)
+    try:
+        norm, why, parts = analyze(d2)
+    except NotProper as exc:
+        ledger.append(str(exc))
         return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger,
-                             witnesses=(proper.reason,))
-    norm = make_nondegenerate(d2)
+                             witnesses=(str(exc),))
     ledger.extend(norm.ledger)
-    d3 = norm.datum
-    why = _is_nondegenerate(d3)
     if why is not None:
         ledger.append(f"{why}; with every exponent finite this forces an "
                       f"infinite constant")
         return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger,
                              witnesses=(why,))
-    torus_d, vector_d, finite_d, free_d = decompose(d3)
+    torus_d, vector_d, finite_d, free_d = parts
     factors = (
         _torus_factor(torus_d, depth, samples, seed),
         _vector_factor(vector_d, tol, budget, restarts, seed, depth, samples),
@@ -492,6 +505,99 @@ def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
     cert = _weakest([f.certification for f in factors])
     return ConstantReport(kind, value, exact, cert, factors, tuple(ledger),
                           witnesses)
+
+
+# -- oracle check -----------------------------------------------------------
+
+def verify(d: Datum, *, tol: Optional[float] = None, **knobs
+           ) -> Tuple[ConstantReport, List[dict]]:
+    """Check the pipeline's value for each part against an independent oracle.
+
+    Returns bl_constant's report and one row per part (torus, vector, finite,
+    free), each with a status (ok, MISMATCH or skipped) and a note; a checked
+    row also holds the pipeline and oracle values.  An INFINITE report gets
+    no rows.  tol, when given, is passed on to the gaussian ascent; it is
+    also the comparison tolerance (default 1e-6).  Other keyword knobs are
+    forwarded to bl_constant.
+    """
+    rep = bl_constant(d, **knobs, **({} if tol is None else {"tol": tol}))
+    if rep.kind == INFINITE:
+        return rep, []
+    tol = 1e-6 if tol is None else tol
+    parts = dict(zip(("torus", "vector", "finite", "free"),
+                     decompose(make_nondegenerate(d).datum)))
+    by_name = {f.name: f for f in rep.factors}
+    rows = []
+
+    tor = by_name["torus"]
+    part = parts["torus"]
+    if part.domain.b == 0:
+        rows.append({"part": "torus", "status": "skipped",
+                     "note": "no torus directions"})
+    elif tor.kind == FINITE:
+        n = 16
+        while n >= 4:
+            try:
+                probe = discretized_compact_check(part.domain.b, n, part)
+                break
+            except TooLarge:
+                n //= 2
+        else:
+            probe = None
+        if probe is None:
+            rows.append({"part": "torus", "status": "skipped",
+                         "note": "discretization too large"})
+        else:
+            ok = probe <= tor.value * (1 + tol) + tol
+            rows.append({"part": "torus", "status": "ok" if ok else "MISMATCH",
+                         "pipeline": tor.value, "oracle": probe,
+                         "note": f"lower bound at n={n}"})
+    else:
+        rows.append({"part": "torus", "status": "skipped",
+                     "note": f"factor is {tor.kind}"})
+
+    vec = by_name["vector"]
+    part = parts["vector"]
+    if part.domain.a == 0:
+        rows.append({"part": "vector", "status": "skipped",
+                     "note": "no vector directions"})
+    elif vec.kind == FINITE and all(h.codomain.a <= 1 for h in part.homs) \
+            and all(p is not None and p != 1 for p in part.exponents):
+        probe = scalar_gaussian_probe(part)
+        ok = abs(probe - vec.value) <= 1e-4 + tol * max(1.0, abs(vec.value))
+        rows.append({"part": "vector", "status": "ok" if ok else "MISMATCH",
+                     "pipeline": vec.value, "oracle": probe,
+                     "note": "scalar gaussian grid"})
+    elif vec.kind != FINITE:
+        rows.append({"part": "vector", "status": "skipped",
+                     "note": f"factor is {vec.kind}"})
+    else:
+        rows.append({"part": "vector", "status": "skipped",
+                     "note": "probe needs one-dimensional targets and "
+                             "exponents strictly between 1 and infinity"})
+
+    fin = by_name["finite"]
+    part = parts["finite"]
+    if part.domain.finite_order == 1:
+        rows.append({"part": "finite", "status": "skipped",
+                     "note": "trivial finite part"})
+    elif fin.kind == FINITE and all(p is not None and p != 1
+                                    for p in part.exponents):
+        lower = alternating_maximization(part, restarts=20, seed=knobs.get("seed", 0))
+        ok = lower <= fin.value + 1e-9 and lower >= fin.value - max(1e-6, tol)
+        rows.append({"part": "finite", "status": "ok" if ok else "MISMATCH",
+                     "pipeline": fin.value, "oracle": lower,
+                     "note": "alternating maximization lower bound"})
+    elif fin.kind != FINITE:
+        rows.append({"part": "finite", "status": "skipped",
+                     "note": f"factor is {fin.kind}"})
+    else:
+        rows.append({"part": "finite", "status": "skipped",
+                     "note": "oracle needs exponents strictly above 1"})
+
+    rows.append({"part": "free", "status": "skipped",
+                 "note": "rank decision is exact; no numerical oracle"})
+    return rep, rows
 
 
 # -- dualization ------------------------------------------------------------

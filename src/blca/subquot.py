@@ -31,12 +31,8 @@ from .groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
 from .homs import (BlockHom, ClosedSubgroup, Datum, adjoint_hom, image_is_open,
                    is_proper, is_surjective, joint_kernel)
 from .intmat import (congruence_kernel, det_rational, diagonal_of, from_columns,
-                     integer_kernel, rational_kernel, smith_normal_form,
-                     solve_integer, solve_rational)
-
-
-def _identity(n: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+                     identity, integer_kernel, rational_kernel,
+                     smith_normal_form, solve_integer, solve_rational)
 
 
 def _fold_discrete_haar(haar: HaarRecord, c_new: int, k_new: int) -> HaarRecord:
@@ -155,12 +151,9 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
     # vector sector: kernel basis plus a section, whose combined determinant
     # is the jacobian tying the fiber scale to the two Lebesgue scales
     if g.a:
-        basis = rational_kernel(h.RR) if h.RR else \
-            [[Fraction(1) if i == j else Fraction(0) for i in range(g.a)]
-             for j in range(g.a)]
+        basis = rational_kernel(h.RR) if h.RR else identity(g.a)
         section = []
-        for i in range(cod.a):
-            rhs = [Fraction(1) if r == i else Fraction(0) for r in range(cod.a)]
+        for rhs in identity(cod.a):
             sol = solve_rational(h.RR, rhs)
             if sol is None:
                 raise Degenerate("vector block is not surjective")
@@ -180,7 +173,7 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
             diag = diagonal_of(dmat)
         else:
             diag = []
-            v = _identity(g.b)
+            v = identity(g.b)
         vcols = [[v[r][i] for r in range(g.b)] for i in range(g.b)]
         for i in range(g.b):
             d = diag[i] if i < len(diag) else 0
@@ -195,8 +188,7 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
 
     # free sector
     if g.c:
-        free_basis = integer_kernel(h.ZZ) if h.ZZ else \
-            [[1 if i == j else 0 for i in range(g.c)] for j in range(g.c)]
+        free_basis = integer_kernel(h.ZZ) if h.ZZ else identity(g.c)
     else:
         free_basis = []
     c_n = len(free_basis)
@@ -274,8 +266,8 @@ def lattice_inclusion_hom(lattice: LatticeSubgroup, ghat: ElementaryGroup) -> Bl
                           haar=_fold_discrete_haar(ghat.haar, c_new, k_new))
     return BlockHom(
         sub, ghat,
-        RR=_identity(ghat.a),
-        TT=_identity(ghat.b),
+        RR=identity(ghat.a),
+        TT=identity(ghat.b),
         ZZ=[[col[r] for col in free_cols] for r in range(ghat.c)],
         ZF=[[col[ghat.c + r] for col in free_cols] for r in range(ghat.k)],
         FF=[[col[ghat.c + r] for col in tors_cols] for r in range(ghat.k)])
@@ -326,9 +318,8 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
     ledger: List[str] = []
     cur = d
     quotient_map = None
-    N = joint_kernel(cur)
-    if not N.is_trivial():
-        cur, quotient_map, note = _quotient_by_joint_kernel(cur, N)
+    if not report.kernel.is_trivial():
+        cur, quotient_map, note = _quotient_by_joint_kernel(cur, report.kernel)
         ledger.append(note)
     homs = []
     for pos, h in enumerate(cur.homs):
@@ -369,6 +360,11 @@ def decompose(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
     why = _is_nondegenerate(d)
     if why is not None:
         raise Degenerate(why + "; run make_nondegenerate first")
+    return _sector_parts(d)
+
+
+def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
+    """decompose without its nondegeneracy check, for callers that ran it."""
     g = d.domain
     torus_dom = ElementaryGroup(b=g.b, haar=HaarRecord(torus_total=g.haar.torus_total))
     vector_dom = ElementaryGroup(a=g.a, haar=HaarRecord(vector_scale=g.haar.vector_scale))

@@ -149,6 +149,18 @@ def test_analyze_json(tmp_path, capsys):
     assert doc["command"] == "analyze"
 
 
+def test_analyze_improper_exit_one(tmp_path, capsys):
+    improper = write(tmp_path, {"domain": {"a": 2}, "targets": [{"a": 1}],
+                                "homs": [{"RR": [[1, 0]]}], "exponents": [2]})
+    assert main(["analyze", improper]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "proper: no", "  joint kernel has noncompact rank 1",
+        "the constant is infinite for improper data"]
+    assert main(["analyze", "--json", improper]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["proper"], doc["reason"]) == (False, "joint kernel has noncompact rank 1")
+
+
 def test_dual_pipes_datum_to_stdout(tmp_path, capsys):
     src = write(tmp_path, klein_doc())
     code = main(["dual", src])

@@ -4,12 +4,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blca.intmat import (column_hermite_form, congruence_kernel, det_rational,
-                         diagonal_of, from_columns, hermite_basis, hstack,
-                         identity_int, integer_kernel, matmul, mat_vec,
-                         rational_kernel, rational_rank, rational_rref,
-                         row_hermite_form, smith_normal_form, solve_integer,
-                         solve_rational, transpose, zeros_int)
+from blca.intmat import (clear_denominators, column_hermite_form,
+                         congruence_kernel, det_rational, diagonal_of,
+                         from_columns, hermite_basis, hstack, identity,
+                         integer_kernel, matmul, mat_vec, rational_kernel,
+                         rational_rank, rational_rref, row_hermite_form,
+                         smith_normal_form, solve_integer, solve_rational,
+                         transpose, unimodular_inverse, zeros_int)
 
 F = Fraction
 
@@ -21,9 +22,19 @@ small_matrices = st.integers(0, 3).flatmap(
 
 
 def test_identity_and_zeros():
-    assert identity_int(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert identity(0) == []
     assert zeros_int(2, 3) == [[0, 0, 0], [0, 0, 0]]
-    assert matmul(identity_int(2), [[3, 4], [5, 6]]) == [[3, 4], [5, 6]]
+    assert matmul(identity(2), [[3, 4], [5, 6]]) == [[3, 4], [5, 6]]
+
+
+def test_clear_denominators():
+    assert clear_denominators([2, -3, 0]) == [2, -3, 0]
+    assert clear_denominators([F(1, 2), F(-2, 3), 1]) == [3, -4, 6]
+    assert clear_denominators([F(0), 0]) == [0, 0]
+    assert clear_denominators([]) == []
+    # a row cleared together with its zero modulus keeps the modulus at 0
+    assert clear_denominators([F(1, 4), F(1, 6), 0]) == [3, 2, 0]
 
 
 def test_transpose_and_columns():
@@ -51,9 +62,11 @@ def test_smith_normal_form_reconstructs(m):
         for j, e in enumerate(row):
             if i != j:
                 assert e == 0
-    # u and v are unimodular
+    # u and v are unimodular, and their inverses are integral
     assert abs(det_rational(u)) == 1 if u else True
     assert abs(det_rational(v)) == 1 if v else True
+    for t in (u, v):
+        assert matmul(unimodular_inverse(t), t) == identity(len(t))
 
 
 def test_smith_normal_form_known():
@@ -106,6 +119,9 @@ def test_det_rational():
     assert det_rational([[F(1, 2), F(0)], [F(0), F(4)]]) == 2
     assert det_rational([[1, 2], [2, 4]]) == 0
     assert det_rational([]) == 1
+    # pivoting swaps the first two rows, which flips the sign
+    assert det_rational([[0, 2], [3, 1]]) == -6
+    assert det_rational([[0, 1, 0], [1, 0, 0], [0, 0, F(1, 2)]]) == F(-1, 2)
 
 
 def test_hermite_forms():
@@ -131,6 +147,8 @@ def test_congruence_kernel_mod_lattice():
     # call works with scaled coordinates, so just check closure
     for g in gens:
         assert (F(2) * g[0]) % 1 == 0
+    # modulus 0: the rational row must vanish exactly, here 3x = 2y
+    assert congruence_kernel([[F(1, 2), F(-1, 3)]], [0]) == [[2, 3]]
 
 
 @settings(max_examples=40, deadline=None)

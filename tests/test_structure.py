@@ -241,3 +241,35 @@ def test_report_shape():
     assert doc["kind"] == FINITE
     assert isinstance(doc["factors"], list)
     assert {"FINITE", "INFINITE", "UNKNOWN"} == {FINITE, INFINITE, UNKNOWN}
+
+
+def test_improper_datum_is_certified_infinite_with_reason():
+    d = Datum(R2, [BlockHom(R2, R1, RR=[[1, 0]]), BlockHom(R2, R1, RR=[[0, 1]])],
+              [2, "inf"])
+    rep = bl_constant(d)
+    assert (rep.kind, rep.certification, rep.factors) == (INFINITE, "certified", ())
+    assert rep.ledger == ("dropped 1 index(es) with infinite exponent",
+                          "joint kernel has noncompact rank 1")
+    assert rep.witnesses == ("joint kernel has noncompact rank 1",)
+
+
+def test_pipeline_runs_each_check_once(monkeypatch):
+    import blca.homs
+    import blca.structure
+    import blca.subquot
+    calls = {"kernel": 0, "surjective": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(blca.homs, "_stacked_kernel",
+                        counted("kernel", blca.homs._stacked_kernel))
+    surjective = counted("surjective", blca.homs.is_surjective)
+    for mod in (blca.subquot, blca.structure):
+        monkeypatch.setattr(mod, "is_surjective", surjective)
+    assert bl_constant(young_datum(), samples=0).kind == FINITE
+    # properness once, then nondegeneracy of the normalized datum once
+    assert calls == {"kernel": 2, "surjective": 6}
