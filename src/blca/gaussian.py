@@ -15,18 +15,32 @@ on.  Divergence of the ascent is reported numerically (DIVERGED) but never
 used as a certificate; certified infiniteness comes from the exact rational
 checks in bcct_finiteness.
 
-Everything here works in floats; objectives are tracked in log scale so that
+One ascent from the identity suffices: log obj is jointly geodesically
+concave on the positive-definite matrices, so every fixed point of the ascent
+is the global maximum (Sra, Vishnoi, Yildiz, arXiv:1804.04051).  On a datum
+with a critical subspace V, dim V = sum_j dim(B_j V)/p_j, the ascent only
+creeps toward a maximum it cannot attain.  There the constant factors as
+BL(B|_V) * BL(B_{R^n/V}) (Bennett, Carbery, Christ, Tao, GAFA 2008,
+arXiv:math/0505065, Lemma 4.6), so gaussian_bl_constant changes bases
+exactly, splits the datum into its two diagonal pieces, and splits each
+piece again until none has a critical subspace; then each simple piece gets
+one ascent.
+
+The ascent works in floats; objectives are tracked in log scale so that
 near-divergent instances do not overflow before the threshold check fires.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch, SingularDenominator
 from .homs import Datum
+from .intmat import (columns, det_rational, from_columns, hstack, identity, matmul,
+                     rational_rref)
 from .rank import RankVerdict, homogeneity_check, rank_condition
 
 # numpy is imported inside the functions that use it, so that importing
@@ -42,13 +56,11 @@ OBJECTIVE_CEILING = 1e8
 CONDITION_CEILING = 1e12
 
 
-def _vector_blocks(d: Datum) -> List[np.ndarray]:
+def _float_blocks(maps, n: int) -> List[np.ndarray]:
+    """The rational maps of Q^n as float arrays, one (rows, n) array each."""
     import numpy as np
-    mats = []
-    for h in d.homs:
-        mats.append(np.array([[float(x) for x in row] for row in h.RR], dtype=float).reshape(
-            h.codomain.a, h.domain.a))
-    return mats
+    return [np.array([[float(x) for x in row] for row in m], dtype=float).reshape(len(m), n)
+            for m in maps]
 
 
 def _haar_scale_factor(d: Datum) -> float:
@@ -119,7 +131,7 @@ def gaussian_objective(d: Datum, pt: GaussianPoint) -> float:
     Haar scales on the datum are deliberately not applied here; the reported
     constant in gaussian_bl_constant carries them.
     """
-    sigmas = _vector_blocks(d)
+    sigmas = _float_blocks([h.RR for h in d.homs], d.domain.a)
     recips = [float(r) for r in d.reciprocal_exponents()]
     if len(pt.mats) != len(sigmas):
         raise ShapeMismatch("one matrix per map")
@@ -132,11 +144,15 @@ def gaussian_objective(d: Datum, pt: GaussianPoint) -> float:
 
 @dataclass(frozen=True)
 class GaussianResult:
+    """value includes the datum's Haar scales; sweeps are summed over the
+    pieces, and point is the maximizer only when the datum was not split."""
+
     value: float
     status: str
     sweeps: int
     point: Optional[GaussianPoint]
     diagnosis: str = ""
+    pieces: int = 1
 
     def __repr__(self):
         return f"GaussianResult({self.status}, value={self.value:.12g}, sweeps={self.sweeps})"
@@ -188,40 +204,89 @@ def _ascend(sigmas, recips, a, init_mats, tol, budget):
                           "iteration budget exhausted")
 
 
-def gaussian_bl_constant(d: Datum, tol: float = 1e-10, budget: int = 100000,
-                         restarts: int = 5, seed: int = 0) -> GaussianResult:
-    """Best gaussian value over an identity start plus seeded SPD restarts.
+def _completion(cols, n: int):
+    """(T, r): an invertible n x n matrix whose first r columns are a basis of
+    the span of cols, picked from cols in order, and whose other columns are
+    unit vectors."""
+    _, pivots = rational_rref(hstack(from_columns(cols, n), identity(n)))
+    k = len(cols)
+    units = identity(n)
+    chosen = [list(cols[i]) if i < k else units[i - k] for i in pivots]
+    return from_columns(chosen, n), sum(i < k for i in pivots)
 
-    The reported value includes the datum's Haar scales (domain scale times
-    prod_j target_scale^{-1/p_j}).  DIVERGED reports infinity and wins over
-    everything; otherwise the best final value decides, with BUDGET status if
-    the best run did not settle.
+
+def _split(maps, recips, critical, n: int):
+    """Change bases so that every map is block upper-triangular along the
+    critical subspace V.
+
+    x = U y with U = [basis of V | unit vectors], and target j gets
+    T_j = [basis of B_j V | unit vectors], so T_j^-1 B_j U has the diagonal
+    blocks V -> B_j V and R^n/V -> R^m_j/B_j V.  Returns the jacobian
+    |det U| prod_j |det T_j|^(-1/p_j) and the two lists of diagonal blocks.
     """
-    import numpy as np
-    sigmas = _vector_blocks(d)
-    recips = [float(r) for r in d.reciprocal_exponents()]
+    k = len(critical)
+    u, _ = _completion(critical, n)
+    jacobian = abs(float(det_rational(u)))
+    inner, outer = [], []
+    for b, r in zip(maps, recips):
+        if not b:
+            inner.append([])
+            outer.append([])
+            continue
+        bu = matmul(b, u)
+        t, rj = _completion(columns(bu)[:k], len(b))
+        if r:
+            jacobian *= abs(float(det_rational(t))) ** -float(r)
+        solved, _ = rational_rref(hstack(t, bu))
+        blocks = [row[len(b):] for row in solved]
+        inner.append([row[:k] for row in blocks[:rj]])
+        outer.append([row[k:] for row in blocks[rj:]])
+    return jacobian, inner, outer
+
+
+def _piece_constant(maps, exponents, n: int, critical, tol, budget) -> GaussianResult:
+    """Lebesgue-normalized gaussian constant of rational maps on Q^n: one
+    ascent from the identity, or, given a critical subspace, the product of
+    the constants of its two diagonal pieces, each split again at a critical
+    subspace the exact routes of rank_condition find in it."""
+    recips = [Fraction(0) if p is None else 1 / Fraction(p) for p in exponents]
+    if critical is None:
+        sigmas = _float_blocks(maps, n)
+        init = GaussianPoint.identity([s.shape[0] for s in sigmas]).mats
+        return _ascend(sigmas, [float(r) for r in recips], n, init, tol, budget)
+    jacobian, inner, outer = _split(maps, recips, critical, n)
+    parts = []
+    for piece, dim in ((inner, len(critical)), (outer, n - len(critical))):
+        found = rank_condition(piece, exponents, samples=0, dim=dim).critical
+        parts.append(_piece_constant(piece, exponents, dim, found, tol, budget))
+    sweeps = sum(r.sweeps for r in parts)
+    pieces = sum(r.pieces for r in parts)
+    diagnosis = "; ".join(r.diagnosis for r in parts if r.diagnosis)
+    if any(r.status == DIVERGED for r in parts):
+        return GaussianResult(math.inf, DIVERGED, sweeps, None, diagnosis, pieces)
+    status = CONVERGED if all(r.status == CONVERGED for r in parts) else BUDGET
+    return GaussianResult(jacobian * parts[0].value * parts[1].value, status, sweeps,
+                          None, diagnosis, pieces)
+
+
+def gaussian_bl_constant(d: Datum, tol: float = 1e-10, budget: int = 100000,
+                         verdict: Optional[RankVerdict] = None) -> GaussianResult:
+    """The gaussian constant of a vector datum, one ascent per simple piece.
+
+    verdict is the datum's rank verdict when the caller already has one;
+    otherwise rank_condition's exact routes run here.  Its critical
+    subspace, if any, splits the datum, and each piece is split again until
+    none is left.  Each remaining piece gets a single ascent from the
+    identity.  The reported value includes the datum's Haar scales
+    (domain scale times prod_j target_scale^{-1/p_j}); status is CONVERGED
+    only when every piece converged, and DIVERGED reports infinity.
+    """
+    maps = [h.RR for h in d.homs]
     a = d.domain.a
-    dims = [s.shape[0] for s in sigmas]
-    scale = _haar_scale_factor(d)
-    runs = [GaussianPoint.identity(dims).mats]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        mats = []
-        for n in dims:
-            g = rng.standard_normal((n, n))
-            mats.append(g @ g.T + 0.1 * np.eye(n))
-        runs.append(mats)
-    best: Optional[GaussianResult] = None
-    for init in runs:
-        res = _ascend(sigmas, recips, a, init, tol, budget)
-        if res.status == DIVERGED:
-            return GaussianResult(math.inf, DIVERGED, res.sweeps, None, res.diagnosis)
-        if best is None or res.value > best.value or (
-                res.value == best.value and res.status == CONVERGED and best.status != CONVERGED):
-            best = res
-    assert best is not None
-    return GaussianResult(best.value * scale, best.status, best.sweeps, best.point,
-                          best.diagnosis)
+    if verdict is None:
+        verdict = rank_condition(maps, d.exponents, samples=0, dim=a)
+    res = _piece_constant(maps, d.exponents, a, verdict.critical, tol, budget)
+    return replace(res, value=res.value * _haar_scale_factor(d))
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ def _warm_starts(d: Datum, tables: List[np.ndarray]) -> List[List[np.ndarray]]:
         fs = []
         for h, idx in zip(d.homs, tables):
             f = np.zeros(h.codomain.finite_order)
-            f[np.unique(idx[members])] = 1.0
+            f[idx[members]] = 1.0
             fs.append(f)
         starts.append(fs)
     return starts

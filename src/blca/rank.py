@@ -41,9 +41,16 @@ LIKELY_HOLDS = "LIKELY_HOLDS"
 
 @dataclass(frozen=True)
 class RankVerdict:
+    """status is FAILS, HOLDS_CERTIFIED or LIKELY_HOLDS; witness is a
+    subspace with positive deficit when it FAILS.  critical, never set on a
+    FAILS, is the least (by dimension, then basis) proper nonzero subspace
+    an exact route found with deficit exactly 0, or None: a split point for
+    the constant (Bennett, Carbery, Christ, Tao, GAFA 2008, Lemma 4.6)."""
+
     status: str
     witness: Optional[Tuple[Tuple[int, ...], ...]] = None
     evidence: Dict[str, object] = field(default_factory=dict)
+    critical: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def ok(self) -> bool:
@@ -132,6 +139,12 @@ def _witness_sort_key(space):
     return (len(space), tuple(tuple(c) for c in space))
 
 
+def _least_critical(deficits, n):
+    """The least proper nonzero subspace of deficit exactly 0, or None."""
+    tight = [s for s, d in deficits if d == 0 and 0 < len(s) < n]
+    return min(tight, key=_witness_sort_key) if tight else None
+
+
 def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
                    depth: int = 6, samples: int = 1000, seed: int = 0,
                    dim: Optional[int] = None) -> RankVerdict:
@@ -157,7 +170,10 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         along that subspace realizes).
 
     The evidence records the route's counters; ``samples`` is the number of
-    random subspaces drawn, 0 whenever an exact route decided.
+    random subspaces drawn, 0 whenever an exact route decided.  Unless the
+    verdict FAILS, ``critical`` holds the least proper nonzero subspace that
+    route (i) or (ii) found with deficit exactly 0, where the vector-sector
+    constant splits.
     """
     maps = _normalize_maps(maps)
     recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
@@ -224,12 +240,13 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     if violations:
         witness = min(violations, key=_witness_sort_key)
         return RankVerdict(FAILS, witness, evidence)
+    critical = _least_critical(deficits, n)
 
     chain = _kernels_chain(kernels, n)
     if terminated and (n <= 3 or len(maps) <= 3 or chain):
         evidence["certificate"] = (
             f"closure of kernel lattice complete (n={n}, J={len(maps)}, chain={chain})")
-        return RankVerdict(HOLDS_CERTIFIED, None, evidence)
+        return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical)
 
     rng = random.Random(seed)
     sampled_violations = []
@@ -250,7 +267,7 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         witness = min(sampled_violations, key=_witness_sort_key)
         return RankVerdict(FAILS, witness, evidence)
     evidence["note"] = "no violation found; completeness criterion not met"
-    return RankVerdict(LIKELY_HOLDS, None, evidence)
+    return RankVerdict(LIKELY_HOLDS, None, evidence, critical)
 
 
 def _annihilates(m, space, n) -> bool:
@@ -281,7 +298,7 @@ def _rank_one_condition(maps, kernels, recips, n) -> RankVerdict:
     evidence["certificate"] = (
         f"rank-one maps: Barthe's criterion checked exactly on all "
         f"{len(flats)} flats of the kernels")
-    return RankVerdict(HOLDS_CERTIFIED, None, evidence)
+    return RankVerdict(HOLDS_CERTIFIED, None, evidence, _least_critical(deficits, n))
 
 
 def _kernels_chain(kernels, n) -> bool:
@@ -351,4 +368,4 @@ def dual_rank_condition(torus_datum: Datum, depth: int = 6, samples: int = 1000,
     evidence = dict(verdict.evidence)
     evidence["annihilator_rank"] = r
     evidence["annihilator_basis"] = tuple(tuple(c) for c in ann.basis)
-    return RankVerdict(verdict.status, verdict.witness, evidence)
+    return RankVerdict(verdict.status, verdict.witness, evidence, verdict.critical)

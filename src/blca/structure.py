@@ -50,7 +50,7 @@ from .rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, dual_rank_condition,
                    rank_condition)
 from .subquot import (NondegenerateResult, _annihilator_of_compact_kernel,
                       _is_nondegenerate, _sector_parts, corestrict_open,
-                      decompose, discrete_image_lattice, kernel_embedding,
+                      discrete_image_lattice, kernel_embedding,
                       lattice_inclusion_hom, make_nondegenerate,
                       merge_finite_coordinates)
 
@@ -316,6 +316,33 @@ def _scale_correction(fd: Datum) -> ExactValue:
     return val
 
 
+# The report of a part with trivial domain and targets at unit scale, one
+# shared object per sector: most data leave three of their four parts
+# trivial, and callers that keep many reports would otherwise hold a copy of
+# each.  Fields and notes are those the sector's engine reports.
+_TRIVIAL_REPORTS = {
+    "torus": FactorReport("torus", FINITE, 1.0, ExactValue.one(), EXACT),
+    "vector": FactorReport("vector", FINITE, 1.0, ExactValue.one(), EXACT),
+    "finite": FactorReport("finite", FINITE, 1.0, ExactValue.one(), EXACT,
+                           notes=("maximum over 1 subgroups, attained at one "
+                                  "of size 1",)),
+    "free": FactorReport("free", FINITE, 1.0, ExactValue.one(), EXACT),
+}
+
+
+def _trivial_report(name: str, fd: Datum) -> Optional[FactorReport]:
+    """The shared report when fd is trivial at unit scale, else None.  A
+    unit exponent leaves a note in the vector report, so it is excluded."""
+    if not (fd.domain.is_trivial()
+            and all(h.codomain.is_trivial() for h in fd.homs)):
+        return None
+    if name == "vector" and 1 in fd.exponents:
+        return None
+    if _scale_correction(fd) != ExactValue.one():
+        return None
+    return _TRIVIAL_REPORTS[name]
+
+
 def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
     corr = _scale_correction(fd)
     if verdict.status == FAILS:
@@ -355,8 +382,8 @@ def _finite_factor(fd: Datum, bound: int) -> FactorReport:
                f"one of size {res.argmax_size}",))
 
 
-def _vector_factor(fd: Datum, tol: float, budget: int, restarts: int,
-                   seed: int, depth: int, samples: int) -> FactorReport:
+def _vector_factor(fd: Datum, tol: float, budget: int, seed: int, depth: int,
+                   samples: int) -> FactorReport:
     notes: List[str] = []
     while True:
         for j, h in enumerate(fd.homs):
@@ -401,8 +428,7 @@ def _vector_factor(fd: Datum, tol: float, budget: int, restarts: int,
         return FactorReport("vector", FINITE, float(corr), corr,
                             EXACT if base == NUMERICAL else base,
                             notes=tuple(notes))
-    res = gaussian_bl_constant(fd, tol=tol, budget=budget, restarts=restarts,
-                               seed=seed)
+    res = gaussian_bl_constant(fd, tol=tol, budget=budget, verdict=verdict.rank)
     if math.isinf(res.value):
         return FactorReport(
             "vector", UNKNOWN, None, None, HEURISTIC,
@@ -410,7 +436,9 @@ def _vector_factor(fd: Datum, tol: float, budget: int, restarts: int,
                 "the gaussian ascent diverged although the finiteness test "
                 "passed; the two decisions disagree",))
     notes.append(f"gaussian ascent {res.status.lower()} after {res.sweeps} "
-                 f"sweeps")
+                 f"sweeps" + ("" if res.pieces == 1 else
+                              f" over {res.pieces} pieces split at critical "
+                              f"subspaces"))
     return FactorReport("vector", FINITE, res.value, None, base,
                         notes=tuple(notes))
 
@@ -437,7 +465,7 @@ def _early_report(kind, value, exact, cert, ledger, witnesses=()):
 
 
 def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
-                restarts: int = 5, seed: int = 0, depth: int = 6,
+                seed: int = 0, depth: int = 6,
                 samples: int = 1000, max_finite: int = DEFAULT_BOUND
                 ) -> ConstantReport:
     """Decide finiteness of the constant and compute it.
@@ -447,6 +475,16 @@ def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
     non-open image survives at the now all-finite exponents, split into the
     four diagonal parts, price each part, multiply.
     """
+    return _priced(d, tol=tol, budget=budget, seed=seed, depth=depth,
+                   samples=samples, max_finite=max_finite)[0]
+
+
+def _priced(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
+            seed: int = 0, depth: int = 6, samples: int = 1000,
+            max_finite: int = DEFAULT_BOUND
+            ) -> Tuple[ConstantReport, Optional[Tuple[Datum, Datum, Datum, Datum]]]:
+    """bl_constant's report and the four parts it priced, or None when the
+    report was decided before the split."""
     ledger: List[str] = []
     try:
         d2 = reduce_p_infinity(d)
@@ -455,9 +493,10 @@ def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
         mass = d.domain.total_mass()
         if mass is None:
             ledger.append("the domain is noncompact, so its mass is infinite")
-            return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger)
+            return _early_report(INFINITE, math.inf, None, CERTIFIED,
+                                 ledger), None
         return _early_report(FINITE, float(mass), ExactValue.of(mass), EXACT,
-                             ledger)
+                             ledger), None
     if d2.J != d.J:
         ledger.append(f"dropped {d.J - d2.J} index(es) with infinite "
                       f"exponent")
@@ -466,26 +505,28 @@ def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
     except NotProper as exc:
         ledger.append(str(exc))
         return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger,
-                             witnesses=(str(exc),))
+                             witnesses=(str(exc),)), None
     ledger.extend(norm.ledger)
     if why is not None:
         ledger.append(f"{why}; with every exponent finite this forces an "
                       f"infinite constant")
         return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger,
-                             witnesses=(why,))
+                             witnesses=(why,)), None
     torus_d, vector_d, finite_d, free_d = parts
     factors = (
-        _torus_factor(torus_d, depth, samples, seed),
-        _vector_factor(vector_d, tol, budget, restarts, seed, depth, samples),
-        _finite_factor(finite_d, max_finite),
-        _free_factor(free_d, depth, samples, seed),
+        _trivial_report("torus", torus_d)
+        or _torus_factor(torus_d, depth, samples, seed),
+        _trivial_report("vector", vector_d)
+        or _vector_factor(vector_d, tol, budget, seed, depth, samples),
+        _trivial_report("finite", finite_d) or _finite_factor(finite_d, max_finite),
+        _trivial_report("free", free_d) or _free_factor(free_d, depth, samples, seed),
     )
     witnesses = tuple(f.witness for f in factors if f.witness is not None)
     infinite = [f for f in factors if f.kind == INFINITE]
     if infinite:
         cert = _weakest([f.certification for f in infinite])
         return ConstantReport(INFINITE, math.inf, None, cert, factors,
-                              tuple(ledger), witnesses)
+                              tuple(ledger), witnesses), parts
     value: Optional[float] = 1.0
     exact: Optional[ExactValue] = ExactValue.one()
     for f in factors:
@@ -504,7 +545,7 @@ def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
     kind = UNKNOWN if unknown else FINITE
     cert = _weakest([f.certification for f in factors])
     return ConstantReport(kind, value, exact, cert, factors, tuple(ledger),
-                          witnesses)
+                          witnesses), parts
 
 
 # -- oracle check -----------------------------------------------------------
@@ -515,17 +556,18 @@ def verify(d: Datum, *, tol: Optional[float] = None, **knobs
 
     Returns bl_constant's report and one row per part (torus, vector, finite,
     free), each with a status (ok, MISMATCH or skipped) and a note; a checked
-    row also holds the pipeline and oracle values.  An INFINITE report gets
-    no rows.  tol, when given, is passed on to the gaussian ascent; it is
-    also the comparison tolerance (default 1e-6).  Other keyword knobs are
-    forwarded to bl_constant.
+    row also holds the pipeline and oracle values: the rows check the very
+    parts bl_constant priced.  An INFINITE report gets no rows, nor does one
+    decided before the split into parts (every exponent infinite).  tol,
+    when given, is passed on to the gaussian ascent; it is also the
+    comparison tolerance (default 1e-6).  Other keyword knobs are forwarded
+    to bl_constant.
     """
-    rep = bl_constant(d, **knobs, **({} if tol is None else {"tol": tol}))
-    if rep.kind == INFINITE:
+    rep, priced = _priced(d, **knobs, **({} if tol is None else {"tol": tol}))
+    if rep.kind == INFINITE or priced is None:
         return rep, []
     tol = 1e-6 if tol is None else tol
-    parts = dict(zip(("torus", "vector", "finite", "free"),
-                     decompose(make_nondegenerate(d).datum)))
+    parts = dict(zip(("torus", "vector", "finite", "free"), priced))
     by_name = {f.name: f for f in rep.factors}
     rows = []
 
@@ -634,9 +676,10 @@ def _canonical_form(d: Datum) -> Tuple[Datum, List[str]]:
             raise Degenerate(why + "; the dual form needs a nondegenerate "
                                    "datum")
         cur, dropped = _strip_sector_mixing(cur)
-        if dropped:
-            notes.append("dropped sector-mixing blocks; the constant agrees "
-                         "with the sector-diagonal form")
+        if not dropped:
+            return cur, notes
+        notes.append("dropped sector-mixing blocks; the constant agrees "
+                     "with the sector-diagonal form")
         if _is_nondegenerate(cur) is None:
             return cur, notes
     raise Degenerate("canonicalization did not stabilize")

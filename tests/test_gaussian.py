@@ -91,3 +91,114 @@ def test_budget_status_exists():
     res = gaussian_bl_constant(young_datum(), budget=2)
     assert res.status in (BUDGET, CONVERGED)
     assert res.sweeps <= 2 or res.status == CONVERGED
+
+
+# -- one ascent per simple piece: the split at critical subspaces ------------
+
+def _rank_one_datum(rows, p):
+    n = len(rows[0])
+    dom = ElementaryGroup(a=n)
+    return Datum(dom, [BlockHom(dom, R1, RR=[row]) for row in rows], [p] * len(rows))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _boundary_plane_rows(rnd):
+    """Rows r1, r2, r3 in general position plus a multiple of r1: at p = 2
+    the common kernel line of r1 and its multiple is critical."""
+    while True:
+        rows = [[rnd.randint(-3, 3) for _ in range(2)] for _ in range(3)]
+        if all(r[0] * s[1] != r[1] * s[0] for i, r in enumerate(rows) for s in rows[i + 1:]):
+            k = rnd.choice([-2, -1, 2])
+            return rows + [[k * x for x in rows[0]]]
+
+
+def test_split_rank_one_plane_matches_holder_closed_form():
+    # R^2 = L + L^perp orthogonally, L the critical kernel line; each piece is
+    # one-dimensional Holder, prod_j |b_j . unit|^(-1/p_j) over its maps
+    import random
+    rnd = random.Random(5)
+    for _ in range(8):
+        rows = _boundary_plane_rows(rnd)
+        res = gaussian_bl_constant(_rank_one_datum(rows, F(2)))
+        w = [rows[0][1], -rows[0][0]]
+        u = rows[0]
+        expected = 1.0
+        for row in rows:
+            unit = u if _dot(row, w) == 0 else w
+            expected *= (abs(_dot(row, unit)) / math.sqrt(_dot(unit, unit))) ** -0.5
+        assert res.status == CONVERGED and res.pieces == 2
+        assert abs(res.value - expected) < 1e-9, rows
+    worked = gaussian_bl_constant(_rank_one_datum([[-2, -3], [-2, 1], [1, 1], [2, 2]], F(2)))
+    assert abs(worked.value - 1 / math.sqrt(6)) < 1e-9
+
+
+def test_split_rank_one_space_matches_holder_closed_form():
+    # rows s_j * (row i_j of G^-1), G unimodular, with weights 1/p summing
+    # to 1 on each coordinate: the pullback of a product of one-dimensional
+    # Holder data, whose constant is prod_j |s_j|^(-1/p_j)
+    import random
+    rnd = random.Random(11)
+    for _ in range(6):
+        g_inv = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        for _ in range(4):
+            i, k = rnd.sample(range(3), 2)
+            c = rnd.choice([-2, -1, 1, 2])
+            g_inv[i] = [x + c * y for x, y in zip(g_inv[i], g_inv[k])]
+        rows, p, expected = [], [], 1.0
+        for i, count in enumerate(rnd.sample([2, 2, 3], 3)):
+            for _ in range(count):
+                s = rnd.choice([-3, -2, -1, 1, 2, 3])
+                rows.append([s * x for x in g_inv[i]])
+                p.append(F(count))
+                expected *= abs(s) ** (-1.0 / count)
+        dom = ElementaryGroup(a=3)
+        d = Datum(dom, [BlockHom(dom, R1, RR=[row]) for row in rows], p)
+        res = gaussian_bl_constant(d)
+        assert res.status == CONVERGED and res.pieces == 3
+        assert abs(res.value - expected) < 1e-9
+
+
+def _loomis_whitney_type(lines):
+    """Three maps Q^3 -> Q^2 at p = 2 killing the given kernel lines."""
+    from blca.intmat import clear_denominators, rational_kernel
+    R3 = ElementaryGroup(a=3)
+    maps = [BlockHom(R3, R2, RR=[clear_denominators(v) for v in rational_kernel([line])])
+            for line in lines]
+    return Datum(R3, maps, [F(2)] * 3)
+
+
+def test_split_mixed_rank_matches_single_ascent():
+    # each kernel line is critical (1 = (0 + 1 + 1)/2); the split changes
+    # bases in the targets, and must agree with one unsplit ascent
+    import random
+    from blca.intmat import det_rational
+    from blca.rank import HOLDS_CERTIFIED, RankVerdict
+    rnd = random.Random(3)
+    done = 0
+    while done < 4:
+        lines = [[rnd.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if det_rational(lines) == 0:
+            continue
+        d = _loomis_whitney_type(lines)
+        split = gaussian_bl_constant(d)
+        single = gaussian_bl_constant(d, verdict=RankVerdict(HOLDS_CERTIFIED))
+        assert split.pieces > 1 and single.pieces == 1
+        assert split.status == single.status == CONVERGED
+        assert abs(split.value - single.value) < 1e-9
+        done += 1
+
+
+def test_capped_ascent_stays_below_the_split_value():
+    # on a critical datum the single ascent creeps up to the constant from
+    # below; no budget may carry it past the split value
+    from blca.rank import HOLDS_CERTIFIED, RankVerdict
+    d = _rank_one_datum([[-2, -3], [-2, 1], [1, 1], [2, 2]], F(2))
+    split = gaussian_bl_constant(d).value
+    for budget in (1, 10, 100, 1000):
+        capped = gaussian_bl_constant(d, budget=budget, verdict=RankVerdict(HOLDS_CERTIFIED))
+        assert capped.status == BUDGET
+        assert capped.value <= split + 1e-9
+    assert split - capped.value < 1e-3

@@ -123,12 +123,14 @@ def _frac_rank(rows):
 
 
 def _brute_force_rank_one(rows, recips, n):
-    """Largest deficit over the flats ker(S) = {x : a_j x = 0, j in S}.
+    """Largest deficit over the flats ker(S) = {x : a_j x = 0, j in S}, and
+    whether a proper nonzero flat has deficit exactly 0.
 
     dim ker(S) = n - rank(S), and ker(S) lies in ker a_j exactly when a_j is
     in the span of the rows of S; every subset S of indices is visited.
     """
     worst = None
+    tight = False
     for mask in range(1 << len(rows)):
         chosen = [rows[j] for j in range(len(rows)) if mask >> j & 1]
         r_s = _frac_rank(chosen)
@@ -136,7 +138,8 @@ def _brute_force_rank_one(rows, recips, n):
                     if _frac_rank(chosen + [row]) > r_s)
         d = n - r_s - spent
         worst = d if worst is None else max(worst, d)
-    return worst
+        tight = tight or (d == 0 and 0 < n - r_s < n)
+    return worst, tight
 
 
 def _random_rank_one_maps(rnd, n, J):
@@ -157,7 +160,7 @@ def test_rank_one_route_matches_brute_force_over_subsets():
     import random
     rnd = random.Random(20261017)
     p_pool = [F(1), F(21, 20), F(4, 3), F(3, 2), F(2), F(3), None]
-    seen = {FAILS: 0, HOLDS_CERTIFIED: 0}
+    seen = {FAILS: 0, HOLDS_CERTIFIED: 0, "critical": 0}
     for trial in range(150):
         n = rnd.randint(1, 4)
         J = rnd.randint(1, 6)
@@ -165,18 +168,27 @@ def test_rank_one_route_matches_brute_force_over_subsets():
         p = [rnd.choice(p_pool) for _ in range(J)]
         recips = [F(0) if q is None else 1 / q for q in p]
         verdict = rank_condition(maps, p, dim=n, seed=trial)
-        worst = _brute_force_rank_one(rows, recips, n)
+        worst, tight = _brute_force_rank_one(rows, recips, n)
         assert verdict.status == (FAILS if worst > 0 else HOLDS_CERTIFIED), trial
         assert verdict.evidence["samples"] == 0
         assert verdict.evidence["max_deficit"] == worst
         seen[verdict.status] += 1
+        if verdict.status == HOLDS_CERTIFIED:
+            assert (verdict.critical is not None) == tight, trial
+            seen["critical"] += tight
+        if verdict.critical is not None:
+            basis = [list(w) for w in verdict.critical]
+            spent = sum(r * _frac_rank([mat_vec(m, w) for w in basis])
+                        for m, r in zip(maps, recips))
+            assert 0 < len(basis) == _frac_rank(basis) < n
+            assert spent == len(basis), "the critical subspace must be tight"
         if verdict.status == FAILS:
             basis = [list(w) for w in verdict.witness]
             dim_w = _frac_rank(basis)
             spent = sum(r * _frac_rank([mat_vec(m, w) for w in basis])
                         for m, r in zip(maps, recips))
             assert dim_w > 0 and F(dim_w) > spent, "witness must verify exactly"
-    assert seen[FAILS] > 10 and seen[HOLDS_CERTIFIED] > 10
+    assert seen[FAILS] > 10 and seen[HOLDS_CERTIFIED] > 10 and seen["critical"] >= 1
 
 
 def test_rank_one_route_evidence():

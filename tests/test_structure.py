@@ -8,9 +8,9 @@ from blca.errors import BadSubgroup, EmptyDatum, NotUnitExponent
 from blca.exact import ExactValue
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, ClosedSubgroup, Datum
-from blca.structure import (FINITE, INFINITE, UNKNOWN, bl_constant,
+from blca.structure import (FINITE, INFINITE, UNKNOWN, analyze, bl_constant,
                             dual_datum, duality_check, reduce_p_infinity,
-                            reduce_p_one, reduce_transversal)
+                            reduce_p_one, reduce_transversal, verify)
 
 F = Fraction
 
@@ -233,6 +233,58 @@ def test_finite_report_holds_no_copies():
     assert rep.exact is fin.exact
     assert all(f.exact is ExactValue.one() for f in rep.factors if f is not fin)
     assert not any(hasattr(r, "__dict__") for r in (rep,) + rep.factors)
+
+
+def test_vector_reports_share_their_trivial_parts():
+    from blca.structure import _finite_factor, _free_factor, _torus_factor
+    a, b = bl_constant(young_datum()), bl_constant(young_datum())
+    assert a.kind == FINITE
+    shared = [(fa, fb) for fa, fb in zip(a.factors, b.factors) if fa.name != "vector"]
+    assert len(shared) == 3 and all(fa is fb for fa, fb in shared)
+    # each shared report is the one its sector's engine computes
+    torus_d, _, finite_d, free_d = analyze(young_datum())[2]
+    assert [fa for fa, _ in shared] == [
+        _torus_factor(torus_d, 6, 1000, 0), _finite_factor(finite_d, 100000),
+        _free_factor(free_d, 6, 1000, 0)]
+    # a unit Haar scale is required: a scaled trivial part gets its own report
+    scaled = ElementaryGroup(a=2, haar=HaarRecord(f_point=F(3)))
+    d = Datum(scaled, [BlockHom(scaled, R1, RR=[[1, 0]]), BlockHom(scaled, R1, RR=[[0, 1]]),
+                       BlockHom(scaled, R1, RR=[[1, 1]])], [F(3, 2)] * 3)
+    fin = [f for f in bl_constant(d).factors if f.name == "finite"][0]
+    assert fin.exact.as_fraction() == 3 and fin is not shared[1][0]
+
+
+def test_verify_all_infinite_exponents_has_no_rows():
+    rep, rows = verify(Datum(T, [BlockHom(T, T, TT=[[1]])], [None]))
+    assert (rep.kind, rep.factors, rows) == (FINITE, (), [])
+
+
+def test_verify_checks_the_parts_bl_constant_priced():
+    # the sum map at p = inf is dropped before pricing, so the finite part
+    # has exponents 2, 2 and its oracle runs
+    d = Datum(K, [BlockHom(K, C2, FF=[[1, 0]]), BlockHom(K, C2, FF=[[0, 1]]),
+                  BlockHom(K, C2, FF=[[1, 1]])], [F(2), F(2), None])
+    rep, rows = verify(d)
+    assert rep.kind == FINITE and rep.exact.as_fraction() == 2
+    fin = [r for r in rows if r["part"] == "finite"][0]
+    assert fin["status"] == "ok" and fin["pipeline"] == 2.0
+
+
+def test_dual_datum_checks_nondegeneracy_once(monkeypatch):
+    import blca.homs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return stacked(*args, **kwargs)
+
+    stacked = blca.homs._stacked_kernel
+    monkeypatch.setattr(blca.homs, "_stacked_kernel", counted)
+    klein = Datum(K, [BlockHom(K, C2, FF=[[1, 0]]), BlockHom(K, C2, FF=[[0, 1]])],
+                  [F(2), F(2)])
+    dual_datum(klein)
+    # properness, then nondegeneracy of the normalized datum
+    assert len(calls) == 2
 
 
 def test_report_shape():
