@@ -69,7 +69,6 @@ from .gaussian import (
 from .finite import (
     enumerate_subgroups,
     subgroup_bl_constant,
-    annihilator_datum,
     tower_limit,
 )
 from .oracle import (
@@ -107,8 +106,7 @@ __all__ = [
     "homogeneity_check",
     "GaussianPoint", "GaussianResult", "gaussian_objective",
     "gaussian_bl_constant", "bcct_finiteness",
-    "enumerate_subgroups", "subgroup_bl_constant", "annihilator_datum",
-    "tower_limit",
+    "enumerate_subgroups", "subgroup_bl_constant", "tower_limit",
     "bl_form", "alternating_maximization", "scalar_gaussian_probe",
     "discretized_compact_check",
     "ConstantReport", "DualityReport", "FactorReport", "analyze", "bl_constant",

@@ -11,10 +11,6 @@ bases, which yields each one once without a deduplication set, and carries
 the orders of the subgroup and of its images along the search.  The maximum
 is taken as the subgroups stream past: the value depends only on those
 orders, so it is computed once per distinct tuple of orders.
-
-The annihilator_datum construction gives the matching datum on the dual side:
-its subgroup constant with conjugate exponents equals the input's, which the
-test suite checks exactly on random small data.
 """
 
 from __future__ import annotations
@@ -25,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import Degenerate, ShapeMismatch, TooLarge
+from .errors import ShapeMismatch, TooLarge
 from .exact import ExactValue
-from .groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
-from .homs import BlockHom, Datum, joint_kernel
-from .intmat import congruence_kernel
+from .groups import ElementaryGroup, LatticeSubgroup
+from .homs import Datum
 
 DEFAULT_BOUND = 100000
 
@@ -199,62 +194,6 @@ def subgroup_bl_constant(d: Datum, bound: int = DEFAULT_BOUND) -> FiniteResult:
             best = (val, sig[0], basis)
     assert best is not None
     return FiniteResult(best[0], LatticeSubgroup(orders, best[2]), best[1], count)
-
-
-def annihilator_datum(d: Datum) -> Datum:
-    """The dual-side finite datum: characters of the product of the targets
-    that kill the embedded image of the domain, projected back to each dual
-    target, carrying conjugate-ready measures.
-
-    Its subgroup constant at the conjugate exponents equals the input's
-    subgroup constant exactly.  Requires a trivial joint kernel so that the
-    domain embeds into the product of the targets.
-    """
-    _finite_targets(d)
-    if not joint_kernel(d).is_trivial():
-        raise Degenerate("the joint kernel must be trivial to embed the domain "
-                         "into the product of the targets")
-    k = d.domain.k
-    target_orders: List[int] = []
-    for h in d.homs:
-        target_orders.extend(h.codomain.torsion)
-    n = len(target_orders)
-    # characters m of the target product with sum_s m_s (image x)_s / d'_s
-    # integral for every domain generator x
-    rows = []
-    for i in range(k):
-        row = []
-        for h in d.homs:
-            for s, dp in enumerate(h.codomain.torsion):
-                row.append(Fraction(h.FF[s][i], dp))
-        rows.append(row)
-    if rows:
-        basis = congruence_kernel(rows, [1] * k)
-        perp = LatticeSubgroup.from_generators(target_orders, basis)
-    else:
-        perp = LatticeSubgroup.full(target_orders)
-    _, gens, gen_orders = perp.structure()
-    # abstract copy of the annihilator with its adapted generators
-    order_f = 1
-    for dd in d.domain.torsion:
-        order_f *= dd
-    prod_mass = Fraction(1)
-    prod_size = 1
-    for h in d.homs:
-        prod_mass *= Fraction(h.codomain.finite_order) * h.codomain.haar.f_point
-        prod_size *= h.codomain.finite_order
-    perp_mass = Fraction(order_f) * d.domain.haar.f_point / prod_mass
-    dom = ElementaryGroup(torsion=tuple(gen_orders),
-                          haar=HaarRecord(f_point=perp_mass))
-    duals = [dual_group(h.codomain) for h in d.homs]
-    homs = []
-    offset = 0
-    for h, gdual in zip(d.homs, duals):
-        kj = gdual.k
-        block = [[gens[i][offset + s] for i in range(len(gens))] for s in range(kj)]
-        homs.append(BlockHom(dom, gdual, FF=block))
-        offset += kj
-    return Datum(dom, homs, d.conjugate_exponents())
 
 
 @dataclass(frozen=True)

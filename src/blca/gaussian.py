@@ -145,12 +145,11 @@ def gaussian_objective(d: Datum, pt: GaussianPoint) -> float:
 @dataclass(frozen=True)
 class GaussianResult:
     """value includes the datum's Haar scales; sweeps are summed over the
-    pieces, and point is the maximizer only when the datum was not split."""
+    pieces."""
 
     value: float
     status: str
     sweeps: int
-    point: Optional[GaussianPoint]
     diagnosis: str = ""
     pieces: int = 1
 
@@ -164,7 +163,7 @@ def _ascend(sigmas, recips, a, init_mats, tol, budget):
     try:
         log_obj, cond = _log_objective(sigmas, recips, mats, a)
     except SingularDenominator as exc:
-        return GaussianResult(math.inf, DIVERGED, 0, None, str(exc))
+        return GaussianResult(math.inf, DIVERGED, 0, str(exc))
     log_ceiling = math.log(OBJECTIVE_CEILING)
     for sweep in range(1, budget + 1):
         q = np.zeros((a, a))
@@ -179,7 +178,7 @@ def _ascend(sigmas, recips, a, init_mats, tol, budget):
                 middle = s @ qinv @ s.T
                 new_m = np.linalg.inv(middle)
             except np.linalg.LinAlgError:
-                return GaussianResult(math.inf, DIVERGED, sweep, None,
+                return GaussianResult(math.inf, DIVERGED, sweep,
                                       "singular matrix inside the coordinate update")
             new_m = 0.5 * (new_m + new_m.T)
             q += r * (s.T @ (new_m - mats[j]) @ s)
@@ -187,21 +186,19 @@ def _ascend(sigmas, recips, a, init_mats, tol, budget):
         try:
             new_log_obj, cond = _log_objective(sigmas, recips, mats, a)
         except SingularDenominator as exc:
-            return GaussianResult(math.inf, DIVERGED, sweep, None, str(exc))
+            return GaussianResult(math.inf, DIVERGED, sweep, str(exc))
         if new_log_obj > log_ceiling:
-            return GaussianResult(math.inf, DIVERGED, sweep, None,
+            return GaussianResult(math.inf, DIVERGED, sweep,
                                   f"objective passed {OBJECTIVE_CEILING:g}")
         if cond > CONDITION_CEILING:
-            return GaussianResult(math.inf, DIVERGED, sweep, None,
+            return GaussianResult(math.inf, DIVERGED, sweep,
                                   f"denominator condition passed {CONDITION_CEILING:g}")
         drift = abs(math.exp(new_log_obj) - math.exp(log_obj)) if new_log_obj < 700 else math.inf
         log_obj = new_log_obj
         if drift < tol:
-            return GaussianResult(math.exp(log_obj), CONVERGED, sweep,
-                                  GaussianPoint([m for m in mats]))
+            return GaussianResult(math.exp(log_obj), CONVERGED, sweep)
     return GaussianResult(math.exp(log_obj) if log_obj < 700 else math.inf,
-                          BUDGET, budget, GaussianPoint([m for m in mats]),
-                          "iteration budget exhausted")
+                          BUDGET, budget, "iteration budget exhausted")
 
 
 def _completion(cols, n: int):
@@ -263,10 +260,10 @@ def _piece_constant(maps, exponents, n: int, critical, tol, budget) -> GaussianR
     pieces = sum(r.pieces for r in parts)
     diagnosis = "; ".join(r.diagnosis for r in parts if r.diagnosis)
     if any(r.status == DIVERGED for r in parts):
-        return GaussianResult(math.inf, DIVERGED, sweeps, None, diagnosis, pieces)
+        return GaussianResult(math.inf, DIVERGED, sweeps, diagnosis, pieces)
     status = CONVERGED if all(r.status == CONVERGED for r in parts) else BUDGET
     return GaussianResult(jacobian * parts[0].value * parts[1].value, status, sweeps,
-                          None, diagnosis, pieces)
+                          diagnosis, pieces)
 
 
 def gaussian_bl_constant(d: Datum, tol: float = 1e-10, budget: int = 100000,

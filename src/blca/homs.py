@@ -244,7 +244,7 @@ def adjoint_hom(h: BlockHom) -> BlockHom:
         RT=opt(transpose(h.ZR)),
         TT=opt(transpose(h.ZZ)),
         ZT=opt(transpose(h.ZT)),
-        FT=opt(transpose(ft)),
+        FT=opt(ft),
         ZZ=opt(transpose(h.TT)),
         ZF=opt(zf),
         FF=opt(ff),

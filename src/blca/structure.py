@@ -49,10 +49,9 @@ from .oracle import (alternating_maximization, discretized_compact_check,
 from .rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, dual_rank_condition,
                    rank_condition)
 from .subquot import (NondegenerateResult, _annihilator_of_compact_kernel,
-                      _is_nondegenerate, _sector_parts, corestrict_open,
-                      discrete_image_lattice, kernel_embedding,
-                      lattice_inclusion_hom, make_nondegenerate,
-                      merge_finite_coordinates)
+                      _sector_parts, corestrict_open, discrete_image_lattice,
+                      kernel_embedding, lattice_inclusion_hom,
+                      make_nondegenerate, merge_finite_coordinates)
 
 FINITE = "FINITE"
 INFINITE = "INFINITE"
@@ -449,13 +448,13 @@ def analyze(d: Datum) -> Tuple[NondegenerateResult, Optional[str],
                                Optional[Tuple[Datum, Datum, Datum, Datum]]]:
     """Normalize d and split it, checking properness and nondegeneracy once.
 
-    Returns make_nondegenerate's result, the obstruction that survives it
-    (None when the normalized datum is nondegenerate) and, when there is
-    none, decompose's four parts (torus, vector, finite, free).  Raises
-    NotProper for an improper datum.
+    Returns make_nondegenerate's result, the obstruction it recorded (None
+    when the normalized datum is nondegenerate) and, when there is none,
+    decompose's four parts (torus, vector, finite, free).  Raises NotProper
+    for an improper datum.
     """
     norm = make_nondegenerate(d)
-    why = _is_nondegenerate(norm.datum)
+    why = norm.obstruction
     return norm, why, None if why is not None else _sector_parts(norm.datum)
 
 
@@ -606,10 +605,20 @@ def verify(d: Datum, *, tol: Optional[float] = None, **knobs
     elif vec.kind == FINITE and all(h.codomain.a <= 1 for h in part.homs) \
             and all(p is not None and p != 1 for p in part.exponents):
         probe = scalar_gaussian_probe(part)
-        ok = abs(probe - vec.value) <= 1e-4 + tol * max(1.0, abs(vec.value))
+        slack = 1e-4 + tol * max(1.0, abs(vec.value))
+        # at a critical subspace the supremum is approached only along a
+        # degenerating family the grid cannot reach, so the probe is only a
+        # lower bound there
+        critical = rank_condition([h.RR for h in part.homs], part.exponents,
+                                  samples=0, dim=part.domain.a).critical
+        if critical is None:
+            ok = abs(probe - vec.value) <= slack
+            note = "scalar gaussian grid"
+        else:
+            ok = probe <= vec.value + slack
+            note = "scalar gaussian grid lower bound (critical subspace)"
         rows.append({"part": "vector", "status": "ok" if ok else "MISMATCH",
-                     "pipeline": vec.value, "oracle": probe,
-                     "note": "scalar gaussian grid"})
+                     "pipeline": vec.value, "oracle": probe, "note": note})
     elif vec.kind != FINITE:
         rows.append({"part": "vector", "status": "skipped",
                      "note": f"factor is {vec.kind}"})
@@ -669,19 +678,15 @@ def _canonical_form(d: Datum) -> Tuple[Datum, List[str]]:
     cur = d
     for _ in range(8):
         res = make_nondegenerate(cur)
-        cur = res.datum
         notes.extend(res.ledger)
-        why = _is_nondegenerate(cur)
-        if why is not None:
-            raise Degenerate(why + "; the dual form needs a nondegenerate "
-                                   "datum")
-        cur, dropped = _strip_sector_mixing(cur)
+        if res.obstruction is not None:
+            raise Degenerate(res.obstruction + "; the dual form needs a "
+                                               "nondegenerate datum")
+        cur, dropped = _strip_sector_mixing(res.datum)
         if not dropped:
             return cur, notes
         notes.append("dropped sector-mixing blocks; the constant agrees "
                      "with the sector-diagonal form")
-        if _is_nondegenerate(cur) is None:
-            return cur, notes
     raise Degenerate("canonicalization did not stabilize")
 
 

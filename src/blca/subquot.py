@@ -296,9 +296,13 @@ def _quotient_by_joint_kernel(d: Datum, N: ClosedSubgroup):
 
 @dataclass(frozen=True)
 class NondegenerateResult:
+    """make_nondegenerate's datum and ledger; obstruction names the first
+    map left not surjective (None when the datum is nondegenerate)."""
+
     datum: Datum
     ledger: Tuple[str, ...]
     quotient_map: Optional[BlockHom] = None
+    obstruction: Optional[str] = None
 
     def __iter__(self):
         return iter((self.datum, self.ledger))
@@ -311,6 +315,10 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
     codomain onto its image when that image is open.  A non-open image is left
     alone with a ledger warning: corestriction there would change the constant
     (and for finite exponents the constant is infinite anyway).  Idempotent.
+
+    The quotient leaves a trivial joint kernel and every corestricted map is
+    onto, so the first non-open image is the only obstruction left; the
+    result records it, worded as decompose words it.
     """
     report = is_proper(d)
     if not report:
@@ -322,6 +330,7 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
         cur, quotient_map, note = _quotient_by_joint_kernel(cur, report.kernel)
         ledger.append(note)
     homs = []
+    obstruction = None
     for pos, h in enumerate(cur.homs):
         if is_surjective(h):
             homs.append(h)
@@ -330,6 +339,7 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
             ledger.append(f"map {pos}: image is not open in {h.codomain.describe()}; "
                           f"left in place (a finite exponent there forces an "
                           f"infinite constant)")
+            obstruction = obstruction or f"map {pos} is not surjective"
             homs.append(h)
             continue
         h2 = corestrict_open(h, discrete_image_lattice(h))
@@ -338,7 +348,7 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
                       f"(discrete point masses kept)")
         homs.append(h2)
     out = Datum(cur.domain, homs, cur.exponents)
-    return NondegenerateResult(out, tuple(ledger), quotient_map)
+    return NondegenerateResult(out, tuple(ledger), quotient_map, obstruction)
 
 
 def _is_nondegenerate(d: Datum) -> Optional[str]:

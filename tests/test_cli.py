@@ -200,6 +200,22 @@ def test_verify_klein(tmp_path, capsys):
     assert "ok" in out.lower() or "pass" in out.lower()
 
 
+def test_free_to_finite_block_runs_every_command(tmp_path, capsys):
+    # a ZF block whose adjoint feeds the kernel quotient: every command
+    # prints its report instead of stopping on a malformed adjoint
+    src = write(tmp_path, {
+        "domain": {"c": 1, "torsion": [2]},
+        "targets": [{"c": 1}, {"torsion": [2, 2]}],
+        "homs": [{"ZZ": [[1]]}, {"ZF": [[1], [0]]}], "exponents": [2, 2]})
+    codes = {cmd: main([cmd, src])
+             for cmd in ("analyze", "constant", "verify", "dual", "reduce")}
+    out = capsys.readouterr()
+    assert codes == {"analyze": 0, "constant": 1, "verify": 1, "dual": 0,
+                     "reduce": 0}
+    assert "error" not in out.err
+    assert "witness: ((1,),)" in out.out
+
+
 def test_verify_infinite_exit_one(tmp_path, capsys):
     code = main(["verify", write(tmp_path, axes_doc())])
     assert code == 1

@@ -9,10 +9,10 @@ import pytest
 from blca import finite
 from blca.errors import ShapeMismatch, TooLarge
 from blca.exact import ExactValue
-from blca.finite import (annihilator_datum, enumerate_subgroups,
-                         subgroup_bl_constant, tower_limit)
+from blca.finite import enumerate_subgroups, subgroup_bl_constant, tower_limit
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, Datum
+from blca.structure import dual_datum
 
 F = Fraction
 
@@ -228,20 +228,13 @@ def test_streamed_maximum_matches_sorted_reference(monkeypatch):
     assert tied >= 15  # the size decides the argmax on these (19 of 100)
 
 
-def test_annihilator_datum_shape():
-    ad = annihilator_datum(klein_datum())
-    # dual of the embedding into the product: domain is the annihilator of
-    # the graph, here trivial, with conjugated exponents
-    assert ad.exponents == (F(2), F(2))
-    assert ad.domain.finite_order == 1
-    for h in ad.homs:
-        assert h.codomain.finite_order == 2
-
-
-def test_annihilator_datum_rejects_mixed():
-    g = ElementaryGroup(a=1, torsion=(2,))
-    with pytest.raises(ShapeMismatch):
-        annihilator_datum(Datum(g, [BlockHom.identity(g)], [2]))
+def test_dual_datum_keeps_the_subgroup_constant():
+    # Fourier invariance, exactly: the annihilator datum at the conjugate
+    # exponents has the same subgroup constant
+    rng = random.Random(29)
+    for _ in range(60):
+        d = _random_finite_datum(rng)
+        assert subgroup_bl_constant(dual_datum(d)).value == subgroup_bl_constant(d).value
 
 
 def test_tower_limit_monotone():

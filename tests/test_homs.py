@@ -1,10 +1,12 @@
 """Block homomorphisms: validation, application, kernels, adjoints."""
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from blca.errors import (BadExponent, NotWellDefined, ShapeMismatch)
-from blca.groups import ElementaryGroup, HaarRecord
+from blca.groups import ElementaryGroup, HaarRecord, dual_group
 from blca.homs import (BlockHom, Datum, adjoint_hom, annihilator_lattice,
                        conjugate_exponent, image_is_open, is_proper,
                        is_surjective, joint_kernel, kernel_info, make_element,
@@ -125,6 +127,75 @@ def test_adjoint_transposes():
     adj = adjoint_hom(h)
     assert adj.RR == [[F(1)], [F(2)]]
     assert adj.domain == ElementaryGroup(a=1)
+
+
+CHAINS = [(), (2,), (3,), (4,), (2, 2), (2, 4), (6,)]
+
+
+def random_group(rnd):
+    return ElementaryGroup(a=rnd.randint(0, 2), b=rnd.randint(0, 2),
+                           c=rnd.randint(0, 2), torsion=rnd.choice(CHAINS))
+
+
+def random_hom(rnd, dom, cod):
+    """A random well-defined hom: every one of the nine blocks is drawn, FT
+    with denominators dividing the source orders and FF columns killed by
+    their source orders."""
+    def q():
+        return F(rnd.randint(-3, 3), rnd.randint(1, 3))
+
+    def mat(rows, cols, entry):
+        return [[entry(r, i) for i in range(cols)] for r in range(rows)]
+
+    d_src, d_dst = dom.torsion, cod.torsion
+    return BlockHom(
+        dom, cod,
+        RR=mat(cod.a, dom.a, lambda r, i: q()),
+        RT=mat(cod.b, dom.a, lambda r, i: q()),
+        TT=mat(cod.b, dom.b, lambda r, i: rnd.randint(-2, 2)),
+        ZR=mat(cod.a, dom.c, lambda r, i: q()),
+        ZT=mat(cod.b, dom.c, lambda r, i: q()),
+        ZZ=mat(cod.c, dom.c, lambda r, i: rnd.randint(-2, 2)),
+        ZF=mat(cod.k, dom.c, lambda r, i: rnd.randrange(d_dst[r])),
+        FT=mat(cod.b, dom.k, lambda r, i: F(rnd.randrange(d_src[i]), d_src[i])),
+        FF=mat(cod.k, dom.k, lambda r, i: (d_dst[r] // math.gcd(d_src[i], d_dst[r]))
+               * rnd.randrange(math.gcd(d_src[i], d_dst[r]))))
+
+
+def random_element(rnd, g):
+    return make_element(
+        g, x=[F(rnd.randint(-5, 5), rnd.randint(1, 4)) for _ in range(g.a)],
+        t=[F(rnd.randint(0, 11), 12) for _ in range(g.b)],
+        m=[rnd.randint(-4, 4) for _ in range(g.c)],
+        u=[rnd.randrange(d) for d in g.torsion])
+
+
+def pairing(g, el, chi):
+    """Phase of the character chi of G at el, as a fraction mod 1.  chi lives
+    in dual_group(G) = R^a x T^c x Z^b x F: its torus part pairs with el's
+    free part and its free part with el's torus part."""
+    phase = (sum(x * y for x, y in zip(el.x, chi.x))
+             + sum(t * n for t, n in zip(el.t, chi.m))
+             + sum(m * s for m, s in zip(el.m, chi.t))
+             + sum(F(u * v, d) for u, v, d in zip(el.u, chi.u, g.torsion)))
+    return phase % 1
+
+
+def test_adjoint_pairing_on_random_homs():
+    # <h(g), chi> = <g, h*(chi)> on all nine blocks, ZF and FT included
+    rnd = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        dom, cod = random_group(rnd), random_group(rnd)
+        h = random_hom(rnd, dom, cod)
+        adj = adjoint_hom(h)
+        assert adj.domain == dual_group(cod) and adj.codomain == dual_group(dom)
+        seen.update(k for k, v in h.blocks().items() if any(any(row) for row in v))
+        for _ in range(3):
+            el = random_element(rnd, dom)
+            chi = random_element(rnd, adj.domain)
+            assert pairing(cod, h.apply(el), chi) == pairing(dom, el, adj.apply(chi))
+    assert seen == set(h.blocks())
 
 
 def test_annihilator_lattice():

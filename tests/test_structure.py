@@ -270,6 +270,37 @@ def test_verify_checks_the_parts_bl_constant_priced():
     assert fin["status"] == "ok" and fin["pipeline"] == 2.0
 
 
+def test_verify_reads_the_probe_as_a_lower_bound_at_a_critical_subspace():
+    # span(1, -1) is critical: the last two maps kill it and the first two
+    # give 1 = dim/2 + dim/2, so the gaussian supremum is not attained and
+    # the scalar grid stays well below 1/sqrt(6)
+    d = Datum(R2, [BlockHom(R2, R1, RR=[row])
+                   for row in ([-2, -3], [-2, 1], [1, 1], [2, 2])], [F(2)] * 4)
+    rep, rows = verify(d)
+    assert rep.kind == FINITE
+    assert abs(rep.value - 1 / math.sqrt(6)) < 1e-9
+    vec = [r for r in rows if r["part"] == "vector"][0]
+    assert vec["status"] == "ok"
+    assert vec["oracle"] < 0.9 * vec["pipeline"]
+    assert vec["note"] == "scalar gaussian grid lower bound (critical subspace)"
+
+
+def test_free_to_finite_block_is_priced():
+    # Z x Z/2 with the free coordinate sent to Z and to (1, 0) in Z/2 x Z/2:
+    # the Z/2 factor is a compact joint kernel, and the quotient runs through
+    # the adjoint of the free-to-finite block
+    g = ElementaryGroup(c=1, torsion=(2,))
+    d = Datum(g, [BlockHom(g, Z1, ZZ=[[1]]),
+                  BlockHom(g, ElementaryGroup(torsion=(2, 2)), ZF=[[1], [0]])],
+              [F(2), F(2)])
+    norm, why, parts = analyze(d)
+    assert why is None and norm.datum.domain.describe() == "Z^1"
+    rep = bl_constant(d)
+    assert (rep.kind, rep.certification, rep.witnesses) == (
+        INFINITE, "certified", (((1,),),))
+    assert dual_datum(d).exponents == (F(2), F(2))
+
+
 def test_dual_datum_checks_nondegeneracy_once(monkeypatch):
     import blca.homs
     calls = []
@@ -283,8 +314,8 @@ def test_dual_datum_checks_nondegeneracy_once(monkeypatch):
     klein = Datum(K, [BlockHom(K, C2, FF=[[1, 0]]), BlockHom(K, C2, FF=[[0, 1]])],
                   [F(2), F(2)])
     dual_datum(klein)
-    # properness, then nondegeneracy of the normalized datum
-    assert len(calls) == 2
+    # properness only: make_nondegenerate records what it leaves behind
+    assert len(calls) == 1
 
 
 def test_report_shape():
@@ -323,5 +354,6 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     for mod in (blca.subquot, blca.structure):
         monkeypatch.setattr(mod, "is_surjective", surjective)
     assert bl_constant(young_datum(), samples=0).kind == FINITE
-    # properness once, then nondegeneracy of the normalized datum once
-    assert calls == {"kernel": 2, "surjective": 6}
+    # properness once, each map's surjectivity once, all inside
+    # make_nondegenerate
+    assert calls == {"kernel": 1, "surjective": 3}

@@ -1,14 +1,16 @@
 """Kernel quotients, corestrictions, and the four-factor splitting."""
+import random
 from fractions import Fraction
 
 import pytest
 
 from blca.errors import Degenerate, NotProper
 from blca.groups import ElementaryGroup, HaarRecord
-from blca.homs import BlockHom, Datum, is_surjective, joint_kernel
-from blca.subquot import (corestrict_open, decompose, discrete_image_lattice,
-                          kernel_embedding, make_nondegenerate,
-                          merge_finite_coordinates)
+from blca.homs import BlockHom, Datum, is_proper, is_surjective, joint_kernel
+from blca.subquot import (_is_nondegenerate, corestrict_open, decompose,
+                          discrete_image_lattice, kernel_embedding,
+                          make_nondegenerate, merge_finite_coordinates)
+from test_homs import CHAINS, random_hom
 
 F = Fraction
 
@@ -102,6 +104,36 @@ def test_non_open_image_warned_not_fixed():
     res = make_nondegenerate(Datum(R, [keep, line], [F(2), F(2)]))
     assert res.datum.homs[1] == line
     assert any("not open" in line_ for line_ in res.ledger)
+    assert res.obstruction == "map 1 is not surjective"
+
+
+def test_recorded_obstruction_matches_a_fresh_check():
+    # random proper data with sector-mixing blocks: whatever make_nondegenerate
+    # records is what checking its output from scratch finds
+    rnd = random.Random(7)
+    seen = quotiented = obstructed = 0
+    while seen < 300:
+        dom = ElementaryGroup(a=rnd.randint(0, 1), b=rnd.randint(0, 2),
+                              c=rnd.randint(0, 1), torsion=rnd.choice(CHAINS))
+        homs = []
+        for _ in range(rnd.randint(1, 3)):
+            cod = ElementaryGroup(a=rnd.randint(0, 1), b=rnd.randint(0, 1),
+                                  c=rnd.randint(0, 1),
+                                  torsion=rnd.choice(CHAINS[:5]))
+            full = random_hom(rnd, dom, cod)
+            homs.append(BlockHom(dom, cod, **{name: blk for name, blk
+                                             in full.blocks().items()
+                                             if rnd.random() < 0.5}))
+        d = Datum(dom, homs, [F(2)] * len(homs))
+        if not is_proper(d):
+            continue
+        seen += 1
+        res = make_nondegenerate(d)
+        quotiented += res.quotient_map is not None
+        obstructed += res.obstruction is not None
+        assert res.obstruction == _is_nondegenerate(res.datum)
+    assert quotiented >= 100
+    assert 30 <= obstructed <= 270
 
 
 def test_improper_rejected():
