@@ -44,9 +44,7 @@ from .intmat import (
 
 def _frac_entry(x) -> Fraction:
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise IrrationalEntry(f"entry {x!r} is not a finite rational")
-        return Fraction(x).limit_denominator(10**12)
+        raise IrrationalEntry(f"float entry {x!r} is not exact; pass an int or a Fraction")
     try:
         return Fraction(x)
     except (TypeError, ValueError) as exc:

@@ -11,9 +11,12 @@ search statistics attached.
 ``rank_condition`` tries its routes in order and stops at the first that
 decides:
 
-1. every map of rank at most one: the flats of the row matroid (all
-   intersections of kernels) are checked exactly, which decides the
-   condition (Barthe's matroid criterion, Invent. Math. 1998);
+1. every map of rank at most one: the condition is checked exactly over the
+   closed index sets F of the row matroid (one row per map), which decides
+   it (Barthe's matroid criterion, Invent. Math. 1998).  The flat of F is
+   the subspace ker(rows of F); its deficit is (n - r(F)) - sum of 1/p_j
+   over the maps j outside F, so no subspace is built except the witness
+   or the critical subspace that the verdict reports;
 2. the sum/intersection closure of the kernels: a violation there is an
    exact FAILS, and a closure that terminates under the completeness
    criterion certifies the condition (Valdimarsson, The Brascamp-Lieb
@@ -26,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ShapeMismatch
@@ -152,13 +156,18 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
 
     Routes, in order; each returns as soon as it decides:
 
-    (i) Every map of rational rank <= 1: the meet-closure of the kernels
-        (the flats of the row matroid, at most sum_{k<=n} C(J, k) of them)
-        is checked exactly.  For rank-one maps, dim(A_j W) only records
+    (i) Every map of rational rank <= 1: each map j keeps one row a_j (a
+        zero map has none, and lies in every flat), and the closed index
+        sets F of the row matroid (at most sum_{k<=n} C(J, k) of them) are
+        checked exactly.  For rank-one maps, dim(A_j W) only records
         whether W lies in ker A_j, so enlarging W to the intersection of
-        the kernels containing it never lowers its deficit; the flats
-        therefore decide the condition (Barthe's criterion).  HOLDS_CERTIFIED
-        or FAILS, never sampled.
+        the kernels containing it never lowers its deficit; these
+        intersections are the flats ker(a_j, j in F), of dimension
+        n - r(F), and their deficits (n - r(F)) - sum_{j not in F} 1/p_j
+        decide the condition (Barthe's criterion).  A subspace basis is
+        built only for the witness (among the violating F of largest rank)
+        and for ``critical`` (among the tight proper nonzero F of largest
+        rank).  HOLDS_CERTIFIED or FAILS, never sampled.
     (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to the given
         depth.  A violation is an exact FAILS.  If the closure terminated and
         n <= 3, J <= 3 or the kernels form a chain, the kernel lattice is
@@ -187,15 +196,10 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         return RankVerdict(HOLDS_CERTIFIED, None,
                            {"reason": "zero-dimensional domain has no nonzero subspaces"})
 
-    kernels = []
-    for m in maps:
-        if not m:
-            kernels.append(_full_space(n))
-        else:
-            kernels.append(_canon(rational_kernel(m), n))
-
     if all(rational_rank(m) <= 1 for m in maps):
-        return _rank_one_condition(maps, kernels, recips, n)
+        return _rank_one_condition(maps, recips, n)
+
+    kernels = [_canon(rational_kernel(m), n) if m else _full_space(n) for m in maps]
 
     closure: List[tuple] = []
     seen = set()
@@ -270,35 +274,86 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     return RankVerdict(LIKELY_HOLDS, None, evidence, critical)
 
 
-def _annihilates(m, space, n) -> bool:
-    """Whether the subspace lies in the kernel of m."""
-    return not any(any(row) for row in matmul(m, from_columns([list(c) for c in space], n)))
+def _closed_sets(rows):
+    """Every closed index set F of the matroid of rows (None for a loop), as
+    (bitmask of F, r(F)), rank by rank from the closure of the empty set.
+
+    Each F keeps the rows outside it reduced, fraction-free, against an
+    echelon basis of its rows; adding one row as a new pivot reduces the
+    rest once, and those that vanish join the closure.  The covers of F
+    partition the indices outside it, so each is built once from F."""
+    start = sum(1 << j for j, row in enumerate(rows) if row is None)
+    out = [(start, 0)]
+    seen = {start}
+    level = [(start, {j: row for j, row in enumerate(rows) if row is not None})]
+    rank = 0
+    while level:
+        rank += 1
+        nxt = []
+        for mask, residues in level:
+            covered = mask
+            for j, v in residues.items():
+                if covered >> j & 1:
+                    continue
+                c = next(i for i, x in enumerate(v) if x)
+                vc = v[c]
+                cover = mask | 1 << j
+                rest = {}
+                for k, w in residues.items():
+                    if k == j:
+                        continue
+                    wc = w[c]
+                    if wc:
+                        w = [vc * x - wc * y for x, y in zip(w, v)]
+                        g = gcd(*w)
+                        if not g:
+                            cover |= 1 << k
+                            continue
+                        if g != 1:
+                            w = [x // g for x in w]
+                    rest[k] = w
+                covered |= cover
+                if cover not in seen:
+                    seen.add(cover)
+                    out.append((cover, rank))
+                    nxt.append((cover, rest))
+        level = nxt
+    return out
 
 
-def _rank_one_condition(maps, kernels, recips, n) -> RankVerdict:
-    """Exact decision for maps of rational rank <= 1 over the flats."""
-    flats = [_full_space(n)]
-    seen = set(flats)
-    for m, ker in zip(maps, kernels):
-        for f in list(flats):
-            if not _annihilates(m, f, n):
-                meet = _meet_space(f, ker, n)
-                if meet not in seen:
-                    seen.add(meet)
-                    flats.append(meet)
-    deficits = [(f, _deficit(f, maps, recips, n)) for f in flats]
+def _rank_one_condition(maps, recips, n) -> RankVerdict:
+    """Exact decision for maps of rational rank <= 1 over the closed index
+    sets of their rows; subspaces only for the witness and the split."""
+    rows = [next((clear_denominators(row) for row in m if any(row)), None) for m in maps]
+    scale = lcm(*(r.denominator for r in recips))
+    weights = [int(r * scale) for r in recips]
+    outside = sum(weights)
+    flats = []  # (F, r(F), deficit * scale): integer sums over the weights
+    for mask, r in _closed_sets(rows):
+        spent = outside - sum(w for j, w in enumerate(weights) if mask >> j & 1)
+        flats.append((mask, r, (n - r) * scale - spent))
+
+    def least(cands):
+        top = max(r for _, r in cands)
+        spaces = [_full_space(n) if r == 0 else
+                  _canon(rational_kernel([row for j, row in enumerate(rows)
+                                          if mask >> j & 1 and row is not None]), n)
+                  for mask, r in cands if r == top]
+        return min(spaces, key=_witness_sort_key)
+
     evidence: Dict[str, object] = {
         "flats": len(flats),
-        "max_deficit": max(d for _, d in deficits),
+        "max_deficit": Fraction(max(d for _, _, d in flats), scale),
         "samples": 0,
     }
-    violations = [f for f, d in deficits if d > 0]
+    violations = [(mask, r) for mask, r, d in flats if d > 0]
     if violations:
-        return RankVerdict(FAILS, min(violations, key=_witness_sort_key), evidence)
+        return RankVerdict(FAILS, least(violations), evidence)
     evidence["certificate"] = (
         f"rank-one maps: Barthe's criterion checked exactly on all "
         f"{len(flats)} flats of the kernels")
-    return RankVerdict(HOLDS_CERTIFIED, None, evidence, _least_critical(deficits, n))
+    tight = [(mask, r) for mask, r, d in flats if d == 0 and 0 < r < n]
+    return RankVerdict(HOLDS_CERTIFIED, None, evidence, least(tight) if tight else None)
 
 
 def _kernels_chain(kernels, n) -> bool:

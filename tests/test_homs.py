@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from blca.errors import (BadExponent, NotWellDefined, ShapeMismatch)
+from blca.errors import (BadExponent, IrrationalEntry, NotWellDefined,
+                         ShapeMismatch)
 from blca.groups import ElementaryGroup, HaarRecord, dual_group
 from blca.homs import (BlockHom, Datum, adjoint_hom, annihilator_lattice,
                        conjugate_exponent, image_is_open, is_proper,
@@ -230,3 +231,19 @@ def test_datum_validation():
     d = Datum(T, [BlockHom(T, T, TT=[[1]])], ["3/2"])
     assert d.exponents == (F(3, 2),)
     assert d.J == 1
+
+
+def test_floats_rejected_like_the_file_format():
+    import numpy as np
+    with pytest.raises(IrrationalEntry):
+        BlockHom(R1, R1, RR=[[0.5]])
+    with pytest.raises(IrrationalEntry):
+        BlockHom(R1, R1, RR=[[np.float64(2.0)]])
+    with pytest.raises(IrrationalEntry):
+        BlockHom(T, T, TT=[[1.0]])
+    with pytest.raises(IrrationalEntry):
+        Datum(T, [BlockHom(T, T, TT=[[1]])], [1.5])
+    with pytest.raises(IrrationalEntry):
+        make_element(R1, x=[0.25])
+    # a float infinity is still read as the exponent infinity
+    assert parse_exponent(math.inf) is None

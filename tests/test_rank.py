@@ -6,10 +6,12 @@ import pytest
 from blca.errors import ShapeMismatch
 from blca.groups import ElementaryGroup, LatticeSubgroup
 from blca.homs import BlockHom, ClosedSubgroup, Datum
-from blca.intmat import mat_vec, rational_rank
+from blca.intmat import (from_columns, mat_vec, matmul, rational_kernel,
+                         rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
-                       dual_rank_condition, growth_index, homogeneity_check,
-                       rank_condition)
+                       _canon, _deficit, _full_space, _least_critical,
+                       _meet_space, _witness_sort_key, dual_rank_condition,
+                       growth_index, homogeneity_check, rank_condition)
 
 F = Fraction
 
@@ -233,3 +235,79 @@ def test_uncertified_closure_still_samples():
     assert not v.evidence["closure_terminated"]
     assert v.evidence["samples"] == 40
     assert v.status == LIKELY_HOLDS
+
+
+# -- the rank-one route against the meet-closure of the kernels -------------
+
+def _meet_closure_rank_one(maps, p, n):
+    """The rank-one route as a meet-closure over subspaces: every
+    intersection of kernels, as a canonical basis, with its deficit.  The
+    verdict is built from those subspaces alone, so it pins the witness,
+    the critical subspace and the evidence the index-set route reports."""
+    maps = [[[F(x) for x in row] for row in m] for m in maps]
+    recips = [F(0) if q is None else 1 / F(q) for q in p]
+    flats = [_full_space(n)]
+    seen = set(flats)
+    for m in maps:
+        ker = _canon(rational_kernel(m), n) if m else _full_space(n)
+        for f in list(flats):
+            if f and any(any(row) for row in matmul(m, from_columns([list(c) for c in f], n))):
+                meet = _meet_space(f, ker, n)
+                if meet not in seen:
+                    seen.add(meet)
+                    flats.append(meet)
+    deficits = [(f, _deficit(f, maps, recips, n)) for f in flats]
+    evidence = {"flats": len(flats), "max_deficit": max(d for _, d in deficits),
+                "samples": 0}
+    violations = [f for f, d in deficits if d > 0]
+    if violations:
+        return FAILS, min(violations, key=_witness_sort_key), None, evidence
+    evidence["certificate"] = (
+        f"rank-one maps: Barthe's criterion checked exactly on all "
+        f"{len(flats)} flats of the kernels")
+    return HOLDS_CERTIFIED, None, _least_critical(deficits, n), evidence
+
+
+def _random_rank_one_datum(rnd, n, J):
+    """Rank-one maps with zero maps, empty maps, proportional multi-row maps,
+    rational entries and parallel kernels, and exponents that need not be
+    homogeneous, infinite ones included."""
+    maps, rows = [], []
+    for _ in range(J):
+        kind = rnd.random()
+        if kind < 0.08:
+            maps.append([])
+            continue
+        row = [F(rnd.randint(-3, 3), rnd.choice([1, 1, 2, 3])) for _ in range(n)]
+        if rows and kind < 0.35:
+            row = [F(rnd.choice([-1, 2, 3]), rnd.choice([1, 2])) * x
+                   for x in rnd.choice(rows)]
+        rows.append(row)
+        scales = [rnd.choice([0, 1, -1, 2, F(1, 3)]) for _ in range(rnd.randint(1, 3))]
+        maps.append([[s * x for x in row] for s in scales])
+    p = [rnd.choice([1, F(21, 20), F(4, 3), F(3, 2), 2, 3, 5, None]) for _ in range(J)]
+    if len(rows) >= n and rnd.random() < 0.5:
+        # exponent k/n on each of the k maps given by a row: tight flats appear
+        p = [F(len(rows), n) if m else q for m, q in zip(maps, p)]
+    return maps, p
+
+
+def test_rank_one_route_matches_meet_closure():
+    import random
+    rnd = random.Random(7)
+    seen = {FAILS: 0, HOLDS_CERTIFIED: 0, "critical": 0, "zero map": 0, "inf": 0}
+    for trial in range(1200):
+        n = rnd.randint(1, 4)
+        J = rnd.randint(1, 6)
+        maps, p = _random_rank_one_datum(rnd, n, J)
+        verdict = rank_condition(maps, p, dim=n, seed=trial)
+        status, witness, critical, evidence = _meet_closure_rank_one(maps, p, n)
+        assert verdict.status == status, trial
+        assert verdict.witness == witness, trial
+        assert verdict.critical == critical, trial
+        assert verdict.evidence == evidence, trial
+        seen[status] += 1
+        seen["critical"] += critical is not None
+        seen["zero map"] += any(not any(any(r) for r in m) for m in maps)
+        seen["inf"] += None in p
+    assert min(seen.values()) >= 50, seen
