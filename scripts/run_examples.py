@@ -14,9 +14,9 @@ from blca.finite import tower_limit
 from blca.structure import bl_constant
 
 
-def describe_datum(path, knobs):
+def describe_datum(path):
     d = load_datum(str(path))
-    rep = bl_constant(d, **knobs)
+    rep = bl_constant(d)
     print(f"{path.name}: {rep.kind} ({rep.certification})")
     if rep.value is not None:
         exact = f"  = {rep.exact}" if rep.exact is not None else ""
@@ -45,7 +45,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--data", default=None,
                     help="directory of datum files (default: repo data/)")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     root = Path(args.data) if args.data else (
         Path(__file__).resolve().parent.parent / "data")
@@ -58,7 +57,7 @@ def main():
         if "tower" in doc:
             describe_tower(path)
         else:
-            describe_datum(path, {"seed": args.seed})
+            describe_datum(path)
         print()
     return 0
 

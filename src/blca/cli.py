@@ -287,8 +287,7 @@ def _describe_factors(out: _Out, rep):
 
 
 def _knobs(args) -> dict:
-    kn = {"seed": args.seed, "depth": args.depth, "samples": args.samples,
-          "budget": args.budget, "max_finite": args.max_finite}
+    kn = {"depth": args.depth, "budget": args.budget, "max_finite": args.max_finite}
     if args.tol is not None:
         kn["tol"] = args.tol
     return kn
@@ -388,10 +387,7 @@ def _cmd_dual(args) -> int:
         dd = dual_datum(d)
     except (NotProper, Degenerate) as exc:
         raise DatumFormatError(f"{args.file}: no dual form: {exc}") from exc
-    chk = duality_check(d, **({"tol": args.tol} if args.tol is not None else {}),
-                        seed=args.seed, depth=args.depth,
-                        samples=args.samples, budget=args.budget,
-                        max_finite=args.max_finite)
+    chk = duality_check(d, **_knobs(args))
     if args.json:
         out = _Out(True, "dual", args.seed)
         out.put("dual", datum_document(dd))
@@ -465,7 +461,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     d = load_datum(args.file)
     out = _Out(args.json, "verify", args.seed)
-    rep, rows = verify(d, **_knobs(args))
+    rep, rows = verify(d, seed=args.seed, **_knobs(args))
     out.put("report", rep.to_dict())
     out.put("rows", rows)
     out.say(f"pipeline: {rep.kind}, {_value_text(rep)}")
@@ -503,13 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=100000,
                         help="gaussian ascent iteration budget")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized searches")
+                        help="seed for verify's oracle restarts")
     parser.add_argument("--depth", type=int, default=6,
                         help="rank search enumeration depth")
-    parser.add_argument("--samples", type=int, default=1000,
-                        help="random subspaces drawn by the rank search, "
-                             "only when neither exact route (rank-one flats, "
-                             "complete kernel-lattice closure) decides")
     parser.add_argument("--max-finite", type=int, default=DEFAULT_BOUND,
                         help="largest finite group enumerated exactly")
     return parser

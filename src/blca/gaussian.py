@@ -245,16 +245,17 @@ def _piece_constant(maps, exponents, n: int, critical, tol, budget) -> GaussianR
     """Lebesgue-normalized gaussian constant of rational maps on Q^n: one
     ascent from the identity, or, given a critical subspace, the product of
     the constants of its two diagonal pieces, each split again at a critical
-    subspace the exact routes of rank_condition find in it."""
+    subspace rank_condition finds in it."""
     recips = [Fraction(0) if p is None else 1 / Fraction(p) for p in exponents]
     if critical is None:
+        import numpy as np
         sigmas = _float_blocks(maps, n)
-        init = GaussianPoint.identity([s.shape[0] for s in sigmas]).mats
+        init = [np.eye(s.shape[0]) for s in sigmas]
         return _ascend(sigmas, [float(r) for r in recips], n, init, tol, budget)
     jacobian, inner, outer = _split(maps, recips, critical, n)
     parts = []
     for piece, dim in ((inner, len(critical)), (outer, n - len(critical))):
-        found = rank_condition(piece, exponents, samples=0, dim=dim).critical
+        found = rank_condition(piece, exponents, dim=dim).critical
         parts.append(_piece_constant(piece, exponents, dim, found, tol, budget))
     sweeps = sum(r.sweeps for r in parts)
     pieces = sum(r.pieces for r in parts)
@@ -271,17 +272,17 @@ def gaussian_bl_constant(d: Datum, tol: float = 1e-10, budget: int = 100000,
     """The gaussian constant of a vector datum, one ascent per simple piece.
 
     verdict is the datum's rank verdict when the caller already has one;
-    otherwise rank_condition's exact routes run here.  Its critical
-    subspace, if any, splits the datum, and each piece is split again until
-    none is left.  Each remaining piece gets a single ascent from the
-    identity.  The reported value includes the datum's Haar scales
-    (domain scale times prod_j target_scale^{-1/p_j}); status is CONVERGED
-    only when every piece converged, and DIVERGED reports infinity.
+    otherwise rank_condition runs here.  Its critical subspace, if any,
+    splits the datum, and each piece is split again until none is left.
+    Each remaining piece gets a single ascent from the identity.  The
+    reported value includes the datum's Haar scales (domain scale times
+    prod_j target_scale^{-1/p_j}); status is CONVERGED only when every
+    piece converged, and DIVERGED reports infinity.
     """
     maps = [h.RR for h in d.homs]
     a = d.domain.a
     if verdict is None:
-        verdict = rank_condition(maps, d.exponents, samples=0, dim=a)
+        verdict = rank_condition(maps, d.exponents, dim=a)
     res = _piece_constant(maps, d.exponents, a, verdict.critical, tol, budget)
     return replace(res, value=res.value * _haar_scale_factor(d))
 
@@ -298,7 +299,7 @@ class BcctVerdict:
         return self.finite
 
 
-def bcct_finiteness(d: Datum, depth: int = 6, samples: int = 1000, seed: int = 0) -> BcctVerdict:
+def bcct_finiteness(d: Datum, depth: int = 6) -> BcctVerdict:
     """Exact finiteness test for a vector datum: homogeneity plus the rank
     condition on the (rational) vector blocks.
 
@@ -309,7 +310,7 @@ def bcct_finiteness(d: Datum, depth: int = 6, samples: int = 1000, seed: int = 0
     mats = [h.RR for h in d.homs]
     a = d.domain.a
     homog = homogeneity_check(mats, d.exponents, dim=a)
-    rank = rank_condition(mats, d.exponents, depth=depth, samples=samples, seed=seed, dim=a)
+    rank = rank_condition(mats, d.exponents, depth=depth, dim=a)
     if not homog:
         return BcctVerdict(False, True, False, rank, "homogeneity fails: the scaling "
                            "degree of the two sides differs, so no finite constant exists")

@@ -6,7 +6,7 @@ known terminating decision procedure over the full subspace lattice once the
 kernels generate an infinite modular lattice, so the checker is three-valued:
 FAILS carries an exact witness, HOLDS_CERTIFIED is only claimed under a
 cited completeness theorem, and everything else is LIKELY_HOLDS with the
-search statistics attached.
+closure's statistics attached.
 
 ``rank_condition`` tries its routes in order and stops at the first that
 decides:
@@ -20,13 +20,13 @@ decides:
 2. the sum/intersection closure of the kernels: a violation there is an
    exact FAILS, and a closure that terminates under the completeness
    criterion certifies the condition (Valdimarsson, The Brascamp-Lieb
-   polyhedron, Canad. J. Math. 2010: the kernel lattice suffices);
-3. otherwise seeded random subspaces, which can only find a violation.
+   polyhedron, Canad. J. Math. 2010: the kernel lattice suffices); a closure
+   that finds no violation but is not covered by the criterion gives
+   LIKELY_HOLDS.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -150,8 +150,7 @@ def _least_critical(deficits, n):
 
 
 def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
-                   depth: int = 6, samples: int = 1000, seed: int = 0,
-                   dim: Optional[int] = None) -> RankVerdict:
+                   depth: int = 6, dim: Optional[int] = None) -> RankVerdict:
     """Decide dim W <= sum_j dim(A_j W)/p_j for all subspaces W of Q^n.
 
     Routes, in order; each returns as soon as it decides:
@@ -167,22 +166,18 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         decide the condition (Barthe's criterion).  A subspace basis is
         built only for the witness (among the violating F of largest rank)
         and for ``critical`` (among the tight proper nonzero F of largest
-        rank).  HOLDS_CERTIFIED or FAILS, never sampled.
+        rank).  HOLDS_CERTIFIED or FAILS.
     (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to the given
         depth.  A violation is an exact FAILS.  If the closure terminated and
         n <= 3, J <= 3 or the kernels form a chain, the kernel lattice is
-        complete and suffices (Valdimarsson 2010): HOLDS_CERTIFIED without
-        sampling.
-    (iii) Only then: seeded random subspaces with small integer bases.  A
-        violation found is an exact FAILS; otherwise LIKELY_HOLDS, with the
-        worst deficit seen (the blow-up exponent a gaussian concentration
-        along that subspace realizes).
+        complete and suffices (Valdimarsson 2010): HOLDS_CERTIFIED.
+        Otherwise LIKELY_HOLDS: the closure found no violation, but no
+        completeness theorem covers it.
 
-    The evidence records the route's counters; ``samples`` is the number of
-    random subspaces drawn, 0 whenever an exact route decided.  Unless the
-    verdict FAILS, ``critical`` holds the least proper nonzero subspace that
-    route (i) or (ii) found with deficit exactly 0, where the vector-sector
-    constant splits.
+    The evidence records the route's counters, with the worst deficit seen
+    as ``max_deficit``.  Unless the verdict FAILS, ``critical`` holds the
+    least proper nonzero subspace the route found with deficit exactly 0,
+    where the vector-sector constant splits.
     """
     maps = _normalize_maps(maps)
     recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
@@ -239,7 +234,6 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         "closure_terminated": terminated,
         "closure_rounds": rounds,
         "max_deficit": worst,
-        "samples": 0,
     }
     if violations:
         witness = min(violations, key=_witness_sort_key)
@@ -252,24 +246,6 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
             f"closure of kernel lattice complete (n={n}, J={len(maps)}, chain={chain})")
         return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical)
 
-    rng = random.Random(seed)
-    sampled_violations = []
-    for _ in range(samples):
-        w = rng.randint(1, n)
-        cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(w)]
-        s = _canon(cols, n)
-        if not s:
-            continue
-        d = _deficit(s, maps, recips, n)
-        if d > worst:
-            worst = d
-        if d > 0:
-            sampled_violations.append(s)
-    evidence["samples"] = samples
-    evidence["max_deficit"] = worst
-    if sampled_violations:
-        witness = min(sampled_violations, key=_witness_sort_key)
-        return RankVerdict(FAILS, witness, evidence)
     evidence["note"] = "no violation found; completeness criterion not met"
     return RankVerdict(LIKELY_HOLDS, None, evidence, critical)
 
@@ -344,7 +320,6 @@ def _rank_one_condition(maps, recips, n) -> RankVerdict:
     evidence: Dict[str, object] = {
         "flats": len(flats),
         "max_deficit": Fraction(max(d for _, _, d in flats), scale),
-        "samples": 0,
     }
     violations = [(mask, r) for mask, r, d in flats if d > 0]
     if violations:
@@ -382,8 +357,7 @@ def homogeneity_check(maps: Sequence[Sequence[Sequence]], p: Sequence,
     return Fraction(n) == total
 
 
-def dual_rank_condition(torus_datum: Datum, depth: int = 6, samples: int = 1000,
-                        seed: int = 0) -> RankVerdict:
+def dual_rank_condition(torus_datum: Datum, depth: int = 6) -> RankVerdict:
     """Rank condition for the annihilator side of a pure-torus datum.
 
     The domain embeds in the product of the targets through its graph; the
@@ -418,8 +392,7 @@ def dual_rank_condition(torus_datum: Datum, depth: int = 6, samples: int = 1000,
         bj = h.codomain.b
         proj_maps.append([[Fraction(basis[i][off + s]) for i in range(r)] for s in range(bj)])
         off += bj
-    verdict = rank_condition(proj_maps, torus_datum.conjugate_exponents(),
-                             depth=depth, samples=samples, seed=seed)
+    verdict = rank_condition(proj_maps, torus_datum.conjugate_exponents(), depth=depth)
     evidence = dict(verdict.evidence)
     evidence["annihilator_rank"] = r
     evidence["annihilator_basis"] = tuple(tuple(c) for c in ann.basis)

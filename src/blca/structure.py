@@ -72,7 +72,9 @@ def _weakest(levels: Sequence[str]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class FactorReport:
-    """Outcome for one diagonal part of the decomposition."""
+    """Outcome for one diagonal part of the decomposition.  critical is the
+    critical subspace of the rank verdict behind a priced vector part, which
+    verify reads; to_dict leaves it out."""
 
     name: str
     kind: str
@@ -81,6 +83,7 @@ class FactorReport:
     certification: str
     witness: Optional[object] = None
     notes: Tuple[str, ...] = ()
+    critical: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def to_dict(self):
         return {
@@ -357,15 +360,13 @@ def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
     return FactorReport(name, FINITE, float(corr), corr, cert, notes=notes)
 
 
-def _torus_factor(fd: Datum, depth: int, samples: int, seed: int) -> FactorReport:
-    verdict = dual_rank_condition(fd, depth=depth, samples=samples, seed=seed)
-    return _rank_decided_factor("torus", fd, verdict)
+def _torus_factor(fd: Datum, depth: int) -> FactorReport:
+    return _rank_decided_factor("torus", fd, dual_rank_condition(fd, depth=depth))
 
 
-def _free_factor(fd: Datum, depth: int, samples: int, seed: int) -> FactorReport:
+def _free_factor(fd: Datum, depth: int) -> FactorReport:
     verdict = rank_condition([h.ZZ for h in fd.homs], fd.exponents,
-                             depth=depth, samples=samples, seed=seed,
-                             dim=fd.domain.c)
+                             depth=depth, dim=fd.domain.c)
     return _rank_decided_factor("free", fd, verdict)
 
 
@@ -381,8 +382,7 @@ def _finite_factor(fd: Datum, bound: int) -> FactorReport:
                f"one of size {res.argmax_size}",))
 
 
-def _vector_factor(fd: Datum, tol: float, budget: int, seed: int, depth: int,
-                   samples: int) -> FactorReport:
+def _vector_factor(fd: Datum, tol: float, budget: int, depth: int) -> FactorReport:
     notes: List[str] = []
     while True:
         for j, h in enumerate(fd.homs):
@@ -412,7 +412,7 @@ def _vector_factor(fd: Datum, tol: float, budget: int, seed: int, depth: int,
         fd = reduce_p_one(fd, k)
         notes.append(f"removed unit-exponent index {k} by restricting to "
                      f"its kernel")
-    verdict = bcct_finiteness(fd, depth=depth, samples=samples, seed=seed)
+    verdict = bcct_finiteness(fd, depth=depth)
     if not verdict.finite:
         witness = verdict.rank.witness
         detail = verdict.detail or "finiteness test failed"
@@ -439,7 +439,7 @@ def _vector_factor(fd: Datum, tol: float, budget: int, seed: int, depth: int,
                               f" over {res.pieces} pieces split at critical "
                               f"subspaces"))
     return FactorReport("vector", FINITE, res.value, None, base,
-                        notes=tuple(notes))
+                        notes=tuple(notes), critical=verdict.rank.critical)
 
 
 # -- the pipeline -----------------------------------------------------------
@@ -464,9 +464,7 @@ def _early_report(kind, value, exact, cert, ledger, witnesses=()):
 
 
 def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
-                seed: int = 0, depth: int = 6,
-                samples: int = 1000, max_finite: int = DEFAULT_BOUND
-                ) -> ConstantReport:
+                depth: int = 6, max_finite: int = DEFAULT_BOUND) -> ConstantReport:
     """Decide finiteness of the constant and compute it.
 
     Pipeline: drop infinite exponents, reject improper data as INFINITE,
@@ -474,13 +472,10 @@ def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
     non-open image survives at the now all-finite exponents, split into the
     four diagonal parts, price each part, multiply.
     """
-    return _priced(d, tol=tol, budget=budget, seed=seed, depth=depth,
-                   samples=samples, max_finite=max_finite)[0]
+    return _priced(d, tol=tol, budget=budget, depth=depth, max_finite=max_finite)[0]
 
 
-def _priced(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
-            seed: int = 0, depth: int = 6, samples: int = 1000,
-            max_finite: int = DEFAULT_BOUND
+def _priced(d: Datum, *, tol: float, budget: int, depth: int, max_finite: int
             ) -> Tuple[ConstantReport, Optional[Tuple[Datum, Datum, Datum, Datum]]]:
     """bl_constant's report and the four parts it priced, or None when the
     report was decided before the split."""
@@ -514,11 +509,11 @@ def _priced(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
     torus_d, vector_d, finite_d, free_d = parts
     factors = (
         _trivial_report("torus", torus_d)
-        or _torus_factor(torus_d, depth, samples, seed),
+        or _torus_factor(torus_d, depth),
         _trivial_report("vector", vector_d)
-        or _vector_factor(vector_d, tol, budget, seed, depth, samples),
+        or _vector_factor(vector_d, tol, budget, depth),
         _trivial_report("finite", finite_d) or _finite_factor(finite_d, max_finite),
-        _trivial_report("free", free_d) or _free_factor(free_d, depth, samples, seed),
+        _trivial_report("free", free_d) or _free_factor(free_d, depth),
     )
     witnesses = tuple(f.witness for f in factors if f.witness is not None)
     infinite = [f for f in factors if f.kind == INFINITE]
@@ -549,7 +544,7 @@ def _priced(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
 
 # -- oracle check -----------------------------------------------------------
 
-def verify(d: Datum, *, tol: Optional[float] = None, **knobs
+def verify(d: Datum, *, tol: Optional[float] = None, seed: int = 0, **knobs
            ) -> Tuple[ConstantReport, List[dict]]:
     """Check the pipeline's value for each part against an independent oracle.
 
@@ -559,10 +554,13 @@ def verify(d: Datum, *, tol: Optional[float] = None, **knobs
     parts bl_constant priced.  An INFINITE report gets no rows, nor does one
     decided before the split into parts (every exponent infinite).  tol,
     when given, is passed on to the gaussian ascent; it is also the
-    comparison tolerance (default 1e-6).  Other keyword knobs are forwarded
-    to bl_constant.
+    comparison tolerance (default 1e-6).  seed drives the finite oracle's
+    restarts.  Other keyword knobs are forwarded to bl_constant.
     """
-    rep, priced = _priced(d, **knobs, **({} if tol is None else {"tol": tol}))
+    if tol is not None:
+        knobs["tol"] = tol
+    # bl_constant's defaults, overridden by the knobs given
+    rep, priced = _priced(d, **{**bl_constant.__kwdefaults__, **knobs})
     if rep.kind == INFINITE or priced is None:
         return rep, []
     tol = 1e-6 if tol is None else tol
@@ -609,9 +607,7 @@ def verify(d: Datum, *, tol: Optional[float] = None, **knobs
         # at a critical subspace the supremum is approached only along a
         # degenerating family the grid cannot reach, so the probe is only a
         # lower bound there
-        critical = rank_condition([h.RR for h in part.homs], part.exponents,
-                                  samples=0, dim=part.domain.a).critical
-        if critical is None:
+        if vec.critical is None:
             ok = abs(probe - vec.value) <= slack
             note = "scalar gaussian grid"
         else:
@@ -634,7 +630,7 @@ def verify(d: Datum, *, tol: Optional[float] = None, **knobs
                      "note": "trivial finite part"})
     elif fin.kind == FINITE and all(p is not None and p != 1
                                     for p in part.exponents):
-        lower = alternating_maximization(part, restarts=20, seed=knobs.get("seed", 0))
+        lower = alternating_maximization(part, restarts=20, seed=seed)
         ok = lower <= fin.value + 1e-9 and lower >= fin.value - max(1e-6, tol)
         rows.append({"part": "finite", "status": "ok" if ok else "MISMATCH",
                      "pipeline": fin.value, "oracle": lower,

@@ -304,9 +304,6 @@ class NondegenerateResult:
     quotient_map: Optional[BlockHom] = None
     obstruction: Optional[str] = None
 
-    def __iter__(self):
-        return iter((self.datum, self.ledger))
-
 
 def make_nondegenerate(d: Datum) -> NondegenerateResult:
     """Equivalent datum with trivial joint kernel and surjective maps.

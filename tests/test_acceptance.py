@@ -129,7 +129,7 @@ def test_criterion_3_rank_checker_sound_against_exhaustive_search():
             maps.append([[rnd.randint(-3, 3) for _ in range(n)]
                          for _ in range(rows)])
             p.append(rnd.choice(p_pool))
-        verdict = rank_condition(maps, p, dim=n, seed=trial)
+        verdict = rank_condition(maps, p, dim=n)
         recips = [F(0) if q is None else 1 / q for q in p]
         if verdict.status == FAILS:
             fails_seen += 1
@@ -157,14 +157,13 @@ def test_criterion_3_rank_checker_sound_against_exhaustive_search():
             maps, p = _rank_one_maps_q4(rnd, J), [F(J, 4)] * J
         else:
             maps, p = _chain_maps_q4(rnd, J), [rnd.choice(p_pool) for _ in range(J)]
-        verdict = rank_condition(maps, p, dim=4, seed=trial)
+        verdict = rank_condition(maps, p, dim=4)
         recips = [F(0) if q is None else 1 / q for q in p]
         if verdict.status == FAILS:
             fails_seen += 1
             _assert_witness_violates(verdict.witness, maps, recips)
             continue
         assert verdict.status == HOLDS_CERTIFIED
-        assert verdict.evidence["samples"] == 0
         holds_seen += 1
         holds4 += 1
         images = [[mat_vec(m, v) for v in vecs] for m in maps]

@@ -169,10 +169,9 @@ def test_rank_one_route_matches_brute_force_over_subsets():
         maps, rows = _random_rank_one_maps(rnd, n, J)
         p = [rnd.choice(p_pool) for _ in range(J)]
         recips = [F(0) if q is None else 1 / q for q in p]
-        verdict = rank_condition(maps, p, dim=n, seed=trial)
+        verdict = rank_condition(maps, p, dim=n)
         worst, tight = _brute_force_rank_one(rows, recips, n)
         assert verdict.status == (FAILS if worst > 0 else HOLDS_CERTIFIED), trial
-        assert verdict.evidence["samples"] == 0
         assert verdict.evidence["max_deficit"] == worst
         seen[verdict.status] += 1
         if verdict.status == HOLDS_CERTIFIED:
@@ -195,9 +194,8 @@ def test_rank_one_route_matches_brute_force_over_subsets():
 
 def test_rank_one_route_evidence():
     maps = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]], [[1, 1, 1], [2, 2, 2]]]
-    v = rank_condition(maps, [F(4, 3)] * 4, dim=3, samples=50)
+    v = rank_condition(maps, [F(4, 3)] * 4, dim=3)
     assert v.status == HOLDS_CERTIFIED
-    assert v.evidence["samples"] == 0
     assert v.evidence["max_deficit"] == 0
     assert v.evidence["flats"] == 1 + 4 + 6 + 1  # Q^3, planes, lines, 0
     assert "Barthe" in v.evidence["certificate"]
@@ -208,33 +206,30 @@ def test_certified_closure_draws_no_samples():
     # rank-two maps on Q^3: the closure terminates and n <= 3 certifies
     maps = [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]],
             [[1, 0, 0], [0, 0, 1]]]
-    v = rank_condition(maps, [F(3, 2)] * 3, dim=3, samples=500)
+    v = rank_condition(maps, [F(3, 2)] * 3, dim=3)
     assert v.status == HOLDS_CERTIFIED
     assert v.evidence["closure_terminated"]
-    assert v.evidence["samples"] == 0
     assert "closure of kernel lattice complete" in v.evidence["certificate"]
 
 
-def test_uncertified_closure_still_samples():
+def test_uncertified_closure_is_likely_holds():
     # rank-three maps on Q^4 with kernels through e1, e2, e3, e4 and
     # (1, 1, 1, 1): a projective frame, whose join/meet lattice is infinite,
-    # so the closure cannot terminate and sampling has to run
+    # so the closure cannot terminate and no theorem certifies what it saw
     maps = [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
             [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]]]
-    v = rank_condition(maps, [F(15, 4)] * 5, dim=4, depth=3, samples=40)
-    assert not v.evidence["closure_terminated"]
-    assert v.evidence["samples"] == 40
-    assert v.status == LIKELY_HOLDS
     # the same frame in Q^3: n <= 3 certifies only a terminated closure
-    maps = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
-            [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
-    v = rank_condition(maps, [F(8, 3)] * 4, dim=3, samples=40)
-    assert not v.evidence["closure_terminated"]
-    assert v.evidence["samples"] == 40
-    assert v.status == LIKELY_HOLDS
+    frame3 = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+              [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
+    for v in (rank_condition(maps, [F(15, 4)] * 5, dim=4, depth=3),
+              rank_condition(frame3, [F(8, 3)] * 4, dim=3)):
+        assert v.status == LIKELY_HOLDS
+        assert not v.evidence["closure_terminated"]
+        assert "samples" not in v.evidence
+        assert v.evidence["max_deficit"] <= 0
 
 
 # -- the rank-one route against the meet-closure of the kernels -------------
@@ -257,8 +252,7 @@ def _meet_closure_rank_one(maps, p, n):
                     seen.add(meet)
                     flats.append(meet)
     deficits = [(f, _deficit(f, maps, recips, n)) for f in flats]
-    evidence = {"flats": len(flats), "max_deficit": max(d for _, d in deficits),
-                "samples": 0}
+    evidence = {"flats": len(flats), "max_deficit": max(d for _, d in deficits)}
     violations = [f for f, d in deficits if d > 0]
     if violations:
         return FAILS, min(violations, key=_witness_sort_key), None, evidence
@@ -300,7 +294,7 @@ def test_rank_one_route_matches_meet_closure():
         n = rnd.randint(1, 4)
         J = rnd.randint(1, 6)
         maps, p = _random_rank_one_datum(rnd, n, J)
-        verdict = rank_condition(maps, p, dim=n, seed=trial)
+        verdict = rank_condition(maps, p, dim=n)
         status, witness, critical, evidence = _meet_closure_rank_one(maps, p, n)
         assert verdict.status == status, trial
         assert verdict.witness == witness, trial

@@ -244,8 +244,8 @@ def test_vector_reports_share_their_trivial_parts():
     # each shared report is the one its sector's engine computes
     torus_d, _, finite_d, free_d = analyze(young_datum())[2]
     assert [fa for fa, _ in shared] == [
-        _torus_factor(torus_d, 6, 1000, 0), _finite_factor(finite_d, 100000),
-        _free_factor(free_d, 6, 1000, 0)]
+        _torus_factor(torus_d, 6), _finite_factor(finite_d, 100000),
+        _free_factor(free_d, 6)]
     # a unit Haar scale is required: a scaled trivial part gets its own report
     scaled = ElementaryGroup(a=2, haar=HaarRecord(f_point=F(3)))
     d = Datum(scaled, [BlockHom(scaled, R1, RR=[[1, 0]]), BlockHom(scaled, R1, RR=[[0, 1]]),
@@ -283,6 +283,25 @@ def test_verify_reads_the_probe_as_a_lower_bound_at_a_critical_subspace():
     assert vec["status"] == "ok"
     assert vec["oracle"] < 0.9 * vec["pipeline"]
     assert vec["note"] == "scalar gaussian grid lower bound (critical subspace)"
+
+
+def test_verify_reads_the_critical_subspace_from_the_priced_verdict(monkeypatch):
+    import blca.gaussian
+    import blca.rank
+    import blca.structure
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rank_condition(*args, **kwargs)
+
+    rank_condition = blca.rank.rank_condition
+    for mod in (blca.gaussian, blca.rank, blca.structure):
+        monkeypatch.setattr(mod, "rank_condition", counted)
+    rep, rows = verify(young_datum())
+    vec = [r for r in rows if r["part"] == "vector"][0]
+    assert (rep.kind, vec["status"]) == (FINITE, "ok")
+    assert len(calls) == 1
 
 
 def test_free_to_finite_block_is_priced():
@@ -353,7 +372,7 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     surjective = counted("surjective", blca.homs.is_surjective)
     for mod in (blca.subquot, blca.structure):
         monkeypatch.setattr(mod, "is_surjective", surjective)
-    assert bl_constant(young_datum(), samples=0).kind == FINITE
+    assert bl_constant(young_datum()).kind == FINITE
     # properness once, each map's surjectivity once, all inside
     # make_nondegenerate
     assert calls == {"kernel": 1, "surjective": 3}
