@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import ShapeMismatch
 from .intmat import (
     clear_denominators,
-    det_rational,
     diagonal_of,
     from_columns,
     hermite_basis,
@@ -283,12 +282,6 @@ class LatticeSubgroup:
         """Image under an integer matrix into an ambient with target_orders."""
         gens = [mat_vec(matrix, col) for col in self.basis]
         return LatticeSubgroup.from_generators(target_orders, gens)
-
-    def index_in_full(self) -> Optional[int]:
-        """[Z^n : L] when the preimage lattice has full rank, else None."""
-        if len(self.basis) != self.n:
-            return None
-        return abs(int(det_rational(from_columns(self.basis, self.n))))
 
 
 def saturate_columns(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:

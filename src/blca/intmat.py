@@ -32,10 +32,6 @@ def clear_denominators(vec: Sequence) -> List[int]:
     return [x.numerator * (s // x.denominator) for x in vec]
 
 
-def zeros_int(nr: int, nc: int) -> IntMatrix:
-    return [[0] * nc for _ in range(nr)]
-
-
 def mat_copy(m: Sequence[Sequence[int]]) -> IntMatrix:
     return [list(row) for row in m]
 

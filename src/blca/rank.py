@@ -22,7 +22,8 @@ decides:
    criterion certifies the condition (Valdimarsson, The Brascamp-Lieb
    polyhedron, Canad. J. Math. 2010: the kernel lattice suffices); a closure
    that finds no violation but is not covered by the criterion gives
-   LIKELY_HOLDS.
+   LIKELY_HOLDS.  The closure names its subspaces by echelon bases over Q;
+   only the witness and the critical subspace get saturated integer bases.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from .errors import ShapeMismatch
 from .groups import ElementaryGroup, LatticeSubgroup, saturate_columns
 from .homs import ClosedSubgroup, Datum, annihilator_lattice, parse_exponent
 from .intmat import (clear_denominators, from_columns, identity, matmul,
-                     rational_kernel, rational_rank)
+                     rational_kernel, rational_rank, rational_rref)
 
 FAILS = "FAILS"
 HOLDS_CERTIFIED = "HOLDS_CERTIFIED"
 LIKELY_HOLDS = "LIKELY_HOLDS"
+
+_CLOSURE_CAP = 2000  # subspaces; the closure stops at the first pair past it
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,10 @@ def growth_index(g: Union[ElementaryGroup, LatticeSubgroup, ClosedSubgroup]) -> 
 
 
 # -- subspace bookkeeping ---------------------------------------------------
-# Subspaces of Q^n are kept as canonical saturated Hermite bases (tuples of
-# integer columns) so they can be dedup'd in sets and compared for reporting.
+# The closure names each subspace of Q^n by its reduced row echelon basis (a
+# tuple of rational rows), which is canonical and hashable; sums stack bases
+# and meets stack annihilators.  Only a subspace a verdict reports is given
+# its saturated Hermite basis (``_canon``), by ``_least``.
 
 def _canon(cols, n) -> Tuple[Tuple[int, ...], ...]:
     cleaned = [clear_denominators(c) for c in cols if any(Fraction(x) != 0 for x in c)]
@@ -86,43 +91,39 @@ def _canon(cols, n) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(c) for c in saturate_columns(cleaned, n))
 
 
-def _sum_space(s1, s2, n):
-    return _canon(list(s1) + list(s2), n)
+def _rref(rows) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The echelon name of span(rows)."""
+    rref, pivots = rational_rref(rows)
+    return tuple(map(tuple, rref[:len(pivots)]))
 
 
-def _meet_space(s1, s2, n):
-    if not s1 or not s2:
-        return ()
-    stacked = from_columns([list(c) for c in s1] + [[-x for x in c] for c in s2], n)
-    vecs = []
-    for coeff in rational_kernel(stacked):
-        alpha = coeff[: len(s1)]
-        vecs.append([sum(Fraction(s1[i][r]) * alpha[i] for i in range(len(s1)))
-                     for r in range(n)])
-    return _canon(vecs, n)
+def _cut(covectors, n):
+    """The echelon name of the subspace where every covector vanishes."""
+    return _rref(rational_kernel(covectors)) if covectors else _full_space(n)
+
+
+def _annihilator(space, n):
+    return rational_kernel(space) if space else identity(n)
 
 
 def _full_space(n):
     return tuple(map(tuple, identity(n)))
 
 
-def _space_dim(s) -> int:
-    return len(s)
-
-
-def _space_contains(big, small, n) -> bool:
-    if not small:
-        return True
-    if not big:
-        return False
-    return _space_dim(_sum_space(big, small, n)) == _space_dim(big)
-
-
-def _normalize_maps(maps) -> List[List[List[Fraction]]]:
-    out = []
-    for m in maps:
-        out.append([[Fraction(x) for x in row] for row in m])
-    return out
+def _prepare(maps, p, dim):
+    """Fraction maps, the reciprocal exponents (0 for p = inf) and the domain
+    dimension n, checked against the rows of every map."""
+    maps = [[[Fraction(x) for x in row] for row in m] for m in maps]
+    recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
+    if len(maps) != len(recips):
+        raise ShapeMismatch("one exponent per map")
+    widths = {len(row) for m in maps for row in m}
+    if len(widths) > 1:
+        raise ShapeMismatch("maps must share their domain dimension")
+    n = dim if dim is not None else (widths.pop() if widths else 0)
+    if widths - {n}:
+        raise ShapeMismatch(f"maps act on Q^{widths.pop()}, not on Q^{n}")
+    return maps, recips, n
 
 
 def _deficit(space, maps, recips, n) -> Fraction:
@@ -143,10 +144,11 @@ def _witness_sort_key(space):
     return (len(space), tuple(tuple(c) for c in space))
 
 
-def _least_critical(deficits, n):
-    """The least proper nonzero subspace of deficit exactly 0, or None."""
-    tight = [s for s, d in deficits if d == 0 and 0 < len(s) < n]
-    return min(tight, key=_witness_sort_key) if tight else None
+def _least(spaces, n):
+    """The least of the spaces by _witness_sort_key, as its saturated basis;
+    only those of least dimension are saturated."""
+    low = min(map(len, spaces))
+    return min((_canon(s, n) for s in spaces if len(s) == low), key=_witness_sort_key)
 
 
 def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
@@ -168,25 +170,22 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         and for ``critical`` (among the tight proper nonzero F of largest
         rank).  HOLDS_CERTIFIED or FAILS.
     (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to the given
-        depth.  A violation is an exact FAILS.  If the closure terminated and
-        n <= 3, J <= 3 or the kernels form a chain, the kernel lattice is
-        complete and suffices (Valdimarsson 2010): HOLDS_CERTIFIED.
-        Otherwise LIKELY_HOLDS: the closure found no violation, but no
-        completeness theorem covers it.
+        depth; each round joins and meets every new subspace with every
+        other one, each unordered pair once.  The closure stops, not
+        terminated, at the first pair that takes it past 2000 subspaces, so
+        it holds at most 2002.  A violation is an exact FAILS.  If the
+        closure terminated and n <= 3, J <= 3 or the kernels form a chain,
+        the kernel lattice is complete and suffices (Valdimarsson 2010):
+        HOLDS_CERTIFIED.  Otherwise LIKELY_HOLDS: the closure found no
+        violation, but no completeness theorem covers it.
 
-    The evidence records the route's counters, with the worst deficit seen
-    as ``max_deficit``.  Unless the verdict FAILS, ``critical`` holds the
+    dim, when given, must be the width of every row; ShapeMismatch
+    otherwise.  The evidence records the route's counters, with the worst
+    deficit seen as ``max_deficit``.  Unless the verdict FAILS, ``critical`` holds the
     least proper nonzero subspace the route found with deficit exactly 0,
     where the vector-sector constant splits.
     """
-    maps = _normalize_maps(maps)
-    recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
-    if len(maps) != len(recips):
-        raise ShapeMismatch("one exponent per map")
-    widths = {len(row) for m in maps for row in m}
-    if len(widths) > 1:
-        raise ShapeMismatch("maps must share their domain dimension")
-    n = dim if dim is not None else (widths.pop() if widths else 0)
+    maps, recips, n = _prepare(maps, p, dim)
     if n == 0:
         return RankVerdict(HOLDS_CERTIFIED, None,
                            {"reason": "zero-dimensional domain has no nonzero subspaces"})
@@ -194,53 +193,50 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     if all(rational_rank(m) <= 1 for m in maps):
         return _rank_one_condition(maps, recips, n)
 
-    kernels = [_canon(rational_kernel(m), n) if m else _full_space(n) for m in maps]
-
-    closure: List[tuple] = []
-    seen = set()
-    for s in [(), _full_space(n)] + kernels:
-        if s not in seen:
-            seen.add(s)
-            closure.append(s)
+    kernels = [_cut(m, n) for m in maps]
+    closure = list(dict.fromkeys([(), _full_space(n)] + kernels))
+    covectors = {s: _annihilator(s, n) for s in closure}  # also the seen set
     terminated = True
     rounds = 0
     frontier = list(closure)
     for rounds in range(1, depth + 1):
+        # each unordered pair once: a later frontier member meets the earlier
+        # ones, and the subspaces from before this frontier, in closure order
+        old = len(closure) - len(frontier)
         fresh: List[tuple] = []
-        base = list(closure)
-        for s in frontier:
-            for t in base:
-                if s == t:
-                    continue
-                for cand in (_sum_space(s, t, n), _meet_space(s, t, n)):
-                    if cand not in seen:
-                        seen.add(cand)
-                        fresh.append(cand)
+        pairs = ((s, t) for i, s in enumerate(frontier)
+                 for t in closure[:old] + frontier[i + 1:])
+        for s, t in pairs:
+            for cand in (_rref(s + t), _cut(covectors[s] + covectors[t], n)):
+                if cand not in covectors:
+                    covectors[cand] = _annihilator(cand, n)
+                    fresh.append(cand)
+            if len(closure) + len(fresh) > _CLOSURE_CAP:
+                break
         if not fresh:
             break
         closure.extend(fresh)
         frontier = fresh
-        if len(closure) > 2000:
+        if len(closure) > _CLOSURE_CAP:
             terminated = False
             break
     else:
         terminated = False  # depth exhausted while new subspaces kept appearing
 
     deficits = [(s, _deficit(s, maps, recips, n)) for s in closure]
-    worst = max((d for _, d in deficits), default=Fraction(0))
-    violations = [s for s, d in deficits if d > 0]
     evidence: Dict[str, object] = {
         "closure_size": len(closure),
         "closure_terminated": terminated,
         "closure_rounds": rounds,
-        "max_deficit": worst,
+        "max_deficit": max(d for _, d in deficits),
     }
+    violations = [s for s, d in deficits if d > 0]
     if violations:
-        witness = min(violations, key=_witness_sort_key)
-        return RankVerdict(FAILS, witness, evidence)
-    critical = _least_critical(deficits, n)
+        return RankVerdict(FAILS, _least(violations, n), evidence)
+    tight = [s for s, d in deficits if d == 0 and 0 < len(s) < n]
+    critical = _least(tight, n) if tight else None
 
-    chain = _kernels_chain(kernels, n)
+    chain = _kernels_chain(kernels)
     if terminated and (n <= 3 or len(maps) <= 3 or chain):
         evidence["certificate"] = (
             f"closure of kernel lattice complete (n={n}, J={len(maps)}, chain={chain})")
@@ -309,52 +305,39 @@ def _rank_one_condition(maps, recips, n) -> RankVerdict:
         spent = outside - sum(w for j, w in enumerate(weights) if mask >> j & 1)
         flats.append((mask, r, (n - r) * scale - spent))
 
-    def least(cands):
-        top = max(r for _, r in cands)
-        spaces = [_full_space(n) if r == 0 else
-                  _canon(rational_kernel([row for j, row in enumerate(rows)
-                                          if mask >> j & 1 and row is not None]), n)
-                  for mask, r in cands if r == top]
-        return min(spaces, key=_witness_sort_key)
-
     evidence: Dict[str, object] = {
         "flats": len(flats),
         "max_deficit": Fraction(max(d for _, _, d in flats), scale),
     }
     violations = [(mask, r) for mask, r, d in flats if d > 0]
     if violations:
-        return RankVerdict(FAILS, least(violations), evidence)
+        return RankVerdict(FAILS, _least(_top_flats(rows, violations, n), n), evidence)
     evidence["certificate"] = (
         f"rank-one maps: Barthe's criterion checked exactly on all "
         f"{len(flats)} flats of the kernels")
     tight = [(mask, r) for mask, r, d in flats if d == 0 and 0 < r < n]
-    return RankVerdict(HOLDS_CERTIFIED, None, evidence, least(tight) if tight else None)
+    critical = _least(_top_flats(rows, tight, n), n) if tight else None
+    return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical)
 
 
-def _kernels_chain(kernels, n) -> bool:
-    by_dim = sorted(kernels, key=_space_dim)
-    for small, big in zip(by_dim, by_dim[1:]):
-        if not _space_contains(big, small, n):
-            return False
-    return True
+def _top_flats(rows, cands, n):
+    """The flats ker(rows of F) of the candidates (F, r(F)) of largest rank."""
+    top = max(r for _, r in cands)
+    return [_cut([row for j, row in enumerate(rows) if mask >> j & 1 and row is not None], n)
+            for mask, r in cands if r == top]
+
+
+def _kernels_chain(kernels) -> bool:
+    by_dim = sorted(kernels, key=len)
+    return all(len(_rref(big + small)) == len(big) for small, big in zip(by_dim, by_dim[1:]))
 
 
 def homogeneity_check(maps: Sequence[Sequence[Sequence]], p: Sequence,
                       dim: Optional[int] = None) -> bool:
-    """Exact test of dim(domain) = sum_j rank(A_j)/p_j."""
-    maps = _normalize_maps(maps)
-    recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
-    n = dim
-    if n is None:
-        n = 0
-        for m in maps:
-            if m:
-                n = len(m[0])
-                break
-    total = Fraction(0)
-    for a_j, r in zip(maps, recips):
-        total += r * rational_rank(a_j)
-    return Fraction(n) == total
+    """Exact test of dim(domain) = sum_j rank(A_j)/p_j, with the shape
+    checks of rank_condition."""
+    maps, recips, n = _prepare(maps, p, dim)
+    return n == sum(r * rational_rank(a_j) for a_j, r in zip(maps, recips))
 
 
 def dual_rank_condition(torus_datum: Datum, depth: int = 6) -> RankVerdict:

@@ -80,7 +80,6 @@ def test_lattice_from_generators_and_contains():
     assert lat.contains([2, 3])
     assert lat.contains([4, 0])
     assert not lat.contains([1, 0])
-    assert lat.index_in_full() == 6
 
 
 def test_lattice_zero_and_full():

@@ -10,7 +10,7 @@ from blca.intmat import (clear_denominators, column_hermite_form,
                          integer_kernel, matmul, mat_vec, rational_kernel,
                          rational_rank, rational_rref, row_hermite_form,
                          smith_normal_form, solve_integer, solve_rational,
-                         transpose, unimodular_inverse, zeros_int)
+                         transpose, unimodular_inverse)
 
 F = Fraction
 
@@ -24,7 +24,6 @@ small_matrices = st.integers(0, 3).flatmap(
 def test_identity_and_zeros():
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert identity(0) == []
-    assert zeros_int(2, 3) == [[0, 0, 0], [0, 0, 0]]
     assert matmul(identity(2), [[3, 4], [5, 6]]) == [[3, 4], [5, 6]]
 
 

@@ -9,9 +9,9 @@ from blca.homs import BlockHom, ClosedSubgroup, Datum
 from blca.intmat import (from_columns, mat_vec, matmul, rational_kernel,
                          rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
-                       _canon, _deficit, _full_space, _least_critical,
-                       _meet_space, _witness_sort_key, dual_rank_condition,
-                       growth_index, homogeneity_check, rank_condition)
+                       _canon, _deficit, _full_space, _witness_sort_key,
+                       dual_rank_condition, growth_index, homogeneity_check,
+                       rank_condition)
 
 F = Fraction
 
@@ -69,6 +69,18 @@ def test_rank_condition_shape_guard():
         rank_condition([[[1]]], [2, 2])
     with pytest.raises(ShapeMismatch):
         rank_condition([[[1, 0]], [[1]]], [2, 2])
+    with pytest.raises(ShapeMismatch):
+        homogeneity_check([[[1, 0]], [[1]]], [2, 2])
+    with pytest.raises(ShapeMismatch):
+        homogeneity_check([[[1, 0]]], [2, 2])
+    with pytest.raises(ShapeMismatch):
+        rank_condition([[[1, 0, 0]]], [2], dim=2)
+    general = [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]]
+    for dim in (2, 4):
+        with pytest.raises(ShapeMismatch):
+            rank_condition(general, [2, 2], dim=dim)
+    # maps without rows fix no width
+    assert rank_condition([[], []], [2, 2], dim=2).status == FAILS
 
 
 def test_homogeneity_check():
@@ -232,6 +244,32 @@ def test_uncertified_closure_is_likely_holds():
         assert v.evidence["max_deficit"] <= 0
 
 
+# -- saturated subspace names, independent of the echelon names ------------
+# rank_condition names subspaces by echelon bases and saturates only what it
+# reports; these references name every subspace by its saturated basis.
+
+def _sum_space(s1, s2, n):
+    return _canon(list(s1) + list(s2), n)
+
+
+def _meet_space(s1, s2, n):
+    if not s1 or not s2:
+        return ()
+    stacked = from_columns([list(c) for c in s1] + [[-x for x in c] for c in s2], n)
+    vecs = []
+    for coeff in rational_kernel(stacked):
+        alpha = coeff[: len(s1)]
+        vecs.append([sum(F(s1[i][r]) * alpha[i] for i in range(len(s1)))
+                     for r in range(n)])
+    return _canon(vecs, n)
+
+
+def _least_critical(deficits, n):
+    """The least proper nonzero subspace of deficit exactly 0, or None."""
+    tight = [s for s, d in deficits if d == 0 and 0 < len(s) < n]
+    return min(tight, key=_witness_sort_key) if tight else None
+
+
 # -- the rank-one route against the meet-closure of the kernels -------------
 
 def _meet_closure_rank_one(maps, p, n):
@@ -305,3 +343,105 @@ def test_rank_one_route_matches_meet_closure():
         seen["zero map"] += any(not any(any(r) for r in m) for m in maps)
         seen["inf"] += None in p
     assert min(seen.values()) >= 50, seen
+
+
+# -- the closure route against a closure of saturated names -----------------
+
+def _saturated_closure(maps, p, n, depth):
+    """Route (ii) with every sum and meet saturated and every ordered pair
+    visited, stopping after a round that passes 2000 subspaces."""
+    maps = [[[F(x) for x in row] for row in m] for m in maps]
+    recips = [F(0) if q is None else 1 / F(q) for q in p]
+    kernels = [_canon(rational_kernel(m), n) if m else _full_space(n) for m in maps]
+    closure = list(dict.fromkeys([(), _full_space(n)] + kernels))
+    seen = set(closure)
+    terminated, rounds, frontier = True, 0, list(closure)
+    for rounds in range(1, depth + 1):
+        fresh, base = [], list(closure)
+        for s in frontier:
+            for t in base:
+                if s != t:
+                    for cand in (_sum_space(s, t, n), _meet_space(s, t, n)):
+                        if cand not in seen:
+                            seen.add(cand)
+                            fresh.append(cand)
+        if not fresh:
+            break
+        closure.extend(fresh)
+        frontier = fresh
+        if len(closure) > 2000:
+            terminated = False
+            break
+    else:
+        terminated = False
+    deficits = [(s, _deficit(s, maps, recips, n)) for s in closure]
+    evidence = {"closure_size": len(closure), "closure_terminated": terminated,
+                "closure_rounds": rounds, "max_deficit": max(d for _, d in deficits)}
+    violations = [s for s, d in deficits if d > 0]
+    if violations:
+        return FAILS, min(violations, key=_witness_sort_key), None, evidence
+    by_dim = sorted(kernels, key=len)
+    chain = all(len(_sum_space(big, small, n)) == len(big)
+                for small, big in zip(by_dim, by_dim[1:]))
+    if terminated and (n <= 3 or len(maps) <= 3 or chain):
+        evidence["certificate"] = (
+            f"closure of kernel lattice complete (n={n}, J={len(maps)}, chain={chain})")
+        status = HOLDS_CERTIFIED
+    else:
+        evidence["note"] = "no violation found; completeness criterion not met"
+        status = LIKELY_HOLDS
+    return status, None, _least_critical(deficits, n), evidence
+
+
+def test_closure_route_matches_saturated_closure():
+    import random
+    rnd = random.Random(9)
+    seen = {FAILS: 0, HOLDS_CERTIFIED: 0, LIKELY_HOLDS: 0, "critical": 0}
+    for trial in range(150):
+        n = rnd.randint(2, 4)
+        J = rnd.randint(3, 5)
+        maps = [[]]
+        while all(rational_rank(m) <= 1 for m in maps):
+            maps = [[[rnd.randint(-2, 2) for _ in range(n)]
+                     for _ in range(rnd.randint(1, max(2, n - 1)))] for _ in range(J)]
+        p = [rnd.choice([F(4, 3), F(3, 2), 2, F(5, 2), 3, None]) for _ in range(J)]
+        if rnd.random() < 0.5:  # homogeneous exponents: tight subspaces appear
+            p = [F(sum(rational_rank(m) for m in maps), n)] * J
+        depth = rnd.randint(1, 3)
+        verdict = rank_condition(maps, p, depth=depth, dim=n)
+        status, witness, critical, evidence = _saturated_closure(maps, p, n, depth)
+        assert evidence["closure_size"] <= 2000, trial
+        assert verdict.status == status, trial
+        assert verdict.witness == witness, trial
+        assert verdict.critical == critical, trial
+        assert verdict.evidence == evidence, trial
+        seen[status] += 1
+        seen["critical"] += critical is not None
+    assert min(seen.values()) >= 10, seen
+
+
+def test_closure_saturates_only_reported_subspaces(monkeypatch):
+    # the projective frames above report no witness and no critical subspace
+    import blca.rank
+    calls = []
+    saturate = blca.rank.saturate_columns
+    monkeypatch.setattr(blca.rank, "saturate_columns",
+                        lambda *args: calls.append(args) or saturate(*args))
+    frame3 = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+              [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
+    v = rank_condition(frame3, [F(8, 3)] * 4, dim=3)
+    assert v.critical is None and v.evidence["closure_size"] == 124
+    assert calls == []
+    v = rank_condition(frame3, [3] * 4, dim=3)  # only Q^3 violates
+    assert v.status == FAILS and len(calls) == 1
+
+
+def test_closure_stops_at_the_first_pair_past_its_cap():
+    # checked only between rounds, the cap let one round of this closure
+    # run on to 47275 subspaces
+    maps = [[[-2, 1, -1]], [[-2, 2, 1]], [[2, 1, -1], [-2, 1, 2]],
+            [[1, 2, -1]], [[1, -1, 1]]]
+    v = rank_condition(maps, [2] * 5, dim=3)
+    assert v.status == LIKELY_HOLDS
+    assert not v.evidence["closure_terminated"]
+    assert v.evidence["closure_size"] <= 2002
