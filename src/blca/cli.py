@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import BlcaError, Degenerate, EmptyDatum, NotProper, TooLarge
-from .finite import DEFAULT_BOUND, tower_limit
+from .finite import tower_limit
 from .groups import ElementaryGroup, HaarRecord
 from .homs import BlockHom, Datum
 from .structure import (FINITE, INFINITE, analyze, bl_constant, dual_datum,
@@ -286,13 +286,6 @@ def _describe_factors(out: _Out, rep):
             out.say(f"          witness: {f.witness}")
 
 
-def _knobs(args) -> dict:
-    kn = {"depth": args.depth, "budget": args.budget, "max_finite": args.max_finite}
-    if args.tol is not None:
-        kn["tol"] = args.tol
-    return kn
-
-
 # -- commands ---------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
@@ -342,7 +335,7 @@ def _cmd_constant(args) -> int:
     if isinstance(doc, dict) and "tower" in doc:
         return _cmd_tower(args)
     d = _parse_datum(doc, args.file)
-    rep = bl_constant(d, **_knobs(args))
+    rep = bl_constant(d)
     out = _Out(args.json, "constant", args.seed)
     out.put("report", rep.to_dict())
     out.say(f"constant: {_value_text(rep)}")
@@ -359,7 +352,7 @@ def _cmd_constant(args) -> int:
 def _cmd_tower(args) -> int:
     levels = load_tower(args.file)
     try:
-        res = tower_limit(levels, bound=args.max_finite)
+        res = tower_limit(levels)
     except TooLarge as exc:
         raise DatumFormatError(f"{args.file}: {exc}") from exc
     out = _Out(args.json, "constant", args.seed)
@@ -387,7 +380,7 @@ def _cmd_dual(args) -> int:
         dd = dual_datum(d)
     except (NotProper, Degenerate) as exc:
         raise DatumFormatError(f"{args.file}: no dual form: {exc}") from exc
-    chk = duality_check(d, **_knobs(args))
+    chk = duality_check(d, tol=args.tol)
     if args.json:
         out = _Out(True, "dual", args.seed)
         out.put("dual", datum_document(dd))
@@ -461,7 +454,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     d = load_datum(args.file)
     out = _Out(args.json, "verify", args.seed)
-    rep, rows = verify(d, seed=args.seed, **_knobs(args))
+    rep, rows = verify(d, tol=args.tol, seed=args.seed)
     out.put("report", rep.to_dict())
     out.put("rows", rows)
     out.say(f"pipeline: {rep.kind}, {_value_text(rep)}")
@@ -494,16 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("file", help="datum file (JSON)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output on stdout")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance (gaussian ascent, duality, verify)")
-    parser.add_argument("--budget", type=int, default=100000,
-                        help="gaussian ascent iteration budget")
+    parser.add_argument("--tol", type=float, default=1e-6,
+                        help="comparison tolerance of dual and verify")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for verify's oracle restarts")
-    parser.add_argument("--depth", type=int, default=6,
-                        help="rank search enumeration depth")
-    parser.add_argument("--max-finite", type=int, default=DEFAULT_BOUND,
-                        help="largest finite group enumerated exactly")
     return parser
 
 

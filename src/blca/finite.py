@@ -26,7 +26,7 @@ from .exact import ExactValue
 from .groups import ElementaryGroup, LatticeSubgroup
 from .homs import Datum
 
-DEFAULT_BOUND = 100000
+DEFAULT_BOUND = 100000   # the largest group order whose subgroups are searched
 
 
 def _require_finite(g: ElementaryGroup, what: str) -> None:
@@ -50,10 +50,11 @@ class SubgroupList:
 Basis = Tuple[Tuple[int, ...], ...]
 
 
-def _subgroup_orders(group: ElementaryGroup, bound: int) -> Tuple[int, ...]:
+def _subgroup_orders(group: ElementaryGroup) -> Tuple[int, ...]:
     _require_finite(group, "subgroup enumeration ambient")
-    if group.finite_order > bound:
-        raise TooLarge(f"group order {group.finite_order} exceeds the bound {bound}")
+    if group.finite_order > DEFAULT_BOUND:
+        raise TooLarge(f"group order {group.finite_order} exceeds the bound "
+                       f"{DEFAULT_BOUND}")
     return group.torsion
 
 
@@ -130,7 +131,7 @@ def _subgroups(orders: Tuple[int, ...],
     return extend(n - 1, 1, start)
 
 
-def enumerate_subgroups(group: ElementaryGroup, bound: int = DEFAULT_BOUND) -> SubgroupList:
+def enumerate_subgroups(group: ElementaryGroup) -> SubgroupList:
     """Every subgroup of a finite abelian group, each exactly once, sorted by
     (order, Hermite key).
 
@@ -138,7 +139,7 @@ def enumerate_subgroups(group: ElementaryGroup, bound: int = DEFAULT_BOUND) -> S
     Hermite bases that `subgroup_bl_constant` streams, so no deduplication
     is needed; this list is for callers that want all of them at once.
     """
-    orders = _subgroup_orders(group, bound)
+    orders = _subgroup_orders(group)
     ranked = sorted((sig[0], basis) for basis, sig in _subgroups(orders))
     return SubgroupList(group, tuple(LatticeSubgroup(orders, b) for _, b in ranked),
                         tuple(size for size, _ in ranked))
@@ -165,7 +166,7 @@ def _finite_targets(d: Datum) -> None:
         _require_finite(h.codomain, "datum target")
 
 
-def subgroup_bl_constant(d: Datum, bound: int = DEFAULT_BOUND) -> FiniteResult:
+def subgroup_bl_constant(d: Datum) -> FiniteResult:
     """Exact maximum of (|H| m) / prod_j (|image_j(H)| m_j)^(1/p_j).
 
     m and m_j are the per-point masses from the Haar records.  The subgroups
@@ -178,7 +179,7 @@ def subgroup_bl_constant(d: Datum, bound: int = DEFAULT_BOUND) -> FiniteResult:
     the order of the search.
     """
     _finite_targets(d)
-    orders = _subgroup_orders(d.domain, bound)
+    orders = _subgroup_orders(d.domain)
     used = [(h, r) for h, r in zip(d.homs, d.reciprocal_exponents()) if r != 0]
     bases: Dict[Tuple[int, ...], Basis] = {}
     count = 0
@@ -206,14 +207,14 @@ class TowerResult:
         return tuple(float(v) for v in self.values)
 
 
-def tower_limit(data: Sequence[Datum], bound: int = DEFAULT_BOUND) -> TowerResult:
+def tower_limit(data: Sequence[Datum]) -> TowerResult:
     """Subgroup constants along a finite approximation tower.
 
     The caller supplies the levels (quotient data with compatible measures);
     the values then increase toward the limiting constant, and a decrease is
     flagged because it means the level normalizations are inconsistent.
     """
-    values = tuple(subgroup_bl_constant(level, bound).value for level in data)
+    values = tuple(subgroup_bl_constant(level).value for level in data)
     for i in range(1, len(values)):
         if values[i] < values[i - 1]:
             return TowerResult(values, False, i)

@@ -54,6 +54,7 @@ BUDGET = "BUDGET"
 
 OBJECTIVE_CEILING = 1e8
 CONDITION_CEILING = 1e12
+ASCENT_TOLERANCE = 1e-10   # a sweep that moves the objective less has converged
 
 
 def _float_blocks(maps, n: int) -> List[np.ndarray]:
@@ -157,7 +158,7 @@ class GaussianResult:
         return f"GaussianResult({self.status}, value={self.value:.12g}, sweeps={self.sweeps})"
 
 
-def _ascend(sigmas, recips, a, init_mats, tol, budget):
+def _ascend(sigmas, recips, a, init_mats, budget):
     import numpy as np
     mats = [m.copy() for m in init_mats]
     try:
@@ -195,7 +196,7 @@ def _ascend(sigmas, recips, a, init_mats, tol, budget):
                                   f"denominator condition passed {CONDITION_CEILING:g}")
         drift = abs(math.exp(new_log_obj) - math.exp(log_obj)) if new_log_obj < 700 else math.inf
         log_obj = new_log_obj
-        if drift < tol:
+        if drift < ASCENT_TOLERANCE:
             return GaussianResult(math.exp(log_obj), CONVERGED, sweep)
     return GaussianResult(math.exp(log_obj) if log_obj < 700 else math.inf,
                           BUDGET, budget, "iteration budget exhausted")
@@ -241,7 +242,7 @@ def _split(maps, recips, critical, n: int):
     return jacobian, inner, outer
 
 
-def _piece_constant(maps, exponents, n: int, critical, tol, budget) -> GaussianResult:
+def _piece_constant(maps, exponents, n: int, critical, budget) -> GaussianResult:
     """Lebesgue-normalized gaussian constant of rational maps on Q^n: one
     ascent from the identity, or, given a critical subspace, the product of
     the constants of its two diagonal pieces, each split again at a critical
@@ -251,12 +252,12 @@ def _piece_constant(maps, exponents, n: int, critical, tol, budget) -> GaussianR
         import numpy as np
         sigmas = _float_blocks(maps, n)
         init = [np.eye(s.shape[0]) for s in sigmas]
-        return _ascend(sigmas, [float(r) for r in recips], n, init, tol, budget)
+        return _ascend(sigmas, [float(r) for r in recips], n, init, budget)
     jacobian, inner, outer = _split(maps, recips, critical, n)
     parts = []
     for piece, dim in ((inner, len(critical)), (outer, n - len(critical))):
         found = rank_condition(piece, exponents, dim=dim).critical
-        parts.append(_piece_constant(piece, exponents, dim, found, tol, budget))
+        parts.append(_piece_constant(piece, exponents, dim, found, budget))
     sweeps = sum(r.sweeps for r in parts)
     pieces = sum(r.pieces for r in parts)
     diagnosis = "; ".join(r.diagnosis for r in parts if r.diagnosis)
@@ -267,7 +268,7 @@ def _piece_constant(maps, exponents, n: int, critical, tol, budget) -> GaussianR
                           diagnosis, pieces)
 
 
-def gaussian_bl_constant(d: Datum, tol: float = 1e-10, budget: int = 100000,
+def gaussian_bl_constant(d: Datum, budget: int = 100000,
                          verdict: Optional[RankVerdict] = None) -> GaussianResult:
     """The gaussian constant of a vector datum, one ascent per simple piece.
 
@@ -283,7 +284,7 @@ def gaussian_bl_constant(d: Datum, tol: float = 1e-10, budget: int = 100000,
     a = d.domain.a
     if verdict is None:
         verdict = rank_condition(maps, d.exponents, dim=a)
-    res = _piece_constant(maps, d.exponents, a, verdict.critical, tol, budget)
+    res = _piece_constant(maps, d.exponents, a, verdict.critical, budget)
     return replace(res, value=res.value * _haar_scale_factor(d))
 
 
@@ -299,7 +300,7 @@ class BcctVerdict:
         return self.finite
 
 
-def bcct_finiteness(d: Datum, depth: int = 6) -> BcctVerdict:
+def bcct_finiteness(d: Datum) -> BcctVerdict:
     """Exact finiteness test for a vector datum: homogeneity plus the rank
     condition on the (rational) vector blocks.
 
@@ -310,7 +311,7 @@ def bcct_finiteness(d: Datum, depth: int = 6) -> BcctVerdict:
     mats = [h.RR for h in d.homs]
     a = d.domain.a
     homog = homogeneity_check(mats, d.exponents, dim=a)
-    rank = rank_condition(mats, d.exponents, depth=depth, dim=a)
+    rank = rank_condition(mats, d.exponents, dim=a)
     if not homog:
         return BcctVerdict(False, True, False, rank, "homogeneity fails: the scaling "
                            "degree of the two sides differs, so no finite constant exists")

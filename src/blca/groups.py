@@ -62,9 +62,6 @@ class HaarRecord:
         return self.vector_scale * self.torus_total * self.z_point * self.f_point
 
 
-STANDARD_HAAR = HaarRecord()
-
-
 @dataclass(frozen=True)
 class ElementaryGroup:
     """R^a x T^b x Z^c x F with F given by its invariant factor chain."""

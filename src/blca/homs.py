@@ -101,6 +101,11 @@ def make_element(g: ElementaryGroup, x=(), t=(), m=(), u=()) -> GroupElement:
     return el
 
 
+# The blocks that map one sector into another; a sector-diagonal hom has
+# all of them zero.
+MIXING_BLOCKS = ("RT", "ZR", "ZT", "ZF", "FT")
+
+
 class BlockHom:
     """Hom between elementary groups, stored as the nine sector blocks."""
 
@@ -589,19 +594,23 @@ def image_is_open(h: BlockHom) -> bool:
     return rational_rank(span) == t.b
 
 
+def discrete_image_lattice(h: BlockHom) -> LatticeSubgroup:
+    """Projection of the image of h to the codomain's Z^c x F sector."""
+    cod = h.codomain
+    gens = []
+    for i in range(h.domain.c):
+        gens.append([h.ZZ[r][i] for r in range(cod.c)]
+                    + [h.ZF[r][i] for r in range(cod.k)])
+    for i in range(h.domain.k):
+        gens.append([0] * cod.c + [h.FF[r][i] for r in range(cod.k)])
+    return LatticeSubgroup.from_generators(cod.discrete_orders(), gens)
+
+
 def is_surjective(h: BlockHom) -> bool:
     if not image_is_open(h):
         return False
-    t = h.codomain
-    orders = t.discrete_orders()
-    if not orders:
-        return True
-    cols = []
-    for i in range(h.domain.c):
-        cols.append([h.ZZ[r][i] for r in range(t.c)] + [h.ZF[r][i] for r in range(t.k)])
-    for i in range(h.domain.k):
-        cols.append([0] * t.c + [h.FF[r][i] for r in range(t.k)])
-    return LatticeSubgroup.from_generators(orders, cols) == LatticeSubgroup.full(orders)
+    orders = h.codomain.discrete_orders()
+    return not orders or discrete_image_lattice(h) == LatticeSubgroup.full(orders)
 
 
 def annihilator_lattice(t_mat: Sequence[Sequence[int]], orders: Sequence[int]) -> LatticeSubgroup:

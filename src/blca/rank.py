@@ -340,7 +340,7 @@ def homogeneity_check(maps: Sequence[Sequence[Sequence]], p: Sequence,
     return n == sum(r * rational_rank(a_j) for a_j, r in zip(maps, recips))
 
 
-def dual_rank_condition(torus_datum: Datum, depth: int = 6) -> RankVerdict:
+def dual_rank_condition(torus_datum: Datum) -> RankVerdict:
     """Rank condition for the annihilator side of a pure-torus datum.
 
     The domain embeds in the product of the targets through its graph; the
@@ -375,7 +375,7 @@ def dual_rank_condition(torus_datum: Datum, depth: int = 6) -> RankVerdict:
         bj = h.codomain.b
         proj_maps.append([[Fraction(basis[i][off + s]) for i in range(r)] for s in range(bj)])
         off += bj
-    verdict = rank_condition(proj_maps, torus_datum.conjugate_exponents(), depth=depth)
+    verdict = rank_condition(proj_maps, torus_datum.conjugate_exponents())
     evidence = dict(verdict.evidence)
     evidence["annihilator_rank"] = r
     evidence["annihilator_basis"] = tuple(tuple(c) for c in ann.basis)

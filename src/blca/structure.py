@@ -38,20 +38,21 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (BadSubgroup, Degenerate, EmptyDatum, NotProper,
                      NotUnitExponent, ShapeMismatch, TooLarge)
 from .exact import ExactValue
-from .finite import DEFAULT_BOUND, subgroup_bl_constant
+from .finite import subgroup_bl_constant
 from .gaussian import bcct_finiteness, gaussian_bl_constant
 from .groups import ElementaryGroup, HaarRecord, dual_group
-from .homs import (BlockHom, ClosedSubgroup, Datum, adjoint_hom, image_is_open,
-                   is_surjective, kernel_info)
+from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
+                   discrete_image_lattice, image_is_open, is_surjective,
+                   kernel_info)
 from .intmat import det_rational, hstack, rational_rank
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
 from .rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, dual_rank_condition,
                    rank_condition)
 from .subquot import (NondegenerateResult, _annihilator_of_compact_kernel,
-                      _sector_parts, corestrict_open, discrete_image_lattice,
-                      kernel_embedding, lattice_inclusion_hom,
-                      make_nondegenerate, merge_finite_coordinates)
+                      _sector_parts, corestrict_open, kernel_embedding,
+                      lattice_inclusion_hom, make_nondegenerate,
+                      merge_finite_coordinates)
 
 FINITE = "FINITE"
 INFINITE = "INFINITE"
@@ -360,19 +361,19 @@ def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
     return FactorReport(name, FINITE, float(corr), corr, cert, notes=notes)
 
 
-def _torus_factor(fd: Datum, depth: int) -> FactorReport:
-    return _rank_decided_factor("torus", fd, dual_rank_condition(fd, depth=depth))
+def _torus_factor(fd: Datum) -> FactorReport:
+    return _rank_decided_factor("torus", fd, dual_rank_condition(fd))
 
 
-def _free_factor(fd: Datum, depth: int) -> FactorReport:
+def _free_factor(fd: Datum) -> FactorReport:
     verdict = rank_condition([h.ZZ for h in fd.homs], fd.exponents,
-                             depth=depth, dim=fd.domain.c)
+                             dim=fd.domain.c)
     return _rank_decided_factor("free", fd, verdict)
 
 
-def _finite_factor(fd: Datum, bound: int) -> FactorReport:
+def _finite_factor(fd: Datum) -> FactorReport:
     try:
-        res = subgroup_bl_constant(fd, bound=bound)
+        res = subgroup_bl_constant(fd)
     except TooLarge as exc:
         return FactorReport("finite", UNKNOWN, None, None, HEURISTIC,
                             notes=(str(exc),))
@@ -382,7 +383,7 @@ def _finite_factor(fd: Datum, bound: int) -> FactorReport:
                f"one of size {res.argmax_size}",))
 
 
-def _vector_factor(fd: Datum, tol: float, budget: int, depth: int) -> FactorReport:
+def _vector_factor(fd: Datum) -> FactorReport:
     notes: List[str] = []
     while True:
         for j, h in enumerate(fd.homs):
@@ -412,7 +413,7 @@ def _vector_factor(fd: Datum, tol: float, budget: int, depth: int) -> FactorRepo
         fd = reduce_p_one(fd, k)
         notes.append(f"removed unit-exponent index {k} by restricting to "
                      f"its kernel")
-    verdict = bcct_finiteness(fd, depth=depth)
+    verdict = bcct_finiteness(fd)
     if not verdict.finite:
         witness = verdict.rank.witness
         detail = verdict.detail or "finiteness test failed"
@@ -427,7 +428,7 @@ def _vector_factor(fd: Datum, tol: float, budget: int, depth: int) -> FactorRepo
         return FactorReport("vector", FINITE, float(corr), corr,
                             EXACT if base == NUMERICAL else base,
                             notes=tuple(notes))
-    res = gaussian_bl_constant(fd, tol=tol, budget=budget, verdict=verdict.rank)
+    res = gaussian_bl_constant(fd, verdict=verdict.rank)
     if math.isinf(res.value):
         return FactorReport(
             "vector", UNKNOWN, None, None, HEURISTIC,
@@ -463,20 +464,20 @@ def _early_report(kind, value, exact, cert, ledger, witnesses=()):
                           tuple(witnesses))
 
 
-def bl_constant(d: Datum, *, tol: float = 1e-10, budget: int = 100000,
-                depth: int = 6, max_finite: int = DEFAULT_BOUND) -> ConstantReport:
+def bl_constant(d: Datum) -> ConstantReport:
     """Decide finiteness of the constant and compute it.
 
     Pipeline: drop infinite exponents, reject improper data as INFINITE,
     normalize (kernel quotient, image corestriction), declare INFINITE if a
     non-open image survives at the now all-finite exponents, split into the
-    four diagonal parts, price each part, multiply.
+    four diagonal parts, price each part, multiply.  Each search runs under
+    the fixed limit of its engine, and a factor's notes say when it hit one.
     """
-    return _priced(d, tol=tol, budget=budget, depth=depth, max_finite=max_finite)[0]
+    return _priced(d)[0]
 
 
-def _priced(d: Datum, *, tol: float, budget: int, depth: int, max_finite: int
-            ) -> Tuple[ConstantReport, Optional[Tuple[Datum, Datum, Datum, Datum]]]:
+def _priced(d: Datum) -> Tuple[ConstantReport,
+                               Optional[Tuple[Datum, Datum, Datum, Datum]]]:
     """bl_constant's report and the four parts it priced, or None when the
     report was decided before the split."""
     ledger: List[str] = []
@@ -508,12 +509,10 @@ def _priced(d: Datum, *, tol: float, budget: int, depth: int, max_finite: int
                              witnesses=(why,)), None
     torus_d, vector_d, finite_d, free_d = parts
     factors = (
-        _trivial_report("torus", torus_d)
-        or _torus_factor(torus_d, depth),
-        _trivial_report("vector", vector_d)
-        or _vector_factor(vector_d, tol, budget, depth),
-        _trivial_report("finite", finite_d) or _finite_factor(finite_d, max_finite),
-        _trivial_report("free", free_d) or _free_factor(free_d, depth),
+        _trivial_report("torus", torus_d) or _torus_factor(torus_d),
+        _trivial_report("vector", vector_d) or _vector_factor(vector_d),
+        _trivial_report("finite", finite_d) or _finite_factor(finite_d),
+        _trivial_report("free", free_d) or _free_factor(free_d),
     )
     witnesses = tuple(f.witness for f in factors if f.witness is not None)
     infinite = [f for f in factors if f.kind == INFINITE]
@@ -544,7 +543,7 @@ def _priced(d: Datum, *, tol: float, budget: int, depth: int, max_finite: int
 
 # -- oracle check -----------------------------------------------------------
 
-def verify(d: Datum, *, tol: Optional[float] = None, seed: int = 0, **knobs
+def verify(d: Datum, *, tol: float = 1e-6, seed: int = 0
            ) -> Tuple[ConstantReport, List[dict]]:
     """Check the pipeline's value for each part against an independent oracle.
 
@@ -552,18 +551,12 @@ def verify(d: Datum, *, tol: Optional[float] = None, seed: int = 0, **knobs
     free), each with a status (ok, MISMATCH or skipped) and a note; a checked
     row also holds the pipeline and oracle values: the rows check the very
     parts bl_constant priced.  An INFINITE report gets no rows, nor does one
-    decided before the split into parts (every exponent infinite).  tol,
-    when given, is passed on to the gaussian ascent; it is also the
-    comparison tolerance (default 1e-6).  seed drives the finite oracle's
-    restarts.  Other keyword knobs are forwarded to bl_constant.
+    decided before the split into parts (every exponent infinite).  tol is
+    the comparison tolerance; seed drives the finite oracle's restarts.
     """
-    if tol is not None:
-        knobs["tol"] = tol
-    # bl_constant's defaults, overridden by the knobs given
-    rep, priced = _priced(d, **{**bl_constant.__kwdefaults__, **knobs})
+    rep, priced = _priced(d)
     if rep.kind == INFINITE or priced is None:
         return rep, []
-    tol = 1e-6 if tol is None else tol
     parts = dict(zip(("torus", "vector", "finite", "free"), priced))
     by_name = {f.name: f for f in rep.factors}
     rows = []
@@ -653,8 +646,7 @@ def _strip_sector_mixing(d: Datum) -> Tuple[Datum, bool]:
     homs = []
     dropped = False
     for h in d.homs:
-        mixing = any(any(row)
-                     for name in ("RT", "ZR", "ZT", "ZF", "FT")
+        mixing = any(any(row) for name in MIXING_BLOCKS
                      for row in getattr(h, name))
         if mixing:
             dropped = True
@@ -801,14 +793,14 @@ def _duality_scale(d: Datum) -> float:
     return out
 
 
-def duality_check(d: Datum, tol: float = 1e-6, **knobs) -> DualityReport:
+def duality_check(d: Datum, tol: float = 1e-6) -> DualityReport:
     """Compare the constant with the scaled constant of the dual datum.
 
     Passes when the two finite values agree within tol relatively, or when
     both sides are infinite.  An UNKNOWN on either side is inconclusive:
-    passed is None.  Keyword knobs are forwarded to bl_constant.
+    passed is None.
     """
-    primal = bl_constant(d, **knobs)
+    primal = bl_constant(d)
     notes: List[str] = []
     try:
         dual_d = dual_datum(d)
@@ -818,7 +810,7 @@ def duality_check(d: Datum, tol: float = 1e-6, **knobs) -> DualityReport:
                              _early_report(UNKNOWN, None, None, HEURISTIC,
                                            [str(exc)]),
                              notes=(f"dual datum unavailable: {exc}",))
-    dual_rep = bl_constant(dual_d, **knobs)
+    dual_rep = bl_constant(dual_d)
     scale = _duality_scale(d)
     if primal.kind == UNKNOWN or dual_rep.kind == UNKNOWN:
         notes.append("one side is UNKNOWN; the check is inconclusive")

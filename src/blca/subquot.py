@@ -28,8 +28,9 @@ from typing import List, Optional, Tuple
 
 from .errors import Degenerate, NotProper
 from .groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
-from .homs import (BlockHom, ClosedSubgroup, Datum, adjoint_hom, image_is_open,
-                   is_proper, is_surjective, joint_kernel)
+from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
+                   discrete_image_lattice, image_is_open, is_proper,
+                   is_surjective, joint_kernel)
 from .intmat import (congruence_kernel, det_rational, diagonal_of, from_columns,
                      identity, integer_kernel, rational_kernel,
                      smith_normal_form, solve_integer, solve_rational)
@@ -48,18 +49,6 @@ def _fold_discrete_haar(haar: HaarRecord, c_new: int, k_new: int) -> HaarRecord:
     if c_new:
         return HaarRecord(haar.vector_scale, haar.torus_total, point, Fraction(1))
     return HaarRecord(haar.vector_scale, haar.torus_total, Fraction(1), point)
-
-
-def discrete_image_lattice(h: BlockHom) -> LatticeSubgroup:
-    """Projection of the image of h to the codomain's Z^c x F sector."""
-    cod = h.codomain
-    gens = []
-    for i in range(h.domain.c):
-        gens.append([h.ZZ[r][i] for r in range(cod.c)]
-                    + [h.ZF[r][i] for r in range(cod.k)])
-    for i in range(h.domain.k):
-        gens.append([0] * cod.c + [h.FF[r][i] for r in range(cod.k)])
-    return LatticeSubgroup.from_generators(cod.discrete_orders(), gens)
 
 
 def corestrict_open(h: BlockHom, lattice: LatticeSubgroup) -> BlockHom:
@@ -139,7 +128,7 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
     basis only through the measure it induces on the kernel.
     """
     g, cod = h.domain, h.codomain
-    for name in ("RT", "ZR", "ZT", "ZF", "FT"):
+    for name in MIXING_BLOCKS:
         blk = getattr(h, name)
         if any(any(row) for row in blk):
             raise Degenerate(f"kernel model needs a sector-diagonal map; "

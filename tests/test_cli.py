@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from blca.cli import (DatumFormatError, datum_document, dump_datum,
-                      load_datum, load_document, main)
+from blca.cli import (DatumFormatError, build_parser, datum_document,
+                      dump_datum, load_datum, load_document, main)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -23,6 +23,17 @@ def klein_doc():
         "targets": [{"torsion": [2]}, {"torsion": [2]}],
         "homs": [{"FF": [[1, 0]]}, {"FF": [[0, 1]]}],
         "exponents": [2, 2],
+    }
+
+
+def big_elementary_doc():
+    # (Z/2)^17 has order 131072, past the finite search's fixed bound
+    ident = [[int(r == i) for i in range(17)] for r in range(17)]
+    return {
+        "domain": {"torsion": [2] * 17},
+        "targets": [{"torsion": [2] * 17}, {"torsion": [2]}],
+        "homs": [{"FF": ident}, {"FF": [[1] * 17]}],
+        "exponents": [2, 3],
     }
 
 
@@ -230,6 +241,18 @@ def test_tower_file(tmp_path, capsys):
     assert "nondecreasing" in out
 
 
+def test_finite_part_past_the_bound(tmp_path, capsys):
+    code = main(["constant", write(tmp_path, big_elementary_doc())])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "group order 131072 exceeds the bound 100000" in out
+    tower = write(tmp_path, {"tower": [big_elementary_doc()]}, "tower.json")
+    code = main(["constant", tower])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "group order 131072 exceeds the bound 100000" in err
+
+
 def test_parse_error_exit_three(tmp_path, capsys):
     doc = klein_doc()
     doc["homs"][0]["FF"] = [[1]]
@@ -237,6 +260,17 @@ def test_parse_error_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "error" in err.lower()
+
+
+def test_options_are_json_tol_and_seed(tmp_path, capsys):
+    options = {s for a in build_parser()._actions for s in a.option_strings}
+    assert options == {"-h", "--help", "--json", "--tol", "--seed"}
+    src = write(tmp_path, klein_doc())
+    for flag in ("--budget", "--depth", "--max-finite"):
+        with pytest.raises(SystemExit) as exc:
+            main(["constant", src, flag, "3"])
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_seed_is_reported(tmp_path, capsys):

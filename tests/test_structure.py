@@ -244,14 +244,32 @@ def test_vector_reports_share_their_trivial_parts():
     # each shared report is the one its sector's engine computes
     torus_d, _, finite_d, free_d = analyze(young_datum())[2]
     assert [fa for fa, _ in shared] == [
-        _torus_factor(torus_d, 6), _finite_factor(finite_d, 100000),
-        _free_factor(free_d, 6)]
+        _torus_factor(torus_d), _finite_factor(finite_d), _free_factor(free_d)]
     # a unit Haar scale is required: a scaled trivial part gets its own report
     scaled = ElementaryGroup(a=2, haar=HaarRecord(f_point=F(3)))
     d = Datum(scaled, [BlockHom(scaled, R1, RR=[[1, 0]]), BlockHom(scaled, R1, RR=[[0, 1]]),
                        BlockHom(scaled, R1, RR=[[1, 1]])], [F(3, 2)] * 3)
     fin = [f for f in bl_constant(d).factors if f.name == "finite"][0]
     assert fin.exact.as_fraction() == 3 and fin is not shared[1][0]
+
+
+def big_elementary_datum():
+    # (Z/2)^17 has order 131072, past the finite search's fixed bound
+    g = ElementaryGroup(torsion=(2,) * 17)
+    ident = [[int(r == i) for i in range(17)] for r in range(17)]
+    return Datum(g, [BlockHom(g, g, FF=ident), BlockHom(g, C2, FF=[[1] * 17])],
+                 [F(2), F(3)])
+
+
+def test_finite_part_past_the_bound_is_unknown():
+    rep = bl_constant(big_elementary_datum())
+    fin = [f for f in rep.factors if f.name == "finite"][0]
+    assert (rep.kind, fin.kind, fin.certification) == (UNKNOWN, UNKNOWN, "heuristic")
+    assert fin.notes == ("group order 131072 exceeds the bound 100000",)
+    rep, rows = verify(big_elementary_datum())
+    row = [r for r in rows if r["part"] == "finite"][0]
+    assert (rep.kind, row["status"], row["note"]) == (UNKNOWN, "skipped",
+                                                       "factor is UNKNOWN")
 
 
 def test_verify_all_infinite_exponents_has_no_rows():
