@@ -54,7 +54,6 @@ from .subquot import (
 )
 from .rank import (
     RankVerdict,
-    growth_index,
     rank_condition,
     dual_rank_condition,
     homogeneity_check,
@@ -102,7 +101,7 @@ __all__ = [
     "kernel_info",
     "NondegenerateResult", "corestrict_open", "decompose", "kernel_embedding",
     "make_nondegenerate",
-    "RankVerdict", "growth_index", "rank_condition", "dual_rank_condition",
+    "RankVerdict", "rank_condition", "dual_rank_condition",
     "homogeneity_check",
     "GaussianPoint", "GaussianResult", "gaussian_objective",
     "gaussian_bl_constant", "bcct_finiteness",

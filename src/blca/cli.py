@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .errors import BlcaError, Degenerate, EmptyDatum, NotProper, TooLarge
+from .errors import BlcaError, Degenerate, EmptyDatum, NotProper
 from .finite import tower_limit
 from .groups import ElementaryGroup, HaarRecord
 from .homs import BlockHom, Datum
@@ -351,27 +351,28 @@ def _cmd_constant(args) -> int:
 
 def _cmd_tower(args) -> int:
     levels = load_tower(args.file)
-    try:
-        res = tower_limit(levels)
-    except TooLarge as exc:
-        raise DatumFormatError(f"{args.file}: {exc}") from exc
+    res = tower_limit(levels)
     out = _Out(args.json, "constant", args.seed)
     floats = res.floats()
+    missing = [None] * (len(levels) - len(floats))
     out.put("tower", {
-        "values": [str(v) for v in res.values],
-        "floats": list(floats),
+        "values": [str(v) for v in res.values] + missing,
+        "floats": list(floats) + missing,
         "monotone": res.monotone,
         "first_violation": res.first_violation,
     })
     for i, v in enumerate(floats):
         out.say(f"level {i}: {v:.12g}")
-    if res.monotone:
-        out.say(f"nondecreasing; best lower bound {floats[-1]:.12g}")
-    else:
+    for i in range(len(floats), len(levels)):
+        why = res.reason if i == res.unpriced else f"level {res.unpriced} is UNKNOWN"
+        out.say(f"level {i}: UNKNOWN ({why})")
+    if not res.monotone:
         out.say(f"value drops at level {res.first_violation}; the level "
                 f"measures are inconsistent")
+    elif floats:
+        out.say(f"nondecreasing; best lower bound {floats[-1]:.12g}")
     out.flush()
-    return 0 if res.monotone else 2
+    return 0 if res.monotone and not missing else 2
 
 
 def _cmd_dual(args) -> int:
@@ -505,6 +506,10 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be a positive finite number, got {args.tol}",
+              file=sys.stderr)
+        return 3
     try:
         return _COMMANDS[args.command](args)
     except DatumFormatError as exc:

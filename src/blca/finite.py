@@ -8,9 +8,8 @@ comparisons rather than floats.
 
 Subgroups are listed by a depth-first search over their canonical Hermite
 bases, which yields each one once without a deduplication set, and carries
-the orders of the subgroup and of its images along the search.  The maximum
-is taken as the subgroups stream past: the value depends only on those
-orders, so it is computed once per distinct tuple of orders.
+the orders of the subgroup and of its images along the search, once per
+p-primary part of F; there each subgroup scores an integer exponent of p.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch, TooLarge
-from .exact import ExactValue
+from .exact import ExactValue, _factor
 from .groups import ElementaryGroup, LatticeSubgroup
 from .homs import Datum
 
@@ -169,39 +168,61 @@ def _finite_targets(d: Datum) -> None:
 def subgroup_bl_constant(d: Datum) -> FiniteResult:
     """Exact maximum of (|H| m) / prod_j (|image_j(H)| m_j)^(1/p_j).
 
-    m and m_j are the per-point masses from the Haar records.  The subgroups
-    stream past without being stored: the value depends only on the orders
-    (|H|, |image_1 H|, ...), so it is computed once per distinct tuple of
-    orders.  Ties in the exact value go to the largest subgroup, and that
-    subgroup is unique: log |H| is modular and each log |image_j H|
-    submodular on the subgroup lattice, so the subgroups attaining the
-    maximum are closed under sums.  The argmax therefore does not depend on
-    the order of the search.
+    m and m_j are the per-point masses from the Haar records.  H is the sum
+    of its p-primary parts, so the value is m / prod_j m_j^(1/p_j) times one
+    maximum per prime p over F_p = prod_i Z/q_i, q_i the p-part of d_i,
+    embedded by y_i -> y_i d_i / q_i.  With 1/p_j = c_j / l, H scores the
+    integer l log_p |H| - sum_j c_j log_p |image_j H|.  Ties go to the
+    largest subgroup, which is unique: log |H| is modular and each
+    log |image_j H| submodular on the subgroup lattice, so the maximizers
+    are closed under sums, and the argmax does not depend on the search
+    order.
     """
     _finite_targets(d)
     orders = _subgroup_orders(d.domain)
     used = [(h, r) for h, r in zip(d.homs, d.reciprocal_exponents()) if r != 0]
-    bases: Dict[Tuple[int, ...], Basis] = {}
-    count = 0
-    for basis, sig in _subgroups(orders, [(h.FF, h.codomain.torsion) for h, _ in used]):
-        count += 1
-        bases.setdefault(sig, basis)
-    best: Optional[Tuple[ExactValue, int, Basis]] = None
-    for sig, basis in bases.items():
-        val = ExactValue.of(Fraction(sig[0]) * d.domain.haar.f_point)
-        for img, (h, r) in zip(sig[1:], used):
-            val = val / ExactValue.of(Fraction(img) * h.codomain.haar.f_point) ** r
-        if best is None or val > best[0] or (val == best[0] and sig[0] > best[1]):
-            best = (val, sig[0], basis)
-    assert best is not None
-    return FiniteResult(best[0], LatticeSubgroup(orders, best[2]), best[1], count)
+    scale = ExactValue.of(d.domain.haar.f_point)
+    for h, r in used:
+        scale = scale / ExactValue.of(h.codomain.haar.f_point) ** r
+    denom = math.lcm(*(r.denominator for _, r in used))
+    weights = [int(r * denom) for _, r in used]
+    exponents: Dict[int, Fraction] = {}
+    gens: List[List[int]] = []
+    size = count = 1
+    for p in sorted(_factor(math.prod(orders))):
+        part = tuple(math.gcd(t, p ** t.bit_length()) for t in orders)
+        cofactor = [t // q for t, q in zip(orders, part)]
+        maps = []
+        for h, _ in used:
+            tors = tuple(math.gcd(e, p ** e.bit_length()) for e in h.codomain.torsion)
+            maps.append(([[a * c % q for a, c in zip(row, cofactor)] for row, q in zip(h.FF, tors)],
+                         tors))
+        logs = {p ** k: k for k in range(math.prod(part).bit_length())}
+        best, found = None, 0
+        for basis, sig in _subgroups(part, maps):
+            found += 1
+            key = (denom * logs[sig[0]] - sum(c * logs[s] for c, s in zip(weights, sig[1:])),
+                   sig[0])
+            if best is None or key > best[0]:
+                best = (key, basis)
+        (score, order), basis = best
+        exponents[p] = Fraction(score, denom)
+        size, count = size * order, count * found
+        gens += [[y * c for y, c in zip(col, cofactor)] for col in basis]
+    return FiniteResult(scale * ExactValue(exponents),
+                        LatticeSubgroup.from_generators(orders, gens), size, count)
 
 
 @dataclass(frozen=True)
 class TowerResult:
+    """The priced levels' values; unpriced is the first level past the bound
+    (with the reason), and the levels from it on are not priced."""
+
     values: Tuple[ExactValue, ...]
     monotone: bool
     first_violation: Optional[int] = None
+    unpriced: Optional[int] = None
+    reason: Optional[str] = None
 
     def floats(self) -> Tuple[float, ...]:
         return tuple(float(v) for v in self.values)
@@ -214,8 +235,13 @@ def tower_limit(data: Sequence[Datum]) -> TowerResult:
     the values then increase toward the limiting constant, and a decrease is
     flagged because it means the level normalizations are inconsistent.
     """
-    values = tuple(subgroup_bl_constant(level).value for level in data)
-    for i in range(1, len(values)):
-        if values[i] < values[i - 1]:
-            return TowerResult(values, False, i)
-    return TowerResult(values, True)
+    values: List[ExactValue] = []
+    unpriced = reason = None
+    for i, level in enumerate(data):
+        try:
+            values.append(subgroup_bl_constant(level).value)
+        except TooLarge as exc:
+            unpriced, reason = i, str(exc)
+            break
+    drop = next((i for i in range(1, len(values)) if values[i] < values[i - 1]), None)
+    return TowerResult(tuple(values), drop is None, drop, unpriced, reason)

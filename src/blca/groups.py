@@ -201,13 +201,6 @@ class LatticeSubgroup:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def modular_count(self) -> int:
-        return sum(1 for d in self.orders if d)
-
-    def free_rank(self) -> int:
-        return len(self.basis) - self.modular_count
-
     def structure(self):
         """Adapted generators: (free_cols, torsion_cols, torsion_orders).
 
@@ -251,13 +244,6 @@ class LatticeSubgroup:
                 torsion_orders.append(s)
         return free_cols, torsion_cols, torsion_orders
 
-    def finite_size(self) -> int:
-        _, _, tors = self.structure()
-        out = 1
-        for s in tors:
-            out *= s
-        return out
-
     def contains(self, vec: Sequence[int]) -> bool:
         if not self.basis:
             return not any(vec)
@@ -274,11 +260,6 @@ class LatticeSubgroup:
         ker = integer_kernel(stacked)
         gens = [mat_vec(a, k[: len(self.basis)]) for k in ker]
         return LatticeSubgroup.from_generators(self.orders, gens)
-
-    def image_under(self, matrix: Sequence[Sequence[int]], target_orders: Sequence[int]) -> "LatticeSubgroup":
-        """Image under an integer matrix into an ambient with target_orders."""
-        gens = [mat_vec(matrix, col) for col in self.basis]
-        return LatticeSubgroup.from_generators(target_orders, gens)
 
 
 def saturate_columns(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:

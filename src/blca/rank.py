@@ -1,4 +1,4 @@
-"""Growth indices and rank-condition checkers over Q.
+"""Rank-condition checkers over Q.
 
 The discrete and vector sectors control finiteness through inequalities of
 the form dim W <= sum_j dim(A_j W) / p_j over all subspaces W.  There is no
@@ -31,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
-from .groups import ElementaryGroup, LatticeSubgroup, saturate_columns
-from .homs import ClosedSubgroup, Datum, annihilator_lattice, parse_exponent
+from .groups import saturate_columns
+from .homs import Datum, annihilator_lattice, parse_exponent
 from .intmat import (clear_denominators, from_columns, identity, matmul,
                      rational_kernel, rational_rank, rational_rref)
 
@@ -65,17 +65,6 @@ class RankVerdict:
 
     def __bool__(self):
         return self.ok
-
-
-def growth_index(g: Union[ElementaryGroup, LatticeSubgroup, ClosedSubgroup]) -> int:
-    """Rank of the noncompact part: a + c for a group, free rank for subgroups."""
-    if isinstance(g, ElementaryGroup):
-        return g.a + g.c
-    if isinstance(g, LatticeSubgroup):
-        return g.free_rank()
-    if isinstance(g, ClosedSubgroup):
-        return g.noncompact_rank()
-    raise TypeError(f"growth_index does not apply to {type(g).__name__}")
 
 
 # -- subspace bookkeeping ---------------------------------------------------

@@ -543,6 +543,11 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
 
 # -- oracle check -----------------------------------------------------------
 
+def _require_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+
+
 def verify(d: Datum, *, tol: float = 1e-6, seed: int = 0
            ) -> Tuple[ConstantReport, List[dict]]:
     """Check the pipeline's value for each part against an independent oracle.
@@ -552,8 +557,10 @@ def verify(d: Datum, *, tol: float = 1e-6, seed: int = 0
     row also holds the pipeline and oracle values: the rows check the very
     parts bl_constant priced.  An INFINITE report gets no rows, nor does one
     decided before the split into parts (every exponent infinite).  tol is
-    the comparison tolerance; seed drives the finite oracle's restarts.
+    the comparison tolerance, positive and finite; seed drives the finite
+    oracle's restarts.
     """
+    _require_tolerance(tol)
     rep, priced = _priced(d)
     if rep.kind == INFINITE or priced is None:
         return rep, []
@@ -798,8 +805,9 @@ def duality_check(d: Datum, tol: float = 1e-6) -> DualityReport:
 
     Passes when the two finite values agree within tol relatively, or when
     both sides are infinite.  An UNKNOWN on either side is inconclusive:
-    passed is None.
+    passed is None.  tol must be positive and finite (ValueError).
     """
+    _require_tolerance(tol)
     primal = bl_constant(d)
     notes: List[str] = []
     try:

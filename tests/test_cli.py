@@ -227,6 +227,16 @@ def test_free_to_finite_block_runs_every_command(tmp_path, capsys):
     assert "witness: ((1,),)" in out.out
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tolerance_exit_three(tmp_path, capsys, tol):
+    src = write(tmp_path, klein_doc())
+    for command in ("verify", "dual", "constant"):
+        assert main([command, src, "--tol", tol]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol must be a positive finite number" in captured.err
+
+
 def test_verify_infinite_exit_one(tmp_path, capsys):
     code = main(["verify", write(tmp_path, axes_doc())])
     assert code == 1
@@ -246,11 +256,23 @@ def test_finite_part_past_the_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "group order 131072 exceeds the bound 100000" in out
-    tower = write(tmp_path, {"tower": [big_elementary_doc()]}, "tower.json")
+    # a tower prices its levels up to the first one past the bound
+    levels = [klein_doc(), big_elementary_doc(), klein_doc()]
+    tower = write(tmp_path, {"tower": levels}, "tower.json")
     code = main(["constant", tower])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "group order 131072 exceeds the bound 100000" in err
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.splitlines()[1:] == [
+        "level 0: 2",
+        "level 1: UNKNOWN (group order 131072 exceeds the bound 100000)",
+        "level 2: UNKNOWN (level 1 is UNKNOWN)",
+        "nondecreasing; best lower bound 2",
+    ]
+    code = main(["constant", tower, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["tower"] == {"values": ["2", None, None], "floats": [2.0, None, None],
+                            "monotone": True, "first_violation": None}
 
 
 def test_parse_error_exit_three(tmp_path, capsys):

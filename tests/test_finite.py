@@ -9,10 +9,12 @@ import pytest
 from blca import finite
 from blca.errors import ShapeMismatch, TooLarge
 from blca.exact import ExactValue
-from blca.finite import enumerate_subgroups, subgroup_bl_constant, tower_limit
-from blca.groups import ElementaryGroup, HaarRecord
+from blca.finite import (FiniteResult, enumerate_subgroups, subgroup_bl_constant,
+                         tower_limit)
+from blca.groups import ElementaryGroup, HaarRecord, LatticeSubgroup
 from blca.homs import BlockHom, Datum
 from blca.structure import dual_datum
+from test_groups import finite_size, image_under
 
 F = Fraction
 
@@ -169,7 +171,7 @@ def _reference_maximum(d):
     for sub, size in subs:
         val = ExactValue.of(F(size) * d.domain.haar.f_point)
         for h, r in zip(d.homs, d.reciprocal_exponents()):
-            img = sub.image_under(h.FF, h.codomain.torsion).finite_size()
+            img = finite_size(image_under(sub, h.FF, h.codomain.torsion))
             val = val / ExactValue.of(F(img) * h.codomain.haar.f_point) ** r
         if best is None or val > best[0]:
             best, sizes = (val, size, sub), [size]
@@ -228,6 +230,82 @@ def test_streamed_maximum_matches_sorted_reference(monkeypatch):
     assert tied >= 15  # the size decides the argmax on these (19 of 100)
 
 
+def _per_signature_maximum(d):
+    """The maximum over all of F at once: one ExactValue per distinct tuple
+    (|H|, |image_1 H|, ...), compared exactly, ties to the larger subgroup,
+    the argmax the first subgroup found with the winning tuple."""
+    orders = d.domain.torsion
+    used = [(h, r) for h, r in zip(d.homs, d.reciprocal_exponents()) if r != 0]
+    bases, count = {}, 0
+    for basis, sig in finite._subgroups(orders, [(h.FF, h.codomain.torsion) for h, _ in used]):
+        count += 1
+        bases.setdefault(sig, basis)
+    best = None
+    for sig, basis in bases.items():
+        val = ExactValue.of(F(sig[0]) * d.domain.haar.f_point)
+        for img, (h, r) in zip(sig[1:], used):
+            val = val / ExactValue.of(F(img) * h.codomain.haar.f_point) ** r
+        if best is None or val > best[0] or (val == best[0] and sig[0] > best[1]):
+            best = (val, sig[0], basis)
+    return FiniteResult(best[0], LatticeSubgroup(orders, best[2]), best[1], count)
+
+
+def _random_multiprime_datum(rng):
+    """Domains with one to three primes (Z/3 x Z/18 is Z/2 x Z/3 x Z/9), the
+    trivial group among them, and targets that may miss a prime entirely."""
+    chains = [(), (2,), (6,), (2, 6), (12, 12), (3, 18), (6, 6), (2, 12),
+              (4, 4), (2, 2, 2), (3, 9), (10,), (30,)]
+    targets = [(2,), (3,), (4,), (5,), (6,), (9,), (12,), (2, 2), (2, 6), (3, 3),
+               (6, 6), (3, 18), (2, 10)]
+    masses = [F(1), F(1), F(1, 2), F(3), F(2, 9), F(5, 4)]
+    exps = [F(1), F(4, 3), F(3, 2), F(2), F(5, 2), F(3), F(7, 6), None]
+    dom = ElementaryGroup(torsion=rng.choice(chains),
+                          haar=HaarRecord(f_point=rng.choice(masses)))
+    homs = []
+    for _ in range(rng.randint(1, 3)):
+        tors = rng.choice(targets)
+        ff = [[(t // math.gcd(t, d)) * rng.randrange(math.gcd(t, d)) for d in dom.torsion]
+              for t in tors]
+        homs.append(BlockHom(dom, ElementaryGroup(torsion=tors,
+                                                  haar=HaarRecord(f_point=rng.choice(masses))),
+                             FF=ff))
+    return Datum(dom, homs, [rng.choice(exps) for _ in homs])
+
+
+def test_primary_split_matches_the_per_signature_maximum():
+    rng = random.Random(5)
+    data = [_random_multiprime_datum(rng) for _ in range(240)]
+    data += [_random_finite_datum(rng) for _ in range(60)]
+    seen = set()
+    for d in data:
+        assert subgroup_bl_constant(d) == _per_signature_maximum(d)
+        seen.add(d.domain.torsion)
+    assert {(), (6,), (2, 6), (12, 12), (3, 18)} <= seen
+
+
+def test_search_runs_once_per_primary_part(monkeypatch):
+    # Z/12 x Z/12 = (Z/4 x Z/4) + (Z/3 x Z/3): 15 + 6 subgroups searched,
+    # 15 * 6 subgroups of the whole group priced
+    g = ElementaryGroup(torsion=(12, 12))
+    z12 = ElementaryGroup(torsion=(12,))
+    d = Datum(g, [BlockHom(g, z12, FF=[[1, 0]]), BlockHom(g, z12, FF=[[1, 1]])],
+              [F(3, 2), F(3, 2)])
+    search = finite._subgroups
+    visited = []
+
+    def counted(*args):
+        for found in search(*args):
+            visited.append(found)
+            yield found
+
+    with monkeypatch.context() as m:
+        m.setattr(finite, "_subgroups", counted)
+        res = subgroup_bl_constant(d)
+    assert len(visited) == 21
+    assert res.subgroup_count == 90 == len(enumerate_subgroups(g))
+    assert res == _per_signature_maximum(d)
+
+
 def test_dual_datum_keeps_the_subgroup_constant():
     # Fourier invariance, exactly: the annihilator datum at the conjugate
     # exponents has the same subgroup constant
@@ -250,6 +328,15 @@ def test_tower_limit_monotone():
     assert res.monotone
     assert vals == sorted(vals)
     assert res.first_violation is None
+
+
+def test_tower_limit_stops_past_the_bound():
+    small = klein_datum()
+    big = ElementaryGroup(torsion=(2,) * 17)
+    res = tower_limit([small, Datum(big, [BlockHom.identity(big)], [F(2)]), small])
+    assert res.values == (ExactValue.of(2),)
+    assert (res.unpriced, res.reason) == (1, "group order 131072 exceeds the bound 100000")
+    assert res.monotone and res.first_violation is None
 
 
 def test_tower_limit_flags_violation():

@@ -12,6 +12,7 @@ from blca.homs import BlockHom, Datum
 from blca.oracle import (FunctionTuple, _elements, _small_subgroups,
                          alternating_maximization, bl_form,
                          discretized_compact_check, scalar_gaussian_probe)
+from test_groups import image_under
 
 F = Fraction
 
@@ -75,7 +76,7 @@ def test_indicator_of_argmax_attains_constant():
     res = subgroup_bl_constant(d)
     fs = []
     for h in d.homs:
-        img = res.argmax.image_under(h.FF, h.codomain.torsion)
+        img = image_under(res.argmax, h.FF, h.codomain.torsion)
         fs.append([1.0 if img.contains([u]) else 0.0 for u in range(2)])
     ft = FunctionTuple.build(d, fs)
     ratio = bl_form(d, ft) / (ft.norms[0] * ft.norms[1])

@@ -10,10 +10,20 @@ from blca.intmat import (from_columns, mat_vec, matmul, rational_kernel,
                          rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
                        _canon, _deficit, _full_space, _witness_sort_key,
-                       dual_rank_condition, growth_index, homogeneity_check,
-                       rank_condition)
+                       dual_rank_condition, homogeneity_check, rank_condition)
+from test_groups import free_rank
 
 F = Fraction
+
+
+def growth_index(g):
+    """Rank of the noncompact part: a + c for a group, free rank for a
+    lattice subgroup, noncompact rank for a closed subgroup."""
+    if isinstance(g, ElementaryGroup):
+        return g.a + g.c
+    if isinstance(g, LatticeSubgroup):
+        return free_rank(g)
+    return g.noncompact_rank()
 
 T = ElementaryGroup(b=1)
 T2 = ElementaryGroup(b=2)

@@ -277,6 +277,15 @@ def test_verify_all_infinite_exponents_has_no_rows():
     assert (rep.kind, rep.factors, rows) == (FINITE, (), [])
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    d = Datum(T, [BlockHom(T, T, TT=[[1]]), BlockHom(T, T, TT=[[1]])], [2, 2])
+    with pytest.raises(ValueError, match="positive finite"):
+        verify(d, tol=tol)
+    with pytest.raises(ValueError, match="positive finite"):
+        duality_check(d, tol=tol)
+
+
 def test_verify_checks_the_parts_bl_constant_priced():
     # the sum map at p = inf is dropped before pricing, so the finite part
     # has exponents 2, 2 and its oracle runs
