@@ -308,3 +308,64 @@ def test_deterministic_output(tmp_path, capsys):
     main(["constant", "--json", src])
     second = capsys.readouterr().out
     assert first == second
+
+
+# -- unit exponents ---------------------------------------------------------
+
+def rank_one_doc(rows, exponents):
+    n = len(rows[0])
+    return {"domain": {"a": n}, "targets": [{"a": 1}] * len(rows),
+            "homs": [{"RR": [row]} for row in rows], "exponents": exponents}
+
+
+FOLD = "removed unit-exponent index 0 by restricting to its kernel"
+LAST = "removed the last unit-exponent index; the value is the mass of its kernel"
+PROPER = ("a map onto a proper (hence non-open) subspace forces an infinite "
+          "constant at finite exponents")
+
+
+@pytest.mark.parametrize("rows, exponents, kind, exact, notes, witness", [
+    # three independent rank-one maps at p = 1 on R^3: 1/|det B|
+    ([[1, 2, 0], [0, -1, 3], [2, 0, 1]], [1, 1, 1], "FINITE",
+     "ExactValue(11^(-1))", [FOLD, FOLD, LAST], None),
+    ([[1, 0], [0, 1]], [1, 1], "FINITE", "ExactValue(1)", [FOLD, LAST], None),
+    ([[1, 0], [0, 1], [1, 1]], [1, 2, 2], "FINITE", None,
+     [FOLD, "gaussian ascent converged after 1 sweeps"], None),
+    ([[1, 0], [1, 0], [0, 1]], [1, 2, 2], "INFINITE", None, [FOLD, PROPER],
+     "map 0 has image a proper subspace"),
+])
+def test_unit_exponent_vector_reports(tmp_path, capsys, rows, exponents, kind,
+                                      exact, notes, witness):
+    src = write(tmp_path, rank_one_doc(rows, exponents))
+    code = main(["constant", "--json", src])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == (0 if kind == "FINITE" else 1)
+    assert report["kind"] == kind
+    vector = {f["name"]: f for f in report["factors"]}["vector"]
+    assert (vector["kind"], vector["notes"]) == (kind, notes)
+    assert vector["witness"] == (None if witness is None else repr(witness))
+    assert report["witnesses"] == ([] if witness is None else [repr(witness)])
+    if exact is not None:
+        assert (report["exact"], vector["exact"]) == (exact, exact)
+
+
+@pytest.mark.parametrize("doc", [
+    # map 0 has the finite image {0, 1/2} in T, which is not open
+    {"domain": {"a": 1, "torsion": [2]},
+     "targets": [{"b": 1}, {"a": 1}, {"torsion": [2]}],
+     "homs": [{"FT": [["1/2"]]}, {"RR": [[1]]}, {"FF": [[1]]}],
+     "exponents": [1, 2, 2]},
+    # map 0 mixes the torus and finite sectors, so its kernel has no model
+    {"domain": {"b": 1, "torsion": [2]},
+     "targets": [{"b": 1}, {"b": 1}, {"torsion": [2]}],
+     "homs": [{"TT": [[1]], "FT": [["1/2"]]}, {"TT": [[1]]}, {"FF": [[1]]}],
+     "exponents": [1, 2, 2]},
+], ids=["non_open_image", "sector_mixing"])
+def test_reduce_leaves_a_blocked_fold_in_place(tmp_path, capsys, doc):
+    src = write(tmp_path, doc)
+    assert main(["reduce", "--json", src]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"schema_version", "command", "seed", "ledger", "datum"}
+    assert out["datum"]["exponents"] == [1, 2, 2]
+    assert len(out["ledger"]) == 1
+    assert out["ledger"][0].startswith("left index 0 in place: ")
