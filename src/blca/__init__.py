@@ -79,11 +79,13 @@ from .oracle import (
 from .structure import (
     ConstantReport,
     DualityReport,
+    ExponentReduction,
     FactorReport,
     analyze,
     bl_constant,
     dual_datum,
     duality_check,
+    reduce_exponents,
     reduce_p_infinity,
     reduce_p_one,
     reduce_transversal,
@@ -108,7 +110,7 @@ __all__ = [
     "enumerate_subgroups", "subgroup_bl_constant", "tower_limit",
     "bl_form", "alternating_maximization", "scalar_gaussian_probe",
     "discretized_compact_check",
-    "ConstantReport", "DualityReport", "FactorReport", "analyze", "bl_constant",
-    "dual_datum", "duality_check", "reduce_p_infinity", "reduce_p_one",
-    "reduce_transversal", "verify",
+    "ConstantReport", "DualityReport", "ExponentReduction", "FactorReport",
+    "analyze", "bl_constant", "dual_datum", "duality_check", "reduce_exponents",
+    "reduce_p_infinity", "reduce_p_one", "reduce_transversal", "verify",
 ]

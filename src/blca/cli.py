@@ -10,15 +10,17 @@ A datum file is a JSON document with top-level keys
 or, alternatively, the single key "tower" holding a list of such documents
 for a finite approximation tower.  Group records carry a, b, c, torsion and a
 haar object (vector_scale, torus_total, z_point, f_point).  Rationals are
-integers or "n/d" strings; floats are rejected so files stay exact.  Unknown
-keys are rejected everywhere.
+integers or "n/d" strings; floats are rejected so files stay exact, and an
+exponent below 1 is rejected at its path.  Unknown keys are rejected
+everywhere.
 
 Commands:
 
     analyze FILE    properness, normalization ledger, sector split
     constant FILE   the constant with factor breakdown (tower files too)
     dual FILE       dual datum on stdout, duality check on stderr
-    reduce FILE     drop infinite exponents, run unit-exponent reductions
+    reduce FILE     structure.reduce_exponents: drop infinite exponents, fold
+                    unit exponents into the kernels of their maps
     verify FILE     pipeline values against the independent oracles
 
 dual and reduce print the resulting datum file on stdout (text mode) so the
@@ -38,12 +40,12 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .errors import BlcaError, Degenerate, EmptyDatum, NotProper
+from .errors import BlcaError, Degenerate, NotProper
 from .finite import tower_limit
 from .groups import ElementaryGroup, HaarRecord
 from .homs import BlockHom, Datum
 from .structure import (FINITE, INFINITE, analyze, bl_constant, dual_datum,
-                        duality_check, reduce_p_infinity, reduce_p_one, verify)
+                        duality_check, reduce_exponents, verify)
 
 SCHEMA_VERSION = 1
 
@@ -103,12 +105,16 @@ def _parse_group(obj, where: str) -> ElementaryGroup:
                     for i, t in enumerate(torsion))
     haar_obj = obj.get("haar", {})
     _check_keys(haar_obj, _HAAR_KEYS, f"{where}.haar")
-    haar = HaarRecord(
-        vector_scale=_rational(haar_obj.get("vector_scale", 1), f"{where}.haar.vector_scale"),
-        torus_total=_rational(haar_obj.get("torus_total", 1), f"{where}.haar.torus_total"),
-        z_point=_rational(haar_obj.get("z_point", 1), f"{where}.haar.z_point"),
-        f_point=_rational(haar_obj.get("f_point", 1), f"{where}.haar.f_point"))
-    return ElementaryGroup(a=a, b=b, c=c, torsion=torsion, haar=haar)
+    scales = {key: _rational(haar_obj.get(key, 1), f"{where}.haar.{key}")
+              for key in _HAAR_KEYS}
+    try:
+        haar = HaarRecord(**scales)
+    except ValueError as exc:
+        _fail(f"{where}.haar", str(exc))
+    try:
+        return ElementaryGroup(a=a, b=b, c=c, torsion=torsion, haar=haar)
+    except ValueError as exc:
+        _fail(where, str(exc))
 
 
 def _parse_matrix(obj, where: str) -> List[List[Fraction]]:
@@ -121,7 +127,10 @@ def _parse_matrix(obj, where: str) -> List[List[Fraction]]:
 def _parse_exponent(v, where: str) -> Optional[Fraction]:
     if v == "inf":
         return None
-    return _rational(v, where)
+    p = _rational(v, where)
+    if p < 1:
+        _fail(where, f"exponent {_rat_doc(p)} is below 1")
+    return p
 
 
 def _parse_datum(doc, where: str = "datum") -> Datum:
@@ -406,50 +415,28 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    d = load_datum(args.file)
-    ledger: List[str] = []
-    resolved: Optional[float] = None
-    try:
-        d2 = reduce_p_infinity(d)
-        if d2.J != d.J:
-            ledger.append(f"dropped {d.J - d2.J} index(es) with infinite "
-                          f"exponent")
-        while True:
-            k = next((j for j, p in enumerate(d2.exponents) if p == 1), None)
-            if k is None:
-                break
-            try:
-                d2 = reduce_p_one(d2, k)
-                ledger.append(f"reduced unit-exponent index {k} to the "
-                              f"kernel of its map")
-            except Degenerate as exc:
-                ledger.append(f"left index {k} in place: {exc}")
-                break
-    except EmptyDatum as exc:
-        ledger.append(str(exc))
-        resolved = float(exc.resolution) if exc.resolution is not None else math.inf
-        d2 = None
+    red = reduce_exponents(load_datum(args.file))
+    ledger = list(red.ledger) + ([red.blocked] if red.blocked else [])
+    resolved = None if red.datum is not None else float(red.resolution)
     if args.json:
         out = _Out(True, "reduce", args.seed)
         out.put("ledger", ledger)
-        if d2 is None:
+        if resolved is not None:
             out.put("resolved", "inf" if math.isinf(resolved) else resolved)
         else:
-            out.put("datum", datum_document(d2))
+            out.put("datum", datum_document(red.datum))
         out.flush()
     else:
         err = _Out(False, "reduce", args.seed)
         for note in ledger:
             err.say(f"  {note}")
-        if d2 is None:
+        if resolved is not None:
             err.say(f"  nothing left; the constant is "
                     f"{'infinite' if math.isinf(resolved) else repr(resolved)}")
         err.flush(sys.stderr)
-        if d2 is not None:
-            sys.stdout.write(dump_datum(d2))
-    if d2 is None and math.isinf(resolved):
-        return 1
-    return 0
+        if resolved is None:
+            sys.stdout.write(dump_datum(red.datum))
+    return 1 if resolved == math.inf else 0
 
 
 def _cmd_verify(args) -> int:

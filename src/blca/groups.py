@@ -26,7 +26,6 @@ from .intmat import (
     hermite_basis,
     identity,
     integer_kernel,
-    mat_vec,
     matmul,
     rational_kernel,
     smith_normal_form,
@@ -98,9 +97,6 @@ class ElementaryGroup:
     def is_compact(self) -> bool:
         return self.a == 0 and self.c == 0
 
-    def is_discrete(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def is_trivial(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and not self.torsion
 
@@ -109,9 +105,6 @@ class ElementaryGroup:
         if not self.is_compact():
             return None
         return self.haar.scalar() * self.finite_order
-
-    def with_haar(self, haar: HaarRecord) -> "ElementaryGroup":
-        return ElementaryGroup(self.a, self.b, self.c, self.torsion, haar)
 
     def discrete_orders(self) -> Tuple[int, ...]:
         """Order vector of the discrete-finite sector Z^c x F (0 = free)."""
@@ -248,18 +241,6 @@ class LatticeSubgroup:
         if not self.basis:
             return not any(vec)
         return solve_integer(from_columns(self.basis, self.n), list(vec)) is not None
-
-    def meet(self, other: "LatticeSubgroup") -> "LatticeSubgroup":
-        if self.orders != other.orders:
-            raise ShapeMismatch("ambients differ")
-        if not self.basis or not other.basis:
-            return LatticeSubgroup.from_generators(self.orders, [])
-        a = from_columns(self.basis, self.n)
-        bneg = [[-x for x in row] for row in from_columns(other.basis, self.n)]
-        stacked = [ra + rb for ra, rb in zip(a, bneg)]
-        ker = integer_kernel(stacked)
-        gens = [mat_vec(a, k[: len(self.basis)]) for k in ker]
-        return LatticeSubgroup.from_generators(self.orders, gens)
 
 
 def saturate_columns(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:

@@ -89,18 +89,6 @@ class GroupElement(NamedTuple):
         return [*self.x, *self.t, *map(Fraction, self.m), *map(Fraction, self.u)]
 
 
-def make_element(g: ElementaryGroup, x=(), t=(), m=(), u=()) -> GroupElement:
-    el = GroupElement(
-        tuple(_frac_entry(v) for v in x),
-        tuple(_frac_entry(v) for v in t),
-        tuple(int(v) for v in m),
-        tuple(int(v) for v in u),
-    )
-    if (len(el.x), len(el.t), len(el.m), len(el.u)) != (g.a, g.b, g.c, g.k):
-        raise ShapeMismatch("element components do not match the group's sector sizes")
-    return el
-
-
 # The blocks that map one sector into another; a sector-diagonal hom has
 # all of them zero.
 MIXING_BLOCKS = ("RT", "ZR", "ZT", "ZF", "FT")

@@ -8,11 +8,12 @@ parts.  Each part has its own decision procedure (annihilator rank search,
 gaussian ascent, exact subgroup maximum, rank search) and the total is the
 product of the parts.
 
-Three reduction operators are public because they are useful on their own:
+The reduction operators are public because they are useful on their own:
 reduce_p_infinity and reduce_p_one remove indices whose exponent is infinite
-or one, and reduce_transversal quotients the domain by a subgroup that all
-but one map annihilates.  Unit exponents are eliminated inside the vector
-factor during the pipeline, where kernels stay within one sector; there the
+or one, reduce_exponents runs the two until no unit exponent is left (the
+routine behind `blca reduce`), and reduce_transversal quotients the domain by
+a subgroup that all but one map annihilates.  In the pipeline the vector
+factor runs reduce_exponents, where kernels stay within one sector; there the
 gaussian supremum at exponent one is typically approached only along a
 degenerate limit, which the reduction removes.
 
@@ -44,7 +45,7 @@ from .groups import ElementaryGroup, HaarRecord, dual_group
 from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
                    discrete_image_lattice, image_is_open, is_surjective,
                    kernel_info)
-from .intmat import det_rational, hstack, rational_rank
+from .intmat import det_rational, hstack
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
 from .rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, dual_rank_condition,
@@ -121,9 +122,6 @@ class ConstantReport:
         if self.kind == INFINITE:
             return math.inf
         return self.value
-
-    def is_finite(self) -> bool:
-        return self.kind == FINITE
 
     def to_dict(self):
         return {
@@ -233,6 +231,61 @@ def reduce_p_one(d: Datum, k: int) -> Datum:
     return Datum(iota.domain, [h for h, _ in rest], [p for _, p in rest])
 
 
+@dataclass(frozen=True, slots=True)
+class ExponentReduction:
+    """What reduce_exponents leaves: the reduced datum, or None when no
+    index is left and resolution holds the constant (a mass, or math.inf).
+    blocked says why a unit-exponent index stayed in place, else None."""
+
+    datum: Optional[Datum]
+    resolution: object
+    ledger: Tuple[str, ...]
+    blocked: Optional[str] = None
+
+
+def _dropped_note(count: int) -> str:
+    return f"dropped {count} index(es) with infinite exponent"
+
+
+def reduce_exponents(d: Datum) -> ExponentReduction:
+    """Drop the infinite exponents, then fold the first unit-exponent index
+    into the kernel of its map (reduce_p_one) until none is left.
+
+    The constant is unchanged at every step.  The folding stops, leaving a
+    unit index in place, at the first map whose image is not open (that
+    already forces an infinite constant at finite exponents) and at a kernel
+    reduce_p_one cannot model (Degenerate).  An empty datum resolves to the
+    constant carried by EmptyDatum.
+    """
+    try:
+        cur = reduce_p_infinity(d)
+    except EmptyDatum as exc:
+        return ExponentReduction(None, exc.resolution, (str(exc),))
+    ledger = [_dropped_note(d.J - cur.J)] if cur.J != d.J else []
+    blocked = None
+    while 1 in cur.exponents:
+        k = cur.exponents.index(1)
+        closed = next((j for j, h in enumerate(cur.homs)
+                       if not image_is_open(h)), None)
+        if closed is not None:
+            blocked = (f"left index {k} in place: map {closed} has an image "
+                       f"that is not open, which forces an infinite constant "
+                       f"at any finite exponent")
+            break
+        try:
+            cur = reduce_p_one(cur, k)
+        except Degenerate as exc:
+            blocked = f"left index {k} in place: {exc}"
+            break
+        except EmptyDatum as exc:
+            ledger.append("removed the last unit-exponent index; the value "
+                          "is the mass of its kernel")
+            return ExponentReduction(None, exc.resolution, tuple(ledger))
+        ledger.append(f"removed unit-exponent index {k} by restricting to "
+                      f"its kernel")
+    return ExponentReduction(cur, None, tuple(ledger), blocked)
+
+
 # -- transversal quotient ---------------------------------------------------
 
 def _maps_to_identity(h: BlockHom, n: ClosedSubgroup) -> bool:
@@ -334,12 +387,9 @@ _TRIVIAL_REPORTS = {
 
 
 def _trivial_report(name: str, fd: Datum) -> Optional[FactorReport]:
-    """The shared report when fd is trivial at unit scale, else None.  A
-    unit exponent leaves a note in the vector report, so it is excluded."""
+    """The shared report when fd is trivial at unit scale, else None."""
     if not (fd.domain.is_trivial()
             and all(h.codomain.is_trivial() for h in fd.homs)):
-        return None
-    if name == "vector" and 1 in fd.exponents:
         return None
     if _scale_correction(fd) != ExactValue.one():
         return None
@@ -384,35 +434,25 @@ def _finite_factor(fd: Datum) -> FactorReport:
 
 
 def _vector_factor(fd: Datum) -> FactorReport:
-    notes: List[str] = []
-    while True:
-        for j, h in enumerate(fd.homs):
-            if rational_rank(h.RR) < h.codomain.a:
-                return FactorReport(
-                    "vector", INFINITE, math.inf, None, CERTIFIED,
-                    witness=f"map {j} has image a proper subspace",
-                    notes=tuple(notes) + (
-                        "a map onto a proper (hence non-open) subspace "
-                        "forces an infinite constant at finite exponents",))
-        k = next((j for j, p in enumerate(fd.exponents) if p == 1), None)
-        if k is None:
-            break
-        if fd.J == 1:
-            kernel = _kernel_inclusion(fd.homs[0]).domain
-            notes.append("removed the last unit-exponent index; the value "
-                         "is the mass of its kernel")
-            if kernel.is_compact():
-                mass = kernel.total_mass()
-                return FactorReport("vector", FINITE, float(mass),
-                                    ExactValue.of(mass), EXACT,
-                                    notes=tuple(notes))
+    red = reduce_exponents(fd)
+    notes = list(red.ledger)
+    if red.datum is None:
+        if red.resolution == math.inf:
+            return FactorReport("vector", INFINITE, math.inf, None, CERTIFIED,
+                                witness="noncompact kernel at exponent 1",
+                                notes=tuple(notes))
+        return FactorReport("vector", FINITE, float(red.resolution),
+                            ExactValue.of(red.resolution), EXACT,
+                            notes=tuple(notes))
+    fd = red.datum
+    for j, h in enumerate(fd.homs):
+        if not image_is_open(h):
             return FactorReport(
                 "vector", INFINITE, math.inf, None, CERTIFIED,
-                witness="noncompact kernel at exponent 1",
-                notes=tuple(notes))
-        fd = reduce_p_one(fd, k)
-        notes.append(f"removed unit-exponent index {k} by restricting to "
-                     f"its kernel")
+                witness=f"map {j} has image a proper subspace",
+                notes=tuple(notes) + (
+                    "a map onto a proper (hence non-open) subspace "
+                    "forces an infinite constant at finite exponents",))
     verdict = bcct_finiteness(fd)
     if not verdict.finite:
         witness = verdict.rank.witness
@@ -485,16 +525,15 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
         d2 = reduce_p_infinity(d)
     except EmptyDatum as exc:
         ledger.append(str(exc))
-        mass = d.domain.total_mass()
-        if mass is None:
+        mass = exc.resolution
+        if mass == math.inf:
             ledger.append("the domain is noncompact, so its mass is infinite")
             return _early_report(INFINITE, math.inf, None, CERTIFIED,
                                  ledger), None
         return _early_report(FINITE, float(mass), ExactValue.of(mass), EXACT,
                              ledger), None
     if d2.J != d.J:
-        ledger.append(f"dropped {d.J - d2.J} index(es) with infinite "
-                      f"exponent")
+        ledger.append(_dropped_note(d.J - d2.J))
     try:
         norm, why, parts = analyze(d2)
     except NotProper as exc:

@@ -6,6 +6,7 @@ verbose run reads as a checklist of the package's load-bearing guarantees.
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from blca.exact import ExactValue
@@ -424,8 +425,8 @@ def test_criterion_7_measure_covariance():
     C2 = ElementaryGroup(torsion=(2,))
 
     def klein(domain_scale=F(1), target_scales=(F(1), F(1)), p=(2, 2)):
-        dom = K.with_haar(HaarRecord(f_point=domain_scale))
-        tg = [C2.with_haar(HaarRecord(f_point=s)) for s in target_scales]
+        dom = replace(K, haar=HaarRecord(f_point=domain_scale))
+        tg = [replace(C2, haar=HaarRecord(f_point=s)) for s in target_scales]
         return Datum(dom, [BlockHom(dom, tg[0], FF=[[1, 0]]),
                            BlockHom(dom, tg[1], FF=[[0, 1]])], list(p))
 
@@ -442,8 +443,8 @@ def test_criterion_7_measure_covariance():
     R1 = ElementaryGroup(a=1)
 
     def young(ds=F(1), ts=F(1)):
-        dom = R2.with_haar(HaarRecord(vector_scale=ds))
-        tgt = R1.with_haar(HaarRecord(vector_scale=ts))
+        dom = replace(R2, haar=HaarRecord(vector_scale=ds))
+        tgt = replace(R1, haar=HaarRecord(vector_scale=ts))
         return Datum(dom, [BlockHom(dom, tgt, RR=[[1, 0]]),
                            BlockHom(dom, tgt, RR=[[0, 1]]),
                            BlockHom(dom, tgt, RR=[[1, 1]])], [F(3, 2)] * 3)

@@ -369,3 +369,32 @@ def test_reduce_leaves_a_blocked_fold_in_place(tmp_path, capsys, doc):
     assert out["datum"]["exponents"] == [1, 2, 2]
     assert len(out["ledger"]) == 1
     assert out["ledger"][0].startswith("left index 0 in place: ")
+
+
+@pytest.mark.parametrize("domain, message", [
+    ({"torsion": [1, 2]}, ".domain: invariant factors must be >= 2"),
+    ({"torsion": [2, 2], "haar": {"f_point": 0}},
+     ".domain.haar: f_point must be positive"),
+])
+def test_bad_group_record_exit_three(tmp_path, capsys, domain, message):
+    doc = klein_doc()
+    doc["domain"] = domain
+    src = write(tmp_path, doc)
+    with pytest.raises(DatumFormatError) as err:
+        load_datum(src)
+    assert str(err.value) == src + message
+    assert main(["constant", src]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {src}{message}\n"
+
+
+def test_exponent_below_one_is_located(tmp_path, capsys):
+    doc = klein_doc()
+    doc["exponents"] = [2, "1/2"]
+    src = write(tmp_path, doc)
+    message = f"{src}.exponents[1]: exponent 1/2 is below 1"
+    with pytest.raises(DatumFormatError) as err:
+        load_datum(src)
+    assert str(err.value) == message
+    assert main(["constant", src]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"

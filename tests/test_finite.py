@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -138,9 +139,9 @@ def test_klein_p_one_value():
 
 
 def test_weighted_measures():
-    Kw = K.with_haar(HaarRecord(f_point=F(3)))
-    ta = C2.with_haar(HaarRecord(f_point=F(5)))
-    tb = C2.with_haar(HaarRecord(f_point=F(7)))
+    Kw = replace(K, haar=HaarRecord(f_point=F(3)))
+    ta = replace(C2, haar=HaarRecord(f_point=F(5)))
+    tb = replace(C2, haar=HaarRecord(f_point=F(7)))
     d = Datum(Kw, [BlockHom(Kw, ta, FF=[[1, 0]]), BlockHom(Kw, tb, FF=[[0, 1]])],
               [1, 2])
     got = subgroup_bl_constant(d).value

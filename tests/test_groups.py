@@ -46,9 +46,8 @@ def test_basic_predicates():
     g = ElementaryGroup(a=1, b=2, c=1, torsion=(2, 4))
     assert g.k == 2
     assert g.finite_order == 8
-    assert not g.is_compact() and not g.is_discrete() and not g.is_trivial()
+    assert not g.is_compact() and not g.is_trivial()
     assert ElementaryGroup(b=3, torsion=(5,)).is_compact()
-    assert ElementaryGroup(c=2, torsion=(3,)).is_discrete()
     assert ElementaryGroup().is_trivial()
     assert g.discrete_orders() == (0, 2, 4)
 
@@ -108,7 +107,6 @@ def test_lattice_zero_and_full():
     assert not z.contains([1, 0]) and z.contains([0, 0])
     assert f.contains([1, 3])
     assert finite_size(z) == 1 and finite_size(f) == 4
-    assert z.meet(f) == z
 
 
 def test_lattice_structure_mixed():
@@ -150,4 +148,3 @@ def test_lattice_join_contains_both(gens):
     for g in gens:
         assert lat.contains(g)
     assert LatticeSubgroup.from_generators((0, 0), lat.basis) == lat
-    assert lat.meet(LatticeSubgroup.full((0, 0))) == lat

@@ -1,5 +1,7 @@
 """End-to-end decision pipeline, reductions, and the duality identity."""
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,12 @@ from blca.errors import BadSubgroup, EmptyDatum, NotUnitExponent
 from blca.exact import ExactValue
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, ClosedSubgroup, Datum
-from blca.structure import (FINITE, INFINITE, UNKNOWN, analyze, bl_constant,
-                            dual_datum, duality_check, reduce_p_infinity,
-                            reduce_p_one, reduce_transversal, verify)
+from blca.intmat import det_rational
+from blca.structure import (FINITE, INFINITE, UNKNOWN, ExponentReduction,
+                            analyze, bl_constant, dual_datum, duality_check,
+                            reduce_exponents, reduce_p_infinity, reduce_p_one,
+                            reduce_transversal, verify)
+from test_finite import _random_finite_datum
 
 F = Fraction
 
@@ -36,7 +41,6 @@ def test_holder_circle_exact_one():
     assert rep.kind == FINITE
     assert rep.exact is not None and rep.exact.as_fraction() == 1
     assert rep.certification == "exact"
-    assert rep.is_finite()
 
 
 def test_axes_of_z2_infinite_with_witness():
@@ -91,14 +95,17 @@ def test_klein_p_one_primal_and_reduced():
     want = float(ExactValue.of(2) ** F(1, 3))
     rep = bl_constant(d)
     assert rep.exact is not None and abs(rep.value - want) < 1e-12
+    # the vector part is R^0 at unit scale: exactly 1, with no fold notes
+    vector = [f for f in rep.factors if f.name == "vector"][0]
+    assert (vector.exact, vector.notes) == (ExactValue.one(), ())
     red = reduce_p_one(d, 0)
     assert abs(bl_constant(red).value - want) < 1e-12
 
 
 def test_weighted_reduction_carries_kernel_mass():
-    kw = K.with_haar(HaarRecord(f_point=F(3)))
-    ta = C2.with_haar(HaarRecord(f_point=F(5)))
-    tb = C2.with_haar(HaarRecord(f_point=F(7)))
+    kw = replace(K, haar=HaarRecord(f_point=F(3)))
+    ta = replace(C2, haar=HaarRecord(f_point=F(5)))
+    tb = replace(C2, haar=HaarRecord(f_point=F(7)))
     d = Datum(kw, [BlockHom(kw, ta, FF=[[1, 0]]),
                    BlockHom(kw, tb, FF=[[0, 1]])], [1, 2])
     want = 6.0 / (5.0 * math.sqrt(14.0))
@@ -161,6 +168,86 @@ def test_reduce_p_infinity_drops_indices():
     d2 = reduce_p_infinity(d)
     assert d2.J == 1 and d2.exponents == (F(2),)
     assert bl_constant(d).exact.as_fraction() == 1
+
+
+FOLD = "removed unit-exponent index 0 by restricting to its kernel"
+LAST = "removed the last unit-exponent index; the value is the mass of its kernel"
+
+
+def test_reduce_exponents_ledger():
+    d = Datum(R2, [BlockHom(R2, R1, RR=[[1, 0]]), BlockHom(R2, R1, RR=[[0, 2]]),
+                   BlockHom(R2, R1, RR=[[1, 1]])], [1, 1, None])
+    assert reduce_exponents(d) == ExponentReduction(
+        None, F(1, 2), ("dropped 1 index(es) with infinite exponent", FOLD, LAST))
+    # the kernel of the last map is a line, whose mass is infinite
+    line = Datum(R2, [BlockHom(R2, R1, RR=[[1, 0]])], [1])
+    assert reduce_exponents(line) == ExponentReduction(None, math.inf, (LAST,))
+    young = young_datum()
+    assert reduce_exponents(young) == ExponentReduction(young, None, ())
+    every = Datum(T, [BlockHom(T, T, TT=[[1]])], [None])
+    red = reduce_exponents(every)
+    assert (red.datum, red.resolution) == (None, 1)
+    assert red.ledger == ("every exponent is infinite; the inequality compares "
+                          "the domain mass against the constant",)
+
+
+def test_reduce_exponents_stops_at_a_non_open_image():
+    # after folding index 0, map 0 is the zero map R -> R
+    d = Datum(R2, [BlockHom(R2, R1, RR=[[1, 0]]), BlockHom(R2, R1, RR=[[1, 0]]),
+                   BlockHom(R2, R1, RR=[[0, 1]])], [1, 1, 2])
+    red = reduce_exponents(d)
+    assert red.datum.exponents == (1, 2) and red.ledger == (FOLD,)
+    assert red.blocked == ("left index 0 in place: map 0 has an image that is "
+                           "not open, which forces an infinite constant at "
+                           "any finite exponent")
+    # the vector report names the map, and keeps blocked out of its notes
+    vector = [f for f in bl_constant(d).factors if f.name == "vector"][0]
+    assert vector.kind == INFINITE
+    assert vector.witness == "map 0 has image a proper subspace"
+    assert vector.notes[:-1] == (FOLD,)
+    # a kernel that mixes sectors has no model: Degenerate leaves it in place
+    g = ElementaryGroup(b=1, torsion=(2,))
+    mixing = Datum(g, [BlockHom(g, T, TT=[[1]], FT=[[F(1, 2)]]),
+                       BlockHom(g, T, TT=[[1]]), BlockHom(g, C2, FF=[[1]])],
+                   [1, 2, 2])
+    red = reduce_exponents(mixing)
+    assert (red.datum, red.ledger) == (mixing, ())
+    assert red.blocked.startswith("left index 0 in place: kernel model needs "
+                                  "a sector-diagonal map")
+
+
+def test_reduction_preserves_the_constant():
+    # the finite engine prices p = 1 directly, so the two sides share no fold
+    rng = random.Random(5)
+    resolved = reduced = 0
+    for _ in range(80):
+        d = _random_finite_datum(rng)
+        exps = list(d.exponents)
+        exps[rng.randrange(d.J)] = F(1)
+        d = Datum(d.domain, d.homs, exps)
+        want = bl_constant(d)
+        assert want.kind == FINITE
+        red = reduce_exponents(d)
+        assert red.blocked is None
+        if red.datum is None:
+            resolved += 1
+            assert want.exact == ExactValue.of(red.resolution)
+        else:
+            reduced += 1
+            assert 1 not in red.datum.exponents
+            assert bl_constant(red.datum).exact == want.exact
+    assert resolved >= 10 and reduced >= 30
+    # n independent rank-one maps at p = 1 on R^n resolve to 1/|det B|
+    for n in (1, 2, 3, 4):
+        rn = ElementaryGroup(a=n)
+        for _ in range(5):
+            rows = [[0] * n for _ in range(n)]
+            while not det_rational(rows):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            d = Datum(rn, [BlockHom(rn, R1, RR=[row]) for row in rows], [1] * n)
+            want = 1 / abs(det_rational(rows))
+            assert reduce_exponents(d).resolution == want
+            assert bl_constant(d).exact == ExactValue.of(want)
 
 
 def test_dual_of_circle_holder():

@@ -1,5 +1,6 @@
 """Kernel quotients, corestrictions, and the four-factor splitting."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -207,8 +208,8 @@ def test_merge_finite_coordinates():
 def test_kernel_embedding_weil_mass():
     # Z/4 -> Z/2 with weighted measures: the kernel inclusion carries the
     # fiber mass ratio
-    g = Z4.with_haar(HaarRecord(f_point=F(3)))
-    t = Z2.with_haar(HaarRecord(f_point=F(5)))
+    g = replace(Z4, haar=HaarRecord(f_point=F(3)))
+    t = replace(Z2, haar=HaarRecord(f_point=F(5)))
     h = BlockHom(g, t, FF=[[1]])
     iota = kernel_embedding(h)
     assert iota.codomain == g
