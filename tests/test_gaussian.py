@@ -202,3 +202,92 @@ def test_capped_ascent_stays_below_the_split_value():
         assert capped.status == BUDGET
         assert capped.value <= split + 1e-9
     assert split - capped.value < 1e-3
+
+
+# -- the ascent kernel against the textbook loop -----------------------------
+
+def _reference_ascent(sigmas, recips, a, budget):
+    """The coordinate ascent written out directly: per map, invert Q and
+    s Q^-1 s^T; the objective from slogdet and the SVD condition number."""
+    import numpy as np
+
+    def objective(mats):
+        q = np.zeros((a, a))
+        num = 0.0
+        for s, r, m in zip(sigmas, recips, mats):
+            if r:
+                q += r * (s.T @ m @ s)
+                num += 0.5 * r * np.linalg.slogdet(m)[1]
+        sign, ld = np.linalg.slogdet(q)
+        assert sign > 0
+        return num - 0.5 * ld, np.linalg.cond(q)
+
+    mats = [np.eye(s.shape[0]) for s in sigmas]
+    log_obj, _ = objective(mats)
+    for sweep in range(1, budget + 1):
+        for j, (s, r) in enumerate(zip(sigmas, recips)):
+            if not r:
+                continue
+            q = sum(rk * (sk.T @ mk @ sk) for sk, rk, mk in zip(sigmas, recips, mats) if rk)
+            new_m = np.linalg.inv(s @ np.linalg.inv(q) @ s.T)
+            mats[j] = 0.5 * (new_m + new_m.T)
+        new_log_obj, cond = objective(mats)
+        if new_log_obj > math.log(1e8) or cond > 1e12:
+            return DIVERGED, sweep, math.inf
+        drift = abs(math.exp(new_log_obj) - math.exp(log_obj))
+        log_obj = new_log_obj
+        if drift < 1e-10:
+            return CONVERGED, sweep, math.exp(log_obj)
+    return BUDGET, budget, math.exp(log_obj)
+
+
+def _general_position_rows(rnd, n, count):
+    import itertools
+    from blca.intmat import det_rational
+    while True:
+        rows = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(count)]
+        if all(det_rational([rows[i] for i in sub])
+               for sub in itertools.combinations(range(count), n)):
+            return rows
+
+
+def _kernel_cases():
+    """(name, datum, budget, expected status or None) on seeded data."""
+    import random
+    rnd = random.Random(2024)
+    for n in (2, 3):
+        for count in (3, 4, 5):
+            for _ in range(3):
+                rows = _general_position_rows(rnd, n, count)
+                yield f"R{n}J{count}", _rank_one_datum(rows, F(count, n)), 100000, None
+    from blca.intmat import det_rational
+    lw = 0
+    while lw < 3:
+        lines = [[rnd.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if det_rational(lines):
+            yield "loomis-whitney", _loomis_whitney_type(lines), 100000, None
+            lw += 1
+    critical = _rank_one_datum([[-2, -3], [-2, 1], [1, 1], [2, 2]], F(2))
+    for budget in (1, 10, 100):
+        yield "critical", critical, budget, BUDGET
+    axes = _rank_one_datum([[1, 0], [0, 1]], F(2))
+    yield "axes", axes, 100000, DIVERGED
+
+
+def test_ascent_matches_the_textbook_loop():
+    # the same status and sweep count on every datum, the same value to 1e-9
+    import numpy as np
+    from blca.gaussian import _ascend, _float_blocks
+    for name, d, budget, expected in _kernel_cases():
+        sigmas = _float_blocks([h.RR for h in d.homs], d.domain.a)
+        recips = [float(r) for r in d.reciprocal_exponents()]
+        want = _reference_ascent(sigmas, recips, d.domain.a, budget)
+        got = _ascend(sigmas, recips, d.domain.a,
+                      [np.eye(s.shape[0]) for s in sigmas], budget)
+        assert (got.status, got.sweeps) == want[:2], name
+        if expected is not None:
+            assert got.status == expected, name
+        if math.isinf(want[2]):
+            assert math.isinf(got.value), name
+        else:
+            assert abs(got.value - want[2]) <= 1e-9 * want[2], name
