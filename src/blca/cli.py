@@ -41,6 +41,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import BlcaError, Degenerate, NotProper
+from .exact import ExactValue
 from .finite import tower_limit
 from .groups import ElementaryGroup, HaarRecord
 from .homs import BlockHom, Datum
@@ -279,9 +280,13 @@ def _value_text(rep) -> str:
         return "infinite"
     if rep.value is None:
         return "unknown"
-    if rep.exact is not None:
-        return f"{rep.value:.12g} (exact: {rep.exact})"
-    return f"{rep.value:.12g}"
+    return _number_text(rep.value, rep.exact)
+
+
+def _number_text(value: float, exact: Optional[ExactValue]) -> str:
+    if exact is not None:
+        return f"{value:.12g} (exact: {exact})"
+    return f"{value:.12g}"
 
 
 def _describe_factors(out: _Out, rep):
@@ -417,12 +422,15 @@ def _cmd_dual(args) -> int:
 def _cmd_reduce(args) -> int:
     red = reduce_exponents(load_datum(args.file))
     ledger = list(red.ledger) + ([red.blocked] if red.blocked else [])
-    resolved = None if red.datum is not None else float(red.resolution)
+    resolved = red.datum is None
+    infinite = resolved and red.resolution == math.inf
+    exact = ExactValue.of(red.resolution) if resolved and not infinite else None
     if args.json:
         out = _Out(True, "reduce", args.seed)
         out.put("ledger", ledger)
-        if resolved is not None:
-            out.put("resolved", "inf" if math.isinf(resolved) else resolved)
+        if resolved:
+            out.put("resolved", "inf" if infinite else float(exact))
+            out.put("exact", None if infinite else str(exact))
         else:
             out.put("datum", datum_document(red.datum))
         out.flush()
@@ -430,13 +438,13 @@ def _cmd_reduce(args) -> int:
         err = _Out(False, "reduce", args.seed)
         for note in ledger:
             err.say(f"  {note}")
-        if resolved is not None:
+        if resolved:
             err.say(f"  nothing left; the constant is "
-                    f"{'infinite' if math.isinf(resolved) else repr(resolved)}")
+                    f"{'infinite' if infinite else _number_text(float(exact), exact)}")
         err.flush(sys.stderr)
-        if resolved is None:
+        if not resolved:
             sys.stdout.write(dump_datum(red.datum))
-    return 1 if resolved == math.inf else 0
+    return 1 if infinite else 0
 
 
 def _cmd_verify(args) -> int:

@@ -10,7 +10,9 @@ prod_{n_p>0} p^{n_p} - prod_{n_p<0} p^{-n_p}, a pure integer comparison.
 
 from __future__ import annotations
 
+import functools
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Dict, Union
 
@@ -39,14 +41,42 @@ def _factor(n: int) -> Dict[int, int]:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _ln(p: int, digits: int) -> Decimal:
+    return Context(prec=digits).ln(p)
+
+
+def _nearest_double(exp: Dict[int, Fraction]) -> float:
+    """The double nearest to prod_p p^(e_p), for a product that is not
+    rational."""
+    digits = 40
+    # Each rounded operation errs by at most u = 5 * 10^-digits relative, so
+    # the sum s of the m terms e_p ln p errs by at most (m + 3) u sum|e_p ln p|
+    # and exp(s) by that plus u; twice the bound covers the higher orders.
+    size = sum(abs(float(e) * math.log(p)) for p, e in exp.items())
+    while True:
+        ctx = Context(prec=digits)
+        s = Decimal(0)
+        for p, e in exp.items():
+            s = ctx.add(s, ctx.multiply(ctx.divide(e.numerator, e.denominator),
+                                        _ln(p, digits)))
+        y = ctx.exp(s)
+        slack = ctx.multiply(y, Decimal(10 * (len(exp) + 3) * (size + 1)).scaleb(-digits))
+        lo, hi = float(ctx.subtract(y, slack)), float(ctx.add(y, slack))
+        if lo == hi:
+            return lo
+        digits += 20
+
+
 class ExactValue:
     """A positive real number represented exactly as a product of rational
     powers of primes.  Immutable."""
 
-    __slots__ = ("_exp",)
+    __slots__ = ("_exp", "_float")
 
     def __init__(self, exponents: Dict[int, Fraction] | None = None):
         self._exp = {p: e for p, e in (exponents or {}).items() if e != 0}
+        self._float = None   # the nearest double, once asked for
 
     @classmethod
     def one(cls) -> "ExactValue":
@@ -108,9 +138,15 @@ class ExactValue:
         return out
 
     def __float__(self) -> float:
-        if self.is_rational():
-            return float(self.as_fraction())
-        return math.exp(sum(float(e) * math.log(p) for p, e in self._exp.items()))
+        """The nearest double.  An irrational value x = exp(sum_p e_p ln p)
+        is computed in decimal to 40 digits, about 64 bits beyond double
+        precision, with a bound on its relative error.  When both ends of
+        that interval round to the same double, so does x; x is never a
+        rounding boundary, so more digits always settle it."""
+        if self._float is None:
+            self._float = (float(self.as_fraction()) if self.is_rational()
+                           else _nearest_double(self._exp))
+        return self._float
 
     def _cmp(self, other: Rationalish) -> int:
         other = ExactValue.of(other)

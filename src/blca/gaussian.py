@@ -6,14 +6,24 @@ matrices M_j:
 
     obj(M) = prod_j det(M_j)^{1/2 p_j} / det(sum_j s_j^T M_j s_j / p_j)^{1/2}
 
-maximized by cyclic fixed-point updates M_j <- (s_j Q^{-1} s_j^T)^{-1}, the
-stationarity equation of obj in the j-th coordinate.  In eigencoordinates of
-the coordinate problem the update reads y <- 1 + y/p_j, which walks every
-eigenvalue toward the unique coordinate maximum p_j/(p_j - 1) without crossing
-it, so each update is monotone ascent; that is the invariant the tests lean
-on.  Divergence of the ascent is reported numerically (DIVERGED) but never
-used as a certificate; certified infiniteness comes from the exact rational
-checks in bcct_finiteness.
+maximized by cyclic fixed-point updates M_j <- (s_j Q^{-1} s_j^T)^{-1}, where
+Q = sum_j s_j^T M_j s_j / p_j, the stationarity equation of obj in the j-th
+coordinate.  In eigencoordinates of the coordinate problem the update reads
+y <- 1 + y/p_j, which walks every eigenvalue toward the unique coordinate
+maximum p_j/(p_j - 1) without crossing it, so each update is monotone ascent;
+that is the invariant the tests lean on.  Divergence of the ascent is reported
+numerically (DIVERGED) but never used as a certificate; certified infiniteness
+comes from the exact rational checks in bcct_finiteness.
+
+One sweep updates every M_j in order, then evaluates the objective once.  An
+update does not invert Q again: it reads Q^{-1} and corrects it for the change
+in M_j, by Sherman-Morrison when s_j is one row (M_j is then a number and
+nothing is factored) and by Woodbury, with one small batched inverse,
+otherwise.  At the end of the sweep Q is assembled once and factored by one
+symmetric eigendecomposition, which gives log det Q, the condition number
+lambda_max/lambda_min that the divergence check reads, and a fresh Q^{-1} for
+the next sweep.  The corrections therefore never carry rounding from one
+sweep into the next.
 
 One ascent from the identity suffices: log obj is jointly geodesically
 concave on the positive-definite matrices, so every fixed point of the ascent
@@ -55,6 +65,8 @@ BUDGET = "BUDGET"
 OBJECTIVE_CEILING = 1e8
 CONDITION_CEILING = 1e12
 ASCENT_TOLERANCE = 1e-10   # a sweep that moves the objective less has converged
+
+_SINGULAR_UPDATE = "singular matrix inside the coordinate update"
 
 
 def _float_blocks(maps, n: int) -> List[np.ndarray]:
@@ -103,27 +115,43 @@ class GaussianPoint:
 
 
 def _log_objective(sigmas: Sequence[np.ndarray], recips: Sequence[float],
-                   mats: Sequence[np.ndarray], a: int) -> Tuple[float, float]:
-    """(log objective, condition of the denominator matrix)."""
+                   mats: Sequence[np.ndarray], a: int) -> Tuple[float, float, np.ndarray]:
+    """(log objective, condition number of Q, Q^-1) at mats, where
+    Q = sum_j r_j s_j^T M_j s_j is the denominator matrix; the last two come
+    from one eigendecomposition of Q."""
     import numpy as np
-    q = np.zeros((a, a))
-    num = 0.0
-    for s, r, m in zip(sigmas, recips, mats):
-        if r == 0.0:
-            continue
-        q += r * (s.T @ m @ s)
-        if m.size:
+    # Q = S^T D S, with the maps' rows stacked in S and the blocks r_j M_j
+    # on the diagonal of D
+    terms = [(s, r, m) for s, r, m in zip(sigmas, recips, mats) if r and m.size]
+    rows = np.concatenate([s for s, _, _ in terms] or [np.zeros((0, a))])
+    d = np.zeros((len(rows), len(rows)))
+    num, at = 0.0, 0
+    for s, r, m in terms:
+        k = m.shape[0]
+        if k == 1:
+            x = float(m[0, 0])
+            if not x > 0:
+                raise SingularDenominator("covariance matrix not positive definite")
+            num += 0.5 * r * math.log(x)
+            d[at, at] = r * x
+        else:
             sign, ld = np.linalg.slogdet(m)
             if sign <= 0:
                 raise SingularDenominator("covariance matrix not positive definite")
             num += 0.5 * r * ld
+            d[at:at + k, at:at + k] = r * m
+        at += k
+    q = rows.T @ d @ rows
     if a == 0:
-        return num, 1.0
-    sign, ld = np.linalg.slogdet(q)
-    if sign <= 0:
+        return num, 1.0, q
+    try:
+        lam, vec = np.linalg.eigh(q)
+    except np.linalg.LinAlgError:
+        raise SingularDenominator("denominator matrix is singular") from None
+    if not lam[0] > 0:
         raise SingularDenominator("denominator matrix is singular")
-    cond = float(np.linalg.cond(q))
-    return num - 0.5 * ld, cond
+    ld = math.fsum(map(math.log, lam.tolist()))
+    return num - 0.5 * ld, float(lam[-1] / lam[0]), (vec / lam) @ vec.T
 
 
 def gaussian_objective(d: Datum, pt: GaussianPoint) -> float:
@@ -139,7 +167,7 @@ def gaussian_objective(d: Datum, pt: GaussianPoint) -> float:
     for s, m in zip(sigmas, pt.mats):
         if m.shape[0] != s.shape[0]:
             raise ShapeMismatch("matrix size must match the target dimension")
-    log_obj, _ = _log_objective(sigmas, recips, pt.mats, d.domain.a)
+    log_obj = _log_objective(sigmas, recips, pt.mats, d.domain.a)[0]
     return math.exp(log_obj) if log_obj < 700 else math.inf
 
 
@@ -159,33 +187,46 @@ class GaussianResult:
 
 
 def _ascend(sigmas, recips, a, init_mats, budget):
+    """Cyclic coordinate ascent from init_mats, at most budget sweeps."""
     import numpy as np
     mats = [m.copy() for m in init_mats]
     try:
-        log_obj, cond = _log_objective(sigmas, recips, mats, a)
+        log_obj, _, qinv = _log_objective(sigmas, recips, mats, a)
     except SingularDenominator as exc:
         return GaussianResult(math.inf, DIVERGED, 0, str(exc))
     log_ceiling = math.log(OBJECTIVE_CEILING)
+    active = [(j, s, r) for j, (s, r) in enumerate(zip(sigmas, recips))
+              if r and s.shape[0]]
     for sweep in range(1, budget + 1):
-        q = np.zeros((a, a))
-        for s, r, m in zip(sigmas, recips, mats):
-            if r:
-                q += r * (s.T @ m @ s)
-        for j, (s, r) in enumerate(zip(sigmas, recips)):
-            if r == 0.0 or s.shape[0] == 0:
+        for j, s, r in active:
+            # M_j <- N = middle^-1 with middle = s Q^-1 s^T.  Q changes by
+            # r s^T (N - M_j) s, so by Woodbury Q^-1 changes by -w K w^T, with
+            # w = Q^-1 s^T and K = N - (middle A middle)^-1 for
+            # A = (1 + r) N - r M_j; A is invertible while the new Q is.
+            m = mats[j]
+            if m.shape[0] == 1:
+                # one row: middle is a number mu, K = t / (mu (1 + t))
+                v = s[0]
+                w = qinv @ v
+                mu = float(v @ w)
+                if not mu > 0:
+                    return GaussianResult(math.inf, DIVERGED, sweep, _SINGULAR_UPDATE)
+                t = r * (1.0 - mu * float(m[0, 0]))
+                m[0, 0] = 1.0 / mu
+                qinv -= np.multiply.outer(t / (mu * (1.0 + t)) * w, w)
                 continue
+            w = qinv @ s.T
+            middle = s @ w
             try:
-                qinv = np.linalg.inv(q)
-                middle = s @ qinv @ s.T
-                new_m = np.linalg.inv(middle)
+                new_m, inner = np.linalg.inv(
+                    np.stack([middle, (1.0 + r) * middle - r * (middle @ m @ middle)]))
             except np.linalg.LinAlgError:
-                return GaussianResult(math.inf, DIVERGED, sweep,
-                                      "singular matrix inside the coordinate update")
+                return GaussianResult(math.inf, DIVERGED, sweep, _SINGULAR_UPDATE)
             new_m = 0.5 * (new_m + new_m.T)
-            q += r * (s.T @ (new_m - mats[j]) @ s)
+            qinv -= w @ (new_m - inner) @ w.T
             mats[j] = new_m
         try:
-            new_log_obj, cond = _log_objective(sigmas, recips, mats, a)
+            new_log_obj, cond, qinv = _log_objective(sigmas, recips, mats, a)
         except SingularDenominator as exc:
             return GaussianResult(math.inf, DIVERGED, sweep, str(exc))
         if new_log_obj > log_ceiling:

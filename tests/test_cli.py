@@ -371,6 +371,25 @@ def test_reduce_leaves_a_blocked_fold_in_place(tmp_path, capsys, doc):
     assert out["ledger"][0].startswith("left index 0 in place: ")
 
 
+@pytest.mark.parametrize("rows, code, text, resolved, exact", [
+    # the kernel mass is 1/|det| = 1/11, as `constant` reports it
+    ([[1, 2, 0], [0, -1, 3], [2, 0, 1]], 0, "0.0909090909091 (exact: 11^(-1))",
+     1 / 11, "11^(-1)"),
+    # the kernel of the one map is a line, of infinite mass
+    ([[1, 0]], 1, "infinite", "inf", None),
+])
+def test_reduce_prints_a_resolved_constant_exactly(tmp_path, capsys, rows, code,
+                                                   text, resolved, exact):
+    src = write(tmp_path, rank_one_doc(rows, [1] * len(rows)))
+    assert main(["reduce", src]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"  nothing left; the constant is {text}"
+    assert main(["reduce", "--json", src]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert (out["resolved"], out["exact"]) == (resolved, exact)
+
+
 @pytest.mark.parametrize("domain, message", [
     ({"torsion": [1, 2]}, ".domain: invariant factors must be >= 2"),
     ({"torsion": [2, 2], "haar": {"f_point": 0}},

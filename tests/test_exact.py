@@ -103,3 +103,26 @@ def test_square_root_squares_back(q):
     r = ExactValue.of(q) ** F(1, 2)
     assert (r * r).as_fraction() == q
     assert float(r) > 0
+
+
+def test_float_rounds_to_the_nearest_double():
+    # x = float(v) is nearest when x lies on x's side of the midpoints to
+    # both neighbouring doubles; with v^L = P/Q rational this is an exact
+    # comparison of P/Q with midpoint^L
+    import random
+    rnd = random.Random(13)
+    checked = 0
+    while checked < 300:
+        v, root = ExactValue.one(), 1
+        for _ in range(rnd.randint(1, 3)):
+            e = F(rnd.randint(-40, 40), rnd.randint(2, 12))
+            v = v * ExactValue.of(F(rnd.randint(1, 99), rnd.randint(1, 99))) ** e
+            root = math.lcm(root, e.denominator)
+        if v.is_rational():
+            continue
+        power = (v ** root).as_fraction()
+        x = float(v)
+        for toward in (0.0, math.inf):
+            mid = (F(x) + F(math.nextafter(x, toward))) / 2
+            assert (power > mid**root) if toward == 0.0 else (power < mid**root), v
+        checked += 1

@@ -490,3 +490,29 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     # properness once, each map's surjectivity once, all inside
     # make_nondegenerate
     assert calls == {"kernel": 1, "surjective": 3}
+
+
+def test_exact_sectors_do_not_load_numpy():
+    # numpy is imported only where floats are optimized over; importing the
+    # package and pricing finite data must not load it
+    import os
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """
+import sys
+from fractions import Fraction
+import blca, blca.cli
+print(blca.bl_constant(blca.cli.load_datum(sys.argv[1])).exact)
+G = blca.ElementaryGroup(torsion=(3, 9))
+homs = [blca.BlockHom(G, blca.ElementaryGroup(torsion=(9,)), FF=[[3, 1]]),
+        blca.BlockHom(G, blca.ElementaryGroup(torsion=(3,)), FF=[[1, 1]])]
+print(blca.bl_constant(blca.Datum(G, homs, [Fraction(3, 2), Fraction(3)])).exact)
+print('numpy' in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", script, os.path.join(root, "data", "klein4.json")],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    klein, finite, numpy_loaded = done.stdout.split("\n")[:3]
+    assert (klein, finite) == ("2", "3^(4/3)")
+    assert numpy_loaded == "False"
