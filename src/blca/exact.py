@@ -47,23 +47,30 @@ def _ln(p: int, digits: int) -> Decimal:
 
 
 def _nearest_double(exp: Dict[int, Fraction]) -> float:
-    """The double nearest to prod_p p^(e_p), for a product that is not
-    rational."""
-    digits = 40
-    # Each rounded operation errs by at most u = 5 * 10^-digits relative, so
-    # the sum s of the m terms e_p ln p errs by at most (m + 3) u sum|e_p ln p|
-    # and exp(s) by that plus u; twice the bound covers the higher orders.
+    """The double nearest to x = prod_p p^(e_p), for a product that is not
+    rational.  x = exp(sum_p e_p ln p) is computed in decimal, first to 20
+    digits beyond its error bound.  When both ends of the interval that
+    bound leaves round to the same double, so does x; x is never a rounding
+    boundary, so more digits always settle it."""
+    # Each rounded operation errs by at most u = 5 * 10^-digits relative.
+    # Each term e_p ln p takes three of them and the sum m more, so the sum
+    # errs by at most (m + 3) u sum|e_p ln p|, and its exp by that plus u.
+    # The slack is ten times that bound, rounded up to a power of ten.
     size = sum(abs(float(e) * math.log(p)) for p, e in exp.items())
+    spread = math.ceil(math.log10(10 * (len(exp) + 3) * (size + 1) * 5))
+    digits = spread + 20
     while True:
         ctx = Context(prec=digits)
         s = Decimal(0)
         for p, e in exp.items():
-            s = ctx.add(s, ctx.multiply(ctx.divide(e.numerator, e.denominator),
-                                        _ln(p, digits)))
+            s = ctx.add(s, ctx.divide(ctx.multiply(e.numerator, _ln(p, digits)),
+                                      e.denominator))
         y = ctx.exp(s)
-        slack = ctx.multiply(y, Decimal(10 * (len(exp) + 3) * (size + 1)).scaleb(-digits))
+        slack = ctx.scaleb(y, spread - digits)
         lo, hi = float(ctx.subtract(y, slack)), float(ctx.add(y, slack))
         if lo == hi:
+            if math.isinf(lo):
+                raise OverflowError("exact value too large to convert to float")
             return lo
         digits += 20
 
@@ -138,11 +145,7 @@ class ExactValue:
         return out
 
     def __float__(self) -> float:
-        """The nearest double.  An irrational value x = exp(sum_p e_p ln p)
-        is computed in decimal to 40 digits, about 64 bits beyond double
-        precision, with a bound on its relative error.  When both ends of
-        that interval round to the same double, so does x; x is never a
-        rounding boundary, so more digits always settle it."""
+        """The nearest double."""
         if self._float is None:
             self._float = (float(self.as_fraction()) if self.is_rational()
                            else _nearest_double(self._exp))
