@@ -272,6 +272,9 @@ def _kernel_cases():
         yield "critical", critical, budget, BUDGET
     axes = _rank_one_datum([[1, 0], [0, 1]], F(2))
     yield "axes", axes, 100000, DIVERGED
+    # the two covariances shrink at different rates, so the denominator's
+    # condition number passes its ceiling before the objective does
+    yield "axes, unequal", Datum(R2, axes.homs, [F(3, 2), F(3)]), 100000, DIVERGED
 
 
 def test_ascent_matches_the_textbook_loop():
