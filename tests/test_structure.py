@@ -516,3 +516,53 @@ print('numpy' in sys.modules)
     klein, finite, numpy_loaded = done.stdout.split("\n")[:3]
     assert (klein, finite) == ("2", "3^(4/3)")
     assert numpy_loaded == "False"
+
+
+# -- the vector and free parts' rank-decided reports -------------------------
+
+FRAME3 = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+          [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
+
+
+def _factor(rep, name):
+    return next(f for f in rep.factors if f.name == name)
+
+
+def test_vector_part_infinite_by_the_rank_condition():
+    # homogeneous (2 = 3 * 2/3), but the line e2 meets the kernels of the
+    # first two maps and pays only 2/3 for its dimension 1
+    d = Datum(R2, [BlockHom(R2, R1, RR=[[1, 0]]), BlockHom(R2, R1, RR=[[2, 0]]),
+                   BlockHom(R2, R1, RR=[[0, 1]])], [F(3, 2)] * 3)
+    rep = bl_constant(d)
+    assert (rep.kind, rep.certification) == (INFINITE, "certified")
+    vec = _factor(rep, "vector")
+    assert (vec.kind, vec.certification) == (INFINITE, "certified")
+    assert vec.witness == ((0, 1),)
+    assert vec.notes == ("rank condition fails at the witness subspace",)
+    assert rep.witnesses == (((0, 1),),)
+
+
+def test_vector_part_on_an_uncertified_closure_is_heuristic():
+    # the projective frame in Q^3: the closure is cut at its cap, so the
+    # finiteness the ascent prices is not certified
+    R3 = ElementaryGroup(a=3)
+    d = Datum(R3, [BlockHom(R3, R2, RR=m) for m in FRAME3], [F(8, 3)] * 4)
+    rep = bl_constant(d)
+    assert (rep.kind, rep.certification) == (UNKNOWN, "heuristic")
+    vec = _factor(rep, "vector")
+    assert (vec.kind, vec.certification, vec.witness) == (FINITE, "heuristic", None)
+    assert vec.notes == ("finiteness rests on an uncertified rank search",
+                         "gaussian ascent converged after 38 sweeps")
+
+
+def test_free_part_on_an_uncertified_closure_is_heuristic():
+    Z3, Z2t = ElementaryGroup(c=3), ElementaryGroup(c=2)
+    d = Datum(Z3, [BlockHom(Z3, Z2t, ZZ=m) for m in FRAME3], [F(8, 3)] * 4)
+    rep = bl_constant(d)
+    assert (rep.kind, rep.certification) == (UNKNOWN, "heuristic")
+    free = _factor(rep, "free")
+    assert (free.kind, free.certification, free.witness) == (FINITE, "heuristic", None)
+    assert free.exact == ExactValue.one()
+    assert free.notes == ("the rank search found no violation but could not "
+                          "certify completeness; the value assumes the "
+                          "condition holds",)
