@@ -39,7 +39,6 @@ from .homs import (
     Datum,
     GroupElement,
     adjoint_hom,
-    annihilator_lattice,
     is_proper,
     is_surjective,
     joint_kernel,
@@ -56,7 +55,6 @@ from .rank import (
     RankVerdict,
     rank_condition,
     dual_rank_condition,
-    homogeneity_check,
 )
 from .gaussian import (
     GaussianPoint,
@@ -99,12 +97,10 @@ __all__ = [
     "ExactValue",
     "ElementaryGroup", "HaarRecord", "LatticeSubgroup", "dual_group",
     "BlockHom", "ClosedSubgroup", "Datum", "GroupElement", "adjoint_hom",
-    "annihilator_lattice", "is_proper", "is_surjective", "joint_kernel",
-    "kernel_info",
+    "is_proper", "is_surjective", "joint_kernel", "kernel_info",
     "NondegenerateResult", "corestrict_open", "decompose", "kernel_embedding",
     "make_nondegenerate",
     "RankVerdict", "rank_condition", "dual_rank_condition",
-    "homogeneity_check",
     "GaussianPoint", "GaussianResult", "gaussian_objective",
     "gaussian_bl_constant", "bcct_finiteness",
     "enumerate_subgroups", "subgroup_bl_constant", "tower_limit",

@@ -51,7 +51,7 @@ from .errors import ShapeMismatch, SingularDenominator
 from .homs import Datum
 from .intmat import (columns, det_rational, from_columns, hstack, identity, matmul,
                      rational_rref)
-from .rank import RankVerdict, homogeneity_check, rank_condition
+from .rank import RankVerdict, rank_condition
 
 # numpy is imported inside the functions that use it, so that importing
 # blca, and running its exact sectors, does not load it.
@@ -65,6 +65,7 @@ BUDGET = "BUDGET"
 OBJECTIVE_CEILING = 1e8
 CONDITION_CEILING = 1e12
 ASCENT_TOLERANCE = 1e-10   # a sweep that moves the objective less has converged
+ASCENT_BUDGET = 100000     # sweeps per ascent; an ascent that uses them all is BUDGET
 
 _SINGULAR_UPDATE = "singular matrix inside the coordinate update"
 
@@ -283,7 +284,7 @@ def _split(maps, recips, critical, n: int):
     return jacobian, inner, outer
 
 
-def _piece_constant(maps, exponents, n: int, critical, budget) -> GaussianResult:
+def _piece_constant(maps, exponents, n: int, critical) -> GaussianResult:
     """Lebesgue-normalized gaussian constant of rational maps on Q^n: one
     ascent from the identity, or, given a critical subspace, the product of
     the constants of its two diagonal pieces, each split again at a critical
@@ -293,12 +294,12 @@ def _piece_constant(maps, exponents, n: int, critical, budget) -> GaussianResult
         import numpy as np
         sigmas = _float_blocks(maps, n)
         init = [np.eye(s.shape[0]) for s in sigmas]
-        return _ascend(sigmas, [float(r) for r in recips], n, init, budget)
+        return _ascend(sigmas, [float(r) for r in recips], n, init, ASCENT_BUDGET)
     jacobian, inner, outer = _split(maps, recips, critical, n)
     parts = []
     for piece, dim in ((inner, len(critical)), (outer, n - len(critical))):
         found = rank_condition(piece, exponents, dim=dim).critical
-        parts.append(_piece_constant(piece, exponents, dim, found, budget))
+        parts.append(_piece_constant(piece, exponents, dim, found))
     sweeps = sum(r.sweeps for r in parts)
     pieces = sum(r.pieces for r in parts)
     diagnosis = "; ".join(r.diagnosis for r in parts if r.diagnosis)
@@ -309,14 +310,15 @@ def _piece_constant(maps, exponents, n: int, critical, budget) -> GaussianResult
                           diagnosis, pieces)
 
 
-def gaussian_bl_constant(d: Datum, budget: int = 100000,
+def gaussian_bl_constant(d: Datum,
                          verdict: Optional[RankVerdict] = None) -> GaussianResult:
     """The gaussian constant of a vector datum, one ascent per simple piece.
 
     verdict is the datum's rank verdict when the caller already has one;
     otherwise rank_condition runs here.  Its critical subspace, if any,
     splits the datum, and each piece is split again until none is left.
-    Each remaining piece gets a single ascent from the identity.  The
+    Each remaining piece gets a single ascent from the identity, of at most
+    ASCENT_BUDGET sweeps.  The
     reported value includes the datum's Haar scales (domain scale times
     prod_j target_scale^{-1/p_j}); status is CONVERGED only when every
     piece converged, and DIVERGED reports infinity.
@@ -325,41 +327,14 @@ def gaussian_bl_constant(d: Datum, budget: int = 100000,
     a = d.domain.a
     if verdict is None:
         verdict = rank_condition(maps, d.exponents, dim=a)
-    res = _piece_constant(maps, d.exponents, a, verdict.critical, budget)
+    res = _piece_constant(maps, d.exponents, a, verdict.critical)
     return replace(res, value=res.value * _haar_scale_factor(d))
 
 
-@dataclass(frozen=True)
-class BcctVerdict:
-    finite: bool
-    certified: bool
-    homogeneous: bool
-    rank: RankVerdict
-    detail: str = ""
-
-    def __bool__(self):
-        return self.finite
-
-
-def bcct_finiteness(d: Datum) -> BcctVerdict:
-    """Exact finiteness test for a vector datum: homogeneity plus the rank
-    condition on the (rational) vector blocks.
-
-    finite=True is certified only when the rank search earned its
-    certification; a FAILS rank verdict or a homogeneity mismatch certifies
-    infiniteness outright.
-    """
-    mats = [h.RR for h in d.homs]
-    a = d.domain.a
-    homog = homogeneity_check(mats, d.exponents, dim=a)
-    rank = rank_condition(mats, d.exponents, dim=a)
-    if not homog:
-        return BcctVerdict(False, True, False, rank, "homogeneity fails: the scaling "
-                           "degree of the two sides differs, so no finite constant exists")
-    if rank.status == "FAILS":
-        return BcctVerdict(False, True, True, rank,
-                           "rank condition fails at the witness subspace")
-    certified = rank.status == "HOLDS_CERTIFIED"
-    return BcctVerdict(True, certified, True, rank,
-                       "homogeneity and rank condition hold" if certified else
-                       "homogeneity holds; rank condition searched without violation")
+def bcct_finiteness(d: Datum) -> RankVerdict:
+    """Exact finiteness test for a vector datum: the rank verdict on its
+    rational blocks.  The constant is finite exactly when the verdict is
+    homogeneous and its condition holds (Bennett, Carbery, Christ, Tao); a
+    FAILS verdict or a homogeneity mismatch certifies infiniteness, and
+    finiteness is certified only under HOLDS_CERTIFIED."""
+    return rank_condition([h.RR for h in d.homs], d.exponents, dim=d.domain.a)

@@ -26,7 +26,6 @@ from .errors import BadExponent, EmptyDatum, IrrationalEntry, NotWellDefined, Sh
 from .groups import ElementaryGroup, LatticeSubgroup, dual_group
 from .intmat import (
     clear_denominators,
-    congruence_kernel,
     from_columns,
     hermite_basis,
     identity,
@@ -153,7 +152,7 @@ class BlockHom:
         nz = [key for key, v in self.blocks().items() if any(any(row) for row in v)]
         return f"BlockHom({self.domain.describe()} -> {self.codomain.describe()}, blocks={nz or 'zero'})"
 
-    def apply(self, el: GroupElement, reduce: bool = True) -> GroupElement:
+    def apply(self, el: GroupElement) -> GroupElement:
         if (len(el.x), len(el.t), len(el.m), len(el.u)) != (
                 self.domain.a, self.domain.b, self.domain.c, self.domain.k):
             raise ShapeMismatch("element does not live in the domain")
@@ -166,14 +165,14 @@ class BlockHom:
                  + sum((Fraction(self.TT[r][i] * el.t[i]) for i in range(len(el.t))), Fraction(0))
                  + sum((self.ZT[r][i] * el.m[i] for i in range(len(el.m))), Fraction(0))
                  + sum((self.FT[r][i] * el.u[i] for i in range(len(el.u))), Fraction(0)))
-            t2.append(v % 1 if reduce else v)
+            t2.append(v % 1)
         m2 = [sum(self.ZZ[r][i] * el.m[i] for i in range(len(el.m)))
               for r in range(self.codomain.c)]
         u2 = []
         for r in range(self.codomain.k):
             v = (sum(self.ZF[r][i] * el.m[i] for i in range(len(el.m)))
                  + sum(self.FF[r][i] * el.u[i] for i in range(len(el.u))))
-            u2.append(v % self.codomain.torsion[r] if reduce else v)
+            u2.append(v % self.codomain.torsion[r])
         return GroupElement(tuple(x2), tuple(t2), tuple(m2), tuple(u2))
 
     def compose(self, inner: "BlockHom") -> "BlockHom":
@@ -401,26 +400,6 @@ class ClosedSubgroup:
         return all(self.contains_element(el) for el in other.gens)
 
 
-@dataclass(frozen=True)
-class KernelInfo:
-    noncompact_rank: int
-    subgroup: ClosedSubgroup
-
-    @property
-    def generators(self):
-        return self.subgroup.gens
-
-    @property
-    def lie(self):
-        return self.subgroup.lie
-
-    def is_compact(self) -> bool:
-        return self.noncompact_rank == 0
-
-    def is_trivial(self) -> bool:
-        return self.noncompact_rank == 0 and self.subgroup.is_trivial()
-
-
 def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> ClosedSubgroup:
     a, b, c, k = domain.a, domain.b, domain.c, domain.k
     # tangent part: exact vanishing of every connected-sector block row
@@ -521,9 +500,9 @@ def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> Closed
     return ClosedSubgroup(domain, lie, gens)
 
 
-def kernel_info(h: BlockHom) -> KernelInfo:
-    sub = _stacked_kernel(h.domain, [h])
-    return KernelInfo(sub.noncompact_rank(), sub)
+def kernel_info(h: BlockHom) -> ClosedSubgroup:
+    """The kernel of h as a closed subgroup of its domain."""
+    return _stacked_kernel(h.domain, [h])
 
 
 def joint_kernel(d: Datum) -> ClosedSubgroup:
@@ -599,29 +578,3 @@ def is_surjective(h: BlockHom) -> bool:
         return False
     orders = h.codomain.discrete_orders()
     return not orders or discrete_image_lattice(h) == LatticeSubgroup.full(orders)
-
-
-def annihilator_lattice(t_mat: Sequence[Sequence[int]], orders: Sequence[int]) -> LatticeSubgroup:
-    """Characters of T^n killing the subgroup generated by the columns of t_mat.
-
-    Column i generates a circle when orders[i] = 0 and a cyclic group of that
-    order otherwise.  Returns {m in Z^n : column_i . m = 0 mod order_i for all
-    i} in Hermite form, i.e. the annihilator inside the character lattice.
-    """
-    t_mat = [list(r) for r in t_mat]
-    n = len(t_mat)
-    cols = transpose(t_mat)
-    if len(cols) != len(orders):
-        raise ShapeMismatch("one order per generator column")
-    if not cols:
-        return LatticeSubgroup.from_generators((0,) * n, identity(n))
-    rows = []
-    moduli = []
-    for col, d in zip(cols, orders):
-        if d == 0:
-            rows.append([Fraction(v) for v in col])
-            moduli.append(0)
-        else:
-            rows.append([Fraction(v, d) for v in col])
-            moduli.append(1)
-    return LatticeSubgroup((0,) * n, congruence_kernel(rows, moduli))

@@ -35,6 +35,8 @@ _SWEEP_CAP = 10_000
 _REL_GAIN = 1e-12
 _WARM_START_MAX_ORDER = 64
 _PROBE_CEILING = 1e8
+_RESTARTS = 20      # random starts of alternating_maximization
+_PROBE_GRID = 13    # log-spaced points per map in scalar_gaussian_probe's grid
 
 
 def _require_finite_datum(d: Datum, what: str) -> None:
@@ -167,8 +169,10 @@ def _warm_starts(d: Datum, tables: List[np.ndarray]) -> List[List[np.ndarray]]:
     return starts
 
 
-def alternating_maximization(d: Datum, restarts: int = 20, seed: int = 0) -> float:
-    """Best ratio form/norms found by cyclically optimizing one input.
+def alternating_maximization(d: Datum, seed: int = 0) -> float:
+    """Best ratio form/norms found by cyclically optimizing one input, from
+    the indicator tuple of every small subgroup and from 20 random starts
+    drawn with seed.
 
     With the others fixed the form is linear in f_k, so the constrained
     optimum is an explicit power of the partial marginal: maximizing
@@ -222,7 +226,7 @@ def alternating_maximization(d: Datum, restarts: int = 20, seed: int = 0) -> flo
     best = 0.0
     for fs in _warm_starts(d, tables):
         best = max(best, run(fs))
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         fs = [rng.uniform(0.05, 1.0, size=s) for s in sizes]
         best = max(best, run(fs))
     return best
@@ -247,12 +251,13 @@ def _probe_objective(d: Datum, recips: List[float], rows: List[np.ndarray],
     return math.exp(val) * scale
 
 
-def scalar_gaussian_probe(d: Datum, grid: int = 13) -> float:
+def scalar_gaussian_probe(d: Datum) -> float:
     """Direct maximization of the gaussian objective when every target is a
     line, one positive scalar per map.
 
-    Log-spaced grid over several decades, widened while the maximum sits on
-    the boundary, then golden-section refinement coordinate by coordinate.
+    Log-spaced grid of 13 points per map over several decades, widened
+    while the maximum sits on the boundary, then golden-section refinement
+    coordinate by coordinate.
     Returns inf when widening never brings the maximum inside (the objective
     climbs without bound).
     """
@@ -280,7 +285,7 @@ def scalar_gaussian_probe(d: Datum, grid: int = 13) -> float:
     best_logt: Optional[np.ndarray] = None
     best = 0.0
     for _ in range(5):
-        axes = [np.linspace(lo, hi, grid)] * m
+        axes = [np.linspace(lo, hi, _PROBE_GRID)] * m
         best = 0.0
         best_logt = None
         for combo in itertools.product(*axes):
@@ -298,7 +303,7 @@ def scalar_gaussian_probe(d: Datum, grid: int = 13) -> float:
     else:
         return math.inf if best > _PROBE_CEILING else best
 
-    step = (hi - lo) / (grid - 1)
+    step = (hi - lo) / (_PROBE_GRID - 1)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     logt = best_logt.copy()
     for _ in range(4):
@@ -325,8 +330,9 @@ def discretized_compact_check(b: int, n: int, d: Datum) -> float:
 
     The torus T^b becomes (Z/n)^b carrying the same total mass spread evenly,
     each integer map descends coordinatewise, and the finite alternating
-    maximization runs on the result.  Along a divisibility chain of n these
-    values increase toward the torus constant.
+    maximization runs on the result with its 20 random starts from seed 0.
+    Along a divisibility chain of n these values increase toward the torus
+    constant.
     """
     if d.domain.b != b:
         raise ShapeMismatch(f"datum domain has {d.domain.b} torus dimensions, not {b}")

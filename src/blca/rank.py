@@ -35,14 +35,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
 from .groups import saturate_columns
-from .homs import Datum, annihilator_lattice, parse_exponent
+from .groups import ElementaryGroup
+from .homs import ClosedSubgroup, Datum, parse_exponent
 from .intmat import (clear_denominators, from_columns, identity, matmul,
                      rational_kernel, rational_rank, rational_rref)
+from .subquot import _annihilator_of_compact_kernel
 
 FAILS = "FAILS"
 HOLDS_CERTIFIED = "HOLDS_CERTIFIED"
 LIKELY_HOLDS = "LIKELY_HOLDS"
 
+_CLOSURE_DEPTH = 6   # rounds of joins and meets
 _CLOSURE_CAP = 2000  # subspaces; the closure stops at the first pair past it
 
 
@@ -52,12 +55,16 @@ class RankVerdict:
     subspace with positive deficit when it FAILS.  critical, never set on a
     FAILS, is the least (by dimension, then basis) proper nonzero subspace
     an exact route found with deficit exactly 0, or None: a split point for
-    the constant (Bennett, Carbery, Christ, Tao, GAFA 2008, Lemma 4.6)."""
+    the constant (Bennett, Carbery, Christ, Tao, GAFA 2008, Lemma 4.6).
+    homogeneous says whether n = sum_j rank(A_j)/p_j, i.e. whether the whole
+    space has deficit exactly 0; with the condition it decides finiteness on
+    R^n (Bennett, Carbery, Christ, Tao, GAFA 2008)."""
 
     status: str
     witness: Optional[Tuple[Tuple[int, ...], ...]] = None
     evidence: Dict[str, object] = field(default_factory=dict)
     critical: Optional[Tuple[Tuple[int, ...], ...]] = None
+    homogeneous: bool = True
 
     @property
     def ok(self) -> bool:
@@ -141,7 +148,7 @@ def _least(spaces, n):
 
 
 def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
-                   depth: int = 6, dim: Optional[int] = None) -> RankVerdict:
+                   dim: Optional[int] = None) -> RankVerdict:
     """Decide dim W <= sum_j dim(A_j W)/p_j for all subspaces W of Q^n.
 
     Routes, in order; each returns as soon as it decides:
@@ -158,8 +165,8 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         built only for the witness (among the violating F of largest rank)
         and for ``critical`` (among the tight proper nonzero F of largest
         rank).  HOLDS_CERTIFIED or FAILS.
-    (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to the given
-        depth; each round joins and meets every new subspace with every
+    (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to depth 6
+        (_CLOSURE_DEPTH rounds); each round joins and meets every new subspace with every
         other one, each unordered pair once.  The closure stops, not
         terminated, at the first pair that takes it past 2000 subspaces, so
         it holds at most 2002.  A violation is an exact FAILS.  If the
@@ -168,8 +175,9 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         HOLDS_CERTIFIED.  Otherwise LIKELY_HOLDS: the closure found no
         violation, but no completeness theorem covers it.
 
-    dim, when given, must be the width of every row; ShapeMismatch
-    otherwise.  The evidence records the route's counters, with the worst
+    Each map's rank is computed once: it picks the route and gives
+    ``homogeneous``.  dim, when given, must be the width of every row;
+    ShapeMismatch otherwise.  The evidence records the route's counters, with the worst
     deficit seen as ``max_deficit``.  Unless the verdict FAILS, ``critical`` holds the
     least proper nonzero subspace the route found with deficit exactly 0,
     where the vector-sector constant splits.
@@ -179,8 +187,10 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         return RankVerdict(HOLDS_CERTIFIED, None,
                            {"reason": "zero-dimensional domain has no nonzero subspaces"})
 
-    if all(rational_rank(m) <= 1 for m in maps):
-        return _rank_one_condition(maps, recips, n)
+    ranks = [rational_rank(m) for m in maps]
+    homogeneous = n == sum(r * k for r, k in zip(recips, ranks))
+    if max(ranks, default=0) <= 1:
+        return _rank_one_condition(maps, recips, n, homogeneous)
 
     kernels = [_cut(m, n) for m in maps]
     closure = list(dict.fromkeys([(), _full_space(n)] + kernels))
@@ -188,7 +198,7 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     terminated = True
     rounds = 0
     frontier = list(closure)
-    for rounds in range(1, depth + 1):
+    for rounds in range(1, _CLOSURE_DEPTH + 1):
         # each unordered pair once: a later frontier member meets the earlier
         # ones, and the subspaces from before this frontier, in closure order
         old = len(closure) - len(frontier)
@@ -221,7 +231,8 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     }
     violations = [s for s, d in deficits if d > 0]
     if violations:
-        return RankVerdict(FAILS, _least(violations, n), evidence)
+        return RankVerdict(FAILS, _least(violations, n), evidence,
+                           homogeneous=homogeneous)
     tight = [s for s, d in deficits if d == 0 and 0 < len(s) < n]
     critical = _least(tight, n) if tight else None
 
@@ -229,10 +240,10 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     if terminated and (n <= 3 or len(maps) <= 3 or chain):
         evidence["certificate"] = (
             f"closure of kernel lattice complete (n={n}, J={len(maps)}, chain={chain})")
-        return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical)
+        return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical, homogeneous)
 
     evidence["note"] = "no violation found; completeness criterion not met"
-    return RankVerdict(LIKELY_HOLDS, None, evidence, critical)
+    return RankVerdict(LIKELY_HOLDS, None, evidence, critical, homogeneous)
 
 
 def _closed_sets(rows):
@@ -282,7 +293,7 @@ def _closed_sets(rows):
     return out
 
 
-def _rank_one_condition(maps, recips, n) -> RankVerdict:
+def _rank_one_condition(maps, recips, n, homogeneous) -> RankVerdict:
     """Exact decision for maps of rational rank <= 1 over the closed index
     sets of their rows; subspaces only for the witness and the split."""
     rows = [next((clear_denominators(row) for row in m if any(row)), None) for m in maps]
@@ -300,13 +311,14 @@ def _rank_one_condition(maps, recips, n) -> RankVerdict:
     }
     violations = [(mask, r) for mask, r, d in flats if d > 0]
     if violations:
-        return RankVerdict(FAILS, _least(_top_flats(rows, violations, n), n), evidence)
+        return RankVerdict(FAILS, _least(_top_flats(rows, violations, n), n), evidence,
+                           homogeneous=homogeneous)
     evidence["certificate"] = (
         f"rank-one maps: Barthe's criterion checked exactly on all "
         f"{len(flats)} flats of the kernels")
     tight = [(mask, r) for mask, r, d in flats if d == 0 and 0 < r < n]
     critical = _least(_top_flats(rows, tight, n), n) if tight else None
-    return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical)
+    return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical, homogeneous)
 
 
 def _top_flats(rows, cands, n):
@@ -319,14 +331,6 @@ def _top_flats(rows, cands, n):
 def _kernels_chain(kernels) -> bool:
     by_dim = sorted(kernels, key=len)
     return all(len(_rref(big + small)) == len(big) for small, big in zip(by_dim, by_dim[1:]))
-
-
-def homogeneity_check(maps: Sequence[Sequence[Sequence]], p: Sequence,
-                      dim: Optional[int] = None) -> bool:
-    """Exact test of dim(domain) = sum_j rank(A_j)/p_j, with the shape
-    checks of rank_condition."""
-    maps, recips, n = _prepare(maps, p, dim)
-    return n == sum(r * rational_rank(a_j) for a_j, r in zip(maps, recips))
 
 
 def dual_rank_condition(torus_datum: Datum) -> RankVerdict:
@@ -344,15 +348,13 @@ def dual_rank_condition(torus_datum: Datum) -> RankVerdict:
         t = h.codomain
         if t.a or t.c or t.k:
             raise ShapeMismatch("dual rank condition expects pure-torus targets")
-    b = g.b
-    graph_cols = []
-    for i in range(b):
-        col = []
-        for h in torus_datum.homs:
-            col.extend(h.TT[r][i] for r in range(h.codomain.b))
-        graph_cols.append(col)
-    total_b = sum(h.codomain.b for h in torus_datum.homs)
-    ann = annihilator_lattice(from_columns(graph_cols, total_b), (0,) * b)
+    # the graph's image: the subtorus whose tangent vectors are the
+    # columns of the stacked maps
+    graph = ClosedSubgroup(
+        ElementaryGroup(b=sum(h.codomain.b for h in torus_datum.homs)),
+        [[h.TT[r][i] for h in torus_datum.homs for r in range(h.codomain.b)]
+         for i in range(g.b)], [])
+    ann = _annihilator_of_compact_kernel(graph, graph.group)
     basis = [list(c) for c in ann.basis]
     r = len(basis)
     if r == 0:
@@ -368,4 +370,5 @@ def dual_rank_condition(torus_datum: Datum) -> RankVerdict:
     evidence = dict(verdict.evidence)
     evidence["annihilator_rank"] = r
     evidence["annihilator_basis"] = tuple(tuple(c) for c in ann.basis)
-    return RankVerdict(verdict.status, verdict.witness, evidence, verdict.critical)
+    return RankVerdict(verdict.status, verdict.witness, evidence, verdict.critical,
+                       verdict.homogeneous)

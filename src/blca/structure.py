@@ -92,7 +92,7 @@ class FactorReport:
             "name": self.name,
             "kind": self.kind,
             "value": self.value,
-            "exact": repr(self.exact) if self.exact is not None else None,
+            "exact": str(self.exact) if self.exact is not None else None,
             "certification": self.certification,
             "witness": repr(self.witness) if self.witness is not None else None,
             "notes": list(self.notes),
@@ -128,7 +128,7 @@ class ConstantReport:
             "kind": self.kind,
             "value": None if self.value is None else (
                 "inf" if math.isinf(self.value) else self.value),
-            "exact": repr(self.exact) if self.exact is not None else None,
+            "exact": str(self.exact) if self.exact is not None else None,
             "certification": self.certification,
             "factors": [f.to_dict() for f in self.factors],
             "ledger": list(self.ledger),
@@ -454,21 +454,21 @@ def _vector_factor(fd: Datum) -> FactorReport:
                     "a map onto a proper (hence non-open) subspace "
                     "forces an infinite constant at finite exponents",))
     verdict = bcct_finiteness(fd)
-    if not verdict.finite:
-        witness = verdict.rank.witness
-        detail = verdict.detail or "finiteness test failed"
-        return FactorReport("vector", INFINITE, math.inf, None,
-                            CERTIFIED if verdict.certified else HEURISTIC,
-                            witness=witness, notes=tuple(notes) + (detail,))
-    base = HEURISTIC if verdict.rank.status == LIKELY_HOLDS else NUMERICAL
-    if verdict.rank.status == LIKELY_HOLDS:
+    if not verdict.homogeneous or verdict.status == FAILS:
+        detail = ("rank condition fails at the witness subspace" if verdict.homogeneous
+                  else "homogeneity fails: the scaling degree of the two sides "
+                       "differs, so no finite constant exists")
+        return FactorReport("vector", INFINITE, math.inf, None, CERTIFIED,
+                            witness=verdict.witness, notes=tuple(notes) + (detail,))
+    base = HEURISTIC if verdict.status == LIKELY_HOLDS else NUMERICAL
+    if verdict.status == LIKELY_HOLDS:
         notes.append("finiteness rests on an uncertified rank search")
     if fd.domain.a == 0 and all(h.codomain.a == 0 for h in fd.homs):
         corr = _scale_correction(fd)
         return FactorReport("vector", FINITE, float(corr), corr,
                             EXACT if base == NUMERICAL else base,
                             notes=tuple(notes))
-    res = gaussian_bl_constant(fd, verdict=verdict.rank)
+    res = gaussian_bl_constant(fd, verdict=verdict)
     if math.isinf(res.value):
         return FactorReport(
             "vector", UNKNOWN, None, None, HEURISTIC,
@@ -480,7 +480,7 @@ def _vector_factor(fd: Datum) -> FactorReport:
                               f" over {res.pieces} pieces split at critical "
                               f"subspaces"))
     return FactorReport("vector", FINITE, res.value, None, base,
-                        notes=tuple(notes), critical=verdict.rank.critical)
+                        notes=tuple(notes), critical=verdict.critical)
 
 
 # -- the pipeline -----------------------------------------------------------
@@ -669,7 +669,7 @@ def verify(d: Datum, *, tol: float = 1e-6, seed: int = 0
                      "note": "trivial finite part"})
     elif fin.kind == FINITE and all(p is not None and p != 1
                                     for p in part.exponents):
-        lower = alternating_maximization(part, restarts=20, seed=seed)
+        lower = alternating_maximization(part, seed=seed)
         ok = lower <= fin.value + 1e-9 and lower >= fin.value - max(1e-6, tol)
         rows.append({"part": "finite", "status": "ok" if ok else "MISMATCH",
                      "pipeline": fin.value, "oracle": lower,
@@ -843,7 +843,8 @@ def duality_check(d: Datum, tol: float = 1e-6) -> DualityReport:
     """Compare the constant with the scaled constant of the dual datum.
 
     Passes when the two finite values agree within tol relatively, or when
-    both sides are infinite.  An UNKNOWN on either side is inconclusive:
+    both sides are infinite.  An UNKNOWN on either side, and a datum with no
+    dual (improper, or with an image that stays non-open), is inconclusive:
     passed is None.  tol must be positive and finite (ValueError).
     """
     _require_tolerance(tol)
@@ -851,7 +852,7 @@ def duality_check(d: Datum, tol: float = 1e-6) -> DualityReport:
     notes: List[str] = []
     try:
         dual_d = dual_datum(d)
-    except Degenerate as exc:
+    except (Degenerate, NotProper) as exc:
         return DualityReport(primal.total, None, None, None, tol,
                              _duality_scale(d), primal,
                              _early_report(UNKNOWN, None, None, HEURISTIC,

@@ -2,11 +2,13 @@
 import math
 from fractions import Fraction
 
+import blca.gaussian
 from blca.gaussian import (BUDGET, CONVERGED, DIVERGED, GaussianPoint,
                            bcct_finiteness, gaussian_bl_constant,
                            gaussian_objective)
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, Datum
+from blca.rank import FAILS, HOLDS_CERTIFIED, RankVerdict
 
 F = Fraction
 
@@ -33,7 +35,7 @@ def test_young_sharp_constant():
     assert res.status == CONVERGED
     assert abs(res.value - math.sqrt(3) / 2) < 1e-8
     v = bcct_finiteness(young_datum())
-    assert v.finite and v.homogeneous
+    assert v.status == HOLDS_CERTIFIED and v.homogeneous
 
 
 def test_objective_at_identity():
@@ -49,7 +51,7 @@ def test_axes_p2_diverges():
     assert res.status == DIVERGED
     assert res.value == math.inf
     v = bcct_finiteness(d)
-    assert not v.finite and v.certified and not v.homogeneous
+    assert v.status == FAILS and not v.homogeneous
 
 
 def test_axes_p1_gives_one():
@@ -58,7 +60,8 @@ def test_axes_p1_gives_one():
     res = gaussian_bl_constant(d)
     assert res.status == CONVERGED
     assert abs(res.value - 1.0) < 1e-8
-    assert bcct_finiteness(d).finite
+    v = bcct_finiteness(d)
+    assert v.status == HOLDS_CERTIFIED and v.homogeneous
 
 
 def test_trivial_domain():
@@ -86,9 +89,10 @@ def test_infinite_exponent_drops_out():
     assert abs(res.value - 1.0) < 1e-8
 
 
-def test_budget_status_exists():
+def test_budget_status_exists(monkeypatch):
     # a starved budget must be reported honestly, not as convergence
-    res = gaussian_bl_constant(young_datum(), budget=2)
+    monkeypatch.setattr(blca.gaussian, "ASCENT_BUDGET", 2)
+    res = gaussian_bl_constant(young_datum())
     assert res.status in (BUDGET, CONVERGED)
     assert res.sweeps <= 2 or res.status == CONVERGED
 
@@ -175,7 +179,6 @@ def test_split_mixed_rank_matches_single_ascent():
     # bases in the targets, and must agree with one unsplit ascent
     import random
     from blca.intmat import det_rational
-    from blca.rank import HOLDS_CERTIFIED, RankVerdict
     rnd = random.Random(3)
     done = 0
     while done < 4:
@@ -191,14 +194,14 @@ def test_split_mixed_rank_matches_single_ascent():
         done += 1
 
 
-def test_capped_ascent_stays_below_the_split_value():
+def test_capped_ascent_stays_below_the_split_value(monkeypatch):
     # on a critical datum the single ascent creeps up to the constant from
     # below; no budget may carry it past the split value
-    from blca.rank import HOLDS_CERTIFIED, RankVerdict
     d = _rank_one_datum([[-2, -3], [-2, 1], [1, 1], [2, 2]], F(2))
     split = gaussian_bl_constant(d).value
     for budget in (1, 10, 100, 1000):
-        capped = gaussian_bl_constant(d, budget=budget, verdict=RankVerdict(HOLDS_CERTIFIED))
+        monkeypatch.setattr(blca.gaussian, "ASCENT_BUDGET", budget)
+        capped = gaussian_bl_constant(d, verdict=RankVerdict(HOLDS_CERTIFIED))
         assert capped.status == BUDGET
         assert capped.value <= split + 1e-9
     assert split - capped.value < 1e-3

@@ -8,10 +8,11 @@ import pytest
 from blca.errors import (BadExponent, IrrationalEntry, NotWellDefined,
                          ShapeMismatch)
 from blca.groups import ElementaryGroup, HaarRecord, dual_group
-from blca.homs import (BlockHom, Datum, GroupElement, adjoint_hom,
-                       annihilator_lattice, conjugate_exponent, image_is_open,
+from blca.homs import (BlockHom, ClosedSubgroup, Datum, GroupElement,
+                       adjoint_hom, conjugate_exponent, image_is_open,
                        is_proper, is_surjective, joint_kernel, kernel_info,
                        parse_exponent)
+from blca.subquot import _annihilator_of_compact_kernel
 
 F = Fraction
 
@@ -79,14 +80,17 @@ def test_identity_and_zero():
 
 def test_kernel_info_doubling_torus():
     h = BlockHom(T, T, TT=[[2]])
-    info = kernel_info(h)
-    assert info.is_compact()
-    assert not info.is_trivial()
-    assert info.subgroup.lie_rank() == 0
+    ker = kernel_info(h)
+    assert isinstance(ker, ClosedSubgroup) and ker.group == T
+    assert ker.is_compact()
+    assert not ker.is_trivial()
+    assert ker.lie_rank() == 0
     half = element(T, t=(F(1, 2),))
     quarter = element(T, t=(F(1, 4),))
-    assert info.subgroup.contains_element(half)
-    assert not info.subgroup.contains_element(quarter)
+    assert ker.contains_element(half)
+    assert not ker.contains_element(quarter)
+    assert kernel_info(BlockHom(T, T, TT=[[1]])).is_trivial()
+    assert not kernel_info(BlockHom(R2, R1, RR=[[1, 1]])).is_compact()
 
 
 def test_joint_kernel_shared_lift():
@@ -206,13 +210,17 @@ def test_adjoint_pairing_on_random_homs():
 
 
 def test_annihilator_lattice():
-    # one generator column (2, 0) winding a circle inside T^2: the characters
-    # killing it are those vanishing on the first coordinate
-    lat = annihilator_lattice([[2], [0]], (0,))
+    T2 = ElementaryGroup(b=2)
+    # the circle t -> (2t, 0) inside T^2: the characters killing it are those
+    # vanishing on the first coordinate
+    circle = ClosedSubgroup(T2, [[2, 0]], [])
+    lat = _annihilator_of_compact_kernel(circle, T2)
+    assert lat.orders == (0, 0)
     assert lat.contains([0, 1])
     assert not lat.contains([1, 0])
-    # a 2-torsion generator (1, 0) of order 2 is killed by even characters
-    lat2 = annihilator_lattice([[1], [0]], (2,))
+    # the point (1/2, 0) of order 2 is killed by the even characters
+    half = GroupElement((), (F(1, 2), F(0)), (), ())
+    lat2 = _annihilator_of_compact_kernel(ClosedSubgroup(T2, [], [half]), T2)
     assert lat2.contains([2, 0]) and lat2.contains([0, 1])
     assert not lat2.contains([1, 0])
 

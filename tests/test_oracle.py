@@ -46,7 +46,7 @@ def test_bl_form_values():
 def test_alternating_matches_exact_on_klein():
     d = klein_datum()
     exact = float(subgroup_bl_constant(d).value)
-    est = alternating_maximization(d, restarts=5, seed=1)
+    est = alternating_maximization(d, seed=1)
     assert abs(est - exact) < 1e-7
     assert est <= exact + 1e-9
 
@@ -55,7 +55,7 @@ def test_alternating_holder_cyclic():
     z5 = ElementaryGroup(torsion=(5,))
     idm = BlockHom(z5, z5, FF=[[1]])
     d = Datum(z5, [idm, idm], [F(2), F(2)])
-    assert abs(alternating_maximization(d, restarts=3, seed=0) - 1.0) < 1e-9
+    assert abs(alternating_maximization(d, seed=0) - 1.0) < 1e-9
 
 
 def test_alternating_never_beats_exact():
@@ -66,7 +66,7 @@ def test_alternating_never_beats_exact():
         h1 = BlockHom(z8, z4, FF=[[rnd.choice([0, 1, 2, 3])]])
         h2 = BlockHom(z8, z8, FF=[[rnd.choice([0, 1, 2, 3, 4, 5])]])
         d = Datum(z8, [h1, h2], [F(rnd.choice([2, 3])), F(3, 2)])
-        lo = alternating_maximization(d, restarts=4, seed=trial)
+        lo = alternating_maximization(d, seed=trial)
         hi = float(subgroup_bl_constant(d).value)
         assert lo <= hi + 1e-9
 

@@ -10,7 +10,7 @@ from blca.intmat import (from_columns, mat_vec, matmul, rational_kernel,
                          rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
                        _canon, _deficit, _full_space, _witness_sort_key,
-                       dual_rank_condition, homogeneity_check, rank_condition)
+                       dual_rank_condition, rank_condition)
 from test_groups import free_rank
 
 F = Fraction
@@ -80,10 +80,6 @@ def test_rank_condition_shape_guard():
     with pytest.raises(ShapeMismatch):
         rank_condition([[[1, 0]], [[1]]], [2, 2])
     with pytest.raises(ShapeMismatch):
-        homogeneity_check([[[1, 0]], [[1]]], [2, 2])
-    with pytest.raises(ShapeMismatch):
-        homogeneity_check([[[1, 0]]], [2, 2])
-    with pytest.raises(ShapeMismatch):
         rank_condition([[[1, 0, 0]]], [2], dim=2)
     general = [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]]
     for dim in (2, 4):
@@ -94,10 +90,17 @@ def test_rank_condition_shape_guard():
 
 
 def test_homogeneity_check():
+    # the verdict says whether n = sum_j rank(A_j)/p_j, on either route
     maps = [[[1, 0]], [[0, 1]], [[1, 1]]]
-    assert homogeneity_check(maps, [F(3, 2)] * 3, dim=2)
-    assert not homogeneity_check(maps, [2, 2, 2], dim=2)
-    assert homogeneity_check([], [], dim=0)
+    assert rank_condition(maps, [F(3, 2)] * 3, dim=2).homogeneous
+    low = rank_condition(maps, [2, 2, 2], dim=2)
+    assert low.status == FAILS and not low.homogeneous
+    high = rank_condition(maps, [F(4, 3)] * 3, dim=2)
+    assert high.status == HOLDS_CERTIFIED and not high.homogeneous
+    planes = [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]]]
+    assert rank_condition(planes, [2, 2, 2], dim=3).homogeneous
+    assert not rank_condition(planes, [3, 3, 3], dim=3).homogeneous
+    assert rank_condition([], [], dim=0).homogeneous
 
 
 def test_dual_rank_condition_holder_passes():
@@ -234,7 +237,7 @@ def test_certified_closure_draws_no_samples():
     assert "closure of kernel lattice complete" in v.evidence["certificate"]
 
 
-def test_uncertified_closure_is_likely_holds():
+def test_uncertified_closure_is_likely_holds(monkeypatch):
     # rank-three maps on Q^4 with kernels through e1, e2, e3, e4 and
     # (1, 1, 1, 1): a projective frame, whose join/meet lattice is infinite,
     # so the closure cannot terminate and no theorem certifies what it saw
@@ -246,8 +249,11 @@ def test_uncertified_closure_is_likely_holds():
     # the same frame in Q^3: n <= 3 certifies only a terminated closure
     frame3 = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
               [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
-    for v in (rank_condition(maps, [F(15, 4)] * 5, dim=4, depth=3),
-              rank_condition(frame3, [F(8, 3)] * 4, dim=3)):
+    import blca.rank
+    with monkeypatch.context() as cut:
+        cut.setattr(blca.rank, "_CLOSURE_DEPTH", 3)
+        frame4 = rank_condition(maps, [F(15, 4)] * 5, dim=4)
+    for v in (frame4, rank_condition(frame3, [F(8, 3)] * 4, dim=3)):
         assert v.status == LIKELY_HOLDS
         assert not v.evidence["closure_terminated"]
         assert "samples" not in v.evidence
@@ -403,8 +409,10 @@ def _saturated_closure(maps, p, n, depth):
     return status, None, _least_critical(deficits, n), evidence
 
 
-def test_closure_route_matches_saturated_closure():
+def test_closure_route_matches_saturated_closure(monkeypatch):
     import random
+
+    import blca.rank
     rnd = random.Random(9)
     seen = {FAILS: 0, HOLDS_CERTIFIED: 0, LIKELY_HOLDS: 0, "critical": 0}
     for trial in range(150):
@@ -418,7 +426,8 @@ def test_closure_route_matches_saturated_closure():
         if rnd.random() < 0.5:  # homogeneous exponents: tight subspaces appear
             p = [F(sum(rational_rank(m) for m in maps), n)] * J
         depth = rnd.randint(1, 3)
-        verdict = rank_condition(maps, p, depth=depth, dim=n)
+        monkeypatch.setattr(blca.rank, "_CLOSURE_DEPTH", depth)
+        verdict = rank_condition(maps, p, dim=n)
         status, witness, critical, evidence = _saturated_closure(maps, p, n, depth)
         assert evidence["closure_size"] <= 2000, trial
         assert verdict.status == status, trial

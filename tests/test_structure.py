@@ -291,6 +291,17 @@ def test_duality_finite_exact():
     assert chk.primal.value == 2.0 and chk.dual.value == 2.0
 
 
+def test_duality_without_a_dual_is_inconclusive():
+    # improper: the joint kernel is the line e2, so the primal is infinite and
+    # there is no dual datum to compare it with
+    d = Datum(R2, [BlockHom(R2, R1, RR=[[1, 0]])], [2])
+    chk = duality_check(d)
+    assert chk.passed is None and chk.rhs is None and chk.ratio is None
+    assert (chk.primal.kind, chk.primal.certification) == (INFINITE, "certified")
+    assert chk.dual.kind == UNKNOWN
+    assert chk.notes == ("dual datum unavailable: joint kernel has noncompact rank 1",)
+
+
 def test_mixed_product_of_sectors():
     m = ElementaryGroup(a=1, b=1)
     hm = BlockHom(m, m, RR=[[1]], TT=[[1]])
