@@ -310,18 +310,17 @@ def _piece_constant(maps, exponents, n: int, critical) -> GaussianResult:
                           diagnosis, pieces)
 
 
-def gaussian_bl_constant(d: Datum,
-                         verdict: Optional[RankVerdict] = None) -> GaussianResult:
+def gaussian_bl_constant(d: Datum, verdict: Optional[RankVerdict] = None) -> GaussianResult:
     """The gaussian constant of a vector datum, one ascent per simple piece.
 
     verdict is the datum's rank verdict when the caller already has one;
     otherwise rank_condition runs here.  Its critical subspace, if any,
     splits the datum, and each piece is split again until none is left.
     Each remaining piece gets a single ascent from the identity, of at most
-    ASCENT_BUDGET sweeps.  The
-    reported value includes the datum's Haar scales (domain scale times
-    prod_j target_scale^{-1/p_j}); status is CONVERGED only when every
-    piece converged, and DIVERGED reports infinity.
+    ASCENT_BUDGET sweeps.  The reported value includes the datum's Haar
+    scales (domain scale times prod_j target_scale^{-1/p_j}); status is
+    CONVERGED only when every piece converged, and DIVERGED reports
+    infinity.
     """
     maps = [h.RR for h in d.homs]
     a = d.domain.a

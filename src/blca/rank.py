@@ -28,14 +28,13 @@ decides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
-from .groups import saturate_columns
-from .groups import ElementaryGroup
+from .groups import ElementaryGroup, saturate_columns
 from .homs import ClosedSubgroup, Datum, parse_exponent
 from .intmat import (clear_denominators, from_columns, identity, matmul,
                      rational_kernel, rational_rank, rational_rref)
@@ -166,10 +165,10 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         and for ``critical`` (among the tight proper nonzero F of largest
         rank).  HOLDS_CERTIFIED or FAILS.
     (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to depth 6
-        (_CLOSURE_DEPTH rounds); each round joins and meets every new subspace with every
-        other one, each unordered pair once.  The closure stops, not
-        terminated, at the first pair that takes it past 2000 subspaces, so
-        it holds at most 2002.  A violation is an exact FAILS.  If the
+        (_CLOSURE_DEPTH rounds); each round joins and meets every new
+        subspace with every other one, each unordered pair once.  The
+        closure stops, not terminated, at the first pair that takes it past
+        2000 subspaces, so it holds at most 2002.  A violation is an exact FAILS.  If the
         closure terminated and n <= 3, J <= 3 or the kernels form a chain,
         the kernel lattice is complete and suffices (Valdimarsson 2010):
         HOLDS_CERTIFIED.  Otherwise LIKELY_HOLDS: the closure found no
@@ -177,10 +176,10 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
 
     Each map's rank is computed once: it picks the route and gives
     ``homogeneous``.  dim, when given, must be the width of every row;
-    ShapeMismatch otherwise.  The evidence records the route's counters, with the worst
-    deficit seen as ``max_deficit``.  Unless the verdict FAILS, ``critical`` holds the
-    least proper nonzero subspace the route found with deficit exactly 0,
-    where the vector-sector constant splits.
+    ShapeMismatch otherwise.  The evidence records the route's counters,
+    with the worst deficit seen as ``max_deficit``.  Unless the verdict
+    FAILS, ``critical`` holds the least proper nonzero subspace the route
+    found with deficit exactly 0, where the vector-sector constant splits.
     """
     maps, recips, n = _prepare(maps, p, dim)
     if n == 0:
@@ -370,5 +369,4 @@ def dual_rank_condition(torus_datum: Datum) -> RankVerdict:
     evidence = dict(verdict.evidence)
     evidence["annihilator_rank"] = r
     evidence["annihilator_basis"] = tuple(tuple(c) for c in ann.basis)
-    return RankVerdict(verdict.status, verdict.witness, evidence, verdict.critical,
-                       verdict.homogeneous)
+    return replace(verdict, evidence=evidence)
