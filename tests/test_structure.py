@@ -553,6 +553,19 @@ def test_vector_part_infinite_by_the_rank_condition():
     assert rep.witnesses == (((0, 1),),)
 
 
+def test_vector_part_infinite_by_homogeneity():
+    # the rank condition holds on the line (1 <= 2 * 2/3), but the two sides
+    # scale differently: 1 != 4/3
+    d = Datum(R1, [BlockHom(R1, R1, RR=[[1]]), BlockHom(R1, R1, RR=[[2]])],
+              [F(3, 2)] * 2)
+    rep = bl_constant(d)
+    assert (rep.kind, rep.certification) == (INFINITE, "certified")
+    vec = _factor(rep, "vector")
+    assert (vec.kind, vec.certification) == (INFINITE, "certified")
+    assert vec.notes == ("homogeneity fails: the scaling degree of the two "
+                         "sides differs, so no finite constant exists",)
+
+
 def test_vector_part_on_an_uncertified_closure_is_heuristic():
     # the projective frame in Q^3: the closure is cut at its cap, so the
     # finiteness the ascent prices is not certified
