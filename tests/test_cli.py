@@ -194,6 +194,24 @@ def test_dual_json_mode(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("doc, reason", [
+    # improper: the joint kernel is the line x = 0
+    ({"domain": {"a": 2}, "targets": [{"a": 1}], "homs": [{"RR": [[1, 0]]}],
+      "exponents": [2]}, "joint kernel has noncompact rank 1"),
+    # the image of R in R^2 is a line, which is not open
+    ({"domain": {"a": 1}, "targets": [{"a": 2}], "homs": [{"RR": [[1], [0]]}],
+      "exponents": [2]},
+     "map 0 is not surjective; the dual form needs a nondegenerate datum"),
+], ids=["improper", "image_not_open"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_dual_without_a_dual_form_exit_three(tmp_path, capsys, doc, reason, flags):
+    src = write(tmp_path, doc)
+    assert main(["dual", src] + flags) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {src}: no dual form: {reason}\n"
+
+
 def test_reduce_drops_infinite_and_unit_exponents(tmp_path, capsys):
     doc = klein_doc()
     doc["exponents"] = [1, 2]
