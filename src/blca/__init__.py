@@ -47,7 +47,6 @@ from .homs import (
 from .subquot import (
     NondegenerateResult,
     corestrict_open,
-    decompose,
     kernel_embedding,
     make_nondegenerate,
 )
@@ -57,9 +56,7 @@ from .rank import (
     dual_rank_condition,
 )
 from .gaussian import (
-    GaussianPoint,
     GaussianResult,
-    gaussian_objective,
     gaussian_bl_constant,
     bcct_finiteness,
 )
@@ -98,11 +95,10 @@ __all__ = [
     "ElementaryGroup", "HaarRecord", "LatticeSubgroup", "dual_group",
     "BlockHom", "ClosedSubgroup", "Datum", "GroupElement", "adjoint_hom",
     "is_proper", "is_surjective", "joint_kernel", "kernel_info",
-    "NondegenerateResult", "corestrict_open", "decompose", "kernel_embedding",
+    "NondegenerateResult", "corestrict_open", "kernel_embedding",
     "make_nondegenerate",
     "RankVerdict", "rank_condition", "dual_rank_condition",
-    "GaussianPoint", "GaussianResult", "gaussian_objective",
-    "gaussian_bl_constant", "bcct_finiteness",
+    "GaussianResult", "gaussian_bl_constant", "bcct_finiteness",
     "enumerate_subgroups", "subgroup_bl_constant", "tower_limit",
     "bl_form", "alternating_maximization", "scalar_gaussian_probe",
     "discretized_compact_check",

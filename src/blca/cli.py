@@ -40,13 +40,13 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .errors import BlcaError, Degenerate, NotProper
+from .errors import BlcaError, NotProper
 from .exact import ExactValue
 from .finite import tower_limit
 from .groups import ElementaryGroup, HaarRecord
 from .homs import BlockHom, Datum
-from .structure import (FINITE, INFINITE, analyze, bl_constant, dual_datum,
-                        duality_check, reduce_exponents, verify)
+from .structure import (FINITE, INFINITE, analyze, bl_constant, duality_check,
+                        reduce_exponents, verify)
 
 SCHEMA_VERSION = 1
 
@@ -390,12 +390,10 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    d = load_datum(args.file)
-    try:
-        dd = dual_datum(d)
-    except (NotProper, Degenerate) as exc:
-        raise DatumFormatError(f"{args.file}: no dual form: {exc}") from exc
-    chk = duality_check(d, tol=args.tol)
+    chk = duality_check(load_datum(args.file), tol=args.tol)
+    dd = chk.dual_datum
+    if dd is None:
+        raise DatumFormatError(f"{args.file}: no dual form: {chk.dual.ledger[0]}")
     if args.json:
         out = _Out(True, "dual", args.seed)
         out.put("dual", datum_document(dd))

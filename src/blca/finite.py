@@ -168,10 +168,11 @@ def _finite_targets(d: Datum) -> None:
 def subgroup_bl_constant(d: Datum) -> FiniteResult:
     """Exact maximum of (|H| m) / prod_j (|image_j(H)| m_j)^(1/p_j).
 
-    m and m_j are the per-point masses from the Haar records.  H is the sum
-    of its p-primary parts, so the value is m / prod_j m_j^(1/p_j) times one
-    maximum per prime p over F_p = prod_i Z/q_i, q_i the p-part of d_i,
-    embedded by y_i -> y_i d_i / q_i.  With 1/p_j = c_j / l, H scores the
+    m and m_j are the masses of a point, the scalars of the Haar records.
+    H is the sum of its p-primary parts, so the value is d.haar_factor() =
+    m / prod_j m_j^(1/p_j) times one maximum per prime p over
+    F_p = prod_i Z/q_i, q_i the p-part of d_i, embedded by
+    y_i -> y_i d_i / q_i.  With 1/p_j = c_j / l, H scores the
     integer l log_p |H| - sum_j c_j log_p |image_j H|.  Ties go to the
     largest subgroup, which is unique: log |H| is modular and each
     log |image_j H| submodular on the subgroup lattice, so the maximizers
@@ -181,9 +182,6 @@ def subgroup_bl_constant(d: Datum) -> FiniteResult:
     _finite_targets(d)
     orders = _subgroup_orders(d.domain)
     used = [(h, r) for h, r in zip(d.homs, d.reciprocal_exponents()) if r != 0]
-    scale = ExactValue.of(d.domain.haar.f_point)
-    for h, r in used:
-        scale = scale / ExactValue.of(h.codomain.haar.f_point) ** r
     denom = math.lcm(*(r.denominator for _, r in used))
     weights = [int(r * denom) for _, r in used]
     exponents: Dict[int, Fraction] = {}
@@ -209,7 +207,7 @@ def subgroup_bl_constant(d: Datum) -> FiniteResult:
         exponents[p] = Fraction(score, denom)
         size, count = size * order, count * found
         gens += [[y * c for y, c in zip(col, cofactor)] for col in basis]
-    return FiniteResult(scale * ExactValue(exponents),
+    return FiniteResult(d.haar_factor() * ExactValue(exponents),
                         LatticeSubgroup.from_generators(orders, gens), size, count)
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .errors import ShapeMismatch, SingularDenominator
+from .errors import SingularDenominator
 from .homs import Datum
 from .intmat import (columns, det_rational, from_columns, hstack, identity, matmul,
                      rational_rref)
@@ -75,44 +75,6 @@ def _float_blocks(maps, n: int) -> List[np.ndarray]:
     import numpy as np
     return [np.array([[float(x) for x in row] for row in m], dtype=float).reshape(len(m), n)
             for m in maps]
-
-
-def _haar_scale_factor(d: Datum) -> float:
-    out = float(d.domain.haar.scalar())
-    for h, r in zip(d.homs, d.reciprocal_exponents()):
-        out *= float(h.codomain.haar.scalar()) ** (-float(r))
-    return out
-
-
-class GaussianPoint:
-    """One covariance-like matrix per target, symmetric positive definite."""
-
-    __slots__ = ("mats",)
-
-    def __init__(self, mats: Sequence):
-        import numpy as np
-        self.mats = []
-        for m in mats:
-            arr = np.array(m, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ShapeMismatch("gaussian matrices must be square")
-            if arr.size and np.max(np.abs(arr - arr.T)) > 1e-12:
-                raise ShapeMismatch("gaussian matrices must be symmetric")
-            arr = 0.5 * (arr + arr.T)
-            if arr.size and np.min(np.linalg.eigvalsh(arr)) <= 0:
-                raise ShapeMismatch("gaussian matrices must be positive definite")
-            self.mats.append(arr)
-
-    @classmethod
-    def identity(cls, dims: Sequence[int]) -> "GaussianPoint":
-        import numpy as np
-        return cls([np.eye(n) for n in dims])
-
-    def __iter__(self):
-        return iter(self.mats)
-
-    def __repr__(self):
-        return f"GaussianPoint(dims={[m.shape[0] for m in self.mats]})"
 
 
 def _log_objective(sigmas: Sequence[np.ndarray], recips: Sequence[float],
@@ -153,23 +115,6 @@ def _log_objective(sigmas: Sequence[np.ndarray], recips: Sequence[float],
         raise SingularDenominator("denominator matrix is singular")
     ld = math.fsum(map(math.log, lam.tolist()))
     return num - 0.5 * ld, float(lam[-1] / lam[0]), (vec / lam) @ vec.T
-
-
-def gaussian_objective(d: Datum, pt: GaussianPoint) -> float:
-    """The gaussian ratio at pt, in the standard Lebesgue normalization.
-
-    Haar scales on the datum are deliberately not applied here; the reported
-    constant in gaussian_bl_constant carries them.
-    """
-    sigmas = _float_blocks([h.RR for h in d.homs], d.domain.a)
-    recips = [float(r) for r in d.reciprocal_exponents()]
-    if len(pt.mats) != len(sigmas):
-        raise ShapeMismatch("one matrix per map")
-    for s, m in zip(sigmas, pt.mats):
-        if m.shape[0] != s.shape[0]:
-            raise ShapeMismatch("matrix size must match the target dimension")
-    log_obj = _log_objective(sigmas, recips, pt.mats, d.domain.a)[0]
-    return math.exp(log_obj) if log_obj < 700 else math.inf
 
 
 @dataclass(frozen=True)
@@ -327,7 +272,7 @@ def gaussian_bl_constant(d: Datum, verdict: Optional[RankVerdict] = None) -> Gau
     if verdict is None:
         verdict = rank_condition(maps, d.exponents, dim=a)
     res = _piece_constant(maps, d.exponents, a, verdict.critical)
-    return replace(res, value=res.value * _haar_scale_factor(d))
+    return replace(res, value=res.value * float(d.haar_factor()))
 
 
 def bcct_finiteness(d: Datum) -> RankVerdict:

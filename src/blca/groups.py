@@ -173,10 +173,6 @@ class LatticeSubgroup:
         return cls(orders, hermite_basis(cols, n))
 
     @classmethod
-    def zero(cls, orders: Sequence[int]) -> "LatticeSubgroup":
-        return cls.from_generators(orders, [])
-
-    @classmethod
     def full(cls, orders: Sequence[int]) -> "LatticeSubgroup":
         return cls.from_generators(orders, identity(len(orders)))
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadExponent, EmptyDatum, IrrationalEntry, NotWellDefined, ShapeMismatch
+from .exact import ExactValue
 from .groups import ElementaryGroup, LatticeSubgroup, dual_group
 from .intmat import (
     clear_denominators,
@@ -306,6 +307,16 @@ class Datum:
     def conjugate_exponents(self) -> Tuple[Optional[Fraction], ...]:
         return tuple(conjugate_exponent(p) for p in self.exponents)
 
+    def haar_factor(self) -> ExactValue:
+        """m / prod_j m_j^(1/p_j), m the domain's Haar scale and m_j the j-th
+        target's: the constant of this datum over its constant at unit
+        scales."""
+        val = ExactValue.of(self.domain.haar.scalar())
+        for h, r in zip(self.homs, self.reciprocal_exponents()):
+            if r:
+                val = val / ExactValue.of(h.codomain.haar.scalar()) ** r
+        return val
+
 
 class ClosedSubgroup:
     """Closed subgroup: rational tangent directions plus discrete generators.
@@ -326,22 +337,6 @@ class ClosedSubgroup:
         for v in self.lie:
             if len(v) != group.a + group.b:
                 raise ShapeMismatch("tangent vectors live in R^{a+b}")
-
-    @classmethod
-    def full(cls, group: ElementaryGroup) -> "ClosedSubgroup":
-        lie = identity(group.a + group.b)
-        gens = []
-        for e in identity(group.c):
-            gens.append(GroupElement((Fraction(0),) * group.a, (Fraction(0),) * group.b,
-                                     tuple(e), (0,) * group.k))
-        for e in identity(group.k):
-            gens.append(GroupElement((Fraction(0),) * group.a, (Fraction(0),) * group.b,
-                                     (0,) * group.c, tuple(e)))
-        return cls(group, lie, gens)
-
-    @classmethod
-    def trivial(cls, group: ElementaryGroup) -> "ClosedSubgroup":
-        return cls(group, [], [])
 
     def lie_rank(self) -> int:
         if not self.lie:

@@ -288,24 +288,6 @@ def reduce_exponents(d: Datum) -> ExponentReduction:
 
 # -- transversal quotient ---------------------------------------------------
 
-def _maps_to_identity(h: BlockHom, n: ClosedSubgroup) -> bool:
-    g = h.domain
-    for v in n.lie:
-        vx, vt = v[: g.a], v[g.a:]
-        img_x = [sum(h.RR[r][i] * vx[i] for i in range(g.a))
-                 for r in range(h.codomain.a)]
-        img_t = [sum(h.RT[r][i] * vx[i] for i in range(g.a))
-                 + sum(h.TT[r][i] * vt[i] for i in range(g.b))
-                 for r in range(h.codomain.b)]
-        if any(img_x) or any(img_t):
-            return False
-    for el in n.gens:
-        out = h.apply(el)
-        if any(out.x) or any(out.t) or any(out.m) or any(out.u):
-            return False
-    return True
-
-
 def _compact_image_subgroup(h: BlockHom, n: ClosedSubgroup) -> ClosedSubgroup:
     g, cod = h.domain, h.codomain
     lie = []
@@ -333,7 +315,7 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
     if n.group != d.domain:
         raise ShapeMismatch("the subgroup must live in the datum's domain")
     for j, h in enumerate(d.homs):
-        if j != k and not _maps_to_identity(h, n):
+        if j != k and not kernel_info(h).contains(n):
             raise BadSubgroup(
                 f"map {j} does not annihilate the subgroup, so the quotient "
                 f"datum is not defined")
@@ -362,16 +344,6 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
 
 # -- factor evaluation ------------------------------------------------------
 
-def _scale_correction(fd: Datum) -> ExactValue:
-    """Measure correction for a part whose unit-normalized constant is 1:
-    domain scale times the product of target scales to the power -1/p."""
-    val = ExactValue.of(fd.domain.haar.scalar())
-    for h, r in zip(fd.homs, fd.reciprocal_exponents()):
-        if r:
-            val = val / ExactValue.of(h.codomain.haar.scalar()) ** r
-    return val
-
-
 # The report of a part with trivial domain and targets at unit scale, one
 # shared object per sector: most data leave three of their four parts
 # trivial, and callers that keep many reports would otherwise hold a copy of
@@ -391,13 +363,13 @@ def _trivial_report(name: str, fd: Datum) -> Optional[FactorReport]:
     if not (fd.domain.is_trivial()
             and all(h.codomain.is_trivial() for h in fd.homs)):
         return None
-    if _scale_correction(fd) != ExactValue.one():
+    if fd.haar_factor() != ExactValue.one():
         return None
     return _TRIVIAL_REPORTS[name]
 
 
 def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
-    corr = _scale_correction(fd)
+    corr = fd.haar_factor()
     if verdict.status == FAILS:
         return FactorReport(
             name, INFINITE, math.inf, None, CERTIFIED, witness=verdict.witness,
@@ -458,13 +430,17 @@ def _vector_factor(fd: Datum) -> FactorReport:
         detail = ("rank condition fails at the witness subspace" if verdict.homogeneous
                   else "homogeneity fails: the scaling degree of the two sides "
                        "differs, so no finite constant exists")
+        # homogeneity can fail where the rank condition holds; the dilations
+        # of the whole space then witness it
+        witness = (verdict.witness if verdict.witness is not None
+                   else f"dilations of R^{fd.domain.a}")
         return FactorReport("vector", INFINITE, math.inf, None, CERTIFIED,
-                            witness=verdict.witness, notes=tuple(notes) + (detail,))
+                            witness=witness, notes=tuple(notes) + (detail,))
     base = HEURISTIC if verdict.status == LIKELY_HOLDS else NUMERICAL
     if verdict.status == LIKELY_HOLDS:
         notes.append("finiteness rests on an uncertified rank search")
     if fd.domain.a == 0 and all(h.codomain.a == 0 for h in fd.homs):
-        corr = _scale_correction(fd)
+        corr = fd.haar_factor()
         return FactorReport("vector", FINITE, float(corr), corr,
                             EXACT if base == NUMERICAL else base,
                             notes=tuple(notes))
@@ -490,9 +466,9 @@ def analyze(d: Datum) -> Tuple[NondegenerateResult, Optional[str],
     """Normalize d and split it, checking properness and nondegeneracy once.
 
     Returns make_nondegenerate's result, the obstruction it recorded (None
-    when the normalized datum is nondegenerate) and, when there is none,
-    decompose's four parts (torus, vector, finite, free).  Raises NotProper
-    for an improper datum.
+    when the normalized datum is nondegenerate) and, when there is none, its
+    four diagonal parts (torus, vector, finite, free).  This is the one
+    split of a datum into parts.  Raises NotProper for an improper datum.
     """
     norm = make_nondegenerate(d)
     why = norm.obstruction
@@ -806,6 +782,10 @@ def dual_datum(d: Datum) -> Datum:
 
 @dataclass(frozen=True)
 class DualityReport:
+    """duality_check's comparison.  dual_datum is the dual datum it priced,
+    or None when the datum has no dual form (the reason is then the dual
+    side's ledger); to_dict leaves it out."""
+
     lhs: Optional[float]
     rhs: Optional[float]
     ratio: Optional[float]
@@ -815,6 +795,7 @@ class DualityReport:
     primal: ConstantReport
     dual: ConstantReport
     notes: Tuple[str, ...] = ()
+    dual_datum: Optional[Datum] = None
 
     def to_dict(self):
         return {
@@ -863,7 +844,7 @@ def duality_check(d: Datum, tol: float = 1e-6) -> DualityReport:
     if primal.kind == UNKNOWN or dual_rep.kind == UNKNOWN:
         notes.append("one side is UNKNOWN; the check is inconclusive")
         return DualityReport(primal.total, None, None, None, tol, scale,
-                             primal, dual_rep, tuple(notes))
+                             primal, dual_rep, tuple(notes), dual_d)
     if primal.kind == INFINITE or dual_rep.kind == INFINITE:
         both = primal.kind == INFINITE and dual_rep.kind == INFINITE
         if not both:
@@ -871,9 +852,9 @@ def duality_check(d: Datum, tol: float = 1e-6) -> DualityReport:
         return DualityReport(primal.total,
                              math.inf if dual_rep.kind == INFINITE else None,
                              None, both, tol, scale, primal, dual_rep,
-                             tuple(notes))
+                             tuple(notes), dual_d)
     lhs = primal.value
     rhs = scale * dual_rep.value
     ratio = lhs / rhs if rhs else math.inf
     return DualityReport(lhs, rhs, ratio, abs(ratio - 1.0) < tol, tol, scale,
-                         primal, dual_rep, tuple(notes))
+                         primal, dual_rep, tuple(notes), dual_d)

@@ -16,8 +16,9 @@ the dual measure to the annihilator and dualizing again is exactly the
 pushforward measure on the quotient, i.e. the kernel is normalized to total
 mass one.
 
-decompose then reads the four diagonal blocks off a nondegenerate datum; the
-off-diagonal blocks carry no constant of their own and are dropped.
+The four diagonal blocks of a nondegenerate datum are then its torus, vector,
+finite and free parts; the off-diagonal blocks carry no constant of their own
+and are dropped.  structure.analyze is the one routine that splits a datum.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
 
     The quotient leaves a trivial joint kernel and every corestricted map is
     onto, so the first non-open image is the only obstruction left; the
-    result records it, worded as decompose words it.
+    result records it, as "map {pos} is not surjective".
     """
     report = is_proper(d)
     if not report:
@@ -338,6 +339,8 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
 
 
 def _is_nondegenerate(d: Datum) -> Optional[str]:
+    """The first obstruction to nondegeneracy, computed afresh: the check
+    make_nondegenerate's recorded obstruction must agree with."""
     if not joint_kernel(d).is_trivial():
         return "the joint kernel is nontrivial"
     for pos, h in enumerate(d.homs):
@@ -346,21 +349,13 @@ def _is_nondegenerate(d: Datum) -> Optional[str]:
     return None
 
 
-def decompose(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
-    """Split a nondegenerate datum into its torus, vector, finite and free
-    diagonal-block data, in that order.
+def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
+    """The torus, vector, finite and free diagonal-block data of a
+    nondegenerate datum, in that order.
 
-    Each factor keeps its own sector's Haar scale; off-diagonal blocks are
+    Each part keeps its own sector's Haar scale; off-diagonal blocks are
     dropped (they do not contribute a factor of their own).
     """
-    why = _is_nondegenerate(d)
-    if why is not None:
-        raise Degenerate(why + "; run make_nondegenerate first")
-    return _sector_parts(d)
-
-
-def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
-    """decompose without its nondegeneracy check, for callers that ran it."""
     g = d.domain
     torus_dom = ElementaryGroup(b=g.b, haar=HaarRecord(torus_total=g.haar.torus_total))
     vector_dom = ElementaryGroup(a=g.a, haar=HaarRecord(vector_scale=g.haar.vector_scale))

@@ -14,7 +14,7 @@ from blca.finite import (FiniteResult, enumerate_subgroups, subgroup_bl_constant
                          tower_limit)
 from blca.groups import ElementaryGroup, HaarRecord, LatticeSubgroup
 from blca.homs import BlockHom, Datum
-from blca.structure import dual_datum
+from blca.structure import bl_constant, dual_datum
 from test_groups import finite_size, image_under
 
 F = Fraction
@@ -148,6 +148,18 @@ def test_weighted_measures():
     want = (ExactValue.of(6) / (ExactValue.of(5)
                                 * ExactValue.of(14) ** F(1, 2)))
     assert got == want
+
+
+def test_every_haar_slot_scales_a_finite_group():
+    # a point of this Z/2 has mass 3, although its f_point is 1; the
+    # pipeline, which moves torus_total into the torus part, agrees
+    g = ElementaryGroup(torsion=(2,), haar=HaarRecord(torus_total=F(3)))
+    d = Datum(g, [BlockHom(g, C2, FF=[[1]])] * 2, [2, 2])
+    three = ExactValue.of(3)
+    assert d.haar_factor() == three
+    assert bl_constant(d).exact == three
+    assert subgroup_bl_constant(d).value == three
+    assert tower_limit([d]).values == (three,)
 
 
 def test_single_quotient_map():

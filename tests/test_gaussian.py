@@ -3,9 +3,8 @@ import math
 from fractions import Fraction
 
 import blca.gaussian
-from blca.gaussian import (BUDGET, CONVERGED, DIVERGED, GaussianPoint,
-                           bcct_finiteness, gaussian_bl_constant,
-                           gaussian_objective)
+from blca.gaussian import (BUDGET, CONVERGED, DIVERGED, bcct_finiteness,
+                           gaussian_bl_constant)
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, Datum
 from blca.rank import FAILS, HOLDS_CERTIFIED, RankVerdict
@@ -39,9 +38,15 @@ def test_young_sharp_constant():
 
 
 def test_objective_at_identity():
-    # covariance sum for unit choices has determinant 12/9
-    obj = gaussian_objective(young_datum(), GaussianPoint.identity([1, 1, 1]))
-    assert abs(obj - 1 / math.sqrt(12 / 9)) < 1e-12
+    # the ascent's objective at its starting point: the covariance sum for
+    # unit choices has determinant 12/9
+    import numpy as np
+    from blca.gaussian import _float_blocks, _log_objective
+    d = young_datum()
+    sigmas = _float_blocks([h.RR for h in d.homs], 2)
+    recips = [float(r) for r in d.reciprocal_exponents()]
+    log_obj, _, _ = _log_objective(sigmas, recips, [np.eye(1)] * 3, 2)
+    assert abs(math.exp(log_obj) - 1 / math.sqrt(12 / 9)) < 1e-12
 
 
 def test_axes_p2_diverges():

@@ -9,6 +9,9 @@ the last ulp).
 Regenerate, only when an output change is intended, with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
+
+which keeps every recorded entry that a fresh run still matches, so only the
+outputs that changed are rewritten.
 """
 import contextlib
 import io
@@ -55,25 +58,39 @@ def same_json(got, want) -> bool:
     return type(got) is type(want) and got == want
 
 
-def test_cli_outputs_match_golden():
+def matches(argv, got, want) -> bool:
+    """The same exit code and stderr, and the same stdout: as text, or as
+    parsed JSON under --json."""
+    if (got["exit"], got["stderr"]) != (want["exit"], want["stderr"]):
+        return False
+    if "--json" in argv and want["stdout"] and got["stdout"]:
+        return same_json(json.loads(got["stdout"]), json.loads(want["stdout"]))
+    return got["stdout"] == want["stdout"]
+
+
+def load_golden():
     with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
+        return json.load(fh)
+
+
+def test_cli_outputs_match_golden():
+    golden = load_golden()
     keys = [" ".join(argv) for argv in cases()]
     assert sorted(keys) == sorted(golden)
     for argv, key in zip(cases(), keys):
-        got, want = run_cli(argv), golden[key]
-        assert got["exit"] == want["exit"], key
-        assert got["stderr"] == want["stderr"], key
-        if "--json" in argv and want["stdout"]:
-            assert same_json(json.loads(got["stdout"]), json.loads(want["stdout"])), key
-        else:
-            assert got["stdout"] == want["stdout"], key
+        assert matches(argv, run_cli(argv), golden[key]), key
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
+    recorded = load_golden() if os.path.exists(GOLDEN) else {}
+    fresh = {}
+    for argv in cases():
+        key, got = " ".join(argv), run_cli(argv)
+        want = recorded.get(key)
+        fresh[key] = want if want is not None and matches(argv, got, want) else got
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump({" ".join(argv): run_cli(argv) for argv in cases()}, fh, indent=1)
+        json.dump(fresh, fh, indent=1)
         fh.write("\n")

@@ -102,7 +102,7 @@ def test_lattice_from_generators_and_contains():
 
 
 def test_lattice_zero_and_full():
-    z = LatticeSubgroup.zero((0, 4))
+    z = LatticeSubgroup.from_generators((0, 4), [])
     f = LatticeSubgroup.full((0, 4))
     assert not z.contains([1, 0]) and z.contains([0, 0])
     assert f.contains([1, 3])

@@ -564,6 +564,9 @@ def test_vector_part_infinite_by_homogeneity():
     assert (vec.kind, vec.certification) == (INFINITE, "certified")
     assert vec.notes == ("homogeneity fails: the scaling degree of the two "
                          "sides differs, so no finite constant exists",)
+    # the rank condition has no violating subspace; the dilations witness it
+    assert vec.witness == "dilations of R^1"
+    assert rep.witnesses == ("dilations of R^1",)
 
 
 def test_vector_part_on_an_uncertified_closure_is_heuristic():

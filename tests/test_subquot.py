@@ -8,7 +8,8 @@ import pytest
 from blca.errors import Degenerate, NotProper
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, Datum, is_proper, is_surjective, joint_kernel
-from blca.subquot import (_is_nondegenerate, corestrict_open, decompose,
+from blca.structure import analyze
+from blca.subquot import (_is_nondegenerate, corestrict_open,
                           discrete_image_lattice, kernel_embedding,
                           make_nondegenerate, merge_finite_coordinates)
 from test_homs import CHAINS, random_hom
@@ -143,11 +144,13 @@ def test_improper_rejected():
         make_nondegenerate(Datum(Z, [half], [F(2)]))
 
 
-def test_decompose_block_diagonal():
+def test_analyze_splits_block_diagonal():
     M = ElementaryGroup(a=1, b=1, c=1, torsion=(2,),
                         haar=HaarRecord(F(3), F(5), F(7), F(11)))
     dm = Datum(M, [BlockHom.identity(M)], [F(2)])
-    d_t, d_v, d_f, d_z = decompose(dm)
+    norm, why, parts = analyze(dm)
+    assert norm.datum == dm and why is None
+    d_t, d_v, d_f, d_z = parts
     assert d_t.domain.b == 1 and d_t.domain.haar.torus_total == 5
     assert d_t.homs[0].TT == [[1]]
     assert d_v.domain.a == 1 and d_v.domain.haar.vector_scale == 3
@@ -161,14 +164,6 @@ def test_decompose_block_diagonal():
     slots = (d_t.domain.haar.torus_total * d_v.domain.haar.vector_scale
              * d_f.domain.haar.f_point * d_z.domain.haar.z_point)
     assert slots == M.haar.scalar()
-
-
-def test_decompose_rejects_degenerate():
-    with pytest.raises(Degenerate):
-        decompose(Datum(Z, [BlockHom(Z, Z, ZZ=[[2]])], [F(2)]))
-    g = ElementaryGroup(a=1, b=1)
-    with pytest.raises(Degenerate):
-        decompose(Datum(g, [BlockHom(g, R, RR=[[F(1)]])], [F(2)]))
 
 
 def test_mixed_kernel_full_pipeline():
