@@ -233,7 +233,8 @@ def _piece_constant(maps, exponents, n: int, critical) -> GaussianResult:
     """Lebesgue-normalized gaussian constant of rational maps on Q^n: one
     ascent from the identity, or, given a critical subspace, the product of
     the constants of its two diagonal pieces, each split again at a critical
-    subspace rank_condition finds in it."""
+    subspace rank_condition finds in it (a piece of dimension <= 1 has no
+    proper nonzero subspace, so it is not searched)."""
     recips = [Fraction(0) if p is None else 1 / Fraction(p) for p in exponents]
     if critical is None:
         import numpy as np
@@ -243,7 +244,7 @@ def _piece_constant(maps, exponents, n: int, critical) -> GaussianResult:
     jacobian, inner, outer = _split(maps, recips, critical, n)
     parts = []
     for piece, dim in ((inner, len(critical)), (outer, n - len(critical))):
-        found = rank_condition(piece, exponents, dim=dim).critical
+        found = rank_condition(piece, exponents, dim=dim).critical if dim > 1 else None
         parts.append(_piece_constant(piece, exponents, dim, found))
     sweeps = sum(r.sweeps for r in parts)
     pieces = sum(r.pieces for r in parts)

@@ -13,7 +13,7 @@ canonical bases are reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = List[List[int]]
@@ -192,6 +192,58 @@ def row_hermite_form(m: Sequence[Sequence[int]]) -> IntMatrix:
         if pr == nr:
             break
     return [row for row in a if any(row)]
+
+
+def primitive_rref(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, List[int]]:
+    """Fraction-free reduced row echelon form of an integer matrix: its
+    nonzero rows, each the primitive integer multiple, with positive pivot,
+    of the matching row of ``rational_rref(m)``, plus the pivot columns.
+    Canonical for the row space over Q, as the rational form is."""
+    a = [list(row) for row in m]
+    nr = len(a)
+    pivots: List[int] = []
+    for col in range(len(a[0]) if a else 0):
+        pr = len(pivots)
+        if pr == nr:
+            break
+        piv = next((i for i in range(pr, nr) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[pr], a[piv] = a[piv], a[pr]
+        row = a[pr]
+        g = gcd(*row) if row[col] > 0 else -gcd(*row)
+        if g != 1:
+            row = a[pr] = [x // g for x in row]
+        pv = row[col]
+        # pv > 0 keeps the sign of every earlier pivot; the gcd keeps each
+        # row primitive
+        for i in range(nr):
+            f = a[i][col]
+            if f and i != pr:
+                w = [pv * x - f * y for x, y in zip(a[i], row)]
+                g = gcd(*w)
+                a[i] = [x // g for x in w] if g > 1 else w
+        pivots.append(col)
+    return a[:len(pivots)], pivots
+
+
+def primitive_kernel(m: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Basis (list of columns) of the rational null space of an integer
+    matrix: each column the primitive integer multiple of the matching
+    column of ``rational_kernel(m)``."""
+    nc = len(m[0]) if m else 0
+    rows, pivots = primitive_rref(m)
+    basis = []
+    for f in (j for j in range(nc) if j not in pivots):
+        scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[f]))
+        vec = [0] * nc
+        vec[f] = scale
+        for row, pc in zip(rows, pivots):
+            if row[f]:
+                vec[pc] = -row[f] * (scale // row[pc])
+        g = gcd(*vec)
+        basis.append([x // g for x in vec] if g > 1 else vec)
+    return basis
 
 
 def column_hermite_form(m: Sequence[Sequence[int]]) -> IntMatrix:

@@ -22,8 +22,10 @@ decides:
    criterion certifies the condition (Valdimarsson, The Brascamp-Lieb
    polyhedron, Canad. J. Math. 2010: the kernel lattice suffices); a closure
    that finds no violation but is not covered by the criterion gives
-   LIKELY_HOLDS.  The closure names its subspaces by echelon bases over Q;
-   only the witness and the critical subspace get saturated integer bases.
+   LIKELY_HOLDS.  The closure works in integer arithmetic: it names each
+   subspace by its fraction-free reduced echelon basis, and the maps' rows
+   are cleared to integers once.  Only the witness and the critical subspace
+   get saturated integer bases.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import ShapeMismatch
 from .groups import ElementaryGroup, saturate_columns
 from .homs import ClosedSubgroup, Datum, parse_exponent
-from .intmat import (clear_denominators, from_columns, identity, matmul,
-                     rational_kernel, rational_rank, rational_rref)
+from .intmat import (clear_denominators, identity, matmul, primitive_kernel,
+                     primitive_rref, transpose)
 from .subquot import _annihilator_of_compact_kernel
 
 FAILS = "FAILS"
@@ -74,31 +76,33 @@ class RankVerdict:
 
 
 # -- subspace bookkeeping ---------------------------------------------------
-# The closure names each subspace of Q^n by its reduced row echelon basis (a
-# tuple of rational rows), which is canonical and hashable; sums stack bases
-# and meets stack annihilators.  Only a subspace a verdict reports is given
-# its saturated Hermite basis (``_canon``), by ``_least``.
+# The closure names each subspace of Q^n by its fraction-free reduced echelon
+# basis (``primitive_rref``: each row the primitive integer multiple of the
+# reduced row echelon row, pivot positive), which is canonical and hashable;
+# sums stack bases and meets take the kernel of the stacked annihilators, all
+# in integer arithmetic.  Only a subspace a verdict reports is given its
+# saturated Hermite basis (``_canon``), by ``_least``.
 
 def _canon(cols, n) -> Tuple[Tuple[int, ...], ...]:
-    cleaned = [clear_denominators(c) for c in cols if any(Fraction(x) != 0 for x in c)]
-    if not cleaned:
-        return ()
-    return tuple(tuple(c) for c in saturate_columns(cleaned, n))
+    return tuple(map(tuple, saturate_columns(cols, n)))
 
 
-def _rref(rows) -> Tuple[Tuple[Fraction, ...], ...]:
-    """The echelon name of span(rows)."""
-    rref, pivots = rational_rref(rows)
-    return tuple(map(tuple, rref[:len(pivots)]))
+def _rref(rows) -> Tuple[Tuple[int, ...], ...]:
+    """The echelon name of span(rows), for integer rows."""
+    return tuple(map(tuple, primitive_rref(rows)[0]))
+
+
+def _rank(rows) -> int:
+    return len(primitive_rref(rows)[1])
 
 
 def _cut(covectors, n):
     """The echelon name of the subspace where every covector vanishes."""
-    return _rref(rational_kernel(covectors)) if covectors else _full_space(n)
+    return _rref(primitive_kernel(covectors)) if covectors else _full_space(n)
 
 
 def _annihilator(space, n):
-    return rational_kernel(space) if space else identity(n)
+    return primitive_kernel(space) if space else identity(n)
 
 
 def _full_space(n):
@@ -106,9 +110,10 @@ def _full_space(n):
 
 
 def _prepare(maps, p, dim):
-    """Fraction maps, the reciprocal exponents (0 for p = inf) and the domain
+    """The maps with each row cleared to integers (scaling a row changes no
+    rank or kernel), the reciprocal exponents (0 for p = inf) and the domain
     dimension n, checked against the rows of every map."""
-    maps = [[[Fraction(x) for x in row] for row in m] for m in maps]
+    maps = [[clear_denominators([Fraction(x) for x in row]) for row in m] for m in maps]
     recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
     if len(maps) != len(recips):
         raise ShapeMismatch("one exponent per map")
@@ -121,17 +126,16 @@ def _prepare(maps, p, dim):
     return maps, recips, n
 
 
-def _deficit(space, maps, recips, n) -> Fraction:
-    """dim W - sum_j dim(A_j W)/p_j; positive means the inequality fails at W."""
+def _deficit(space, maps, recips) -> Fraction:
+    """dim W - sum_j dim(A_j W)/p_j for W named by integer rows; positive
+    means the inequality fails at W."""
     if not space:
         return Fraction(0)
-    bmat = from_columns([list(c) for c in space], n)
     total = Fraction(len(space))
     for a_j, r in zip(maps, recips):
         if r == 0:
             continue
-        img = matmul(a_j, bmat)
-        total -= r * rational_rank(img)
+        total -= r * _rank(matmul(space, transpose(a_j)))
     return total
 
 
@@ -166,13 +170,18 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         rank).  HOLDS_CERTIFIED or FAILS.
     (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to depth 6
         (_CLOSURE_DEPTH rounds); each round joins and meets every new
-        subspace with every other one, each unordered pair once.  The
-        closure stops, not terminated, at the first pair that takes it past
-        2000 subspaces, so it holds at most 2002.  A violation is an exact FAILS.  If the
-        closure terminated and n <= 3, J <= 3 or the kernels form a chain,
-        the kernel lattice is complete and suffices (Valdimarsson 2010):
-        HOLDS_CERTIFIED.  Otherwise LIKELY_HOLDS: the closure found no
-        violation, but no completeness theorem covers it.
+        subspace with every other one, each unordered pair once.  Each
+        subspace is named by integer echelon rows, each the primitive
+        multiple of its reduced row echelon row; a join re-echelons the two
+        stacked names, and a meet is the integer kernel of the two stacked
+        annihilators unless dim S + dim T - dim(S + T) already names it (0,
+        S or T).  The closure stops, not terminated, at the first pair that
+        takes it past 2000 subspaces, so it holds at most 2002.  A violation
+        is an exact FAILS.  If the closure terminated and n <= 3, J <= 3 or
+        the kernels form a chain, the kernel lattice is complete and
+        suffices (Valdimarsson 2010): HOLDS_CERTIFIED.  Otherwise
+        LIKELY_HOLDS: the closure found no violation, but no completeness
+        theorem covers it.
 
     Each map's rank is computed once: it picks the route and gives
     ``homogeneous``.  dim, when given, must be the width of every row;
@@ -186,7 +195,7 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         return RankVerdict(HOLDS_CERTIFIED, None,
                            {"reason": "zero-dimensional domain has no nonzero subspaces"})
 
-    ranks = [rational_rank(m) for m in maps]
+    ranks = [_rank(m) for m in maps]
     homogeneous = n == sum(r * k for r, k in zip(recips, ranks))
     if max(ranks, default=0) <= 1:
         return _rank_one_condition(maps, recips, n, homogeneous)
@@ -205,7 +214,13 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         pairs = ((s, t) for i, s in enumerate(frontier)
                  for t in closure[:old] + frontier[i + 1:])
         for s, t in pairs:
-            for cand in (_rref(s + t), _cut(covectors[s] + covectors[t], n)):
+            join = _rref(s + t)
+            # dim(S meet T) = dim S + dim T - dim(S + T) names the meet
+            # outright when it is 0, S or T
+            low = len(s) + len(t) - len(join)
+            meet = (() if not low else s if low == len(s) else t if low == len(t)
+                    else _cut(covectors[s] + covectors[t], n))
+            for cand in (join, meet):
                 if cand not in covectors:
                     covectors[cand] = _annihilator(cand, n)
                     fresh.append(cand)
@@ -221,7 +236,7 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     else:
         terminated = False  # depth exhausted while new subspaces kept appearing
 
-    deficits = [(s, _deficit(s, maps, recips, n)) for s in closure]
+    deficits = [(s, _deficit(s, maps, recips)) for s in closure]
     evidence: Dict[str, object] = {
         "closure_size": len(closure),
         "closure_terminated": terminated,
@@ -295,7 +310,7 @@ def _closed_sets(rows):
 def _rank_one_condition(maps, recips, n, homogeneous) -> RankVerdict:
     """Exact decision for maps of rational rank <= 1 over the closed index
     sets of their rows; subspaces only for the witness and the split."""
-    rows = [next((clear_denominators(row) for row in m if any(row)), None) for m in maps]
+    rows = [next((row for row in m if any(row)), None) for m in maps]
     scale = lcm(*(r.denominator for r in recips))
     weights = [int(r * scale) for r in recips]
     outside = sum(weights)
@@ -329,7 +344,7 @@ def _top_flats(rows, cands, n):
 
 def _kernels_chain(kernels) -> bool:
     by_dim = sorted(kernels, key=len)
-    return all(len(_rref(big + small)) == len(big) for small, big in zip(by_dim, by_dim[1:]))
+    return all(_rank(big + small) == len(big) for small, big in zip(by_dim, by_dim[1:]))
 
 
 def dual_rank_condition(torus_datum: Datum) -> RankVerdict:

@@ -199,6 +199,22 @@ def test_split_mixed_rank_matches_single_ascent():
         done += 1
 
 
+def test_lines_are_not_searched_for_a_critical_subspace(monkeypatch):
+    # R^3 splits at a kernel line into that line and a plane, and the plane
+    # splits into two lines: only the datum and the plane have a proper
+    # nonzero subspace to search
+    dims = []
+    search = blca.gaussian.rank_condition
+    monkeypatch.setattr(blca.gaussian, "rank_condition",
+                        lambda maps, p, dim: dims.append(dim) or search(maps, p, dim=dim))
+    d = _loomis_whitney_type([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    split = gaussian_bl_constant(d)
+    assert dims == [3, 2]
+    single = gaussian_bl_constant(d, verdict=RankVerdict(HOLDS_CERTIFIED))
+    assert split.status == CONVERGED and split.pieces == 3
+    assert abs(split.value - single.value) < 1e-9
+
+
 def test_capped_ascent_stays_below_the_split_value(monkeypatch):
     # on a critical datum the single ascent creeps up to the constant from
     # below; no budget may carry it past the split value

@@ -1,5 +1,6 @@
 """Exact integer and rational linear algebra underneath everything else."""
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from blca.intmat import (clear_denominators, column_hermite_form,
                          congruence_kernel, det_rational, diagonal_of,
                          from_columns, hermite_basis, hstack, identity,
-                         integer_kernel, matmul, mat_vec, rational_kernel,
-                         rational_rank, rational_rref, row_hermite_form,
+                         integer_kernel, matmul, mat_vec, primitive_kernel,
+                         primitive_rref, rational_kernel, rational_rank,
+                         rational_rref, row_hermite_form,
                          smith_normal_form, solve_integer, solve_rational,
                          transpose, unimodular_inverse)
 
@@ -112,6 +114,66 @@ def test_rational_rref_pivots():
     red, pivots = rational_rref([[F(0), F(2)], [F(0), F(4)]])
     assert pivots == [1]
     assert red[0] == [F(0), F(1)]
+
+
+def test_primitive_rref_pivots():
+    rows, pivots = primitive_rref([[0, -2, 4], [0, 1, -2], [3, 0, 1]])
+    assert (rows, pivots) == ([[3, 0, 1], [0, 1, -2]], [0, 1])
+    assert primitive_rref([]) == ([], [])
+    assert primitive_kernel([[2, 4, 0], [0, 3, 6]]) == [[4, -2, 1]]
+
+
+def _random_rational_matrix(rnd):
+    """Up to 7 rows in Q^n, n <= 5 (tall and wide), with zero rows,
+    duplicate rows, multiples and sums of earlier rows, and rational rows."""
+    n = rnd.randint(1, 5)
+    rows = []
+    for _ in range(rnd.randint(0, 7)):
+        kind = rnd.random()
+        if kind < 0.12:
+            row = [F(0)] * n
+        elif rows and kind < 0.25:
+            row = list(rnd.choice(rows))
+        elif rows and kind < 0.4:
+            c = F(rnd.choice([-3, -1, 2]), rnd.choice([1, 2]))
+            row = [c * x + y for x, y in zip(rnd.choice(rows), rnd.choice(rows))]
+        elif kind < 0.65:
+            row = [F(rnd.randint(-4, 4), rnd.choice([1, 2, 3, 6])) for _ in range(n)]
+        else:
+            row = [F(rnd.randint(-6, 6)) for _ in range(n)]
+        rows.append(row)
+    return rows
+
+
+def test_primitive_names_match_the_rational_forms():
+    # each row cleared to integers on its own, as the rank checker does
+    import random
+    rnd = random.Random(20261019)
+    seen = {"empty": 0, "zero row": 0, "tall": 0, "wide": 0, "rational": 0, "pivot > 1": 0}
+    for trial in range(600):
+        rat = _random_rational_matrix(rnd)
+        m = [clear_denominators(row) for row in rat]
+        rows, pivots = primitive_rref(m)
+        rref, rat_pivots = rational_rref(rat)
+        assert pivots == rat_pivots, trial
+        assert len(rows) == len(pivots), trial
+        for row, pc, q in zip(rows, pivots, rref):
+            assert row[pc] > 0 and gcd(*row) == 1, trial
+            assert [F(x, row[pc]) for x in row] == q, trial
+        ker, rat_ker = primitive_kernel(m), rational_kernel(rat)
+        assert len(ker) == len(rat_ker), trial
+        for v in ker:
+            assert all(type(x) is int for x in v) and not any(mat_vec(m, v)), trial
+        if ker:
+            assert rational_rank(ker + rat_ker) == len(rat_ker), trial
+        n = len(m[0]) if m else 0
+        seen["empty"] += not m
+        seen["zero row"] += any(not any(row) for row in m)
+        seen["tall"] += len(m) > n > 0
+        seen["wide"] += 0 < len(m) < n
+        seen["rational"] += any(x.denominator > 1 for row in rat for x in row)
+        seen["pivot > 1"] += any(row[pc] > 1 for row, pc in zip(rows, pivots))
+    assert min(seen.values()) >= 25, seen
 
 
 def test_det_rational():

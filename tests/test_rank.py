@@ -9,7 +9,7 @@ from blca.homs import BlockHom, ClosedSubgroup, Datum
 from blca.intmat import (from_columns, mat_vec, matmul, rational_kernel,
                          rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
-                       _canon, _deficit, _full_space, _witness_sort_key,
+                       _canon, _full_space, _witness_sort_key,
                        dual_rank_condition, rank_condition)
 from test_groups import free_rank
 
@@ -278,6 +278,16 @@ def _meet_space(s1, s2, n):
         vecs.append([sum(F(s1[i][r]) * alpha[i] for i in range(len(s1)))
                      for r in range(n)])
     return _canon(vecs, n)
+
+
+def _deficit(space, maps, recips, n):
+    """dim W - sum_j r_j dim(A_j W) by Fraction elimination, so that the
+    references share no subspace arithmetic with the integer code under test."""
+    if not space:
+        return F(0)
+    bmat = from_columns([list(c) for c in space], n)
+    return F(len(space)) - sum(r * rational_rank(matmul(a_j, bmat))
+                               for a_j, r in zip(maps, recips) if r)
 
 
 def _least_critical(deficits, n):
