@@ -53,7 +53,6 @@ from .subquot import (
 from .rank import (
     RankVerdict,
     rank_condition,
-    dual_rank_condition,
 )
 from .gaussian import (
     GaussianResult,
@@ -97,7 +96,7 @@ __all__ = [
     "is_proper", "is_surjective", "joint_kernel", "kernel_info",
     "NondegenerateResult", "corestrict_open", "kernel_embedding",
     "make_nondegenerate",
-    "RankVerdict", "rank_condition", "dual_rank_condition",
+    "RankVerdict", "rank_condition",
     "GaussianResult", "gaussian_bl_constant", "bcct_finiteness",
     "enumerate_subgroups", "subgroup_bl_constant", "tower_limit",
     "bl_form", "alternating_maximization", "scalar_gaussian_probe",

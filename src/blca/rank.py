@@ -1,12 +1,17 @@
 """Rank-condition checkers over Q.
 
-The discrete and vector sectors control finiteness through inequalities of
-the form dim W <= sum_j dim(A_j W) / p_j over all subspaces W.  There is no
-known terminating decision procedure over the full subspace lattice once the
-kernels generate an infinite modular lattice, so the checker is three-valued:
-FAILS carries an exact witness, HOLDS_CERTIFIED is only claimed under a
-cited completeness theorem, and everything else is LIKELY_HOLDS with the
-closure's statistics attached.
+The free and vector sectors control finiteness through inequalities of the
+form dim W <= sum_j dim(A_j W) / p_j over all subspaces W: the deficit
+dim W - sum_j dim(A_j W) / p_j is at most 0.  The torus sector controls it
+through the same deficit against a level, the deficit of the whole space:
+no subspace may have a larger deficit than Q^n (the torus case of Bennett,
+Carbery, Christ, Tao, Finite bounds for Hölder-Brascamp-Lieb multilinear
+inequalities, Math. Res. Lett. 2010).  A subspace violates when its deficit
+is above the level.  There is no known terminating decision procedure over
+the full subspace lattice once the kernels generate an infinite modular
+lattice, so the checker is three-valued: FAILS carries an exact witness,
+HOLDS_CERTIFIED is only claimed under a cited completeness theorem, and
+everything else is LIKELY_HOLDS with the closure's statistics attached.
 
 ``rank_condition`` tries its routes in order and stops at the first that
 decides:
@@ -30,17 +35,16 @@ decides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
-from .groups import ElementaryGroup, saturate_columns
-from .homs import ClosedSubgroup, Datum, parse_exponent
+from .groups import saturate_columns
+from .homs import parse_exponent
 from .intmat import (clear_denominators, identity, matmul, primitive_kernel,
                      primitive_rref, transpose)
-from .subquot import _annihilator_of_compact_kernel
 
 FAILS = "FAILS"
 HOLDS_CERTIFIED = "HOLDS_CERTIFIED"
@@ -53,9 +57,10 @@ _CLOSURE_CAP = 2000  # subspaces; the closure stops at the first pair past it
 @dataclass(frozen=True)
 class RankVerdict:
     """status is FAILS, HOLDS_CERTIFIED or LIKELY_HOLDS; witness is a
-    subspace with positive deficit when it FAILS.  critical, never set on a
-    FAILS, is the least (by dimension, then basis) proper nonzero subspace
-    an exact route found with deficit exactly 0, or None: a split point for
+    subspace with deficit above the level (0, or for a torus the deficit of
+    the whole space) when it FAILS.  critical, never set on a FAILS, is the
+    least (by dimension, then basis) proper nonzero subspace an exact route
+    found with deficit exactly at the level, or None: a split point for
     the constant (Bennett, Carbery, Christ, Tao, GAFA 2008, Lemma 4.6).
     homogeneous says whether n = sum_j rank(A_j)/p_j, i.e. whether the whole
     space has deficit exactly 0; with the condition it decides finiteness on
@@ -111,7 +116,8 @@ def _full_space(n):
 
 def _prepare(maps, p, dim):
     """The maps with each row cleared to integers (scaling a row changes no
-    rank or kernel), the reciprocal exponents (0 for p = inf) and the domain
+    rank or kernel), the integer weights scale/p_j (0 for p = inf) with
+    their scale, the lcm of the denominators of the 1/p_j, and the domain
     dimension n, checked against the rows of every map."""
     maps = [[clear_denominators([Fraction(x) for x in row]) for row in m] for m in maps]
     recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
@@ -123,20 +129,17 @@ def _prepare(maps, p, dim):
     n = dim if dim is not None else (widths.pop() if widths else 0)
     if widths - {n}:
         raise ShapeMismatch(f"maps act on Q^{widths.pop()}, not on Q^{n}")
-    return maps, recips, n
+    scale = lcm(*(r.denominator for r in recips))
+    return maps, [int(r * scale) for r in recips], scale, n
 
 
-def _deficit(space, maps, recips) -> Fraction:
-    """dim W - sum_j dim(A_j W)/p_j for W named by integer rows; positive
-    means the inequality fails at W."""
+def _deficit(space, maps, weights, scale) -> int:
+    """(dim W - sum_j dim(A_j W)/p_j) * scale for W named by integer rows,
+    with the integer weights scale/p_j."""
     if not space:
-        return Fraction(0)
-    total = Fraction(len(space))
-    for a_j, r in zip(maps, recips):
-        if r == 0:
-            continue
-        total -= r * _rank(matmul(space, transpose(a_j)))
-    return total
+        return 0
+    return len(space) * scale - sum(w * _rank(matmul(space, transpose(a_j)))
+                                    for a_j, w in zip(maps, weights) if w)
 
 
 def _witness_sort_key(space):
@@ -151,8 +154,15 @@ def _least(spaces, n):
 
 
 def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
-                   dim: Optional[int] = None) -> RankVerdict:
-    """Decide dim W <= sum_j dim(A_j W)/p_j for all subspaces W of Q^n.
+                   dim: Optional[int] = None, *, torus: bool = False) -> RankVerdict:
+    """Decide dim W <= sum_j dim(A_j W)/p_j for all subspaces W of Q^n; with
+    torus, decide that no W has a larger deficit than Q^n.
+
+    The deficit of W is dim W - sum_j dim(A_j W)/p_j.  A subspace violates
+    when its deficit is above the level: 0, or with torus the deficit
+    n - sum_j rank(A_j)/p_j of Q^n itself, the torus condition (Bennett,
+    Carbery, Christ, Tao, Math. Res. Lett. 2010).  There the zero subspace
+    violates when the level is negative: functions concentrated at a point.
 
     Routes, in order; each returns as soon as it decides:
 
@@ -183,22 +193,37 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         LIKELY_HOLDS: the closure found no violation, but no completeness
         theorem covers it.
 
-    Each map's rank is computed once: it picks the route and gives
-    ``homogeneous``.  dim, when given, must be the width of every row;
+    Both routes hold at the level.  Route (i) compares every flat with it,
+    and enlarging W to its flat never lowers the deficit, whatever the
+    level.  For route (ii) put U = W^perp and let K_j be a basis of
+    ker A_j, so rank(A_j) - dim(A_j W) = dim U - dim(K_j^T U).  With
+    r_j = 1/p_j and R = sum_j r_j, the level form reads
+    (R - 1) dim U <= sum_j r_j dim(K_j^T U): a level-0 rank condition at
+    the exponents (R - 1)/r_j (when R <= 1 it holds outright, by Hölder).
+    W -> W^perp carries this closure onto that condition's closure (it
+    swaps sums and meets, and the kernel of K_j^T is (ker A_j)^perp), so
+    n, J, the chain test and termination are the same, and so is the
+    completeness rule.
+
+    Each map's rank is computed once: it picks the route, gives the level
+    and ``homogeneous``.  dim, when given, must be the width of every row;
     ShapeMismatch otherwise.  The evidence records the route's counters,
-    with the worst deficit seen as ``max_deficit``.  Unless the verdict
-    FAILS, ``critical`` holds the least proper nonzero subspace the route
-    found with deficit exactly 0, where the vector-sector constant splits.
+    with the largest deficit seen as ``max_deficit`` and, when it is not 0,
+    the ``level``.  Unless the verdict FAILS, ``critical`` holds the least
+    proper nonzero subspace the route found with deficit exactly at the
+    level, where the vector-sector constant splits.
     """
-    maps, recips, n = _prepare(maps, p, dim)
+    maps, weights, scale, n = _prepare(maps, p, dim)
     if n == 0:
         return RankVerdict(HOLDS_CERTIFIED, None,
                            {"reason": "zero-dimensional domain has no nonzero subspaces"})
 
     ranks = [_rank(m) for m in maps]
-    homogeneous = n == sum(r * k for r, k in zip(recips, ranks))
+    whole = n * scale - sum(w * k for w, k in zip(weights, ranks))
+    level = whole if torus else 0
+    homogeneous = whole == 0
     if max(ranks, default=0) <= 1:
-        return _rank_one_condition(maps, recips, n, homogeneous)
+        return _rank_one_condition(maps, weights, scale, n, level, homogeneous)
 
     kernels = [_cut(m, n) for m in maps]
     closure = list(dict.fromkeys([(), _full_space(n)] + kernels))
@@ -236,18 +261,20 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     else:
         terminated = False  # depth exhausted while new subspaces kept appearing
 
-    deficits = [(s, _deficit(s, maps, recips)) for s in closure]
+    deficits = [(s, _deficit(s, maps, weights, scale)) for s in closure]
     evidence: Dict[str, object] = {
         "closure_size": len(closure),
         "closure_terminated": terminated,
         "closure_rounds": rounds,
-        "max_deficit": max(d for _, d in deficits),
+        "max_deficit": Fraction(max(d for _, d in deficits), scale),
     }
-    violations = [s for s, d in deficits if d > 0]
+    if level:
+        evidence["level"] = Fraction(level, scale)
+    violations = [s for s, d in deficits if d > level]
     if violations:
         return RankVerdict(FAILS, _least(violations, n), evidence,
                            homogeneous=homogeneous)
-    tight = [s for s, d in deficits if d == 0 and 0 < len(s) < n]
+    tight = [s for s, d in deficits if d == level and 0 < len(s) < n]
     critical = _least(tight, n) if tight else None
 
     chain = _kernels_chain(kernels)
@@ -307,12 +334,11 @@ def _closed_sets(rows):
     return out
 
 
-def _rank_one_condition(maps, recips, n, homogeneous) -> RankVerdict:
+def _rank_one_condition(maps, weights, scale, n, level, homogeneous) -> RankVerdict:
     """Exact decision for maps of rational rank <= 1 over the closed index
-    sets of their rows; subspaces only for the witness and the split."""
+    sets of their rows, deficits scaled by scale against the scaled level;
+    subspaces only for the witness and the split."""
     rows = [next((row for row in m if any(row)), None) for m in maps]
-    scale = lcm(*(r.denominator for r in recips))
-    weights = [int(r * scale) for r in recips]
     outside = sum(weights)
     flats = []  # (F, r(F), deficit * scale): integer sums over the weights
     for mask, r in _closed_sets(rows):
@@ -323,14 +349,16 @@ def _rank_one_condition(maps, recips, n, homogeneous) -> RankVerdict:
         "flats": len(flats),
         "max_deficit": Fraction(max(d for _, _, d in flats), scale),
     }
-    violations = [(mask, r) for mask, r, d in flats if d > 0]
+    if level:
+        evidence["level"] = Fraction(level, scale)
+    violations = [(mask, r) for mask, r, d in flats if d > level]
     if violations:
         return RankVerdict(FAILS, _least(_top_flats(rows, violations, n), n), evidence,
                            homogeneous=homogeneous)
     evidence["certificate"] = (
         f"rank-one maps: Barthe's criterion checked exactly on all "
         f"{len(flats)} flats of the kernels")
-    tight = [(mask, r) for mask, r, d in flats if d == 0 and 0 < r < n]
+    tight = [(mask, r) for mask, r, d in flats if d == level and 0 < r < n]
     critical = _least(_top_flats(rows, tight, n), n) if tight else None
     return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical, homogeneous)
 
@@ -346,42 +374,3 @@ def _kernels_chain(kernels) -> bool:
     by_dim = sorted(kernels, key=len)
     return all(_rank(big + small) == len(big) for small, big in zip(by_dim, by_dim[1:]))
 
-
-def dual_rank_condition(torus_datum: Datum) -> RankVerdict:
-    """Rank condition for the annihilator side of a pure-torus datum.
-
-    The domain embeds in the product of the targets through its graph; the
-    annihilator of that image in the product character lattice carries the
-    coordinate projections, and the condition is the plain rank condition for
-    those projections with the conjugate exponents.
-    """
-    g = torus_datum.domain
-    if g.a or g.c or g.k:
-        raise ShapeMismatch("dual rank condition expects a pure-torus domain")
-    for h in torus_datum.homs:
-        t = h.codomain
-        if t.a or t.c or t.k:
-            raise ShapeMismatch("dual rank condition expects pure-torus targets")
-    # the graph's image: the subtorus whose tangent vectors are the
-    # columns of the stacked maps
-    graph = ClosedSubgroup(
-        ElementaryGroup(b=sum(h.codomain.b for h in torus_datum.homs)),
-        [[h.TT[r][i] for h in torus_datum.homs for r in range(h.codomain.b)]
-         for i in range(g.b)], [])
-    ann = _annihilator_of_compact_kernel(graph, graph.group)
-    basis = [list(c) for c in ann.basis]
-    r = len(basis)
-    if r == 0:
-        return RankVerdict(HOLDS_CERTIFIED, None,
-                           {"reason": "trivial annihilator", "annihilator_rank": 0})
-    proj_maps = []
-    off = 0
-    for h in torus_datum.homs:
-        bj = h.codomain.b
-        proj_maps.append([[Fraction(basis[i][off + s]) for i in range(r)] for s in range(bj)])
-        off += bj
-    verdict = rank_condition(proj_maps, torus_datum.conjugate_exponents())
-    evidence = dict(verdict.evidence)
-    evidence["annihilator_rank"] = r
-    evidence["annihilator_basis"] = tuple(tuple(c) for c in ann.basis)
-    return replace(verdict, evidence=evidence)

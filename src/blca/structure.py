@@ -4,9 +4,10 @@ The pipeline normalizes a datum until the four diagonal sectors can be read
 off and priced separately: infinite exponents are dropped, improper data are
 declared infinite, the compact joint kernel is quotiented away, open images
 are corestricted, and the datum splits into torus, vector, finite and free
-parts.  Each part has its own decision procedure (annihilator rank search,
-gaussian ascent, exact subgroup maximum, rank search) and the total is the
-product of the parts.
+parts.  Each part has its own decision procedure (the rank condition in
+Q^b against the whole space's deficit, gaussian ascent, exact subgroup
+maximum, the rank condition in Q^c) and the total is the product of the
+parts.
 
 The reduction operators are public because they are useful on their own:
 reduce_p_infinity and reduce_p_one remove indices whose exponent is infinite
@@ -48,8 +49,7 @@ from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
 from .intmat import det_rational, hstack
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
-from .rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, dual_rank_condition,
-                   rank_condition)
+from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, rank_condition
 from .subquot import (NondegenerateResult, _annihilator_of_compact_kernel,
                       _sector_parts, corestrict_open, kernel_embedding,
                       lattice_inclusion_hom, make_nondegenerate,
@@ -384,7 +384,9 @@ def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
 
 
 def _torus_factor(fd: Datum) -> FactorReport:
-    return _rank_decided_factor("torus", fd, dual_rank_condition(fd))
+    verdict = rank_condition([h.TT for h in fd.homs], fd.exponents,
+                             dim=fd.domain.b, torus=True)
+    return _rank_decided_factor("torus", fd, verdict)
 
 
 def _free_factor(fd: Datum) -> FactorReport:

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from blca.errors import ShapeMismatch
+from blca.exact import ExactValue
 from blca.groups import ElementaryGroup, LatticeSubgroup
 from blca.homs import BlockHom, ClosedSubgroup, Datum
 from blca.intmat import (from_columns, mat_vec, matmul, rational_kernel,
                          rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
-                       _canon, _full_space, _witness_sort_key,
-                       dual_rank_condition, rank_condition)
+                       _canon, _full_space, _witness_sort_key, rank_condition)
 from blca.subquot import _annihilator_of_compact_kernel
 from test_groups import free_rank
 
@@ -106,25 +106,42 @@ def test_homogeneity_check():
     assert rank_condition([], [], dim=0).homogeneous
 
 
-def test_dual_rank_condition_holder_passes():
+def _torus_verdict(d: Datum) -> RankVerdict:
+    return rank_condition([h.TT for h in d.homs], d.exponents, dim=d.domain.b,
+                          torus=True)
+
+
+def test_torus_holder_holds():
     d = Datum(T, [BlockHom(T, T, TT=[[1]]), BlockHom(T, T, TT=[[1]])], [2, 2])
-    assert dual_rank_condition(d).ok
+    v = _torus_verdict(d)
+    assert v.status == HOLDS_CERTIFIED and v.homogeneous
+    assert "level" not in v.evidence
 
 
-def test_dual_rank_condition_breaks_near_one():
+def test_torus_young3_fails_at_a_point_near_one():
     homs = [BlockHom(T2, T, TT=[[1, 0]]), BlockHom(T2, T, TT=[[0, 1]]),
             BlockHom(T2, T, TT=[[1, 1]])]
-    bad = Datum(T2, homs, [F(21, 20)] * 3)
-    v = dual_rank_condition(bad)
-    assert v.status == FAILS
-    good = Datum(T2, homs, [2, 2, 2])
-    assert dual_rank_condition(good).ok
+    bad = _torus_verdict(Datum(T2, homs, [F(21, 20)] * 3))
+    # Q^2 has deficit 2 - 60/21 < 0, so the zero subspace violates
+    assert bad.status == FAILS and bad.witness == ()
+    assert bad.evidence["level"] == F(-6, 7)
+    assert _torus_verdict(Datum(T2, homs, [2, 2, 2])).status == HOLDS_CERTIFIED
 
 
-def test_dual_rank_condition_rejects_mixed_domain():
-    g = ElementaryGroup(a=1, b=1)
-    with pytest.raises(ShapeMismatch):
-        dual_rank_condition(Datum(g, [BlockHom.identity(g)], [2]))
+def test_torus_doubling_datum_is_one():
+    from blca.structure import _torus_factor
+    d = Datum(T, [BlockHom(T, T, TT=[[1]]), BlockHom(T, T, TT=[[2]])], [2, 2])
+    f = _torus_factor(d)
+    assert (f.kind, f.exact, f.certification) == ("FINITE", ExactValue.one(), "exact")
+
+
+def test_torus_witness_lives_in_the_domain():
+    # four identity maps T -> T at 21/20: the witness is the zero subspace
+    # of Q^1, not a line of the annihilator's Q^3
+    from blca.structure import _torus_factor
+    d = Datum(T, [BlockHom(T, T, TT=[[1]])] * 4, [F(21, 20)] * 4)
+    f = _torus_factor(d)
+    assert (f.kind, f.witness) == ("INFINITE", ())
 
 
 # -- the torus factor against the annihilator-side reference ----------------
@@ -212,6 +229,37 @@ def test_torus_factor_fails_where_the_reference_fails():
         assert (_torus_status(d) == FAILS) == fails, d
         seen[FAILS if fails else "holds"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_torus_level_is_the_kernel_condition_on_the_perp():
+    # U = W^perp turns the torus condition on the maps A_j at r_j = 1/p_j
+    # into the level-0 condition on the maps K_j^T (K_j a basis of ker A_j)
+    # at the exponents (R - 1)/r_j, R = sum_j r_j.  On T^3 with a map of
+    # rank 1 and one of rank >= 2 both sides take the kernel closure, where
+    # W^perp carries one closure onto the other.
+    import random
+    rnd = random.Random(20261020)
+    seen = {FAILS: 0, HOLDS_CERTIFIED: 0, LIKELY_HOLDS: 0}
+    checked = 0
+    while checked < 200:
+        maps = []
+        for k in [1, 2] + [rnd.randint(1, 3) for _ in range(rnd.randint(1, 2))]:
+            m = [[rnd.randint(-2, 2) for _ in range(3)] for _ in range(k)]
+            if rational_rank(m) == k:
+                maps.append(m)
+        p = [rnd.choice([F(2), F(5, 2), F(3), F(4), F(6)]) for _ in maps]
+        recips = [1 / q for q in p]
+        excess = sum(recips) - 1
+        if (len(maps) < 3 or min(map(len, maps)) > 1 or max(map(len, maps)) < 2
+                or rational_rank([r for m in maps for r in m]) < 3
+                or any(excess < r for r in recips)):
+            continue
+        kernels = [[list(v) for v in rational_kernel(m)] for m in maps]
+        perp = rank_condition(kernels, [excess / r for r in recips], dim=3)
+        assert rank_condition(maps, p, dim=3, torus=True).status == perp.status, (maps, p)
+        seen[perp.status] += 1
+        checked += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_verdict_truthiness():
