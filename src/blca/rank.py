@@ -189,9 +189,10 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         takes it past 2000 subspaces, so it holds at most 2002.  A violation
         is an exact FAILS.  If the closure terminated and n <= 3, J <= 3 or
         the kernels form a chain, the kernel lattice is complete and
-        suffices (Valdimarsson 2010): HOLDS_CERTIFIED.  Otherwise
-        LIKELY_HOLDS: the closure found no violation, but no completeness
-        theorem covers it.
+        suffices (Valdimarsson 2010): HOLDS_CERTIFIED.  With torus and
+        sum_j 1/p_j <= 1 the condition holds by Hölder: HOLDS_CERTIFIED.
+        Otherwise LIKELY_HOLDS: the closure found no violation, but no
+        completeness theorem covers it.
 
     Both routes hold at the level.  Route (i) compares every flat with it,
     and enlarging W to its flat never lowers the deficit, whatever the
@@ -199,7 +200,8 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     ker A_j, so rank(A_j) - dim(A_j W) = dim U - dim(K_j^T U).  With
     r_j = 1/p_j and R = sum_j r_j, the level form reads
     (R - 1) dim U <= sum_j r_j dim(K_j^T U): a level-0 rank condition at
-    the exponents (R - 1)/r_j (when R <= 1 it holds outright, by Hölder).
+    the exponents (R - 1)/r_j.  When R <= 1 it holds outright: the left
+    side is at most 0, and on T^n this is Hölder's inequality.
     W -> W^perp carries this closure onto that condition's closure (it
     swaps sums and meets, and the kernel of K_j^T is (ker A_j)^perp), so
     n, J, the chain test and termination are the same, and so is the
@@ -281,6 +283,9 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     if terminated and (n <= 3 or len(maps) <= 3 or chain):
         evidence["certificate"] = (
             f"closure of kernel lattice complete (n={n}, J={len(maps)}, chain={chain})")
+        return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical, homogeneous)
+    if torus and sum(weights) <= scale:
+        evidence["certificate"] = "Hölder: sum_j 1/p_j <= 1"
         return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical, homogeneous)
 
     evidence["note"] = "no violation found; completeness criterion not met"

@@ -371,10 +371,12 @@ def _trivial_report(name: str, fd: Datum) -> Optional[FactorReport]:
 def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
     corr = fd.haar_factor()
     if verdict.status == FAILS:
+        cause = ("concentration at a point" if verdict.witness == ()
+                 else "growth along the witness subgroup")
         return FactorReport(
             name, INFINITE, math.inf, None, CERTIFIED, witness=verdict.witness,
-            notes=("growth along the witness subgroup outruns the right-hand "
-                   "side; no finite constant exists",))
+            notes=(f"{cause} outruns the right-hand side; no finite constant "
+                   "exists",))
     cert = EXACT if verdict.status == HOLDS_CERTIFIED else HEURISTIC
     notes = ()
     if verdict.status == LIKELY_HOLDS:
