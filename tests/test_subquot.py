@@ -7,12 +7,16 @@ import pytest
 
 from blca.errors import Degenerate, NotProper
 from blca.groups import ElementaryGroup, HaarRecord
-from blca.homs import BlockHom, Datum, is_proper, is_surjective, joint_kernel
+from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
+                       GroupElement, is_proper, is_surjective, joint_kernel)
+from blca.intmat import (clear_denominators, hermite_basis, identity,
+                         integer_kernel, rational_kernel, solve_rational,
+                         transpose)
 from blca.structure import analyze
 from blca.subquot import (_is_nondegenerate, corestrict_open,
                           discrete_image_lattice, kernel_embedding,
                           make_nondegenerate, merge_finite_coordinates)
-from test_homs import CHAINS, random_hom
+from test_homs import CHAINS, random_group, random_hom
 
 F = Fraction
 
@@ -217,3 +221,196 @@ def test_kernel_embedding_weil_mass():
     mass_g = g.haar.f_point * g.finite_order
     assert mass_n * mass_h == mass_g
     assert ker.haar.f_point == F(3, 5)
+
+
+# -- the normal form and split against reference copies ----------------------
+# _ref_stacked_kernel is the joint kernel by one coupled elimination over all
+# sectors, and _ref_sector_parts builds every part's groups and maps afresh.
+# The pipeline's own versions must give the same datum, ledger, obstruction,
+# quotient map and parts on every datum below.
+
+def _ref_stacked_kernel(domain, homs):
+    a, b, c, k = domain.a, domain.b, domain.c, domain.k
+    lie_rows = []
+    for h in homs:
+        for r in range(h.codomain.a):
+            lie_rows.append(list(h.RR[r]) + [Fraction(0)] * b)
+        for r in range(h.codomain.b):
+            lie_rows.append(list(h.RT[r]) + [Fraction(v) for v in h.TT[r]])
+    if a + b == 0:
+        lie = []
+    elif not lie_rows:
+        lie = identity(a + b)
+    else:
+        lie = rational_kernel(lie_rows)
+    offs = []
+    total = c + k
+    for h in homs:
+        offs.append(total)
+        total += h.codomain.b + h.codomain.k
+    if total == 0:
+        return ClosedSubgroup(domain, lie, [])
+    seg = []
+    pos = 0
+    for h in homs:
+        seg.append(pos)
+        pos += h.codomain.a + h.codomain.b
+    if a + b == 0:
+        ells = identity(pos)
+    elif not lie_rows:
+        ells = []
+    else:
+        ells = rational_kernel(transpose(lie_rows))
+    rows = []
+    for ell in ells:
+        row = [Fraction(0)] * total
+        for j, h in enumerate(homs):
+            aj, bj = h.codomain.a, h.codomain.b
+            lr = ell[seg[j]: seg[j] + aj]
+            lt = ell[seg[j] + aj: seg[j] + aj + bj]
+            for i in range(c):
+                row[i] -= (sum((lr[s] * h.ZR[s][i] for s in range(aj)), Fraction(0))
+                           + sum((lt[s] * h.ZT[s][i] for s in range(bj)), Fraction(0)))
+            for i in range(k):
+                row[c + i] -= sum((lt[s] * h.FT[s][i] for s in range(bj)), Fraction(0))
+            for s in range(bj):
+                row[offs[j] + s] += lt[s]
+        rows.append(row)
+    for j, h in enumerate(homs):
+        bj, kj = h.codomain.b, h.codomain.k
+        for r in range(h.codomain.c):
+            row = [Fraction(0)] * total
+            for i in range(c):
+                row[i] = Fraction(h.ZZ[r][i])
+            rows.append(row)
+        for r in range(kj):
+            row = [Fraction(0)] * total
+            for i in range(c):
+                row[i] = Fraction(h.ZF[r][i])
+            for i in range(k):
+                row[c + i] = Fraction(h.FF[r][i])
+            row[offs[j] + bj + r] = Fraction(-h.codomain.torsion[r])
+            rows.append(row)
+    if rows:
+        lattice = hermite_basis(integer_kernel([clear_denominators(row) for row in rows]), total)
+    else:
+        lattice = identity(total)
+    gens = []
+    for vec in lattice:
+        m = list(vec[:c])
+        u = list(vec[c: c + k])
+        rhs = []
+        for j, h in enumerate(homs):
+            bj = h.codomain.b
+            n_part = vec[offs[j]: offs[j] + bj]
+            for r in range(h.codomain.a):
+                rhs.append(-sum((h.ZR[r][i] * m[i] for i in range(c)), Fraction(0)))
+            for r in range(bj):
+                rhs.append(Fraction(n_part[r])
+                           - sum((h.ZT[r][i] * m[i] for i in range(c)), Fraction(0))
+                           - sum((h.FT[r][i] * u[i] for i in range(k)), Fraction(0)))
+        sol = solve_rational(lie_rows, rhs) if lie_rows else [Fraction(0)] * (a + b)
+        gens.append(GroupElement(tuple(sol[:a]), tuple(sol[a:]), tuple(m), tuple(u)))
+    return ClosedSubgroup(domain, lie, gens)
+
+
+def _ref_sector_parts(d):
+    g = d.domain
+    torus_dom = ElementaryGroup(b=g.b, haar=HaarRecord(torus_total=g.haar.torus_total))
+    vector_dom = ElementaryGroup(a=g.a, haar=HaarRecord(vector_scale=g.haar.vector_scale))
+    finite_dom = ElementaryGroup(torsion=g.torsion, haar=HaarRecord(f_point=g.haar.f_point))
+    free_dom = ElementaryGroup(c=g.c, haar=HaarRecord(z_point=g.haar.z_point))
+    torus_homs, vector_homs, finite_homs, free_homs = [], [], [], []
+    for h in d.homs:
+        cj = h.codomain
+        torus_homs.append(BlockHom(
+            torus_dom, ElementaryGroup(b=cj.b, haar=HaarRecord(torus_total=cj.haar.torus_total)),
+            TT=h.TT))
+        vector_homs.append(BlockHom(
+            vector_dom, ElementaryGroup(a=cj.a, haar=HaarRecord(vector_scale=cj.haar.vector_scale)),
+            RR=h.RR))
+        finite_homs.append(BlockHom(
+            finite_dom, ElementaryGroup(torsion=cj.torsion, haar=HaarRecord(f_point=cj.haar.f_point)),
+            FF=h.FF))
+        free_homs.append(BlockHom(
+            free_dom, ElementaryGroup(c=cj.c, haar=HaarRecord(z_point=cj.haar.z_point)),
+            ZZ=h.ZZ))
+    return (Datum(torus_dom, torus_homs, d.exponents),
+            Datum(vector_dom, vector_homs, d.exponents),
+            Datum(finite_dom, finite_homs, d.exponents),
+            Datum(free_dom, free_homs, d.exponents))
+
+
+_SCALES = (F(1), F(1), F(2), F(1, 3), F(5, 2))
+
+
+def _random_haar(rnd):
+    return HaarRecord(*(rnd.choice(_SCALES) for _ in range(4)))
+
+
+def _pin_datum(rnd, kind):
+    """kind 0: every block drawn; 1: sector-diagonal; 2: a torus with small
+    windings (often a finite joint kernel); 3: sector-diagonal on a product
+    group, one map drawn into a larger vector or torus (often a non-open
+    image)."""
+    if kind == 2:
+        dom = ElementaryGroup(b=rnd.randint(1, 3), haar=_random_haar(rnd))
+        cods = [ElementaryGroup(b=rnd.randint(1, 2), haar=_random_haar(rnd))
+                for _ in range(rnd.randint(1, 3))]
+    else:
+        dom = replace(random_group(rnd), haar=_random_haar(rnd))
+        cods = [replace(random_group(rnd), haar=_random_haar(rnd))
+                for _ in range(rnd.randint(1, 3))]
+        if kind == 3:
+            cods[0] = replace(cods[0], a=dom.a + 1, b=dom.b + 1)
+    homs = []
+    for cod in cods:
+        full = random_hom(rnd, dom, cod)
+        keep = (("RR", "TT", "ZZ", "FF") if kind else
+                [name for name in full.blocks() if rnd.random() < 0.6])
+        homs.append(BlockHom(dom, cod, **{name: full.blocks()[name] for name in keep}))
+    return Datum(dom, homs, [rnd.choice((F(3, 2), F(2), F(3)))] * len(homs))
+
+
+def _normal_form_and_split(d):
+    try:
+        norm, why, parts = analyze(d)
+    except NotProper as exc:
+        return str(exc)
+    return (norm.datum, norm.ledger, norm.obstruction, norm.quotient_map,
+            why, parts)
+
+
+def test_normal_form_and_split_match_reference(monkeypatch):
+    import blca.homs
+    import blca.structure
+    rnd = random.Random(18)
+    seen = {"mixing": 0, "quotiented": 0, "torus_finite_kernel": 0,
+            "obstructed": 0, "improper": 0}
+    for i in range(300):
+        d = _pin_datum(rnd, i % 4)
+        ker = joint_kernel(d)
+        with monkeypatch.context() as mp:
+            mp.setattr(blca.homs, "_stacked_kernel", _ref_stacked_kernel)
+            mp.setattr(blca.structure, "_sector_parts", _ref_sector_parts)
+            ref_ker = joint_kernel(d)
+            want = _normal_form_and_split(d)
+        assert ker.contains(ref_ker) and ref_ker.contains(ker)
+        assert len(ker.gens) == len(ref_ker.gens)
+        assert ker.lie_rank() == ref_ker.lie_rank()
+        got = _normal_form_and_split(d)
+        assert got == want
+        seen["mixing"] += any(any(any(row) for row in getattr(h, name))
+                              for h in d.homs for name in MIXING_BLOCKS)
+        if isinstance(got, str):
+            seen["improper"] += 1
+            continue
+        quotiented = got[3] is not None
+        seen["quotiented"] += quotiented
+        seen["torus_finite_kernel"] += quotiented and i % 4 == 2
+        seen["obstructed"] += got[2] is not None
+    assert seen["mixing"] >= 50
+    assert seen["quotiented"] >= 60
+    assert seen["torus_finite_kernel"] >= 15
+    assert 20 <= seen["obstructed"] <= 250
+    assert seen["improper"] <= 200
