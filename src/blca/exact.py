@@ -82,7 +82,11 @@ class ExactValue:
     __slots__ = ("_exp", "_float")
 
     def __init__(self, exponents: Dict[int, Fraction] | None = None):
-        self._exp = {p: e for p, e in (exponents or {}).items() if e != 0}
+        # (prime, exponent) pairs by ascending prime, none zero: a tuple
+        # takes a third of the memory of a small dict, and a caller may keep
+        # many values
+        self._exp = tuple(sorted((p, e) for p, e in (exponents or {}).items()
+                                 if e != 0))
         self._float = None   # the nearest double, once asked for
 
     @classmethod
@@ -112,7 +116,7 @@ class ExactValue:
         if not self._exp:
             return other
         exp = dict(self._exp)
-        for p, e in other._exp.items():
+        for p, e in other._exp:
             exp[p] = exp.get(p, Fraction(0)) + e
         return ExactValue(exp)
 
@@ -123,7 +127,7 @@ class ExactValue:
         if not other._exp:
             return self
         exp = dict(self._exp)
-        for p, e in other._exp.items():
+        for p, e in other._exp:
             exp[p] = exp.get(p, Fraction(0)) - e
         return ExactValue(exp)
 
@@ -131,16 +135,16 @@ class ExactValue:
         if not self._exp:
             return self
         k = Fraction(k)
-        return ExactValue({p: e * k for p, e in self._exp.items()})
+        return ExactValue({p: e * k for p, e in self._exp})
 
     def is_rational(self) -> bool:
-        return all(e.denominator == 1 for e in self._exp.values())
+        return all(e.denominator == 1 for _, e in self._exp)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
         out = Fraction(1)
-        for p, e in self._exp.items():
+        for p, e in self._exp:
             out *= Fraction(p) ** int(e)
         return out
 
@@ -148,13 +152,13 @@ class ExactValue:
         """The nearest double."""
         if self._float is None:
             self._float = (float(self.as_fraction()) if self.is_rational()
-                           else _nearest_double(self._exp))
+                           else _nearest_double(dict(self._exp)))
         return self._float
 
     def _cmp(self, other: Rationalish) -> int:
         other = ExactValue.of(other)
         diff: Dict[int, Fraction] = dict(self._exp)
-        for p, e in other._exp.items():
+        for p, e in other._exp:
             diff[p] = diff.get(p, Fraction(0)) - e
         diff = {p: e for p, e in diff.items() if e != 0}
         if not diff:
@@ -186,14 +190,13 @@ class ExactValue:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash(tuple(sorted(self._exp.items())))
+        return hash(self._exp)
 
     def __str__(self) -> str:
         if not self._exp:
             return "1"
         parts = []
-        for p in sorted(self._exp):
-            e = self._exp[p]
+        for p, e in self._exp:
             parts.append(str(p) if e == 1 else f"{p}^({e})")
         return " * ".join(parts)
 

@@ -14,11 +14,11 @@ canonical column Hermite form so equal subgroups compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ShapeMismatch
+from .errors import IrrationalEntry, ShapeMismatch
 from .intmat import (
     clear_denominators,
     diagonal_of,
@@ -36,10 +36,20 @@ from .intmat import (
 
 
 def _positive_fraction(x, name: str) -> Fraction:
-    q = Fraction(x)
-    if q <= 0:
+    """x as a positive Fraction, kept as it is when it is one.  A float is
+    not exact and a bool is not a number, as in the file format."""
+    if type(x) is not Fraction:
+        if isinstance(x, bool):
+            raise ValueError(f"{name} must be a rational number, got {x!r}")
+        if isinstance(x, float):
+            raise IrrationalEntry(f"{name} {x!r} is not exact; pass an int or a Fraction")
+        x = Fraction(x)
+    if x.numerator <= 0:
         raise ValueError(f"{name} must be positive")
-    return q
+    return x
+
+
+_SCALES = ("vector_scale", "torus_total", "z_point", "f_point")
 
 
 @dataclass(frozen=True)
@@ -52,13 +62,23 @@ class HaarRecord:
     f_point: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "vector_scale", _positive_fraction(self.vector_scale, "vector_scale"))
-        object.__setattr__(self, "torus_total", _positive_fraction(self.torus_total, "torus_total"))
-        object.__setattr__(self, "z_point", _positive_fraction(self.z_point, "z_point"))
-        object.__setattr__(self, "f_point", _positive_fraction(self.f_point, "f_point"))
+        for name in _SCALES:
+            v = getattr(self, name)
+            q = _positive_fraction(v, name)
+            if q is not v:
+                object.__setattr__(self, name, q)
 
     def scalar(self) -> Fraction:
-        return self.vector_scale * self.torus_total * self.z_point * self.f_point
+        out = self.vector_scale
+        for s in (self.torus_total, self.z_point, self.f_point):
+            if s != 1:
+                out *= s
+        return out
+
+
+# The record of the reference measures; every group without a record of its
+# own shares it (a HaarRecord is immutable).
+UNIT_HAAR = HaarRecord()
 
 
 @dataclass(frozen=True)
@@ -69,14 +89,17 @@ class ElementaryGroup:
     b: int = 0
     c: int = 0
     torsion: Tuple[int, ...] = ()
-    haar: HaarRecord = field(default_factory=HaarRecord)
+    haar: HaarRecord = UNIT_HAAR
 
     def __post_init__(self):
         for n, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{n} must be a nonnegative integer")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValueError(f"{n} must be a nonnegative integer, got {v!r}")
+        if type(self.torsion) is not tuple:
+            object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"invariant factors must be integers, got {d!r}")
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
         for d, e in zip(self.torsion, self.torsion[1:]):
@@ -132,13 +155,17 @@ def dual_group(g: ElementaryGroup) -> ElementaryGroup:
     1/z_point on the new T sector and 1/(|F| f_point) on F.
     """
     h = g.haar
-    dual_haar = HaarRecord(
-        vector_scale=1 / h.vector_scale,
-        torus_total=1 / h.z_point,
-        z_point=1 / h.torus_total,
-        f_point=Fraction(1) / (g.finite_order * h.f_point),
-    )
+    scales = (_reciprocal(h.vector_scale), _reciprocal(h.z_point),
+              _reciprocal(h.torus_total), _reciprocal(h.f_point, g.finite_order))
+    dual_haar = UNIT_HAAR if all(s == 1 for s in scales) else HaarRecord(*scales)
     return ElementaryGroup(g.a, g.c, g.b, g.torsion, dual_haar)
+
+
+def _reciprocal(q: Fraction, times: int = 1) -> Fraction:
+    """1 / (times * q) for a positive Fraction q."""
+    if times == 1 and q == 1:
+        return q
+    return Fraction(q.denominator, times * q.numerator)
 
 
 class LatticeSubgroup:
@@ -174,7 +201,8 @@ class LatticeSubgroup:
 
     @classmethod
     def full(cls, orders: Sequence[int]) -> "LatticeSubgroup":
-        return cls.from_generators(orders, identity(len(orders)))
+        """All of Z^n; the canonical basis of Z^n is the identity."""
+        return cls(orders, identity(len(orders)))
 
     def key(self):
         return (self.orders, self.basis)

@@ -27,6 +27,8 @@ from .exact import ExactValue
 from .groups import ElementaryGroup, LatticeSubgroup, dual_group
 from .intmat import (
     clear_denominators,
+    congruence_kernel,
+    diagonal_of,
     from_columns,
     hermite_basis,
     identity,
@@ -36,6 +38,7 @@ from .intmat import (
     matmul,
     rational_kernel,
     rational_rank,
+    smith_normal_form,
     solve_rational,
     solve_semi_integer,
     transpose,
@@ -43,6 +46,8 @@ from .intmat import (
 
 
 def _frac_entry(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise IrrationalEntry(f"float entry {x!r} is not exact; pass an int or a Fraction")
     try:
@@ -51,30 +56,41 @@ def _frac_entry(x) -> Fraction:
         raise IrrationalEntry(f"entry {x!r} is not rational") from exc
 
 
-def _rational_matrix(rows, nrows, ncols, name):
-    if rows is None:
-        return [[Fraction(0)] * ncols for _ in range(nrows)]
-    out = [[_frac_entry(x) for x in row] for row in rows]
+def _int_entry(x, name):
+    if type(x) is int:
+        return x
+    q = _frac_entry(x)
+    if q.denominator != 1:
+        raise NotWellDefined(f"block {name} needs integer entries, got {x!r}")
+    return int(q)
+
+
+def _checked_shape(out, nrows, ncols, name):
     if len(out) != nrows or any(len(r) != ncols for r in out):
         raise ShapeMismatch(f"block {name} must be {nrows}x{ncols}")
     return out
+
+
+def _rational_matrix(rows, nrows, ncols, name):
+    if rows is None:
+        return [[Fraction(0)] * ncols for _ in range(nrows)]
+    return _checked_shape([[_frac_entry(x) for x in row] for row in rows],
+                          nrows, ncols, name)
+
+
+def _torus_matrix(rows, nrows, ncols, name):
+    """A rational block into the torus, entries reduced into [0, 1)."""
+    if rows is None:
+        return _rational_matrix(rows, nrows, ncols, name)
+    return [[q if 0 <= q.numerator < q.denominator else q % 1 for q in row]
+            for row in _rational_matrix(rows, nrows, ncols, name)]
 
 
 def _integer_matrix(rows, nrows, ncols, name):
     if rows is None:
         return [[0] * ncols for _ in range(nrows)]
-    out = []
-    for row in rows:
-        new = []
-        for x in row:
-            q = _frac_entry(x)
-            if q.denominator != 1:
-                raise NotWellDefined(f"block {name} needs integer entries, got {x!r}")
-            new.append(int(q))
-        out.append(new)
-    if len(out) != nrows or any(len(r) != ncols for r in out):
-        raise ShapeMismatch(f"block {name} must be {nrows}x{ncols}")
-    return out
+    return _checked_shape([[_int_entry(x, name) for x in row] for row in rows],
+                          nrows, ncols, name)
 
 
 class GroupElement(NamedTuple):
@@ -89,8 +105,9 @@ class GroupElement(NamedTuple):
         return [*self.x, *self.t, *map(Fraction, self.m), *map(Fraction, self.u)]
 
 
-# The blocks that map one sector into another; a sector-diagonal hom has
-# all of them zero.
+# The nine blocks, and those that map one sector into another; a
+# sector-diagonal hom has all of the latter zero.
+BLOCKS = ("RR", "RT", "TT", "ZR", "ZT", "ZZ", "ZF", "FT", "FF")
 MIXING_BLOCKS = ("RT", "ZR", "ZT", "ZF", "FT")
 
 
@@ -110,14 +127,14 @@ class BlockHom:
         self.RT = _rational_matrix(RT, b2, a, "RT")
         self.TT = _integer_matrix(TT, b2, b, "TT")
         self.ZR = _rational_matrix(ZR, a2, c, "ZR")
-        self.ZT = [[q % 1 for q in row] for row in _rational_matrix(ZT, b2, c, "ZT")]
+        self.ZT = _torus_matrix(ZT, b2, c, "ZT")
         self.ZZ = _integer_matrix(ZZ, c2, c, "ZZ")
         self.ZF = _integer_matrix(ZF, k2, c, "ZF")
-        self.FT = [[q % 1 for q in row] for row in _rational_matrix(FT, b2, k, "FT")]
+        self.FT = _torus_matrix(FT, b2, k, "FT")
         self.FF = _integer_matrix(FF, k2, k, "FF")
         for i, d in enumerate(domain.torsion):
             for r in range(b2):
-                if (d * self.FT[r][i]).denominator != 1:
+                if d % self.FT[r][i].denominator:
                     raise NotWellDefined(
                         f"FT[{r}][{i}] must have denominator dividing the source order {d}")
             for r in range(k2):
@@ -137,17 +154,16 @@ class BlockHom:
         return cls(domain, codomain)
 
     def blocks(self):
-        return {"RR": self.RR, "RT": self.RT, "TT": self.TT, "ZR": self.ZR,
-                "ZT": self.ZT, "ZZ": self.ZZ, "ZF": self.ZF, "FT": self.FT, "FF": self.FF}
+        return {name: getattr(self, name) for name in BLOCKS}
 
     def __eq__(self, other):
         return (isinstance(other, BlockHom)
                 and self.domain == other.domain and self.codomain == other.codomain
-                and all(self.blocks()[key] == other.blocks()[key] for key in self.blocks()))
+                and all(getattr(self, name) == getattr(other, name) for name in BLOCKS))
 
     def __hash__(self):
         return hash((self.domain, self.codomain,
-                     tuple(tuple(map(tuple, self.blocks()[key])) for key in sorted(self.blocks()))))
+                     tuple(tuple(map(tuple, getattr(self, name))) for name in sorted(BLOCKS))))
 
     def __repr__(self):
         nz = [key for key, v in self.blocks().items() if any(any(row) for row in v)]
@@ -259,7 +275,7 @@ def parse_exponent(v) -> Optional[Fraction]:
     if isinstance(v, float) and math.isinf(v):
         return None
     q = _frac_entry(v)
-    if q < 1:
+    if q.numerator < q.denominator:
         raise BadExponent(f"exponent {v!r} is below 1")
     return q
 
@@ -283,7 +299,7 @@ class Datum:
         if len(exps) != len(homs):
             raise ShapeMismatch("one exponent per map is required")
         for h in homs:
-            if h.domain != domain:
+            if h.domain is not domain and h.domain != domain:
                 raise ShapeMismatch("every map must start at the datum's domain")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "homs", homs)
@@ -395,7 +411,73 @@ class ClosedSubgroup:
         return all(self.contains_element(el) for el in other.gens)
 
 
+def torus_kernel(tt: Sequence[Sequence[int]], b: int):
+    """The kernel of t -> tt t (mod 1) on T^b, from one Smith form.
+
+    Returns (lie, wound): lie are integer columns spanning the identity
+    component, and wound lists (col, d), one per nonzero diagonal entry d,
+    where col / d lies in the kernel.  Together they generate it, and
+    len(wound) is the rank of tt.
+    """
+    if any(any(row) for row in tt):
+        _, dmat, v = smith_normal_form(tt)
+        diag = diagonal_of(dmat)
+    else:
+        diag, v = [], identity(b)
+    lie, wound = [], []
+    for i in range(b):
+        col = [v[r][i] for r in range(b)]
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            wound.append((col, d))
+        else:
+            lie.append(col)
+    return lie, wound
+
+
+def _sector_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> ClosedSubgroup:
+    """The joint kernel of sector-diagonal maps: the product of the four
+    sectors' kernels.  It has as many generators as the coupled elimination
+    gives: the rank of the torus rows, the free kernel's rank and one per
+    cyclic factor of the domain."""
+    a, b, c, k = domain.a, domain.b, domain.c, domain.k
+    lie: List[List[Fraction]] = []
+    if a:
+        rr = [row for h in homs for row in h.RR]
+        zero_t = [Fraction(0)] * b
+        lie = [v + zero_t for v in (rational_kernel(rr) if rr else identity(a))]
+    gens = []
+    x0, t0, m0, u0 = (Fraction(0),) * a, (Fraction(0),) * b, (0,) * c, (0,) * k
+    if b:
+        torus_lie, wound = torus_kernel([row for h in homs for row in h.TT], b)
+        zero_x = [Fraction(0)] * a
+        lie += [zero_x + col for col in torus_lie]
+        gens += [GroupElement(x0, tuple(Fraction(v, d) for v in col), m0, u0)
+                 for col, d in wound]
+    if c:
+        zz = [row for h in homs for row in h.ZZ]
+        gens += [GroupElement(x0, t0, tuple(m), u0)
+                 for m in (integer_kernel(zz) if zz else identity(c))]
+    if k:
+        ff = [row for h in homs for row in h.FF]
+        orders = [d for h in homs for d in h.codomain.torsion]
+        gens += [GroupElement(x0, t0, m0, tuple(u))
+                 for u in (congruence_kernel(ff, orders) if ff else identity(k))]
+    return ClosedSubgroup(domain, lie, gens)
+
+
 def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> ClosedSubgroup:
+    """The joint kernel of homs out of domain.
+
+    Sector-diagonal maps get it sector by sector (_sector_kernel).  A nonzero
+    mixing block couples the sectors, and then one elimination over all of
+    them finds it: the left null space of the stacked connected-sector rows
+    says which discrete elements have a common connected lift, an integer
+    kernel collects those, and one rational solve per generator lifts it.
+    """
+    if not any(any(any(row) for row in getattr(h, name))
+               for h in homs for name in MIXING_BLOCKS):
+        return _sector_kernel(domain, homs)
     a, b, c, k = domain.a, domain.b, domain.c, domain.k
     # tangent part: exact vanishing of every connected-sector block row
     lie_rows = []

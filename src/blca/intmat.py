@@ -32,6 +32,11 @@ def clear_denominators(vec: Sequence) -> List[int]:
     return [x.numerator * (s // x.denominator) for x in vec]
 
 
+def _rational_rows(m: Sequence[Sequence]) -> RatMatrix:
+    """A copy of m with Fraction entries; a Fraction is shared, not rebuilt."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m]
+
+
 def mat_copy(m: Sequence[Sequence[int]]) -> IntMatrix:
     return [list(row) for row in m]
 
@@ -333,7 +338,7 @@ def _gauss_jordan(a: RatMatrix, ncols: int) -> Tuple[List[int], Fraction]:
 
 def rational_rref(m: Sequence[Sequence]) -> Tuple[RatMatrix, List[int]]:
     """Reduced row echelon form over Q plus the list of pivot columns."""
-    a = [[Fraction(x) for x in row] for row in m]
+    a = _rational_rows(m)
     pivots, _ = _gauss_jordan(a, len(a[0]) if a else 0)
     return a, pivots
 
@@ -365,7 +370,7 @@ def solve_rational(m: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction
     nc = len(m[0]) if m else 0
     if nr == 0:
         return [Fraction(0)] * nc
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(m, b)]
+    aug = [row + [Fraction(bb)] for row, bb in zip(_rational_rows(m), b)]
     rref, pivots = rational_rref(aug)
     if nc in pivots:
         return None
@@ -420,7 +425,7 @@ def solve_semi_integer(real_cols: Sequence[Sequence], int_cols: Sequence[Sequenc
 
 
 def det_rational(m: Sequence[Sequence]) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in m]
+    a = _rational_rows(m)
     pivots, det = _gauss_jordan(a, len(a))
     return det if len(pivots) == len(a) else Fraction(0)
 
@@ -428,6 +433,6 @@ def det_rational(m: Sequence[Sequence]) -> Fraction:
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> IntMatrix:
     """Exact inverse of an integer matrix of determinant +-1."""
     n = len(u)
-    aug = [[Fraction(x) for x in row] + e for row, e in zip(u, identity(n))]
+    aug = [row + e for row, e in zip(_rational_rows(u), identity(n))]
     _gauss_jordan(aug, n)
     return [[int(x) for x in row[n:]] for row in aug]

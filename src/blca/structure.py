@@ -32,6 +32,7 @@ part is outright infinite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -347,7 +348,9 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
 # The report of a part with trivial domain and targets at unit scale, one
 # shared object per sector: most data leave three of their four parts
 # trivial, and callers that keep many reports would otherwise hold a copy of
-# each.  Fields and notes are those the sector's engine reports.
+# each.  Fields and notes are those the sector's engine reports; a torus or
+# free part that the rank condition certifies at Haar factor 1 gets the same
+# report.
 _TRIVIAL_REPORTS = {
     "torus": FactorReport("torus", FINITE, 1.0, ExactValue.one(), EXACT),
     "vector": FactorReport("vector", FINITE, 1.0, ExactValue.one(), EXACT),
@@ -357,26 +360,43 @@ _TRIVIAL_REPORTS = {
     "free": FactorReport("free", FINITE, 1.0, ExactValue.one(), EXACT),
 }
 
+# The report of a datum whose four parts all have the shared report above
+# and whose normalization changed nothing.
+_UNIT_REPORT = ConstantReport(FINITE, 1.0, ExactValue.one(), EXACT,
+                              tuple(_TRIVIAL_REPORTS.values()), (), ())
+
+# The notes of a part the rank condition rules out, by whether the witness is
+# the zero subspace (concentration at a point) or not.
+_FAILS_NOTES = {
+    True: ("concentration at a point outruns the right-hand side; no finite "
+           "constant exists",),
+    False: ("growth along the witness subgroup outruns the right-hand side; "
+            "no finite constant exists",),
+}
+
 
 def _trivial_report(name: str, fd: Datum) -> Optional[FactorReport]:
-    """The shared report when fd is trivial at unit scale, else None."""
+    """The shared report when fd is trivial and its Haar factor is 1, else
+    None.  The factor is priced exactly only when some scale it reads is
+    not 1."""
     if not (fd.domain.is_trivial()
             and all(h.codomain.is_trivial() for h in fd.homs)):
         return None
-    if fd.haar_factor() != ExactValue.one():
+    unit = fd.domain.haar.scalar() == 1 and all(
+        h.codomain.haar.scalar() == 1 for h in fd.homs)
+    if not unit and fd.haar_factor() != ExactValue.one():
         return None
     return _TRIVIAL_REPORTS[name]
 
 
 def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
-    corr = fd.haar_factor()
     if verdict.status == FAILS:
-        cause = ("concentration at a point" if verdict.witness == ()
-                 else "growth along the witness subgroup")
-        return FactorReport(
-            name, INFINITE, math.inf, None, CERTIFIED, witness=verdict.witness,
-            notes=(f"{cause} outruns the right-hand side; no finite constant "
-                   "exists",))
+        return FactorReport(name, INFINITE, math.inf, None, CERTIFIED,
+                            witness=verdict.witness,
+                            notes=_FAILS_NOTES[verdict.witness == ()])
+    corr = fd.haar_factor()
+    if verdict.status == HOLDS_CERTIFIED and corr == 1:
+        return _TRIVIAL_REPORTS[name]
     cert = EXACT if verdict.status == HOLDS_CERTIFIED else HEURISTIC
     notes = ()
     if verdict.status == LIKELY_HOLDS:
@@ -533,6 +553,8 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
         _trivial_report("finite", finite_d) or _finite_factor(finite_d),
         _trivial_report("free", free_d) or _free_factor(free_d),
     )
+    if not ledger and all(map(operator.is_, factors, _UNIT_REPORT.factors)):
+        return _UNIT_REPORT, parts
     witnesses = tuple(f.witness for f in factors if f.witness is not None)
     infinite = [f for f in factors if f.kind == INFINITE]
     if infinite:

@@ -16,25 +16,34 @@ the dual measure to the annihilator and dualizing again is exactly the
 pushforward measure on the quotient, i.e. the kernel is normalized to total
 mass one.
 
+The joint kernel that starts this is computed sector by sector when no map
+has a nonzero mixing block (homs._stacked_kernel): one Smith form of the
+stacked torus rows, and a kernel per other sector.  Only maps that couple the
+sectors pay for the coupled elimination.
+
 The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
 and are dropped.  structure.analyze is the one routine that splits a datum.
+The split builds each part's domain and each distinct target once, shares
+the unit Haar record, and gives a part that is trivial everywhere one zero
+map per distinct target, so it costs what the maps it keeps cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import Degenerate, NotProper
-from .groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
+from .groups import (UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup,
+                     dual_group)
 from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
                    discrete_image_lattice, image_is_open, is_proper,
-                   is_surjective, joint_kernel)
-from .intmat import (congruence_kernel, det_rational, diagonal_of, from_columns,
-                     identity, integer_kernel, rational_kernel,
-                     smith_normal_form, solve_integer, solve_rational)
+                   is_surjective, joint_kernel, torus_kernel)
+from .intmat import (congruence_kernel, det_rational, from_columns, identity,
+                     integer_kernel, rational_kernel, solve_integer,
+                     solve_rational)
 
 
 def _fold_discrete_haar(haar: HaarRecord, c_new: int, k_new: int) -> HaarRecord:
@@ -44,12 +53,17 @@ def _fold_discrete_haar(haar: HaarRecord, c_new: int, k_new: int) -> HaarRecord:
     restriction of Haar measure does); when one of the two discrete sectors
     disappears its scale folds into the survivor so scalar() stays honest.
     """
-    point = haar.z_point * haar.f_point
     if c_new and k_new:
         return haar
     if c_new:
-        return HaarRecord(haar.vector_scale, haar.torus_total, point, Fraction(1))
-    return HaarRecord(haar.vector_scale, haar.torus_total, Fraction(1), point)
+        if haar.f_point == 1:
+            return haar
+        return HaarRecord(haar.vector_scale, haar.torus_total,
+                          haar.z_point * haar.f_point, Fraction(1))
+    if haar.z_point == 1:
+        return haar
+    return HaarRecord(haar.vector_scale, haar.torus_total, Fraction(1),
+                      haar.z_point * haar.f_point)
 
 
 def corestrict_open(h: BlockHom, lattice: LatticeSubgroup) -> BlockHom:
@@ -155,22 +169,11 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
 
     # torus sector: diagonalize; zero diagonal slots stay toral, slots with
     # entry d > 1 become cyclic generators wound 1/d of the way along
-    torus_cols: List[List[int]] = []
-    torus_tors: List[Tuple[List[int], int]] = []
     if g.b:
-        if cod.b and any(any(row) for row in h.TT):
-            _, dmat, v = smith_normal_form(h.TT)
-            diag = diagonal_of(dmat)
-        else:
-            diag = []
-            v = identity(g.b)
-        vcols = [[v[r][i] for r in range(g.b)] for i in range(g.b)]
-        for i in range(g.b):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                torus_cols.append(vcols[i])
-            elif d > 1:
-                torus_tors.append((vcols[i], d))
+        torus_cols, wound = torus_kernel(h.TT, g.b)
+        torus_tors = [(col, d) for col, d in wound if d > 1]
+    else:
+        torus_cols, torus_tors = [], []
     b_n = len(torus_cols)
     compact_component_count = 1
     for _, d in torus_tors:
@@ -349,34 +352,49 @@ def _is_nondegenerate(d: Datum) -> Optional[str]:
     return None
 
 
+# Each sector's part: the dimension field it keeps, its Haar scale and its
+# diagonal block.  The order is the order of _sector_parts' result.
+_PARTS = (("b", "torus_total", "TT"), ("a", "vector_scale", "RR"),
+          ("torsion", "f_point", "FF"), ("c", "z_point", "ZZ"))
+
+
 def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
     """The torus, vector, finite and free diagonal-block data of a
     nondegenerate datum, in that order.
 
     Each part keeps its own sector's Haar scale; off-diagonal blocks are
-    dropped (they do not contribute a factor of their own).
+    dropped (they do not contribute a factor of their own).  The groups are
+    shared: each part's domain, and each distinct target, is built once per
+    call.  A sector that is trivial in the domain and in every target has
+    only zero maps, so each distinct target gets one map, built once, that
+    every index into it shares.
     """
-    g = d.domain
-    torus_dom = ElementaryGroup(b=g.b, haar=HaarRecord(torus_total=g.haar.torus_total))
-    vector_dom = ElementaryGroup(a=g.a, haar=HaarRecord(vector_scale=g.haar.vector_scale))
-    finite_dom = ElementaryGroup(torsion=g.torsion, haar=HaarRecord(f_point=g.haar.f_point))
-    free_dom = ElementaryGroup(c=g.c, haar=HaarRecord(z_point=g.haar.z_point))
-    torus_homs, vector_homs, finite_homs, free_homs = [], [], [], []
-    for h in d.homs:
-        cj = h.codomain
-        torus_homs.append(BlockHom(
-            torus_dom, ElementaryGroup(b=cj.b, haar=HaarRecord(torus_total=cj.haar.torus_total)),
-            TT=h.TT))
-        vector_homs.append(BlockHom(
-            vector_dom, ElementaryGroup(a=cj.a, haar=HaarRecord(vector_scale=cj.haar.vector_scale)),
-            RR=h.RR))
-        finite_homs.append(BlockHom(
-            finite_dom, ElementaryGroup(torsion=cj.torsion, haar=HaarRecord(f_point=cj.haar.f_point)),
-            FF=h.FF))
-        free_homs.append(BlockHom(
-            free_dom, ElementaryGroup(c=cj.c, haar=HaarRecord(z_point=cj.haar.z_point)),
-            ZZ=h.ZZ))
-    return (Datum(torus_dom, torus_homs, d.exponents),
-            Datum(vector_dom, vector_homs, d.exponents),
-            Datum(finite_dom, finite_homs, d.exponents),
-            Datum(free_dom, free_homs, d.exponents))
+    parts = []
+    for dim, scale, block in _PARTS:
+        groups: Dict[tuple, ElementaryGroup] = {}
+        dom = _part_group(groups, d.domain, dim, scale)
+        targets = [_part_group(groups, h.codomain, dim, scale) for h in d.homs]
+        if getattr(dom, dim) or any(getattr(t, dim) for t in targets):
+            homs = [BlockHom(dom, t, **{block: getattr(h, block)})
+                    for h, t in zip(d.homs, targets)]
+        else:
+            zero: Dict[int, BlockHom] = {}
+            homs = []
+            for t in targets:
+                if id(t) not in zero:
+                    zero[id(t)] = BlockHom(dom, t)
+                homs.append(zero[id(t)])
+        parts.append(Datum(dom, homs, d.exponents))
+    return tuple(parts)
+
+
+def _part_group(groups: Dict[tuple, ElementaryGroup], g: ElementaryGroup,
+                dim: str, scale: str) -> ElementaryGroup:
+    """g's sector `dim` with its Haar scale `scale`, built once per distinct
+    sector and scale in groups."""
+    size, q = getattr(g, dim), getattr(g.haar, scale)
+    key = (size, q.numerator, q.denominator)
+    if key not in groups:
+        haar = UNIT_HAAR if q == 1 else HaarRecord(**{scale: q})
+        groups[key] = ElementaryGroup(**{dim: size}, haar=haar)
+    return groups[key]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blca.errors import IrrationalEntry
 from blca.groups import (ElementaryGroup, HaarRecord, LatticeSubgroup,
                          dual_group)
 from blca.intmat import mat_vec
@@ -40,6 +41,31 @@ def test_group_validation():
         ElementaryGroup(torsion=(4, 2))  # not a divisibility chain
     with pytest.raises(Exception):
         HaarRecord(vector_scale=F(0))
+
+
+def test_group_records_validated_as_in_the_file_format():
+    # dimensions and invariant factors are ints, not bools, floats or strings
+    for bad in ({"a": True}, {"b": 1.0}, {"c": "2"}, {"torsion": (4.5,)},
+                {"torsion": ("6",)}, {"torsion": (True,)}):
+        with pytest.raises(ValueError):
+            ElementaryGroup(**bad)
+    # a scale is exact: a float is refused as inexact, a bool as not a number
+    with pytest.raises(IrrationalEntry):
+        HaarRecord(f_point=0.1)
+    with pytest.raises(IrrationalEntry):
+        HaarRecord(vector_scale=2.0)
+    for name in ("vector_scale", "torus_total", "z_point", "f_point"):
+        with pytest.raises(ValueError):
+            HaarRecord(**{name: True})
+    # ints, Fractions and 'n/d' strings are exact
+    assert HaarRecord(2, F(1, 3), "5/2").z_point == F(5, 2)
+    assert ElementaryGroup(torsion=[2, 4]).torsion == (2, 4)
+
+
+def test_fraction_scale_kept_as_given():
+    q = F(3, 7)
+    assert HaarRecord(torus_total=q).torus_total is q
+    assert ElementaryGroup().haar == HaarRecord()
 
 
 def test_basic_predicates():
@@ -107,6 +133,13 @@ def test_lattice_zero_and_full():
     assert not z.contains([1, 0]) and z.contains([0, 0])
     assert f.contains([1, 3])
     assert finite_size(z) == 1 and finite_size(f) == 4
+
+
+def test_full_lattice_is_canonical():
+    for orders in ((), (2,), (0,), (0, 4), (2, 2, 4), (0, 0, 3, 6)):
+        gens = [[1 if i == j else 0 for j in range(len(orders))]
+                for i in range(len(orders))]
+        assert LatticeSubgroup.full(orders) == LatticeSubgroup.from_generators(orders, gens)
 
 
 def test_lattice_structure_mixed():

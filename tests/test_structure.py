@@ -503,6 +503,38 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     assert calls == {"kernel": 1, "surjective": 3}
 
 
+def test_pipeline_builds_each_group_once(monkeypatch):
+    # the normal form and split build each group and map once: a part that
+    # is trivial in every group shares one zero map per distinct target, and
+    # a record at unit scales is the shared one
+    counts = {"HaarRecord": 0, "BlockHom": 0}
+
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            counts[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    # the windings (2, 0), (0, 2), (1, 1) kill the order-2 point (1/2, 1/2)
+    torus = Datum(T2, [BlockHom(T2, T, TT=[[2, 0]]), BlockHom(T2, T, TT=[[0, 2]]),
+                       BlockHom(T2, T, TT=[[1, 1]])], [F(3, 2)] * 3)
+    young = young_datum()
+    counted(HaarRecord)
+    counted(BlockHom)
+    assert bl_constant(young).kind == FINITE
+    # the three vector maps, and one zero map for each trivial part
+    assert counts == {"HaarRecord": 0, "BlockHom": 6}
+    counts.update(HaarRecord=0, BlockHom=0)
+    rep = bl_constant(torus)
+    assert rep.kind == FINITE and "2 discrete generators" in rep.ledger[0]
+    # 11 maps for the kernel quotient (three adjoints, their corestrictions,
+    # three adjoints back, the annihilator's inclusion and its adjoint) and
+    # 6 for the split
+    assert counts == {"HaarRecord": 0, "BlockHom": 17}
+
+
 def test_exact_sectors_do_not_load_numpy():
     # numpy is imported only where floats are optimized over; importing the
     # package and pricing finite data must not load it
