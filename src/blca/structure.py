@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -425,8 +426,8 @@ def _finite_factor(fd: Datum) -> FactorReport:
                             notes=(str(exc),))
     return FactorReport(
         "finite", FINITE, float(res.value), res.value, EXACT,
-        notes=(f"maximum over {res.subgroup_count} subgroups, attained at "
-               f"one of size {res.argmax_size}",))
+        notes=_kept((f"maximum over {res.subgroup_count} subgroups, attained "
+                     f"at one of size {res.argmax_size}",)))
 
 
 def _vector_factor(fd: Datum) -> FactorReport:
@@ -480,7 +481,7 @@ def _vector_factor(fd: Datum) -> FactorReport:
                               f" over {res.pieces} pieces split at critical "
                               f"subspaces"))
     return FactorReport("vector", FINITE, res.value, None, base,
-                        notes=tuple(notes), critical=verdict.critical)
+                        notes=_kept(notes), critical=verdict.critical)
 
 
 # -- the pipeline -----------------------------------------------------------
@@ -499,8 +500,15 @@ def analyze(d: Datum) -> Tuple[NondegenerateResult, Optional[str],
     return norm, why, None if why is not None else _sector_parts(norm.datum)
 
 
+def _kept(lines: Sequence[str]) -> Tuple[str, ...]:
+    """lines as a tuple of interned strings.  The same note or ledger line
+    recurs across data, and a caller that keeps many reports then holds one
+    copy of each; an interned string is freed with its last reference."""
+    return tuple(map(sys.intern, lines))
+
+
 def _early_report(kind, value, exact, cert, ledger, witnesses=()):
-    return ConstantReport(kind, value, exact, cert, (), tuple(ledger),
+    return ConstantReport(kind, value, exact, cert, (), _kept(ledger),
                           tuple(witnesses))
 
 
@@ -560,7 +568,7 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
     if infinite:
         cert = _weakest([f.certification for f in infinite])
         return ConstantReport(INFINITE, math.inf, None, cert, factors,
-                              tuple(ledger), witnesses), parts
+                              _kept(ledger), witnesses), parts
     value: Optional[float] = 1.0
     exact: Optional[ExactValue] = ExactValue.one()
     for f in factors:
@@ -578,7 +586,7 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
                   for f in factors)
     kind = UNKNOWN if unknown else FINITE
     cert = _weakest([f.certification for f in factors])
-    return ConstantReport(kind, value, exact, cert, factors, tuple(ledger),
+    return ConstantReport(kind, value, exact, cert, factors, _kept(ledger),
                           witnesses), parts
 
 

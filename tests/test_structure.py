@@ -535,6 +535,23 @@ def test_pipeline_builds_each_group_once(monkeypatch):
     assert counts == {"HaarRecord": 0, "BlockHom": 17}
 
 
+def test_reports_share_their_notes_and_ledger():
+    # a caller that keeps many reports holds one copy of each distinct note
+    # and ledger line
+    finite = Datum(K, [BlockHom(K, C2, FF=[[1, 0]]), BlockHom(K, C2, FF=[[0, 1]]),
+                       BlockHom(K, C2, FF=[[1, 1]])], [F(3, 2)] * 3)
+    corestricted = Datum(R1, [BlockHom(R1, R1, RR=[[1]]),
+                              BlockHom(R1, ElementaryGroup(a=1, c=1), RR=[[1]])],
+                         [2, 2])
+    for d in (finite, corestricted, young_datum()):
+        first, second = bl_constant(d), bl_constant(d)
+        lines = [(f.notes, g.notes) for f, g in zip(first.factors, second.factors)]
+        lines.append((first.ledger, second.ledger))
+        assert any(a for a, _ in lines)
+        for a, b in lines:
+            assert a == b and all(x is y for x, y in zip(a, b))
+
+
 def test_exact_sectors_do_not_load_numpy():
     # numpy is imported only where floats are optimized over; importing the
     # package and pricing finite data must not load it
