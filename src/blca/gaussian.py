@@ -6,24 +6,34 @@ matrices M_j:
 
     obj(M) = prod_j det(M_j)^{1/2 p_j} / det(sum_j s_j^T M_j s_j / p_j)^{1/2}
 
-maximized by cyclic fixed-point updates M_j <- (s_j Q^{-1} s_j^T)^{-1}, where
-Q = sum_j s_j^T M_j s_j / p_j, the stationarity equation of obj in the j-th
-coordinate.  In eigencoordinates of the coordinate problem the update reads
-y <- 1 + y/p_j, which walks every eigenvalue toward the unique coordinate
-maximum p_j/(p_j - 1) without crossing it, so each update is monotone ascent;
-that is the invariant the tests lean on.  Divergence of the ascent is reported
-numerically (DIVERGED) but never used as a certificate; certified infiniteness
-comes from the exact rational checks in bcct_finiteness.
+maximized by cyclic block-coordinate ascent.  Write
+Q = sum_j s_j^T M_j s_j / p_j and Q_{-j} for the same sum without map j.
+With the other covariances held fixed, obj has a unique maximum in the block
+M_j,
+
+    M_j = ((1 - 1/p_j) s_j Q_{-j}^{-1} s_j^T)^{-1},
+
+which is p_j/(p_j - 1) times the identity in coordinates where
+s_j Q_{-j}^{-1} s_j^T is the identity, and each update moves M_j straight to
+it.  An update that maximizes its block cannot lower obj; that monotone
+ascent is the invariant the tests lean on.  A block has no maximum when
+p_j <= 1, or when Q_{-j} is singular along s_j (a direction only s_j sees, as
+on the axes datum): obj is then unbounded in the block, and the update falls
+back to the stationarity step M_j <- (s_j Q^{-1} s_j^T)^{-1}, which walks
+toward the supremum without lowering obj.  Divergence of the ascent is
+reported numerically (DIVERGED) but never used as a certificate; certified
+infiniteness comes from the exact rational checks in bcct_finiteness.
 
 One sweep updates every M_j in order, then evaluates the objective once.  An
-update does not invert Q again: it reads Q^{-1} and corrects it for the change
-in M_j, by Sherman-Morrison when s_j is one row (M_j is then a number and
-nothing is factored) and by Woodbury, with one small batched inverse,
-otherwise.  At the end of the sweep Q is assembled once and factored by one
-symmetric eigendecomposition, which gives log det Q, the condition number
-lambda_max/lambda_min that the divergence check reads, and a fresh Q^{-1} for
-the next sweep.  The corrections therefore never carry rounding from one
-sweep into the next.
+update neither inverts Q nor forms Q_{-j}: it reads the block maximum off
+Q^{-1} and corrects Q^{-1} for the change in M_j, by Sherman-Morrison when s_j
+is one row (M_j is then a number and nothing is factored) and otherwise by
+Woodbury, with one small solve and two small symmetric eigenvalue problems
+that give (s_j Q^{-1} s_j^T)^{-1} and decide the fallback.  At the end of the
+sweep Q is assembled once and factored by one symmetric eigendecomposition,
+which gives log det Q, the condition number lambda_max/lambda_min that the
+divergence check reads, and a fresh Q^{-1} for the next sweep.  The
+corrections therefore never carry rounding from one sweep into the next.
 
 One ascent from the identity suffices: log obj is jointly geodesically
 concave on the positive-definite matrices, so every fixed point of the ascent
@@ -132,45 +142,71 @@ class GaussianResult:
         return f"GaussianResult({self.status}, value={self.value:.12g}, sweeps={self.sweeps})"
 
 
-def _ascend(sigmas, recips, a, init_mats, budget):
-    """Cyclic coordinate ascent from init_mats, at most budget sweeps."""
+def _block_step(qinv, s, r: float, m) -> bool:
+    """Move M_j = m, the covariance of the map s at r = 1/p_j, to the maximum
+    of obj in its block, or, where the block has none, take the stationarity
+    step.  m and qinv change in place, qinv to the inverse of the new Q;
+    returns False, changing neither, when the update is singular.
+
+    With middle = s Q^-1 s^T, P^-1 = (s Q_{-j}^-1 s^T)^-1 is middle^-1 - r M_j,
+    so the block maximum N = P^-1 / (1 - r) is read off Q^-1 without forming
+    Q_{-j}.  That difference carries rounding on the scale of middle^-1, so
+    P^-1 counts as positive definite only when its smallest eigenvalue is
+    above 1/CONDITION_CEILING of the largest eigenvalue of middle^-1.  When it
+    is not, or when r >= 1, the block has no maximum and N = middle^-1.  Q then
+    changes by s^T D s with D = r (N - M_j), so by Woodbury Q^-1 changes by
+    -w D (I + middle D)^-1 w^T, w = Q^-1 s^T; I + middle D is invertible while
+    the new Q is.
+    """
     import numpy as np
+    if m.shape[0] == 1:
+        # one row: middle is a number mu, and nothing is factored
+        v = s[0]
+        w = qinv @ v
+        mu = float(v @ w)
+        if not mu > 0:
+            return False
+        x = float(m[0, 0])
+        new_x = 1.0 / mu
+        if r < 1.0 and new_x - r * x > new_x / CONDITION_CEILING:
+            new_x = (new_x - r * x) / (1.0 - r)
+        dx = r * (new_x - x)
+        qinv -= np.multiply.outer(dx / (1.0 + mu * dx) * w, w)
+        m[0, 0] = new_x
+        return True
+    w = qinv @ s.T
+    middle = s @ w
+    lam, vec = np.linalg.eigh(middle)
+    if not lam[0] > 0:
+        return False
+    new_m = (vec / lam) @ vec.T
+    new_m = 0.5 * (new_m + new_m.T)
+    if r < 1.0:
+        inv_p = new_m - r * m
+        if np.linalg.eigvalsh(inv_p)[0] * lam[0] * CONDITION_CEILING > 1.0:
+            new_m = inv_p / (1.0 - r)
+    delta = r * (new_m - m)
+    try:
+        qinv -= w @ np.linalg.solve(np.eye(len(m)) + delta @ middle, delta) @ w.T
+    except np.linalg.LinAlgError:
+        return False
+    m[...] = new_m
+    return True
+
+
+def _ascend(sigmas, recips, a, init_mats, budget):
+    """Cyclic block-coordinate ascent from init_mats, at most budget sweeps."""
     mats = [m.copy() for m in init_mats]
     try:
         log_obj, _, qinv = _log_objective(sigmas, recips, mats, a)
     except SingularDenominator as exc:
         return GaussianResult(math.inf, DIVERGED, 0, str(exc))
     log_ceiling = math.log(OBJECTIVE_CEILING)
-    active = [(j, s, r) for j, (s, r) in enumerate(zip(sigmas, recips))
-              if r and s.shape[0]]
+    active = [(s, r, m) for s, r, m in zip(sigmas, recips, mats) if r and s.shape[0]]
     for sweep in range(1, budget + 1):
-        for j, s, r in active:
-            # M_j <- N = middle^-1 with middle = s Q^-1 s^T.  Q changes by
-            # r s^T (N - M_j) s, so by Woodbury Q^-1 changes by -w K w^T, with
-            # w = Q^-1 s^T and K = N - (middle A middle)^-1 for
-            # A = (1 + r) N - r M_j; A is invertible while the new Q is.
-            m = mats[j]
-            if m.shape[0] == 1:
-                # one row: middle is a number mu, K = t / (mu (1 + t))
-                v = s[0]
-                w = qinv @ v
-                mu = float(v @ w)
-                if not mu > 0:
-                    return GaussianResult(math.inf, DIVERGED, sweep, _SINGULAR_UPDATE)
-                t = r * (1.0 - mu * float(m[0, 0]))
-                m[0, 0] = 1.0 / mu
-                qinv -= np.multiply.outer(t / (mu * (1.0 + t)) * w, w)
-                continue
-            w = qinv @ s.T
-            middle = s @ w
-            try:
-                new_m, inner = np.linalg.inv(
-                    np.stack([middle, (1.0 + r) * middle - r * (middle @ m @ middle)]))
-            except np.linalg.LinAlgError:
+        for s, r, m in active:
+            if not _block_step(qinv, s, r, m):
                 return GaussianResult(math.inf, DIVERGED, sweep, _SINGULAR_UPDATE)
-            new_m = 0.5 * (new_m + new_m.T)
-            qinv -= w @ (new_m - inner) @ w.T
-            mats[j] = new_m
         try:
             new_log_obj, cond, qinv = _log_objective(sigmas, recips, mats, a)
         except SingularDenominator as exc:

@@ -230,9 +230,13 @@ def test_capped_ascent_stays_below_the_split_value(monkeypatch):
 
 # -- the ascent kernel against the textbook loop -----------------------------
 
-def _reference_ascent(sigmas, recips, a, budget):
-    """The coordinate ascent written out directly: per map, invert Q and
-    s Q^-1 s^T; the objective from slogdet and the SVD condition number."""
+def _reference_ascent(sigmas, recips, a, budget, exact=True):
+    """The coordinate ascent written out directly: per map, assemble the other
+    maps' sum Q_{-j} from scratch and move M_j to the block maximum
+    inv((1 - r_j) s_j inv(Q_{-j}) s_j^T); when r_j >= 1 or Q_{-j} is singular
+    (the block has no maximum), or always when exact is False, take the
+    fixed-point step inv(s_j inv(Q) s_j^T).  The objective from slogdet and
+    the SVD condition number."""
     import numpy as np
 
     def objective(mats):
@@ -252,8 +256,15 @@ def _reference_ascent(sigmas, recips, a, budget):
         for j, (s, r) in enumerate(zip(sigmas, recips)):
             if not r:
                 continue
-            q = sum(rk * (sk.T @ mk @ sk) for sk, rk, mk in zip(sigmas, recips, mats) if rk)
-            new_m = np.linalg.inv(s @ np.linalg.inv(q) @ s.T)
+            rest = np.zeros((a, a))
+            for k, (sk, rk, mk) in enumerate(zip(sigmas, recips, mats)):
+                if rk and k != j:
+                    rest += rk * (sk.T @ mk @ sk)
+            if exact and r < 1 and np.linalg.matrix_rank(rest) == a:
+                new_m = np.linalg.inv((1 - r) * (s @ np.linalg.inv(rest) @ s.T))
+            else:
+                q = rest + r * (s.T @ mats[j] @ s)
+                new_m = np.linalg.inv(s @ np.linalg.inv(q) @ s.T)
             mats[j] = 0.5 * (new_m + new_m.T)
         new_log_obj, cond = objective(mats)
         if new_log_obj > math.log(1e8) or cond > 1e12:
@@ -299,6 +310,14 @@ def _kernel_cases():
     # the two covariances shrink at different rates, so the denominator's
     # condition number passes its ceiling before the objective does
     yield "axes, unequal", Datum(R2, axes.homs, [F(3, 2), F(3)]), 100000, DIVERGED
+    # two-row maps whose blocks have no maximum either: each candidate is
+    # rounding in both eigenvalues, close to each other, so only the scale
+    # of the fixed-point step tells it from a maximum
+    R4 = ElementaryGroup(a=4)
+    for rows, p in (([[[1, 2, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 3], [0, 0, 1, 1]]], [F(2)] * 2),
+                    ([[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]],
+                     [F(3, 2), F(3)])):
+        yield "block axes", Datum(R4, [BlockHom(R4, R2, RR=m) for m in rows], p), 100000, DIVERGED
 
 
 def test_ascent_matches_the_textbook_loop():
@@ -318,3 +337,96 @@ def test_ascent_matches_the_textbook_loop():
             assert math.isinf(got.value), name
         else:
             assert abs(got.value - want[2]) <= 1e-9 * want[2], name
+
+
+def _float_datum(d):
+    from blca.gaussian import _float_blocks
+    sigmas = _float_blocks([h.RR for h in d.homs], d.domain.a)
+    return sigmas, [float(r) for r in d.reciprocal_exponents()]
+
+
+def test_no_block_update_lowers_the_objective():
+    # an exact step maximizes its block, and the fallback step is the
+    # monotone fixed-point step
+    import numpy as np
+    from blca.gaussian import _block_step, _log_objective
+    for name, d, budget, _ in _kernel_cases():
+        a = d.domain.a
+        sigmas, recips = _float_datum(d)
+        mats = [np.eye(s.shape[0]) for s in sigmas]
+        log_obj, _, qinv = _log_objective(sigmas, recips, mats, a)
+        for _ in range(min(budget, 20)):
+            for s, r, m in zip(sigmas, recips, mats):
+                assert _block_step(qinv, s, r, m), name
+                new_log_obj, _, _ = _log_objective(sigmas, recips, mats, a)
+                assert new_log_obj >= log_obj + math.log1p(-1e-12), name
+                log_obj = new_log_obj
+            _, _, qinv = _log_objective(sigmas, recips, mats, a)
+
+
+def test_an_exact_step_lands_on_its_block_maximum():
+    # scaling the new covariance either way lowers the objective; the axes
+    # data have no block maximum, and at r = 1 no block has one
+    import numpy as np
+    from blca.gaussian import _block_step, _log_objective
+    exact = 0
+    for name, d, _, expected in _kernel_cases():
+        if expected == DIVERGED:
+            continue
+        a = d.domain.a
+        sigmas, recips = _float_datum(d)
+        mats = [np.eye(s.shape[0]) for s in sigmas]
+        for _ in range(3):
+            for s, r, m in zip(sigmas, recips, mats):
+                _, _, qinv = _log_objective(sigmas, recips, mats, a)
+                assert _block_step(qinv, s, r, m), name
+                if r >= 1:
+                    continue
+                top = m.copy()
+                peak, _, _ = _log_objective(sigmas, recips, mats, a)
+                for factor in (1 - 1e-3, 1 + 1e-3):
+                    m[...] = factor * top
+                    assert _log_objective(sigmas, recips, mats, a)[0] <= peak, name
+                m[...] = top
+                exact += 1
+    assert exact > 100
+
+
+def _frame3_datum():
+    R3 = ElementaryGroup(a=3)
+    frame = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+             [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
+    return Datum(R3, [BlockHom(R3, R2, RR=m) for m in frame], [F(8, 3)] * 4)
+
+
+def test_exact_steps_match_the_fixed_point_loop(monkeypatch):
+    # the generic vector items of the rank_search benchmark (seed 1, blocks
+    # 0-3) and the Q^3 projective frame, priced once by the ascent and once
+    # with the fixed-point loop in its place: the same status, the same value
+    # to 1e-8
+    import os
+    import sys
+    import blca
+    from blca.gaussian import GaussianResult
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench import workloads
+    data = [workloads.build_rank(blca, s) for block in range(4)
+            for s in workloads.rank_search_block(1, block)
+            if s["sector"] == "R" and s["stratum"].endswith("_generic")]
+    assert len(data) == 136
+    data.append(_frame3_datum())
+
+    def fixed_point(sigmas, recips, a, init_mats, budget):
+        status, sweeps, value = _reference_ascent(sigmas, recips, a, budget, exact=False)
+        return GaussianResult(value, status, sweeps)
+
+    for d in data:
+        verdict = bcct_finiteness(d)
+        got = gaussian_bl_constant(d, verdict)
+        with monkeypatch.context() as patch:
+            patch.setattr(blca.gaussian, "_ascend", fixed_point)
+            want = gaussian_bl_constant(d, verdict)
+        assert got.status == want.status == CONVERGED, d
+        assert abs(got.value - want.value) <= 1e-8 * want.value, d

@@ -628,7 +628,7 @@ def test_vector_part_on_an_uncertified_closure_is_heuristic():
     vec = _factor(rep, "vector")
     assert (vec.kind, vec.certification, vec.witness) == (FINITE, "heuristic", None)
     assert vec.notes == ("finiteness rests on an uncertified rank search",
-                         "gaussian ascent converged after 38 sweeps")
+                         "gaussian ascent converged after 17 sweeps")
 
 
 def test_free_part_on_an_uncertified_closure_is_heuristic():
