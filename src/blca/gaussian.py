@@ -59,8 +59,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import SingularDenominator
 from .homs import Datum
-from .intmat import (columns, det_rational, from_columns, hstack, identity, matmul,
-                     rational_rref)
+from .intmat import (clear_denominators, columns, det_rational, from_columns, hstack,
+                     identity, matmul, primitive_rref, rational_rref)
 from .rank import RankVerdict, rank_condition
 
 # numpy is imported inside the functions that use it, so that importing
@@ -229,7 +229,8 @@ def _completion(cols, n: int):
     """(T, r): an invertible n x n matrix whose first r columns are a basis of
     the span of cols, picked from cols in order, and whose other columns are
     unit vectors."""
-    _, pivots = rational_rref(hstack(from_columns(cols, n), identity(n)))
+    _, pivots = primitive_rref([clear_denominators(row)
+                                for row in hstack(from_columns(cols, n), identity(n))])
     k = len(cols)
     units = identity(n)
     chosen = [list(cols[i]) if i < k else units[i - k] for i in pivots]

@@ -485,7 +485,7 @@ def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> Closed
         for r in range(h.codomain.a):
             lie_rows.append(list(h.RR[r]) + [Fraction(0)] * b)
         for r in range(h.codomain.b):
-            lie_rows.append(list(h.RT[r]) + [Fraction(v) for v in h.TT[r]])
+            lie_rows.append(list(h.RT[r]) + list(h.TT[r]))
     if a + b == 0:
         lie = []
     elif not lie_rows:
@@ -625,7 +625,7 @@ def image_is_open(h: BlockHom) -> bool:
         return False
     if t.b == 0:
         return True
-    span = [[Fraction(v) for v in col] for col in transpose(h.TT)]
+    span = transpose(h.TT)
     if h.domain.a:
         if t.a == 0:
             ker = identity(h.domain.a)

@@ -1,9 +1,14 @@
 """Exact integer and rational matrix algebra.
 
-Matrices are row-major lists of lists, integers for lattice work and
-`fractions.Fraction` for rational work.  Nothing here is clever about sparsity;
-the matrices in this package are tiny (dimensions rarely above a dozen) and
-exactness plus determinism matter far more than speed.
+Matrices are row-major lists of lists.  Lattice routines take integers.  The
+rational routines (`rational_rank`, `rational_rref`, `rational_kernel`,
+`solve_rational`, `det_rational`) take int or `fractions.Fraction` entries,
+clear each row to integers (which changes no row space) and eliminate
+fraction-free with `primitive_rref`, or with Bareiss' elimination for the
+determinant; they build `Fraction`s only in their results.  Nothing here is
+clever about sparsity; the matrices in this package are tiny (dimensions
+rarely above a dozen) and exactness plus determinism matter far more than
+speed.
 
 The Smith form uses a fixed pivot rule (smallest magnitude nonzero entry,
 ties broken by lowest row then column index) so that transforms, witnesses and
@@ -13,7 +18,7 @@ canonical bases are reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = List[List[int]]
@@ -30,11 +35,6 @@ def clear_denominators(vec: Sequence) -> List[int]:
     entries (ints or Fractions)."""
     s = lcm(*(x.denominator for x in vec))
     return [x.numerator * (s // x.denominator) for x in vec]
-
-
-def _rational_rows(m: Sequence[Sequence]) -> RatMatrix:
-    """A copy of m with Fraction entries; a Fraction is shared, not rebuilt."""
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m]
 
 
 def mat_copy(m: Sequence[Sequence[int]]) -> IntMatrix:
@@ -290,9 +290,9 @@ def integer_kernel(m: Sequence[Sequence[int]]) -> List[List[int]]:
 def solve_integer(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List[int]]:
     """One integer solution x of m x = b, or None."""
     nr = len(m)
+    if len(b) != nr:
+        raise ValueError("solve_integer shape mismatch")
     nc = len(m[0]) if m else 0
-    if nr == 0:
-        return [0] * nc
     u, d, v = smith_normal_form(m)
     ub = mat_vec(u, list(b))
     diag = diagonal_of(d)
@@ -308,75 +308,50 @@ def solve_integer(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[List
     return mat_vec(v, y)
 
 
-def _gauss_jordan(a: RatMatrix, ncols: int) -> Tuple[List[int], Fraction]:
-    """Bring a to reduced row echelon form over Q in place, pivoting on its first
-    ncols columns only.  Returns the pivot columns and the product of the
-    pivots, negated once per row swap (the determinant when a is square)."""
-    nr = len(a)
-    pivots = []
-    det = Fraction(1)
-    for col in range(ncols):
-        pr = len(pivots)
-        if pr == nr:
-            break
-        piv = next((i for i in range(pr, nr) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            a[pr], a[piv] = a[piv], a[pr]
-            det = -det
-        inv = a[pr][col]
-        det *= inv
-        a[pr] = [x / inv for x in a[pr]]
-        for i in range(nr):
-            if i != pr and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-        pivots.append(col)
-    return pivots, det
+def _cleared_rref(m: Sequence[Sequence]) -> Tuple[IntMatrix, List[int]]:
+    """primitive_rref of m with each row cleared to integers on its own."""
+    return primitive_rref([clear_denominators(row) for row in m])
 
 
 def rational_rref(m: Sequence[Sequence]) -> Tuple[RatMatrix, List[int]]:
-    """Reduced row echelon form over Q plus the list of pivot columns."""
-    a = _rational_rows(m)
-    pivots, _ = _gauss_jordan(a, len(a[0]) if a else 0)
-    return a, pivots
+    """Reduced row echelon form over Q plus the list of pivot columns; zero
+    rows pad it to the row count of m."""
+    rows, pivots = _cleared_rref(m)
+    nc = len(m[0]) if m else 0
+    rref = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(rows, pivots)]
+    return rref + [[Fraction(0)] * nc for _ in range(len(m) - len(rows))], pivots
 
 
 def rational_rank(m: Sequence[Sequence]) -> int:
-    return len(rational_rref(m)[1])
+    return len(_cleared_rref(m)[1])
 
 
 def rational_kernel(m: Sequence[Sequence]) -> List[List[Fraction]]:
     """Basis (list of columns) of the rational null space of m."""
     nc = len(m[0]) if m else 0
-    if nc == 0:
-        return []
-    rref, pivots = rational_rref(m)
-    free = [j for j in range(nc) if j not in pivots]
+    rows, pivots = _cleared_rref(m)
     basis = []
-    for f in free:
+    for f in (j for j in range(nc) if j not in pivots):
         vec = [Fraction(0)] * nc
         vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][f]
+        for row, pc in zip(rows, pivots):
+            if row[f]:
+                vec[pc] = Fraction(-row[f], row[pc])
         basis.append(vec)
     return basis
 
 
 def solve_rational(m: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction]]:
     """One rational solution of m x = b, or None."""
-    nr = len(m)
+    if len(b) != len(m):
+        raise ValueError("solve_rational shape mismatch")
     nc = len(m[0]) if m else 0
-    if nr == 0:
-        return [Fraction(0)] * nc
-    aug = [row + [Fraction(bb)] for row, bb in zip(_rational_rows(m), b)]
-    rref, pivots = rational_rref(aug)
+    rows, pivots = _cleared_rref([[*row, bb] for row, bb in zip(m, b)])
     if nc in pivots:
         return None
     x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][nc]
+    for row, pc in zip(rows, pivots):
+        x[pc] = Fraction(row[nc], row[pc])
     return x
 
 
@@ -425,14 +400,31 @@ def solve_semi_integer(real_cols: Sequence[Sequence], int_cols: Sequence[Sequenc
 
 
 def det_rational(m: Sequence[Sequence]) -> Fraction:
-    a = _rational_rows(m)
-    pivots, det = _gauss_jordan(a, len(a))
-    return det if len(pivots) == len(a) else Fraction(0)
+    """Determinant of a square rational matrix: Bareiss' elimination, whose
+    every division is exact, on the rows cleared to integers, divided by the
+    rows' scales."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det_rational needs a square matrix")
+    a = [clear_denominators(row) for row in m]
+    det, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        top = a[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(top[k] * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = top[k]
+    return Fraction(det * prev, prod(lcm(*(x.denominator for x in row)) for row in m))
 
 
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of an integer matrix of determinant +-1."""
+    """Exact inverse of an integer matrix of determinant +-1: the right half
+    of the fraction-free form of [u | I], whose pivots are all 1."""
     n = len(u)
-    aug = [row + e for row, e in zip(_rational_rows(u), identity(n))]
-    _gauss_jordan(aug, n)
-    return [[int(x) for x in row[n:]] for row in aug]
+    return [row[n:] for row in primitive_rref(hstack(u, identity(n)))[0]]

@@ -85,7 +85,7 @@ def corestrict_open(h: BlockHom, lattice: LatticeSubgroup) -> BlockHom:
     for i, d in enumerate(lattice.orders):
         if d:
             solver_cols.append([d if j == i else 0 for j in range(n)])
-    mat = from_columns(solver_cols, n) if solver_cols else []
+    mat = from_columns(solver_cols, n)
 
     def rewrite(col, finite_source):
         if not any(col):

@@ -2,6 +2,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +111,21 @@ def test_solve_rational_roundtrip():
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
 
+def test_solve_rational_rejects_a_short_right_hand_side():
+    with pytest.raises(ValueError):
+        solve_rational([[1, 0], [0, 1]], [1])
+
+
+def test_solve_integer_rejects_a_short_right_hand_side():
+    with pytest.raises(ValueError):
+        solve_integer([[1, 0], [0, 1]], [1])
+
+
+def test_det_rational_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError):
+        det_rational([[1, 2, 3], [4, 5, 6]])
+
+
 def test_rational_rref_pivots():
     red, pivots = rational_rref([[F(0), F(2)], [F(0), F(4)]])
     assert pivots == [1]
@@ -145,8 +161,162 @@ def _random_rational_matrix(rnd):
     return rows
 
 
+# -- reference copies: the Gauss-Jordan elimination over Q that the rational
+# routines ran before they eliminated fraction-free --------------------------
+
+def _ref_rational_rows(m):
+    return [[x if type(x) is F else F(x) for x in row] for row in m]
+
+
+def _ref_gauss_jordan(a, ncols):
+    nr = len(a)
+    pivots = []
+    det = F(1)
+    for col in range(ncols):
+        pr = len(pivots)
+        if pr == nr:
+            break
+        piv = next((i for i in range(pr, nr) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != pr:
+            a[pr], a[piv] = a[piv], a[pr]
+            det = -det
+        inv = a[pr][col]
+        det *= inv
+        a[pr] = [x / inv for x in a[pr]]
+        for i in range(nr):
+            if i != pr and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(col)
+    return pivots, det
+
+
+def _ref_rational_rref(m):
+    a = _ref_rational_rows(m)
+    pivots, _ = _ref_gauss_jordan(a, len(a[0]) if a else 0)
+    return a, pivots
+
+
+def _ref_rational_rank(m):
+    return len(_ref_rational_rref(m)[1])
+
+
+def _ref_rational_kernel(m):
+    nc = len(m[0]) if m else 0
+    if nc == 0:
+        return []
+    rref, pivots = _ref_rational_rref(m)
+    basis = []
+    for f in [j for j in range(nc) if j not in pivots]:
+        vec = [F(0)] * nc
+        vec[f] = F(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _ref_solve_rational(m, b):
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    if nr == 0:
+        return [F(0)] * nc
+    aug = [row + [F(bb)] for row, bb in zip(_ref_rational_rows(m), b)]
+    rref, pivots = _ref_rational_rref(aug)
+    if nc in pivots:
+        return None
+    x = [F(0)] * nc
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][nc]
+    return x
+
+
+def _ref_det_rational(m):
+    a = _ref_rational_rows(m)
+    pivots, det = _ref_gauss_jordan(a, len(a))
+    return det if len(pivots) == len(a) else F(0)
+
+
+def _ref_unimodular_inverse(u):
+    n = len(u)
+    aug = [row + e for row, e in zip(_ref_rational_rows(u), identity(n))]
+    _ref_gauss_jordan(aug, n)
+    return [[int(x) for x in row[n:]] for row in aug]
+
+
+def _same(got, want):
+    """Equal values and equal types, entry by entry, through nested lists."""
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_same(g, w) for g, w in zip(got, want)))
+    return type(got) is type(want) and got == want
+
+
+def _random_unimodular(rnd, n):
+    """The identity moved by random row additions, swaps and negations."""
+    u = identity(n)
+    for _ in range(rnd.randint(0, 3 * n)):
+        i, k = rnd.randrange(n), rnd.randrange(n)
+        if i == k:
+            u[i] = [-x for x in u[i]]
+        elif rnd.random() < 0.3:
+            u[i], u[k] = u[k], u[i]
+        else:
+            c = rnd.choice([-3, -2, -1, 1, 2, 3])
+            u[i] = [x + c * y for x, y in zip(u[i], u[k])]
+    return u
+
+
+def test_rational_routines_match_the_reference_copies():
+    # all six rational routines against the Gauss-Jordan copies above, on
+    # Fraction entries and, where a row is integral, on the same row as ints
+    import random
+    rnd = random.Random(20261020)
+    seen = {"empty": 0, "zero row": 0, "tall": 0, "wide": 0, "rational": 0,
+            "int entries": 0, "solvable": 0, "unsolvable": 0,
+            "singular square": 0, "invertible square": 0}
+    for trial in range(800):
+        rat = _random_rational_matrix(rnd)
+        mixed = [[int(x) if x.denominator == 1 and rnd.random() < 0.5 else x for x in row]
+                 for row in rat]
+        n = len(rat[0]) if rat else rnd.randint(0, 4)
+        for m in (rat, mixed):
+            assert rational_rank(m) == _ref_rational_rank(rat), trial
+            assert _same(list(rational_rref(m)), list(_ref_rational_rref(rat))), trial
+            assert _same(rational_kernel(m), _ref_rational_kernel(rat)), trial
+        # a consistent right-hand side, and a random one
+        x = [F(rnd.randint(-3, 3), rnd.choice([1, 2])) for _ in range(n)]
+        for b in (mat_vec(rat, x), [F(rnd.randint(-3, 3), rnd.choice([1, 3])) for _ in rat]):
+            got = solve_rational(mixed, b)
+            assert _same(got, _ref_solve_rational(rat, b)), trial
+            if got is not None:
+                assert mat_vec(rat, got) == b, trial
+            seen["solvable" if got is not None else "unsolvable"] += bool(rat)
+        # a square matrix: this one's rows, topped up or cut to n
+        square = (mixed + [[F(rnd.randint(-4, 4), rnd.choice([1, 2, 5])) for _ in range(n)]
+                           for _ in range(n)])[:n]
+        det = det_rational(square)
+        assert _same(det, _ref_det_rational(square)), trial
+        seen["singular square" if det == 0 else "invertible square"] += n > 0
+        u = _random_unimodular(rnd, n) if n else []
+        inv = unimodular_inverse(u)
+        assert _same(inv, _ref_unimodular_inverse(u)), trial
+        assert matmul(u, inv) == identity(n), trial
+        seen["empty"] += not rat
+        seen["zero row"] += any(not any(row) for row in rat)
+        seen["tall"] += len(rat) > n > 0
+        seen["wide"] += 0 < len(rat) < n
+        seen["rational"] += any(x.denominator > 1 for row in rat for x in row)
+        seen["int entries"] += any(type(x) is int for row in mixed for x in row)
+    assert min(seen.values()) >= 25, seen
+
+
 def test_primitive_names_match_the_rational_forms():
-    # each row cleared to integers on its own, as the rank checker does
+    # each row cleared to integers on its own, as the rank checker does; the
+    # rational forms come from the reference copies, since the rational
+    # routines now run primitive_rref themselves
     import random
     rnd = random.Random(20261019)
     seen = {"empty": 0, "zero row": 0, "tall": 0, "wide": 0, "rational": 0, "pivot > 1": 0}
@@ -154,18 +324,18 @@ def test_primitive_names_match_the_rational_forms():
         rat = _random_rational_matrix(rnd)
         m = [clear_denominators(row) for row in rat]
         rows, pivots = primitive_rref(m)
-        rref, rat_pivots = rational_rref(rat)
+        rref, rat_pivots = _ref_rational_rref(rat)
         assert pivots == rat_pivots, trial
         assert len(rows) == len(pivots), trial
         for row, pc, q in zip(rows, pivots, rref):
             assert row[pc] > 0 and gcd(*row) == 1, trial
             assert [F(x, row[pc]) for x in row] == q, trial
-        ker, rat_ker = primitive_kernel(m), rational_kernel(rat)
+        ker, rat_ker = primitive_kernel(m), _ref_rational_kernel(rat)
         assert len(ker) == len(rat_ker), trial
         for v in ker:
             assert all(type(x) is int for x in v) and not any(mat_vec(m, v)), trial
         if ker:
-            assert rational_rank(ker + rat_ker) == len(rat_ker), trial
+            assert _ref_rational_rank(ker + rat_ker) == len(rat_ker), trial
         n = len(m[0]) if m else 0
         seen["empty"] += not m
         seen["zero row"] += any(not any(row) for row in m)

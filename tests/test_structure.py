@@ -642,3 +642,45 @@ def test_free_part_on_an_uncertified_closure_is_heuristic():
     assert free.notes == ("the rank search found no violation but could not "
                           "certify completeness; the value assumes the "
                           "condition holds",)
+
+
+def _witness_dimensions(rep):
+    return [len(f.witness) if isinstance(f.witness, tuple) else f.witness
+            for f in rep.factors]
+
+
+def test_rational_scaling_of_the_maps_scales_the_constant():
+    # the vector items of the rank_search benchmark (seed 1, blocks 0-3) with
+    # map j scaled by a non-integer rational c_j: the maps keep their kernels
+    # and images, so the verdict, its certification and the witness subspaces'
+    # dimensions stay, and the constant picks up prod_j |c_j|^(-m_j/p_j),
+    # m_j the dimension of target j (the change of variables in each target)
+    import os
+    import sys
+    import blca
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench import workloads
+    rnd = random.Random(7)
+    scales = [F(1, 2), F(-3, 2), F(2, 3), F(5, 7), F(-7, 4), F(9, 5)]
+    seen = {}
+    for s in [s for block in range(4) for s in workloads.rank_search_block(1, block)
+              if s["sector"] == "R"]:
+        d = workloads.build_rank(blca, s)
+        cs = [rnd.choice(scales) for _ in d.homs]
+        scaled = Datum(d.domain, [BlockHom(d.domain, h.codomain, RR=[[c * x for x in row]
+                                                                       for row in h.RR])
+                                  for h, c in zip(d.homs, cs)], d.exponents)
+        rep, got = bl_constant(d), bl_constant(scaled)
+        assert (got.kind, got.certification) == (rep.kind, rep.certification), s
+        assert _witness_dimensions(got) == _witness_dimensions(rep), s
+        if rep.kind == FINITE:
+            factor = math.prod(abs(float(c)) ** (-len(h.RR) / float(p))
+                               for h, c, p in zip(d.homs, cs, d.exponents))
+            assert abs(got.value - factor * rep.value) <= 1e-8 * factor * rep.value, s
+        key = s["stratum"].split("_", 1)[1]
+        seen[key] = seen.get(key, 0) + 1
+    # generic, critical (boundary), infinite (parallel, shared) and mixed-rank
+    assert set(seen) == {"generic", "boundary", "parallel", "mixed_generic",
+                         "mixed_shared"}, seen

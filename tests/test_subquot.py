@@ -187,10 +187,12 @@ def test_discrete_image_lattice():
 
 
 def test_corestrict_open_rejects_escaping_image():
+    # into 2Z, and into the trivial lattice, which has no generator to solve for
     h = BlockHom(Z, Z, ZZ=[[1]])
-    lat = discrete_image_lattice(BlockHom(Z, Z, ZZ=[[2]]))
-    with pytest.raises(Degenerate):
-        corestrict_open(h, lat)
+    for k in (2, 0):
+        lat = discrete_image_lattice(BlockHom(Z, Z, ZZ=[[k]]))
+        with pytest.raises(Degenerate):
+            corestrict_open(h, lat)
 
 
 def test_merge_finite_coordinates():
