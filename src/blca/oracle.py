@@ -331,8 +331,11 @@ def discretized_compact_check(b: int, n: int, d: Datum) -> float:
     The torus T^b becomes (Z/n)^b carrying the same total mass spread evenly,
     each integer map descends coordinatewise, and the finite alternating
     maximization runs on the result with its 20 random starts from seed 0.
-    Along a divisibility chain of n these values increase toward the torus
-    constant.
+    The value is a lower bound for the torus constant only when every map
+    stays onto mod n.  A map that does not, such as theta -> 2 theta for
+    even n, has too small a discrete image, and the value can then exceed
+    the torus constant (T with theta -> theta and theta -> 2 theta at
+    p = (2, 2) has constant 1 and reads sqrt 2 at n = 4, 8 and 16).
     """
     if d.domain.b != b:
         raise ShapeMismatch(f"datum domain has {d.domain.b} torus dimensions, not {b}")

@@ -431,6 +431,7 @@ def _finite_factor(fd: Datum) -> FactorReport:
 
 
 def _vector_factor(fd: Datum) -> FactorReport:
+    """The vector part of a nondegenerate datum, priced."""
     red = reduce_exponents(fd)
     notes = list(red.ledger)
     if red.datum is None:
@@ -441,15 +442,19 @@ def _vector_factor(fd: Datum) -> FactorReport:
         return FactorReport("vector", FINITE, float(red.resolution),
                             ExactValue.of(red.resolution), EXACT,
                             notes=tuple(notes))
+    # every map of a nondegenerate datum is onto; a map can have a proper
+    # subspace as its image only once reduce_exponents has changed the datum,
+    # by composing the maps with the kernel inclusion of a folded index
+    if red.datum is not fd:
+        for j, h in enumerate(red.datum.homs):
+            if not image_is_open(h):
+                return FactorReport(
+                    "vector", INFINITE, math.inf, None, CERTIFIED,
+                    witness=f"map {j} has image a proper subspace",
+                    notes=tuple(notes) + (
+                        "a map onto a proper (hence non-open) subspace "
+                        "forces an infinite constant at finite exponents",))
     fd = red.datum
-    for j, h in enumerate(fd.homs):
-        if not image_is_open(h):
-            return FactorReport(
-                "vector", INFINITE, math.inf, None, CERTIFIED,
-                witness=f"map {j} has image a proper subspace",
-                notes=tuple(notes) + (
-                    "a map onto a proper (hence non-open) subspace "
-                    "forces an infinite constant at finite exponents",))
     verdict = bcct_finiteness(fd)
     if not verdict.homogeneous or verdict.status == FAILS:
         detail = ("rank condition fails at the witness subspace" if verdict.homogeneous

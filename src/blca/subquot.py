@@ -14,7 +14,11 @@ it because they kill nothing the kernel pairs with, and dualizing back gives
 the quotient datum.  The measure bookkeeping comes out on its own: restricting
 the dual measure to the annihilator and dualizing again is exactly the
 pushforward measure on the quotient, i.e. the kernel is normalized to total
-mass one.
+mass one.  A sector-diagonal datum on a domain without a finite sector has
+its joint kernel in the torus sector, and there the round trip is written
+out directly: the annihilator is the row lattice of the stacked TT rows, so
+with B^T their canonical Hermite form the quotient map is t -> B^T t and each
+new TT block is TT_j B^-T, with no map dualized.
 
 The joint kernel that starts this is computed sector by sector when no map
 has a nonzero mixing block (homs._stacked_kernel): one Smith form of the
@@ -25,15 +29,18 @@ The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
 and are dropped.  structure.analyze is the one routine that splits a datum.
 The split builds each part's domain and each distinct target once, shares
-the unit Haar record, and gives a part that is trivial everywhere one zero
-map per distinct target, so it costs what the maps it keeps cost.
+the unit Haar record, gives a part that is trivial everywhere one zero map
+per distinct target, and returns a datum that lives in one sector, Haar
+records included, as its own part, so it builds only the maps of parts that
+differ from the datum.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import Degenerate, NotProper
 from .groups import (UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup,
@@ -42,8 +49,8 @@ from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
                    discrete_image_lattice, image_is_open, is_proper,
                    is_surjective, joint_kernel, torus_kernel)
 from .intmat import (congruence_kernel, det_rational, from_columns, identity,
-                     integer_kernel, rational_kernel, solve_integer,
-                     solve_rational)
+                     integer_kernel, rational_kernel, row_hermite_form,
+                     solve_integer, solve_rational)
 
 
 def _fold_discrete_haar(haar: HaarRecord, c_new: int, k_new: int) -> HaarRecord:
@@ -266,7 +273,58 @@ def lattice_inclusion_hom(lattice: LatticeSubgroup, ghat: ElementaryGroup) -> Bl
         FF=[[col[ghat.c + r] for col in tors_cols] for r in range(ghat.k)])
 
 
+def _hermite_coordinates(basis: List[List[int]], vec: Sequence[int]) -> List[int]:
+    """The integer coefficients of vec in the rows of a row Hermite form,
+    by forward substitution at each row's pivot; vec must lie in their
+    lattice."""
+    rest = list(vec)
+    out = []
+    for row in basis:
+        pc = next(i for i, x in enumerate(row) if x)
+        q = rest[pc] // row[pc]
+        if q:
+            rest = [x - q * y for x, y in zip(rest, row)]
+        out.append(q)
+    if any(rest):
+        raise RuntimeError("vector escaped the annihilator lattice")
+    return out
+
+
+def _torus_sector_quotient(d: Datum):
+    """The kernel quotient of a sector-diagonal datum on a domain without a
+    finite sector, where the joint kernel N lies in the torus sector.
+
+    N is the kernel of t -> M t on T^b, M the stacked TT rows, so its
+    annihilator is the row lattice of M, and the rows of M's canonical Hermite
+    form are the basis B^T the dual round trip reaches.  The quotient map is
+    t -> B^T t onto T^r, r the rank of M, each new TT block is TT_j B^-T, and
+    the other diagonal blocks and every target are unchanged.  Returns the
+    new domain, the new maps and the quotient map."""
+    g = d.domain
+    basis = row_hermite_form([row for h in d.homs for row in h.TT])
+    r = len(basis)
+    ghat = dual_group(g)
+    new_domain = dual_group(ElementaryGroup(
+        a=g.a, b=g.c, c=r, haar=_fold_discrete_haar(ghat.haar, r, 0)))
+    new_homs = [BlockHom(new_domain, h.codomain, RR=h.RR, ZZ=h.ZZ,
+                         TT=[_hermite_coordinates(basis, row) for row in h.TT])
+                for h in d.homs]
+    quotient_map = BlockHom(g, new_domain, RR=identity(g.a), TT=basis,
+                            ZZ=identity(g.c))
+    return new_domain, new_homs, quotient_map
+
+
 def _quotient_by_joint_kernel(d: Datum, N: ClosedSubgroup):
+    """The datum on G/N, N the compact joint kernel, the quotient map and
+    the ledger note.
+
+    A sector-diagonal datum on a domain without a finite sector takes the
+    direct torus quotient (_torus_sector_quotient).  Every other datum runs
+    the dual round trip: dualize every map, corestrict the adjoints onto the
+    annihilator of N, and dualize back.  A domain with a finite sector stays
+    on the round trip: there the adapted basis of the annihilator
+    (LatticeSubgroup.structure) lists the Hermite basis in another order, so
+    the direct quotient would give other, equivalent torus coordinates."""
     g = d.domain
     for v in N.lie:
         if any(v[: g.a]):
@@ -274,14 +332,19 @@ def _quotient_by_joint_kernel(d: Datum, N: ClosedSubgroup):
     for el in N.gens:
         if any(el.x) or any(el.m):
             raise NotProper("the joint kernel has a noncompact discrete direction")
-    ghat = dual_group(g)
-    ann = _annihilator_of_compact_kernel(N, g)
-    new_taus = [corestrict_open(adjoint_hom(h), ann) for h in d.homs]
-    new_domain = dual_group(new_taus[0].codomain)
-    new_homs = [adjoint_hom(t) for t in new_taus]
-    quotient_map = adjoint_hom(lattice_inclusion_hom(ann, ghat))
+    if not g.k and not any(any(row) for h in d.homs for name in MIXING_BLOCKS
+                           for row in getattr(h, name)):
+        new_domain, new_homs, quotient_map = _torus_sector_quotient(d)
+    else:
+        ghat = dual_group(g)
+        ann = _annihilator_of_compact_kernel(N, g)
+        new_taus = [corestrict_open(adjoint_hom(h), ann) for h in d.homs]
+        new_domain = dual_group(new_taus[0].codomain)
+        new_homs = [adjoint_hom(t) for t in new_taus]
+        quotient_map = adjoint_hom(lattice_inclusion_hom(ann, ghat))
+    # the kernel's identity component is the torus dimension the quotient loses
     note = (f"quotiented the domain by its compact joint kernel "
-            f"(lie rank {N.lie_rank()}, {len(N.gens)} discrete generators); "
+            f"(lie rank {g.b - new_domain.b}, {len(N.gens)} discrete generators); "
             f"new domain {new_domain.describe()}, kernel normalized to total mass 1, "
             f"quotient carries the pushforward measure")
     return Datum(new_domain, new_homs, d.exponents), quotient_map, note
@@ -365,15 +428,21 @@ def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
     Each part keeps its own sector's Haar scale; off-diagonal blocks are
     dropped (they do not contribute a factor of their own).  The groups are
     shared: each part's domain, and each distinct target, is built once per
-    call.  A sector that is trivial in the domain and in every target has
-    only zero maps, so each distinct target gets one map, built once, that
-    every index into it shares.
+    call.  When a part's domain and targets equal the datum's own, Haar
+    records included, the datum lives in that one sector and is its own
+    part, so it is returned as it is.  A sector that is trivial in the
+    domain and in every target has only zero maps, so each distinct target
+    gets one map, built once, that every index into it shares.
     """
     parts = []
+    own_targets = d.targets
     for dim, scale, block in _PARTS:
         groups: Dict[tuple, ElementaryGroup] = {}
         dom = _part_group(groups, d.domain, dim, scale)
         targets = [_part_group(groups, h.codomain, dim, scale) for h in d.homs]
+        if dom == d.domain and all(map(operator.eq, targets, own_targets)):
+            parts.append(d)
+            continue
         if getattr(dom, dim) or any(getattr(t, dim) for t in targets):
             homs = [BlockHom(dom, t, **{block: getattr(h, block)})
                     for h, t in zip(d.homs, targets)]

@@ -505,8 +505,9 @@ def test_pipeline_runs_each_check_once(monkeypatch):
 
 def test_pipeline_builds_each_group_once(monkeypatch):
     # the normal form and split build each group and map once: a part that
-    # is trivial in every group shares one zero map per distinct target, and
-    # a record at unit scales is the shared one
+    # is trivial in every group shares one zero map per distinct target, a
+    # datum that lives in one sector at unit scales is its own part, and a
+    # record at unit scales is the shared one
     counts = {"HaarRecord": 0, "BlockHom": 0}
 
     def counted(cls):
@@ -524,15 +525,16 @@ def test_pipeline_builds_each_group_once(monkeypatch):
     counted(HaarRecord)
     counted(BlockHom)
     assert bl_constant(young).kind == FINITE
-    # the three vector maps, and one zero map for each trivial part
-    assert counts == {"HaarRecord": 0, "BlockHom": 6}
+    # the vector part is the datum itself; the torus, finite and free parts
+    # each get one zero map into their one distinct target
+    assert counts == {"HaarRecord": 0, "BlockHom": 3}
     counts.update(HaarRecord=0, BlockHom=0)
     rep = bl_constant(torus)
     assert rep.kind == FINITE and "2 discrete generators" in rep.ledger[0]
-    # 11 maps for the kernel quotient (three adjoints, their corestrictions,
-    # three adjoints back, the annihilator's inclusion and its adjoint) and
-    # 6 for the split
-    assert counts == {"HaarRecord": 0, "BlockHom": 17}
+    # the kernel quotient builds the three maps out of T^2 / N and the
+    # quotient map; the split then keeps the quotient datum as its torus part
+    # and builds one zero map each for the vector, finite and free parts
+    assert counts == {"HaarRecord": 0, "BlockHom": 7}
 
 
 def test_reports_share_their_notes_and_ledger():

@@ -6,16 +6,19 @@ from fractions import Fraction
 import pytest
 
 from blca.errors import Degenerate, NotProper
-from blca.groups import ElementaryGroup, HaarRecord
+from blca.groups import ElementaryGroup, HaarRecord, dual_group
 from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
-                       GroupElement, is_proper, is_surjective, joint_kernel)
+                       GroupElement, adjoint_hom, is_proper, is_surjective,
+                       joint_kernel)
 from blca.intmat import (clear_denominators, hermite_basis, identity,
                          integer_kernel, rational_kernel, solve_rational,
                          transpose)
 from blca.structure import analyze
-from blca.subquot import (_is_nondegenerate, corestrict_open,
+from blca.subquot import (_annihilator_of_compact_kernel, _is_nondegenerate,
+                          _sector_parts, corestrict_open,
                           discrete_image_lattice, kernel_embedding,
-                          make_nondegenerate, merge_finite_coordinates)
+                          lattice_inclusion_hom, make_nondegenerate,
+                          merge_finite_coordinates)
 from test_homs import CHAINS, random_group, random_hom
 
 F = Fraction
@@ -136,6 +139,9 @@ def test_recorded_obstruction_matches_a_fresh_check():
         seen += 1
         res = make_nondegenerate(d)
         quotiented += res.quotient_map is not None
+        if res.quotient_map is not None:
+            # the note's lie rank is the torus dimension the quotient lost
+            assert f"(lie rank {joint_kernel(d).lie_rank()}," in res.ledger[0]
         obstructed += res.obstruction is not None
         assert res.obstruction == _is_nondegenerate(res.datum)
     assert quotiented >= 100
@@ -416,3 +422,146 @@ def test_normal_form_and_split_match_reference(monkeypatch):
     assert seen["torus_finite_kernel"] >= 15
     assert 20 <= seen["obstructed"] <= 250
     assert seen["improper"] <= 200
+
+
+# -- the direct torus quotient against the dual round trip --------------------
+# _ref_round_trip_quotient is the kernel quotient every datum took before the
+# direct torus quotient: dualize every map, corestrict the adjoints onto the
+# annihilator of the joint kernel, and dualize back.
+
+def _ref_round_trip_quotient(d, N):
+    g = d.domain
+    ghat = dual_group(g)
+    ann = _annihilator_of_compact_kernel(N, g)
+    new_taus = [corestrict_open(adjoint_hom(h), ann) for h in d.homs]
+    new_domain = dual_group(new_taus[0].codomain)
+    new_homs = [adjoint_hom(t) for t in new_taus]
+    quotient_map = adjoint_hom(lattice_inclusion_hom(ann, ghat))
+    note = (f"quotiented the domain by its compact joint kernel "
+            f"(lie rank {N.lie_rank()}, {len(N.gens)} discrete generators); "
+            f"new domain {new_domain.describe()}, kernel normalized to total mass 1, "
+            f"quotient carries the pushforward measure")
+    return Datum(new_domain, new_homs, d.exponents), quotient_map, note
+
+
+def _torus_datum(rnd, with_sides):
+    """A sector-diagonal datum on T^b, b = 1..3, with J = 1..4 maps of small
+    windings; with_sides adds a vector and a free sector that the maps carry
+    by the identity."""
+    side = rnd.randint(0, 1) if with_sides else 0
+    dom = ElementaryGroup(a=side, b=rnd.randint(1, 3), c=side,
+                          haar=_random_haar(rnd))
+    homs = []
+    for _ in range(rnd.randint(1, 4)):
+        cod = ElementaryGroup(a=side, b=rnd.randint(0, 2), c=side,
+                              haar=_random_haar(rnd))
+        tt = [[rnd.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(dom.b)]
+              for _ in range(cod.b)]
+        homs.append(BlockHom(dom, cod, RR=identity(side), TT=tt,
+                             ZZ=identity(side)))
+    return Datum(dom, homs, [rnd.choice((F(3, 2), F(2), F(3)))] * len(homs))
+
+
+def _haar_records(d):
+    return [d.domain.haar] + [h.codomain.haar for h in d.homs]
+
+
+def test_torus_quotient_matches_the_dual_round_trip(monkeypatch):
+    # the rank-r annihilator is handled directly: a kernel with an identity
+    # component quotients onto T^r, the whole torus onto a weighted point
+    import blca.subquot
+
+    def no_round_trip(h):
+        raise AssertionError("the direct torus quotient took the round trip")
+
+    rnd = random.Random(21)
+    seen = {"finite": 0, "identity_component": 0, "whole_torus": 0,
+            "weighted_torus": 0, "sides": 0}
+    compared = 0
+    while compared < 400:
+        d = _torus_datum(rnd, with_sides=compared % 4 == 3)
+        N = joint_kernel(d)
+        if N.is_trivial():
+            continue
+        compared += 1
+        want = _ref_round_trip_quotient(d, N)
+        with monkeypatch.context() as mp:
+            mp.setattr(blca.subquot, "adjoint_hom", no_round_trip)
+            got = blca.subquot._quotient_by_joint_kernel(d, N)
+        assert got == want
+        assert _haar_records(got[0]) == _haar_records(want[0])
+        assert got[1].domain.haar == want[1].domain.haar
+        assert got[1].codomain.haar == want[1].codomain.haar
+        rank = N.lie_rank()
+        seen["finite"] += rank == 0
+        seen["identity_component"] += 0 < rank < d.domain.b
+        seen["whole_torus"] += rank == d.domain.b
+        seen["weighted_torus"] += d.domain.haar.torus_total != 1
+        seen["sides"] += d.domain.a > 0
+    assert min(seen.values()) >= 25, seen
+
+
+def test_finite_sector_kernel_takes_the_round_trip():
+    # a domain with a finite sector keeps the round trip, whose adapted basis
+    # lists the torus coordinates in its own order
+    g = ElementaryGroup(b=2, torsion=(2,))
+    d = Datum(g, [BlockHom(g, T, TT=[[2, 0]]), BlockHom(g, T, TT=[[1, 3]]),
+                  BlockHom(g, Z2, FF=[[1]])], [F(2)] * 3)
+    N = joint_kernel(d)
+    assert not N.is_trivial()
+    res = make_nondegenerate(d)
+    # the Hermite basis of the annihilator's torus part is (1, 3), (0, 6)
+    assert res.quotient_map.TT == [[0, 6], [1, 3]]
+    want, quotient_map, note = _ref_round_trip_quotient(d, N)
+    assert res.datum == want and res.quotient_map == quotient_map
+    assert res.ledger[0] == note
+    for h, h0 in zip(res.datum.homs, d.homs):
+        assert h.compose(res.quotient_map) == h0
+
+
+# -- the split's reuse of a one-sector datum ----------------------------------
+
+def test_one_sector_datum_is_its_own_part():
+    T2 = ElementaryGroup(b=2)
+    T2w = ElementaryGroup(b=2, haar=HaarRecord(torus_total=F(5)))
+    K = ElementaryGroup(torsion=(2, 2))
+    Z2free = ElementaryGroup(c=2)
+    cases = [
+        (0, Datum(T2, [BlockHom(T2, T, TT=[[1, 0]]), BlockHom(T2, T, TT=[[0, 1]])],
+                  [F(2)] * 2)),
+        # a scale of the part's own sector is kept by the part
+        (0, Datum(T2w, [BlockHom(T2w, T, TT=[[1, 1]]), BlockHom(T2w, T, TT=[[0, 1]])],
+                  [F(2)] * 2)),
+        (1, Datum(R2, [BlockHom(R2, R, RR=[[1, 0]]), BlockHom(R2, R, RR=[[0, 1]]),
+                       BlockHom(R2, R, RR=[[1, 1]])], [F(3, 2)] * 3)),
+        (2, Datum(K, [BlockHom(K, Z2, FF=[[1, 0]]), BlockHom(K, Z2, FF=[[0, 1]])],
+                  [F(2)] * 2)),
+        (3, Datum(Z2free, [BlockHom(Z2free, Z, ZZ=[[1, 0]]),
+                           BlockHom(Z2free, Z, ZZ=[[0, 1]])], [F(2)] * 2)),
+    ]
+    for pos, d in cases:
+        parts = _sector_parts(d)
+        assert parts[pos] is d
+        assert parts == _ref_sector_parts(d)
+        assert all(p is not d for i, p in enumerate(parts) if i != pos)
+
+
+def test_a_foreign_scale_rebuilds_the_part():
+    # R^2 whose record carries a point mass of the finite sector: the vector
+    # part is rebuilt at unit scales, and the finite part keeps the mass
+    heavy = ElementaryGroup(a=2, haar=HaarRecord(f_point=F(3)))
+    d = Datum(heavy, [BlockHom(heavy, R, RR=[[1, 0]]), BlockHom(heavy, R, RR=[[0, 1]]),
+                      BlockHom(heavy, R, RR=[[1, 1]])], [F(3, 2)] * 3)
+    parts = _sector_parts(d)
+    assert parts[1] is not d
+    assert parts[1].domain == R2
+    assert parts[2].domain.haar.f_point == 3
+    assert parts == _ref_sector_parts(d)
+    # the same for a target whose record carries a free point mass
+    heavy_target = ElementaryGroup(a=1, haar=HaarRecord(z_point=F(2)))
+    d = Datum(R2, [BlockHom(R2, heavy_target, RR=[[1, 0]]), BlockHom(R2, R, RR=[[0, 1]])],
+              [F(2)] * 2)
+    parts = _sector_parts(d)
+    assert parts[1] is not d
+    assert parts[1].homs[0].codomain == R
+    assert parts == _ref_sector_parts(d)
