@@ -9,11 +9,13 @@ four-factor split and Pontryagin duals bookkeep measures exactly.
 
 Subgroups of the discrete-finite sector Z^c x F are `LatticeSubgroup`s: the
 preimage lattice in Z^n containing the order vectors d_i e_i, held in
-canonical column Hermite form so equal subgroups compare equal.
+canonical column Hermite form so equal subgroups compare equal.  adapted()
+gives a subgroup's adapted generators and each vector's coordinates in them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -179,8 +181,8 @@ class LatticeSubgroup:
     __slots__ = ("orders", "basis")
 
     def __init__(self, orders: Sequence[int], basis: Sequence[Sequence[int]]):
-        self.orders = tuple(int(d) for d in orders)
-        self.basis: Tuple[Tuple[int, ...], ...] = tuple(tuple(int(x) for x in col) for col in basis)
+        self.orders = tuple(map(int, orders))
+        self.basis: Tuple[Tuple[int, ...], ...] = tuple([tuple(map(int, col)) for col in basis])
 
     @property
     def n(self) -> int:
@@ -219,47 +221,68 @@ class LatticeSubgroup:
     # -- structure ---------------------------------------------------------
 
     def structure(self):
-        """Adapted generators: (free_cols, torsion_cols, torsion_orders).
+        """Adapted generators: (free_cols, torsion_cols, torsion_orders), the
+        first three entries of adapted().
 
         torsion_orders is an ascending divisibility chain with entries >= 2;
         the subgroup is the direct sum of Z generated by each free column and
         Z/s_i generated by each torsion column.
         """
-        b = [list(col) for col in self.basis]
-        r = len(b)
+        return self.adapted()[:3]
+
+    def adapted(self):
+        """Adapted generators and the coordinate map: (free_cols,
+        torsion_cols, torsion_orders, coordinates).
+
+        The order relations are the coefficients of each order vector d_i e_i
+        in the stored basis B; with U the left factor of their Smith form, the
+        generators are the columns of B U^-1.  coordinates(vec) returns
+        vec's coefficients in those generators, free ones first, each torsion
+        one reduced mod its order: U times vec's coefficients in B.  It
+        returns None when vec is not in the lattice.
+        """
         n = self.n
-        mod_idx = [i for i, d in enumerate(self.orders) if d]
-        if r == 0:
-            return [], [], []
-        bmat = from_columns(b, n)
-        rel_cols = []
-        for i in mod_idx:
-            target = [self.orders[i] if j == i else 0 for j in range(n)]
-            sol = solve_integer(bmat, target)
-            if sol is None:
-                raise RuntimeError("order vector missing from stored lattice")
-            rel_cols.append(sol)
+        coefficients = self._coefficients()
+        rel_cols = [coefficients([d if j == i else 0 for j in range(n)])
+                    for i, d in enumerate(self.orders) if d]
+        if None in rel_cols:
+            raise RuntimeError("order vector missing from stored lattice")
         if not rel_cols:
-            return [list(c) for c in self.basis], [], []
-        rel = from_columns(rel_cols, r)
-        u, d, _ = smith_normal_form(rel)
-        # new generators are the columns of B U^{-1}; invert U exactly
-        uinv = unimodular_inverse(u)
-        newgens = matmul(bmat, uinv)
-        cols = transpose(newgens)
-        k = len(rel_cols)
+            return [list(c) for c in self.basis], [], [], coefficients
+        k, r = len(rel_cols), len(self.basis)
+        u, d, _ = smith_normal_form(from_columns(rel_cols, r))
+        cols = transpose(matmul(from_columns(self.basis, n), unimodular_inverse(u)))
         diag = diagonal_of(d)
-        free_cols = [list(cols[i]) for i in range(k, r)]
-        torsion_cols = []
-        torsion_orders = []
-        for i in range(k):
-            s = diag[i] if i < len(diag) else 0
-            if s == 0:
-                raise RuntimeError("order relations must have full rank")
-            if s > 1:
-                torsion_cols.append(list(cols[i]))
-                torsion_orders.append(s)
-        return free_cols, torsion_cols, torsion_orders
+        tors = [i for i in range(k) if diag[i] > 1]
+        free_rows, tors_rows = u[k:], [u[i] for i in tors]
+        tors_orders = [diag[i] for i in tors]
+
+        def coordinates(vec):
+            y = coefficients(vec)
+            if y is None:
+                return None
+            return ([sum(map(operator.mul, row, y)) for row in free_rows]
+                    + [sum(map(operator.mul, row, y)) % s
+                       for row, s in zip(tors_rows, tors_orders)])
+        return cols[k:], [cols[i] for i in tors], tors_orders, coordinates
+
+    def _coefficients(self):
+        """The map from a vector to its coefficients in the stored basis, or
+        to None off the lattice: forward substitution at each column's first
+        nonzero entry, its pivot in the echelon basis, leaves a remainder
+        exactly when the vector is off the lattice."""
+        steps = [(next(i for i, x in enumerate(col) if x), col) for col in self.basis]
+
+        def coefficients(vec):
+            rest = list(vec)
+            out = []
+            for p, col in steps:
+                q = rest[p] // col[p]
+                if q:
+                    rest = [x - q * y for x, y in zip(rest, col)]
+                out.append(q)
+            return None if any(rest) else out
+        return coefficients
 
     def contains(self, vec: Sequence[int]) -> bool:
         if not self.basis:

@@ -53,8 +53,8 @@ from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
 from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, rank_condition
 from .subquot import (NondegenerateResult, _annihilator_of_compact_kernel,
-                      _sector_parts, corestrict_open, kernel_embedding,
-                      lattice_inclusion_hom, make_nondegenerate,
+                      _characters, _quotient, _sector_parts, corestrict_open,
+                      kernel_embedding, make_nondegenerate,
                       merge_finite_coordinates)
 
 FINITE = "FINITE"
@@ -330,18 +330,17 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
         raise Degenerate(
             "a noncompact transversal subgroup with exponent 1 at the "
             "surviving index is outside this reduction; use reduce_p_one")
-    ann = _annihilator_of_compact_kernel(n, d.domain)
-    new_homs: List[BlockHom] = []
-    for j, h in enumerate(d.homs):
-        if j == k:
-            image = _compact_image_subgroup(h, n)
-            ann_k = _annihilator_of_compact_kernel(image, h.codomain)
-            incl_k = lattice_inclusion_hom(ann_k, dual_group(h.codomain))
-            tau = adjoint_hom(h).compose(incl_k)
-            new_homs.append(adjoint_hom(corestrict_open(tau, ann)))
-        else:
-            new_homs.append(adjoint_hom(corestrict_open(adjoint_hom(h), ann)))
-    return Datum(new_homs[0].domain, new_homs, d.exponents)
+    # the k-th target's quotient by the image of n, then the quotient of the
+    # domain with the k-th map followed by it
+    cod = d.homs[k].codomain
+    ann_k = _annihilator_of_compact_kernel(_compact_image_subgroup(d.homs[k], n), cod)
+    q_k = _quotient(cod, ann_k, (), ())[2]
+    homs = list(d.homs)
+    homs[k] = q_k.compose(homs[k])
+    new_domain, new_homs, _ = _quotient(
+        d.domain, _annihilator_of_compact_kernel(n, d.domain), homs,
+        [_characters(h) for h in homs])
+    return Datum(new_domain, new_homs, d.exponents)
 
 
 # -- factor evaluation ------------------------------------------------------

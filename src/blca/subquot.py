@@ -2,23 +2,23 @@
 
 Two normalizations turn a proper datum into one where every later computation
 is safe: quotient the domain by the compact joint kernel, and shrink every
-codomain onto the (open) image of its map.  Both are instances of one
-primitive, corestriction onto an open subgroup: an open subgroup of an
-elementary group is the full vector and torus sectors times a lattice in the
-discrete sector, so corestriction is integer linear algebra in an adapted
-basis of that lattice.
+codomain onto the (open) image of its map.  Both are integer linear algebra
+in the adapted coordinates of one lattice (LatticeSubgroup.adapted).  An open
+subgroup of an elementary group is the full vector and torus sectors times a
+lattice in the discrete sector, and corestriction onto it rewrites each
+map's discrete outputs in the lattice's adapted coordinates.
 
-The kernel quotient runs the primitive on the dual side.  The annihilator of
-a compact subgroup is open in the dual, the adjoints of the maps land inside
-it because they kill nothing the kernel pairs with, and dualizing back gives
-the quotient datum.  The measure bookkeeping comes out on its own: restricting
-the dual measure to the annihilator and dualizing again is exactly the
-pushforward measure on the quotient, i.e. the kernel is normalized to total
-mass one.  A sector-diagonal datum on a domain without a finite sector has
-its joint kernel in the torus sector, and there the round trip is written
-out directly: the annihilator is the row lattice of the stacked TT rows, so
-with B^T their canonical Hermite form the quotient map is t -> B^T t and each
-new TT block is TT_j B^-T, with no map dualized.
+The kernel quotient is the same computation on the dual side.  The
+annihilator of a compact subgroup N of G is open in the dual, R^a x T^c x L
+with L a lattice in Z^b x F-hat, and G/N is its dual R^a x T^c' x Z^c x F',
+c' and F' the free rank and torsion chain of L.  For the joint kernel, L is
+spanned by the characters the maps pull back from their targets and the
+order vectors of F-hat.  The quotient map is read off L's adapted
+generators, and each map's TT, FT and FF blocks become the adapted
+coordinates of the characters it pulls back, so no map is dualized.  The measure bookkeeping comes out on its own: restricting the dual
+measure to the annihilator and dualizing again is exactly the pushforward
+measure on the quotient, i.e. the kernel is normalized to total mass one and
+the compact sectors keep their total mass.
 
 The joint kernel that starts this is computed sector by sector when no map
 has a nonzero mixing block (homs._stacked_kernel): one Smith form of the
@@ -37,93 +37,68 @@ differ from the datum.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import Degenerate, NotProper
-from .groups import (UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup,
-                     dual_group)
-from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
+from .groups import UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup
+from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
                    discrete_image_lattice, image_is_open, is_proper,
                    is_surjective, joint_kernel, torus_kernel)
 from .intmat import (congruence_kernel, det_rational, from_columns, identity,
                      integer_kernel, rational_kernel, row_hermite_form,
-                     solve_integer, solve_rational)
+                     solve_rational)
 
 
-def _fold_discrete_haar(haar: HaarRecord, c_new: int, k_new: int) -> HaarRecord:
-    """Scale record for an open subgroup whose discrete sector shrank.
-
-    Point masses on the discrete sector are preserved (that is what
-    restriction of Haar measure does); when one of the two discrete sectors
-    disappears its scale folds into the survivor so scalar() stays honest.
-    """
-    if c_new and k_new:
+def _fold_haar(haar: HaarRecord, other: str, keeps_other: int, keeps_f: int) -> HaarRecord:
+    """haar for a group that keeps the sector whose scale is `other`
+    (z_point or torus_total) and the finite sector as keeps_other and keeps_f
+    say: the two sectors' mass is preserved, and the scale of one that is
+    gone folds into the survivor so scalar() stays honest."""
+    if keeps_other and keeps_f:
         return haar
-    if c_new:
+    scale = getattr(haar, other)
+    if keeps_other:
         if haar.f_point == 1:
             return haar
-        return HaarRecord(haar.vector_scale, haar.torus_total,
-                          haar.z_point * haar.f_point, Fraction(1))
-    if haar.z_point == 1:
+        return replace(haar, **{other: scale * haar.f_point, "f_point": Fraction(1)})
+    if scale == 1:
         return haar
-    return HaarRecord(haar.vector_scale, haar.torus_total, Fraction(1),
-                      haar.z_point * haar.f_point)
+    return replace(haar, **{other: Fraction(1), "f_point": scale * haar.f_point})
 
 
 def corestrict_open(h: BlockHom, lattice: LatticeSubgroup) -> BlockHom:
     """Corestrict h onto the open subgroup (full R and T sectors) x lattice.
 
     The discrete part of the image of h must lie inside the lattice; the
-    rewritten discrete blocks express each output in the lattice's adapted
-    generators.  Vector and torus sector blocks pass through unchanged.
+    rewritten discrete blocks are each output's coordinates in the lattice's
+    adapted generators (LatticeSubgroup.adapted).  Vector and torus sector
+    blocks pass through unchanged.
     """
     cod = h.codomain
     if lattice.orders != cod.discrete_orders():
         raise Degenerate("lattice does not live in the codomain's discrete sector")
-    free_cols, tors_cols, tors_orders = lattice.structure()
+    free_cols, _, tors_orders, coordinates = lattice.adapted()
     c_new, k_new = len(free_cols), len(tors_orders)
+    # restricting Haar measure keeps the discrete point masses
     new_cod = ElementaryGroup(a=cod.a, b=cod.b, c=c_new, torsion=tuple(tors_orders),
-                              haar=_fold_discrete_haar(cod.haar, c_new, k_new))
-    n = cod.c + cod.k
-    solver_cols = list(free_cols) + list(tors_cols)
-    for i, d in enumerate(lattice.orders):
-        if d:
-            solver_cols.append([d if j == i else 0 for j in range(n)])
-    mat = from_columns(solver_cols, n)
-
-    def rewrite(col, finite_source):
-        if not any(col):
-            return [0] * c_new, [0] * k_new
-        y = solve_integer(mat, col)
-        if y is None:
-            raise Degenerate("map image escapes the subgroup being corestricted to")
-        free = y[:c_new]
-        tors = [y[c_new + i] % tors_orders[i] for i in range(k_new)]
-        if finite_source and any(free):
-            raise Degenerate("finite-order image with a free coordinate")
-        return free, tors
-
-    zz = [[0] * h.domain.c for _ in range(c_new)]
-    zf = [[0] * h.domain.c for _ in range(k_new)]
-    ff = [[0] * h.domain.k for _ in range(k_new)]
-    for i in range(h.domain.c):
-        col = ([h.ZZ[r][i] for r in range(cod.c)]
-               + [h.ZF[r][i] for r in range(cod.k)])
-        free, tors = rewrite(col, False)
-        for r in range(c_new):
-            zz[r][i] = free[r]
-        for r in range(k_new):
-            zf[r][i] = tors[r]
-    for i in range(h.domain.k):
-        col = [0] * cod.c + [h.FF[r][i] for r in range(cod.k)]
-        _, tors = rewrite(col, True)
-        for r in range(k_new):
-            ff[r][i] = tors[r]
+                              haar=_fold_haar(cod.haar, "z_point", c_new, k_new))
+    c = h.domain.c
+    cols = ([[row[i] for row in h.ZZ] + [row[i] for row in h.ZF] for i in range(c)]
+            + [[0] * cod.c + [row[i] for row in h.FF] for i in range(h.domain.k)])
+    coords = list(map(coordinates, cols))
+    if None in coords:
+        raise Degenerate("map image escapes the subgroup being corestricted to")
+    if any(any(z[:c_new]) for z in coords[c:]):
+        raise Degenerate("finite-order image with a free coordinate")
     return BlockHom(h.domain, new_cod, RR=h.RR, RT=h.RT, TT=h.TT, ZR=h.ZR,
-                    ZT=h.ZT, ZZ=zz, ZF=zf, FT=h.FT, FF=ff)
+                    ZT=h.ZT, FT=h.FT,
+                    ZZ=[[z[r] for z in coords[:c]] for r in range(c_new)],
+                    ZF=[[z[r] for z in coords[:c]] for r in range(c_new, c_new + k_new)],
+                    FF=[[z[r] for z in coords[c:]] for r in range(c_new, c_new + k_new)])
 
 
 def merge_finite_coordinates(orders: List[int]):
@@ -254,94 +229,87 @@ def _annihilator_of_compact_kernel(N: ClosedSubgroup, g: ElementaryGroup) -> Lat
     return LatticeSubgroup.from_generators(orders, congruence_kernel(rows, moduli))
 
 
-def lattice_inclusion_hom(lattice: LatticeSubgroup, ghat: ElementaryGroup) -> BlockHom:
-    """Inclusion of the open subgroup (full R and T sectors) x lattice.
-
-    The subgroup carries the restricted measure, point masses kept, matching
-    what corestrict_open builds as a codomain for the same lattice.
-    """
-    free_cols, tors_cols, tors_orders = lattice.structure()
-    c_new, k_new = len(free_cols), len(tors_orders)
-    sub = ElementaryGroup(a=ghat.a, b=ghat.b, c=c_new, torsion=tuple(tors_orders),
-                          haar=_fold_discrete_haar(ghat.haar, c_new, k_new))
-    return BlockHom(
-        sub, ghat,
-        RR=identity(ghat.a),
-        TT=identity(ghat.b),
-        ZZ=[[col[r] for col in free_cols] for r in range(ghat.c)],
-        ZF=[[col[ghat.c + r] for col in free_cols] for r in range(ghat.k)],
-        FF=[[col[ghat.c + r] for col in tors_cols] for r in range(ghat.k)])
-
-
-def _hermite_coordinates(basis: List[List[int]], vec: Sequence[int]) -> List[int]:
-    """The integer coefficients of vec in the rows of a row Hermite form,
-    by forward substitution at each row's pivot; vec must lie in their
-    lattice."""
-    rest = list(vec)
-    out = []
-    for row in basis:
-        pc = next(i for i, x in enumerate(row) if x)
-        q = rest[pc] // row[pc]
-        if q:
-            rest = [x - q * y for x, y in zip(rest, row)]
-        out.append(q)
-    if any(rest):
-        raise RuntimeError("vector escaped the annihilator lattice")
+def _characters(h: BlockHom) -> List[List[int]]:
+    """The characters h pulls back from its target's torus rows, then its
+    finite rows, in the coordinates Z^b x F-hat of the dual's discrete
+    sector: TT[s] + [d_i FT[s][i]] and [0]^b + [d_i FF[r][i] / e_r], d the
+    domain's orders and e the target's."""
+    g = h.domain
+    orders = g.torsion
+    if not orders:
+        return h.TT
+    out = [row + [x.numerator * (d // x.denominator) for x, d in zip(ft, orders)]
+           for row, ft in zip(h.TT, h.FT)]
+    zeros = [0] * g.b
+    for ff, e in zip(h.FF, h.codomain.torsion):
+        out.append(zeros + [d * x // e for x, d in zip(ff, orders)])
     return out
 
 
-def _torus_sector_quotient(d: Datum):
-    """The kernel quotient of a sector-diagonal datum on a domain without a
-    finite sector, where the joint kernel N lies in the torus sector.
+# The blocks out of the vector and free sectors, which a map keeps when its
+# domain is quotiented by a compact subgroup.
+_KEPT_BLOCKS = ("RR", "RT", "ZR", "ZT", "ZZ", "ZF")
 
-    N is the kernel of t -> M t on T^b, M the stacked TT rows, so its
-    annihilator is the row lattice of M, and the rows of M's canonical Hermite
-    form are the basis B^T the dual round trip reaches.  The quotient map is
-    t -> B^T t onto T^r, r the rank of M, each new TT block is TT_j B^-T, and
-    the other diagonal blocks and every target are unchanged.  Returns the
-    new domain, the new maps and the quotient map."""
-    g = d.domain
-    basis = row_hermite_form([row for h in d.homs for row in h.TT])
-    r = len(basis)
-    ghat = dual_group(g)
-    new_domain = dual_group(ElementaryGroup(
-        a=g.a, b=g.c, c=r, haar=_fold_discrete_haar(ghat.haar, r, 0)))
-    new_homs = [BlockHom(new_domain, h.codomain, RR=h.RR, ZZ=h.ZZ,
-                         TT=[_hermite_coordinates(basis, row) for row in h.TT])
-                for h in d.homs]
-    quotient_map = BlockHom(g, new_domain, RR=identity(g.a), TT=basis,
-                            ZZ=identity(g.c))
+
+def _quotient(g: ElementaryGroup, ann: LatticeSubgroup, homs: Sequence[BlockHom],
+              chars: Sequence[List[List[int]]]):
+    """(G/N, the maps in homs factored through G/N, the quotient map) for a
+    compact subgroup N of g that every map kills, given by ann, the discrete
+    part of its annihilator; chars[j] is _characters(homs[j])."""
+    free_cols, tors_cols, tors_orders, coordinates = ann.adapted()
+    c_new, k_new = len(free_cols), len(tors_orders)
+    # the pushforward keeps the compact sectors' mass torus_total |F| f_point,
+    # so f_point takes the factor |F| / |F'| of the finite sector's shrinking
+    haar = g.haar
+    components = g.finite_order // math.prod(tors_orders)
+    if components != 1:
+        haar = replace(haar, f_point=haar.f_point * components)
+    haar = _fold_haar(haar, "torus_total", c_new, k_new)
+    new_domain = ElementaryGroup(a=g.a, b=c_new, c=g.c, torsion=tuple(tors_orders),
+                                 haar=haar)
+    kept = _KEPT_BLOCKS if g.a or g.c else ()
+    new_homs = []
+    for h, hchars in zip(homs, chars):
+        coords = list(map(coordinates, hchars))
+        if None in coords:
+            raise Degenerate("a map does not kill the subgroup being quotiented by")
+        cb = h.codomain.b
+        blocks = {}
+        for name in kept:
+            blk = getattr(h, name)
+            if any(map(any, blk)):
+                blocks[name] = blk
+        if k_new:
+            blocks["TT"] = [z[:c_new] for z in coords[:cb]]
+            blocks["FT"] = [[Fraction(x, s) for x, s in zip(z[c_new:], tors_orders)]
+                            for z in coords[:cb]]
+            blocks["FF"] = [[e * x // s for x, s in zip(z[c_new:], tors_orders)]
+                            for z, e in zip(coords[cb:], h.codomain.torsion)]
+        else:
+            blocks["TT"] = coords[:cb]
+        new_homs.append(BlockHom(new_domain, h.codomain, **blocks))
+    b, orders = g.b, g.torsion
+    quotient_map = BlockHom(
+        g, new_domain, RR=identity(g.a), ZZ=identity(g.c),
+        TT=[col[:b] for col in free_cols],
+        FT=[[Fraction(x, d) for x, d in zip(col[b:], orders)]
+            for col in free_cols] if orders else None,
+        FF=[[s * x // d for x, d in zip(col[b:], orders)]
+            for col, s in zip(tors_cols, tors_orders)] if orders else None)
     return new_domain, new_homs, quotient_map
 
 
 def _quotient_by_joint_kernel(d: Datum, N: ClosedSubgroup):
     """The datum on G/N, N the compact joint kernel, the quotient map and
-    the ledger note.
-
-    A sector-diagonal datum on a domain without a finite sector takes the
-    direct torus quotient (_torus_sector_quotient).  Every other datum runs
-    the dual round trip: dualize every map, corestrict the adjoints onto the
-    annihilator of N, and dualize back.  A domain with a finite sector stays
-    on the round trip: there the adapted basis of the annihilator
-    (LatticeSubgroup.structure) lists the Hermite basis in another order, so
-    the direct quotient would give other, equivalent torus coordinates."""
+    the ledger note.  N's annihilator is spanned by the characters the maps
+    pull back and the order vectors of F-hat."""
     g = d.domain
-    for v in N.lie:
-        if any(v[: g.a]):
-            raise NotProper("the joint kernel has a noncompact vector direction")
-    for el in N.gens:
-        if any(el.x) or any(el.m):
-            raise NotProper("the joint kernel has a noncompact discrete direction")
-    if not g.k and not any(any(row) for h in d.homs for name in MIXING_BLOCKS
-                           for row in getattr(h, name)):
-        new_domain, new_homs, quotient_map = _torus_sector_quotient(d)
-    else:
-        ghat = dual_group(g)
-        ann = _annihilator_of_compact_kernel(N, g)
-        new_taus = [corestrict_open(adjoint_hom(h), ann) for h in d.homs]
-        new_domain = dual_group(new_taus[0].codomain)
-        new_homs = [adjoint_hom(t) for t in new_taus]
-        quotient_map = adjoint_hom(lattice_inclusion_hom(ann, ghat))
+    chars = [_characters(h) for h in d.homs]
+    rows = [ch for hchars in chars for ch in hchars]
+    rows += [[0] * (g.b + i) + [order] + [0] * (g.k - i - 1)
+             for i, order in enumerate(g.torsion)]
+    ann = LatticeSubgroup((0,) * g.b + g.torsion, row_hermite_form(rows))
+    new_domain, new_homs, quotient_map = _quotient(g, ann, d.homs, chars)
     # the kernel's identity component is the torus dimension the quotient loses
     note = (f"quotiented the domain by its compact joint kernel "
             f"(lie rank {g.b - new_domain.b}, {len(N.gens)} discrete generators); "

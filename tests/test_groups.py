@@ -1,5 +1,6 @@
 """Group records, Haar bookkeeping, duals, and lattice subgroups."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from blca.errors import IrrationalEntry
 from blca.groups import (ElementaryGroup, HaarRecord, LatticeSubgroup,
                          dual_group)
-from blca.intmat import mat_vec
+from blca.intmat import (diagonal_of, from_columns, mat_vec, matmul,
+                         smith_normal_form, solve_integer, transpose,
+                         unimodular_inverse)
 
 F = Fraction
 
@@ -181,3 +184,80 @@ def test_lattice_join_contains_both(gens):
     for g in gens:
         assert lat.contains(g)
     assert LatticeSubgroup.from_generators((0, 0), lat.basis) == lat
+
+
+# -- the coordinate map -------------------------------------------------------
+# _ref_structure is LatticeSubgroup.structure as it was before the coordinate
+# map: each order relation solved for with its own Smith form.
+
+def _ref_structure(lat):
+    b = [list(col) for col in lat.basis]
+    r = len(b)
+    n = lat.n
+    mod_idx = [i for i, d in enumerate(lat.orders) if d]
+    if r == 0:
+        return [], [], []
+    bmat = from_columns(b, n)
+    rel_cols = []
+    for i in mod_idx:
+        target = [lat.orders[i] if j == i else 0 for j in range(n)]
+        sol = solve_integer(bmat, target)
+        if sol is None:
+            raise RuntimeError("order vector missing from stored lattice")
+        rel_cols.append(sol)
+    if not rel_cols:
+        return [list(c) for c in lat.basis], [], []
+    rel = from_columns(rel_cols, r)
+    u, d, _ = smith_normal_form(rel)
+    cols = transpose(matmul(bmat, unimodular_inverse(u)))
+    k = len(rel_cols)
+    diag = diagonal_of(d)
+    free_cols = [list(cols[i]) for i in range(k, r)]
+    torsion_cols = []
+    torsion_orders = []
+    for i in range(k):
+        s = diag[i] if i < len(diag) else 0
+        if s == 0:
+            raise RuntimeError("order relations must have full rank")
+        if s > 1:
+            torsion_cols.append(list(cols[i]))
+            torsion_orders.append(s)
+    return free_cols, torsion_cols, torsion_orders
+
+
+def _random_lattice(rnd):
+    n = rnd.randint(1, 4)
+    orders = tuple(rnd.choice((0, 0, 2, 3, 4, 6, 12)) for _ in range(n))
+    gens = [[rnd.randint(-4, 4) for _ in range(n)] for _ in range(rnd.randint(0, 3))]
+    return LatticeSubgroup.from_generators(orders, gens)
+
+
+def test_coordinate_map_rebuilds_every_lattice_vector():
+    rnd = random.Random(22)
+    seen = {"mixed": 0, "outside": 0}
+    for _ in range(400):
+        lat = _random_lattice(rnd)
+        free_cols, tors_cols, tors_orders, coordinates = lat.adapted()
+        assert lat.structure() == (free_cols, tors_cols, tors_orders) == _ref_structure(lat)
+        seen["mixed"] += bool(free_cols and tors_orders)
+        order_cols = [[d if j == i else 0 for j in range(lat.n)]
+                      for i, d in enumerate(lat.orders) if d]
+        for _ in range(5):
+            # a lattice vector, rebuilt modulo the order vectors
+            coeffs = [rnd.randint(-5, 5) for _ in lat.basis]
+            vec = [sum(x * col[i] for x, col in zip(coeffs, lat.basis))
+                   for i in range(lat.n)]
+            z = coordinates(vec)
+            assert len(z) == len(free_cols) + len(tors_cols)
+            assert all(0 <= x < s for x, s in zip(z[len(free_cols):], tors_orders))
+            rebuilt = [sum(x * col[i] for x, col in zip(z, free_cols + tors_cols))
+                       for i in range(lat.n)]
+            for x, y, d in zip(vec, rebuilt, lat.orders):
+                assert (x - y) % d == 0 if d else x == y
+            # any vector: it has coordinates exactly when it is in the lattice
+            vec = [rnd.randint(-6, 6) for _ in range(lat.n)]
+            inside = solve_integer(from_columns(list(lat.basis) + order_cols, lat.n),
+                                   vec) is not None if lat.basis else not any(vec)
+            assert (coordinates(vec) is not None) == inside == lat.contains(vec)
+            seen["outside"] += not inside
+    assert seen["mixed"] >= 50 and seen["outside"] >= 200, seen

@@ -1,5 +1,6 @@
 """Kernel quotients, corestrictions, and the four-factor splitting."""
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,15 +11,15 @@ from blca.groups import ElementaryGroup, HaarRecord, dual_group
 from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
                        GroupElement, adjoint_hom, is_proper, is_surjective,
                        joint_kernel)
-from blca.intmat import (clear_denominators, hermite_basis, identity,
-                         integer_kernel, rational_kernel, solve_rational,
-                         transpose)
-from blca.structure import analyze
-from blca.subquot import (_annihilator_of_compact_kernel, _is_nondegenerate,
-                          _sector_parts, corestrict_open,
+from blca.intmat import (clear_denominators, from_columns, hermite_basis,
+                         identity, integer_kernel, rational_kernel,
+                         solve_integer, solve_rational, transpose)
+from blca.structure import _compact_image_subgroup, analyze, reduce_transversal
+from blca.subquot import (_annihilator_of_compact_kernel,
+                          _is_nondegenerate, _sector_parts, corestrict_open,
                           discrete_image_lattice, kernel_embedding,
-                          lattice_inclusion_hom, make_nondegenerate,
-                          merge_finite_coordinates)
+                          make_nondegenerate, merge_finite_coordinates)
+from test_groups import _ref_structure
 from test_homs import CHAINS, random_group, random_hom
 
 F = Fraction
@@ -424,24 +425,109 @@ def test_normal_form_and_split_match_reference(monkeypatch):
     assert seen["improper"] <= 200
 
 
-# -- the direct torus quotient against the dual round trip --------------------
-# _ref_round_trip_quotient is the kernel quotient every datum took before the
-# direct torus quotient: dualize every map, corestrict the adjoints onto the
-# annihilator of the joint kernel, and dualize back.
+# -- the direct quotient against the dual round trip ---------------------------
+# The reference is the quotient as it was before it was taken directly:
+# dualize every map, corestrict the adjoints onto the annihilator of the
+# compact subgroup, and dualize back.  Its corestriction solves for each
+# column with solve_integer in the adapted generators of _ref_structure.
+
+def _ref_fold_discrete_haar(haar, c_new, k_new):
+    if c_new and k_new:
+        return haar
+    if c_new:
+        if haar.f_point == 1:
+            return haar
+        return HaarRecord(haar.vector_scale, haar.torus_total,
+                          haar.z_point * haar.f_point, Fraction(1))
+    if haar.z_point == 1:
+        return haar
+    return HaarRecord(haar.vector_scale, haar.torus_total, Fraction(1),
+                      haar.z_point * haar.f_point)
+
+
+def _ref_corestrict_open(h, lattice):
+    cod = h.codomain
+    free_cols, tors_cols, tors_orders = _ref_structure(lattice)
+    c_new, k_new = len(free_cols), len(tors_orders)
+    new_cod = ElementaryGroup(a=cod.a, b=cod.b, c=c_new, torsion=tuple(tors_orders),
+                              haar=_ref_fold_discrete_haar(cod.haar, c_new, k_new))
+    n = cod.c + cod.k
+    solver_cols = list(free_cols) + list(tors_cols)
+    for i, d in enumerate(lattice.orders):
+        if d:
+            solver_cols.append([d if j == i else 0 for j in range(n)])
+    mat = from_columns(solver_cols, n)
+
+    def rewrite(col):
+        if not any(col):
+            return [0] * c_new, [0] * k_new
+        y = solve_integer(mat, col)
+        assert y is not None
+        return y[:c_new], [y[c_new + i] % tors_orders[i] for i in range(k_new)]
+
+    zz = [[0] * h.domain.c for _ in range(c_new)]
+    zf = [[0] * h.domain.c for _ in range(k_new)]
+    ff = [[0] * h.domain.k for _ in range(k_new)]
+    for i in range(h.domain.c):
+        free, tors = rewrite([h.ZZ[r][i] for r in range(cod.c)]
+                             + [h.ZF[r][i] for r in range(cod.k)])
+        for r in range(c_new):
+            zz[r][i] = free[r]
+        for r in range(k_new):
+            zf[r][i] = tors[r]
+    for i in range(h.domain.k):
+        _, tors = rewrite([0] * cod.c + [h.FF[r][i] for r in range(cod.k)])
+        for r in range(k_new):
+            ff[r][i] = tors[r]
+    return BlockHom(h.domain, new_cod, RR=h.RR, RT=h.RT, TT=h.TT, ZR=h.ZR,
+                    ZT=h.ZT, ZZ=zz, ZF=zf, FT=h.FT, FF=ff)
+
+
+def _ref_lattice_inclusion_hom(lattice, ghat):
+    """Inclusion of the open subgroup (full R and T sectors) x lattice, with
+    the restricted measure."""
+    free_cols, tors_cols, tors_orders = _ref_structure(lattice)
+    c_new, k_new = len(free_cols), len(tors_orders)
+    sub = ElementaryGroup(a=ghat.a, b=ghat.b, c=c_new, torsion=tuple(tors_orders),
+                          haar=_ref_fold_discrete_haar(ghat.haar, c_new, k_new))
+    return BlockHom(
+        sub, ghat,
+        RR=identity(ghat.a),
+        TT=identity(ghat.b),
+        ZZ=[[col[r] for col in free_cols] for r in range(ghat.c)],
+        ZF=[[col[ghat.c + r] for col in free_cols] for r in range(ghat.k)],
+        FF=[[col[ghat.c + r] for col in tors_cols] for r in range(ghat.k)])
+
 
 def _ref_round_trip_quotient(d, N):
     g = d.domain
     ghat = dual_group(g)
     ann = _annihilator_of_compact_kernel(N, g)
-    new_taus = [corestrict_open(adjoint_hom(h), ann) for h in d.homs]
+    new_taus = [_ref_corestrict_open(adjoint_hom(h), ann) for h in d.homs]
     new_domain = dual_group(new_taus[0].codomain)
     new_homs = [adjoint_hom(t) for t in new_taus]
-    quotient_map = adjoint_hom(lattice_inclusion_hom(ann, ghat))
+    quotient_map = adjoint_hom(_ref_lattice_inclusion_hom(ann, ghat))
     note = (f"quotiented the domain by its compact joint kernel "
             f"(lie rank {N.lie_rank()}, {len(N.gens)} discrete generators); "
             f"new domain {new_domain.describe()}, kernel normalized to total mass 1, "
             f"quotient carries the pushforward measure")
     return Datum(new_domain, new_homs, d.exponents), quotient_map, note
+
+
+def _ref_reduce_transversal(d, k, n):
+    """reduce_transversal's quotient by a compact n, as a round trip."""
+    ann = _annihilator_of_compact_kernel(n, d.domain)
+    new_homs = []
+    for j, h in enumerate(d.homs):
+        if j == k:
+            image = _compact_image_subgroup(h, n)
+            ann_k = _annihilator_of_compact_kernel(image, h.codomain)
+            incl_k = _ref_lattice_inclusion_hom(ann_k, dual_group(h.codomain))
+            tau = adjoint_hom(h).compose(incl_k)
+            new_homs.append(adjoint_hom(_ref_corestrict_open(tau, ann)))
+        else:
+            new_homs.append(adjoint_hom(_ref_corestrict_open(adjoint_hom(h), ann)))
+    return Datum(new_homs[0].domain, new_homs, d.exponents)
 
 
 def _torus_datum(rnd, with_sides):
@@ -462,55 +548,110 @@ def _torus_datum(rnd, with_sides):
     return Datum(dom, homs, [rnd.choice((F(3, 2), F(2), F(3)))] * len(homs))
 
 
+def _any_datum(rnd, i):
+    """Every fifth datum from _torus_datum, the others from _pin_datum's four
+    kinds in turn."""
+    if i % 5 == 4:
+        return _torus_datum(rnd, with_sides=i % 10 == 9)
+    return _pin_datum(rnd, i % 4)
+
+
 def _haar_records(d):
     return [d.domain.haar] + [h.codomain.haar for h in d.homs]
 
 
+def _without_adjoints(mp):
+    """Make adjoint_hom raise at every binding of it in blca."""
+    def no_round_trip(h):
+        raise AssertionError("the quotient took the dual round trip")
+
+    bound = [mod for name, mod in list(sys.modules.items())
+             if (name == "blca" or name.startswith("blca."))
+             and getattr(mod, "adjoint_hom", None) is adjoint_hom]
+    assert bound
+    for mod in bound:
+        mp.setattr(mod, "adjoint_hom", no_round_trip)
+
+
+def _is_mixing(d):
+    return any(any(map(any, getattr(h, name))) for h in d.homs for name in MIXING_BLOCKS)
+
+
 def test_torus_quotient_matches_the_dual_round_trip(monkeypatch):
-    # the rank-r annihilator is handled directly: a kernel with an identity
-    # component quotients onto T^r, the whole torus onto a weighted point
+    # every kind of datum: a kernel with an identity component quotients
+    # onto a smaller torus, the whole torus onto a weighted point, a finite
+    # sector onto its adapted chain
     import blca.subquot
 
-    def no_round_trip(h):
-        raise AssertionError("the direct torus quotient took the round trip")
-
     rnd = random.Random(21)
-    seen = {"finite": 0, "identity_component": 0, "whole_torus": 0,
-            "weighted_torus": 0, "sides": 0}
-    compared = 0
-    while compared < 400:
-        d = _torus_datum(rnd, with_sides=compared % 4 == 3)
-        N = joint_kernel(d)
-        if N.is_trivial():
+    seen = {"finite_sector": 0, "mixing": 0, "finite_kernel": 0,
+            "identity_component": 0, "whole_torus": 0, "weighted": 0}
+    compared = i = 0
+    while compared < 1000:
+        d = _any_datum(rnd, i)
+        i += 1
+        report = is_proper(d)
+        if not report or report.kernel.is_trivial():
             continue
+        N = report.kernel
         compared += 1
         want = _ref_round_trip_quotient(d, N)
         with monkeypatch.context() as mp:
-            mp.setattr(blca.subquot, "adjoint_hom", no_round_trip)
+            _without_adjoints(mp)
             got = blca.subquot._quotient_by_joint_kernel(d, N)
         assert got == want
         assert _haar_records(got[0]) == _haar_records(want[0])
         assert got[1].domain.haar == want[1].domain.haar
         assert got[1].codomain.haar == want[1].codomain.haar
-        rank = N.lie_rank()
-        seen["finite"] += rank == 0
-        seen["identity_component"] += 0 < rank < d.domain.b
-        seen["whole_torus"] += rank == d.domain.b
-        seen["weighted_torus"] += d.domain.haar.torus_total != 1
-        seen["sides"] += d.domain.a > 0
-    assert min(seen.values()) >= 25, seen
+        rank, b = N.lie_rank(), d.domain.b
+        seen["finite_sector"] += d.domain.k > 0
+        seen["mixing"] += _is_mixing(d)
+        seen["finite_kernel"] += rank == 0
+        seen["identity_component"] += 0 < rank < b
+        seen["whole_torus"] += rank == b > 0
+        seen["weighted"] += d.domain.haar != ElementaryGroup().haar
+    assert seen["finite_sector"] >= 300 and seen["mixing"] >= 100, seen
+    assert min(seen.values()) >= 50, seen
 
 
-def test_finite_sector_kernel_takes_the_round_trip():
-    # a domain with a finite sector keeps the round trip, whose adapted basis
-    # lists the torus coordinates in its own order
+def test_reduce_transversal_matches_the_dual_round_trip(monkeypatch):
+    # n is the joint kernel of every map but the k-th, compact and nontrivial
+    rnd = random.Random(22)
+    seen = {"finite_sector": 0, "mixing": 0, "target_quotiented": 0}
+    compared = i = 0
+    while compared < 1000:
+        d = _any_datum(rnd, i)
+        i += 1
+        if d.J < 2:
+            continue
+        k = rnd.randrange(d.J)
+        others = Datum(d.domain, d.homs[:k] + d.homs[k + 1:],
+                       d.exponents[:k] + d.exponents[k + 1:])
+        n = joint_kernel(others)
+        if n.is_trivial() or not n.is_compact():
+            continue
+        compared += 1
+        want = _ref_reduce_transversal(d, k, n)
+        with monkeypatch.context() as mp:
+            _without_adjoints(mp)
+            got = reduce_transversal(d, k, n)
+        assert got == want
+        assert _haar_records(got) == _haar_records(want)
+        seen["finite_sector"] += d.domain.k > 0
+        seen["mixing"] += _is_mixing(d)
+        seen["target_quotiented"] += got.homs[k].codomain != d.homs[k].codomain
+    assert seen["finite_sector"] >= 300 and min(seen.values()) >= 50, seen
+
+
+def test_finite_sector_kernel_keeps_the_adapted_order():
+    # the quotient's torus coordinates follow the adapted generators of the
+    # annihilator, which list its Hermite basis (1, 3), (0, 6) in another order
     g = ElementaryGroup(b=2, torsion=(2,))
     d = Datum(g, [BlockHom(g, T, TT=[[2, 0]]), BlockHom(g, T, TT=[[1, 3]]),
                   BlockHom(g, Z2, FF=[[1]])], [F(2)] * 3)
     N = joint_kernel(d)
     assert not N.is_trivial()
     res = make_nondegenerate(d)
-    # the Hermite basis of the annihilator's torus part is (1, 3), (0, 6)
     assert res.quotient_map.TT == [[0, 6], [1, 3]]
     want, quotient_map, note = _ref_round_trip_quotient(d, N)
     assert res.datum == want and res.quotient_map == quotient_map
