@@ -140,7 +140,7 @@ def enumerate_subgroups(group: ElementaryGroup) -> SubgroupList:
     """
     orders = _subgroup_orders(group)
     ranked = sorted((sig[0], basis) for basis, sig in _subgroups(orders))
-    return SubgroupList(group, tuple(LatticeSubgroup(orders, b) for _, b in ranked),
+    return SubgroupList(group, tuple(LatticeSubgroup._canonical(orders, b) for _, b in ranked),
                         tuple(size for size, _ in ranked))
 
 

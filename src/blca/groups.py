@@ -31,7 +31,6 @@ from .intmat import (
     matmul,
     rational_kernel,
     smith_normal_form,
-    solve_integer,
     transpose,
     unimodular_inverse,
 )
@@ -175,7 +174,8 @@ class LatticeSubgroup:
 
     Stored as the canonical Hermite basis of the preimage lattice
     L <= Z^n with L containing every order vector d_i e_i; subgroups are equal
-    iff their stored bases are equal.
+    iff their stored bases are equal.  The constructor raises ValueError on
+    any other basis; from_generators builds one from any generators.
     """
 
     __slots__ = ("orders", "basis")
@@ -183,6 +183,18 @@ class LatticeSubgroup:
     def __init__(self, orders: Sequence[int], basis: Sequence[Sequence[int]]):
         self.orders = tuple(map(int, orders))
         self.basis: Tuple[Tuple[int, ...], ...] = tuple([tuple(map(int, col)) for col in basis])
+        if LatticeSubgroup.from_generators(self.orders, self.basis).basis != self.basis:
+            raise ValueError(f"{[list(c) for c in self.basis]} is not the canonical "
+                             f"Hermite basis of a subgroup with orders {self.orders}")
+
+    @classmethod
+    def _canonical(cls, orders: Sequence[int], basis: Sequence[Sequence[int]]) -> "LatticeSubgroup":
+        """The subgroup with a basis already known to be canonical and to
+        contain the order vectors, unchecked."""
+        lat = cls.__new__(cls)
+        lat.orders = tuple(orders)
+        lat.basis = tuple(map(tuple, basis))
+        return lat
 
     @property
     def n(self) -> int:
@@ -199,12 +211,12 @@ class LatticeSubgroup:
         for i, d in enumerate(orders):
             if d:
                 cols.append([d if j == i else 0 for j in range(n)])
-        return cls(orders, hermite_basis(cols, n))
+        return cls._canonical(orders, hermite_basis(cols, n))
 
     @classmethod
     def full(cls, orders: Sequence[int]) -> "LatticeSubgroup":
         """All of Z^n; the canonical basis of Z^n is the identity."""
-        return cls(orders, identity(len(orders)))
+        return cls._canonical(tuple(map(int, orders)), identity(len(orders)))
 
     def key(self):
         return (self.orders, self.basis)
@@ -285,9 +297,9 @@ class LatticeSubgroup:
         return coefficients
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if not self.basis:
-            return not any(vec)
-        return solve_integer(from_columns(self.basis, self.n), list(vec)) is not None
+        if len(vec) != self.n:
+            raise ShapeMismatch("vector length does not match ambient rank")
+        return self._coefficients()(vec) is not None
 
 
 def saturate_columns(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:

@@ -27,7 +27,6 @@ from .exact import ExactValue
 from .groups import ElementaryGroup, LatticeSubgroup, dual_group
 from .intmat import (
     clear_denominators,
-    congruence_kernel,
     diagonal_of,
     from_columns,
     hermite_basis,
@@ -435,49 +434,14 @@ def torus_kernel(tt: Sequence[Sequence[int]], b: int):
     return lie, wound
 
 
-def _sector_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> ClosedSubgroup:
-    """The joint kernel of sector-diagonal maps: the product of the four
-    sectors' kernels.  It has as many generators as the coupled elimination
-    gives: the rank of the torus rows, the free kernel's rank and one per
-    cyclic factor of the domain."""
-    a, b, c, k = domain.a, domain.b, domain.c, domain.k
-    lie: List[List[Fraction]] = []
-    if a:
-        rr = [row for h in homs for row in h.RR]
-        zero_t = [Fraction(0)] * b
-        lie = [v + zero_t for v in (rational_kernel(rr) if rr else identity(a))]
-    gens = []
-    x0, t0, m0, u0 = (Fraction(0),) * a, (Fraction(0),) * b, (0,) * c, (0,) * k
-    if b:
-        torus_lie, wound = torus_kernel([row for h in homs for row in h.TT], b)
-        zero_x = [Fraction(0)] * a
-        lie += [zero_x + col for col in torus_lie]
-        gens += [GroupElement(x0, tuple(Fraction(v, d) for v in col), m0, u0)
-                 for col, d in wound]
-    if c:
-        zz = [row for h in homs for row in h.ZZ]
-        gens += [GroupElement(x0, t0, tuple(m), u0)
-                 for m in (integer_kernel(zz) if zz else identity(c))]
-    if k:
-        ff = [row for h in homs for row in h.FF]
-        orders = [d for h in homs for d in h.codomain.torsion]
-        gens += [GroupElement(x0, t0, m0, tuple(u))
-                 for u in (congruence_kernel(ff, orders) if ff else identity(k))]
-    return ClosedSubgroup(domain, lie, gens)
-
-
 def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> ClosedSubgroup:
-    """The joint kernel of homs out of domain.
-
-    Sector-diagonal maps get it sector by sector (_sector_kernel).  A nonzero
-    mixing block couples the sectors, and then one elimination over all of
-    them finds it: the left null space of the stacked connected-sector rows
-    says which discrete elements have a common connected lift, an integer
-    kernel collects those, and one rational solve per generator lifts it.
+    """The joint kernel of homs out of domain, by one elimination over all
+    sectors: the left null space of the stacked connected-sector rows says
+    which discrete elements have a common connected lift, an integer kernel
+    collects those, and one rational solve per generator lifts it.  Between
+    vector groups the discrete part is empty, and this is one rational
+    kernel.
     """
-    if not any(any(any(row) for row in getattr(h, name))
-               for h in homs for name in MIXING_BLOCKS):
-        return _sector_kernel(domain, homs)
     a, b, c, k = domain.a, domain.b, domain.c, domain.k
     # tangent part: exact vanishing of every connected-sector block row
     lie_rows = []
@@ -590,7 +554,6 @@ def joint_kernel(d: Datum) -> ClosedSubgroup:
 class ProperReport:
     proper: bool
     reason: str
-    kernel: ClosedSubgroup
     noncompact_rank: int
 
     def __bool__(self):
@@ -602,13 +565,20 @@ def is_proper(d: Datum) -> ProperReport:
 
     With rational blocks the joint image is automatically closed and the map
     automatically open onto it, so the one live criterion is compactness of
-    the common kernel.
+    the common kernel.  A compact subgroup of R^a x T^b x Z^c x F lies in
+    T^b x F, so what counts is the span over Q of the kernel's (x, m)
+    parts.  The torus and finite rows only impose congruences, and some
+    multiple of any rational (x, m) meets them at t = 0, u = 0; so that span
+    is the null space of the rows [RR_j | ZR_j] and [0 | ZZ_j], and the
+    noncompact rank is a + c minus their rank.
     """
-    ker = joint_kernel(d)
-    r = ker.noncompact_rank()
+    g = d.domain
+    rows = [rr + zr for h in d.homs for rr, zr in zip(h.RR, h.ZR)]
+    rows += [[0] * g.a + zz for h in d.homs for zz in h.ZZ]
+    r = g.a + g.c - rational_rank(rows)
     if r:
-        return ProperReport(False, f"joint kernel has noncompact rank {r}", ker, r)
-    return ProperReport(True, "joint kernel compact; image closed and relatively open", ker, 0)
+        return ProperReport(False, f"joint kernel has noncompact rank {r}", r)
+    return ProperReport(True, "joint kernel compact; image closed and relatively open", 0)
 
 
 def image_is_open(h: BlockHom) -> bool:

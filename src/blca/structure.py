@@ -48,7 +48,7 @@ from .groups import ElementaryGroup, HaarRecord, dual_group
 from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
                    discrete_image_lattice, image_is_open, is_surjective,
                    kernel_info)
-from .intmat import det_rational, hstack
+from .intmat import det_rational, hstack, mat_vec
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
 from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, rank_condition
@@ -290,16 +290,19 @@ def reduce_exponents(d: Datum) -> ExponentReduction:
 
 # -- transversal quotient ---------------------------------------------------
 
-def _compact_image_subgroup(h: BlockHom, n: ClosedSubgroup) -> ClosedSubgroup:
-    g, cod = h.domain, h.codomain
+def _image_subgroup(h: BlockHom, n: ClosedSubgroup) -> ClosedSubgroup:
+    """h(n) in h's codomain: each tangent vector v goes to
+    [RR v_x ; RT v_x + TT v_t], zero images dropped, and each generator
+    through h.apply.  So h kills n exactly when the image is trivial."""
+    a = h.domain.a
     lie = []
     for v in n.lie:
-        vt = v[g.a:]
-        lie.append([Fraction(0)] * cod.a
-                   + [sum(Fraction(h.TT[r][i]) * vt[i] for i in range(g.b))
-                      for r in range(cod.b)])
-    gens = [h.apply(el) for el in n.gens]
-    return ClosedSubgroup(cod, lie, gens)
+        vx, vt = v[:a], v[a:]
+        w = mat_vec(h.RR, vx) + list(map(operator.add, mat_vec(h.RT, vx),
+                                          mat_vec(h.TT, vt)))
+        if any(w):
+            lie.append(w)
+    return ClosedSubgroup(h.codomain, lie, [h.apply(el) for el in n.gens])
 
 
 def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
@@ -317,7 +320,7 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
     if n.group != d.domain:
         raise ShapeMismatch("the subgroup must live in the datum's domain")
     for j, h in enumerate(d.homs):
-        if j != k and not kernel_info(h).contains(n):
+        if j != k and not _image_subgroup(h, n).is_trivial():
             raise BadSubgroup(
                 f"map {j} does not annihilate the subgroup, so the quotient "
                 f"datum is not defined")
@@ -333,7 +336,7 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
     # the k-th target's quotient by the image of n, then the quotient of the
     # domain with the k-th map followed by it
     cod = d.homs[k].codomain
-    ann_k = _annihilator_of_compact_kernel(_compact_image_subgroup(d.homs[k], n), cod)
+    ann_k = _annihilator_of_compact_kernel(_image_subgroup(d.homs[k], n), cod)
     q_k = _quotient(cod, ann_k, (), ())[2]
     homs = list(d.homs)
     homs[k] = q_k.compose(homs[k])

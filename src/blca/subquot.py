@@ -20,10 +20,9 @@ measure to the annihilator and dualizing again is exactly the pushforward
 measure on the quotient, i.e. the kernel is normalized to total mass one and
 the compact sectors keep their total mass.
 
-The joint kernel that starts this is computed sector by sector when no map
-has a nonzero mixing block (homs._stacked_kernel): one Smith form of the
-stacked torus rows, and a kernel per other sector.  Only maps that couple the
-sectors pay for the coupled elimination.
+No joint kernel is built for this: properness is one rational rank of the
+maps' vector and free rows (homs.is_proper), and the compact kernel is known
+only through its annihilator.
 
 The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
@@ -299,20 +298,29 @@ def _quotient(g: ElementaryGroup, ann: LatticeSubgroup, homs: Sequence[BlockHom]
     return new_domain, new_homs, quotient_map
 
 
-def _quotient_by_joint_kernel(d: Datum, N: ClosedSubgroup):
+def _quotient_by_joint_kernel(d: Datum):
     """The datum on G/N, N the compact joint kernel, the quotient map and
-    the ledger note.  N's annihilator is spanned by the characters the maps
-    pull back and the order vectors of F-hat."""
+    the ledger note; None when N is trivial.  N lies in T^b x F and is known
+    through its annihilator there, the lattice spanned by the characters the
+    maps pull back and the order vectors of F-hat: N is trivial exactly when
+    that is all of Z^b x F-hat.  The note's generator count is the
+    lattice's rank, the number of rows of its Hermite form."""
     g = d.domain
+    width = g.b + g.k
+    if not width:
+        return None
     chars = [_characters(h) for h in d.homs]
     rows = [ch for hchars in chars for ch in hchars]
     rows += [[0] * (g.b + i) + [order] + [0] * (g.k - i - 1)
              for i, order in enumerate(g.torsion)]
-    ann = LatticeSubgroup((0,) * g.b + g.torsion, row_hermite_form(rows))
+    basis = row_hermite_form(rows)
+    if basis == identity(width):
+        return None
+    ann = LatticeSubgroup._canonical((0,) * g.b + g.torsion, basis)
     new_domain, new_homs, quotient_map = _quotient(g, ann, d.homs, chars)
     # the kernel's identity component is the torus dimension the quotient loses
     note = (f"quotiented the domain by its compact joint kernel "
-            f"(lie rank {g.b - new_domain.b}, {len(N.gens)} discrete generators); "
+            f"(lie rank {g.b - new_domain.b}, {len(basis)} discrete generators); "
             f"new domain {new_domain.describe()}, kernel normalized to total mass 1, "
             f"quotient carries the pushforward measure")
     return Datum(new_domain, new_homs, d.exponents), quotient_map, note
@@ -339,7 +347,8 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
 
     The quotient leaves a trivial joint kernel and every corestricted map is
     onto, so the first non-open image is the only obstruction left; the
-    result records it, as "map {pos} is not surjective".
+    result records it, as "map {pos} is not surjective".  No kernel is
+    built: properness and the quotient are read off the maps' blocks.
     """
     report = is_proper(d)
     if not report:
@@ -347,8 +356,9 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
     ledger: List[str] = []
     cur = d
     quotient_map = None
-    if not report.kernel.is_trivial():
-        cur, quotient_map, note = _quotient_by_joint_kernel(cur, report.kernel)
+    quotiented = _quotient_by_joint_kernel(d)
+    if quotiented is not None:
+        cur, quotient_map, note = quotiented
         ledger.append(note)
     homs = []
     obstruction = None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blca.errors import IrrationalEntry
+from blca.errors import IrrationalEntry, ShapeMismatch
 from blca.groups import (ElementaryGroup, HaarRecord, LatticeSubgroup,
                          dual_group)
 from blca.intmat import (diagonal_of, from_columns, mat_vec, matmul,
@@ -174,6 +174,26 @@ def test_lattice_equality_is_canonical():
     b = LatticeSubgroup.from_generators((0, 0), [[0, 2], [2, 0]])
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_lattice_rejects_a_basis_that_is_not_canonical():
+    # (1, 1), (1, 0) spans all of Z^2, whose canonical basis is the identity;
+    # coordinates found by forward substitution would miss (0, 1)
+    for orders, basis in (((0, 0), [[1, 1], [1, 0]]),
+                          ((0, 0), [[0, 1], [1, 0]]),   # pivots out of order
+                          ((0, 0), [[-1, 0]]),          # negative pivot
+                          ((0, 0), [[1, 2], [0, 2]]),   # entry above a pivot unreduced
+                          ((0, 0), [[1, 0], [0, 0]]),   # zero column
+                          ((4,), [[3]])):               # misses the order vector
+        with pytest.raises(ValueError):
+            LatticeSubgroup(orders, basis)
+    with pytest.raises(ShapeMismatch):
+        LatticeSubgroup((0, 0), [[1]])
+    lat = LatticeSubgroup((0, 0), [[1, 0], [0, 1]])
+    assert lat == LatticeSubgroup.from_generators((0, 0), [[1, 1], [1, 0]])
+    assert lat.contains([0, 1]) and lat.adapted()[3]([0, 1]) == [0, 1]
+    assert LatticeSubgroup((0, 4), [[1, 3], [0, 4]]) == LatticeSubgroup.from_generators(
+        (0, 4), [[1, 3]])
 
 
 @settings(max_examples=40, deadline=None)

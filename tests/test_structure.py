@@ -447,19 +447,27 @@ def test_free_to_finite_block_is_priced():
 
 def test_dual_datum_checks_nondegeneracy_once(monkeypatch):
     import blca.homs
-    calls = []
+    import blca.subquot
+    calls = {"kernel": 0, "proper": 0, "quotient": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return stacked(*args, **kwargs)
+    def counted(mod, name, key):
+        fn = getattr(mod, name)
 
-    stacked = blca.homs._stacked_kernel
-    monkeypatch.setattr(blca.homs, "_stacked_kernel", counted)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(blca.homs, "_stacked_kernel", "kernel")
+    counted(blca.subquot, "is_proper", "proper")
+    counted(blca.subquot, "_quotient_by_joint_kernel", "quotient")
     klein = Datum(K, [BlockHom(K, C2, FF=[[1, 0]]), BlockHom(K, C2, FF=[[0, 1]])],
                   [F(2), F(2)])
     dual_datum(klein)
-    # properness only: make_nondegenerate records what it leaves behind
-    assert len(calls) == 1
+    # properness and the kernel quotient once each, read off the maps'
+    # blocks with no joint kernel; make_nondegenerate records what it
+    # leaves behind
+    assert calls == {"kernel": 0, "proper": 1, "quotient": 1}
 
 
 def test_report_shape():
@@ -484,7 +492,7 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     import blca.homs
     import blca.structure
     import blca.subquot
-    calls = {"kernel": 0, "surjective": 0}
+    calls = {"kernel": 0, "proper": 0, "quotient": 0, "surjective": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -494,13 +502,18 @@ def test_pipeline_runs_each_check_once(monkeypatch):
 
     monkeypatch.setattr(blca.homs, "_stacked_kernel",
                         counted("kernel", blca.homs._stacked_kernel))
+    monkeypatch.setattr(blca.subquot, "is_proper",
+                        counted("proper", blca.subquot.is_proper))
+    monkeypatch.setattr(blca.subquot, "_quotient_by_joint_kernel",
+                        counted("quotient",
+                                blca.subquot._quotient_by_joint_kernel))
     surjective = counted("surjective", blca.homs.is_surjective)
     for mod in (blca.subquot, blca.structure):
         monkeypatch.setattr(mod, "is_surjective", surjective)
     assert bl_constant(young_datum()).kind == FINITE
-    # properness once, each map's surjectivity once, all inside
-    # make_nondegenerate
-    assert calls == {"kernel": 1, "surjective": 3}
+    # properness and the kernel quotient once each with no joint kernel,
+    # and each map's surjectivity once, all inside make_nondegenerate
+    assert calls == {"kernel": 0, "proper": 1, "quotient": 1, "surjective": 3}
 
 
 def test_pipeline_builds_each_group_once(monkeypatch):

@@ -9,14 +9,15 @@ import pytest
 from blca.errors import Degenerate, NotProper
 from blca.groups import ElementaryGroup, HaarRecord, dual_group
 from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
-                       GroupElement, adjoint_hom, is_proper, is_surjective,
-                       joint_kernel)
+                       GroupElement, ProperReport, adjoint_hom, is_proper,
+                       is_surjective, joint_kernel, kernel_info)
 from blca.intmat import (clear_denominators, from_columns, hermite_basis,
                          identity, integer_kernel, rational_kernel,
                          solve_integer, solve_rational, transpose)
-from blca.structure import _compact_image_subgroup, analyze, reduce_transversal
+from blca.structure import _image_subgroup, analyze, reduce_transversal
 from blca.subquot import (_annihilator_of_compact_kernel,
-                          _is_nondegenerate, _sector_parts, corestrict_open,
+                          _is_nondegenerate, _quotient_by_joint_kernel,
+                          _sector_parts, corestrict_open,
                           discrete_image_lattice, kernel_embedding,
                           make_nondegenerate, merge_finite_coordinates)
 from test_groups import _ref_structure
@@ -117,24 +118,30 @@ def test_non_open_image_warned_not_fixed():
     assert res.obstruction == "map 1 is not surjective"
 
 
+def _all_blocks_datum(rnd):
+    """A datum on a small group of every sector whose maps keep each block
+    with probability one half."""
+    dom = ElementaryGroup(a=rnd.randint(0, 1), b=rnd.randint(0, 2),
+                          c=rnd.randint(0, 1), torsion=rnd.choice(CHAINS))
+    homs = []
+    for _ in range(rnd.randint(1, 3)):
+        cod = ElementaryGroup(a=rnd.randint(0, 1), b=rnd.randint(0, 1),
+                              c=rnd.randint(0, 1),
+                              torsion=rnd.choice(CHAINS[:5]))
+        full = random_hom(rnd, dom, cod)
+        homs.append(BlockHom(dom, cod, **{name: blk for name, blk
+                                         in full.blocks().items()
+                                         if rnd.random() < 0.5}))
+    return Datum(dom, homs, [F(2)] * len(homs))
+
+
 def test_recorded_obstruction_matches_a_fresh_check():
     # random proper data with sector-mixing blocks: whatever make_nondegenerate
     # records is what checking its output from scratch finds
     rnd = random.Random(7)
     seen = quotiented = obstructed = 0
     while seen < 300:
-        dom = ElementaryGroup(a=rnd.randint(0, 1), b=rnd.randint(0, 2),
-                              c=rnd.randint(0, 1), torsion=rnd.choice(CHAINS))
-        homs = []
-        for _ in range(rnd.randint(1, 3)):
-            cod = ElementaryGroup(a=rnd.randint(0, 1), b=rnd.randint(0, 1),
-                                  c=rnd.randint(0, 1),
-                                  torsion=rnd.choice(CHAINS[:5]))
-            full = random_hom(rnd, dom, cod)
-            homs.append(BlockHom(dom, cod, **{name: blk for name, blk
-                                             in full.blocks().items()
-                                             if rnd.random() < 0.5}))
-        d = Datum(dom, homs, [F(2)] * len(homs))
+        d = _all_blocks_datum(rnd)
         if not is_proper(d):
             continue
         seen += 1
@@ -234,9 +241,11 @@ def test_kernel_embedding_weil_mass():
 
 # -- the normal form and split against reference copies ----------------------
 # _ref_stacked_kernel is the joint kernel by one coupled elimination over all
-# sectors, and _ref_sector_parts builds every part's groups and maps afresh.
-# The pipeline's own versions must give the same datum, ledger, obstruction,
-# quotient map and parts on every datum below.
+# sectors.  _ref_is_proper and _ref_quotient_by_joint_kernel decide properness
+# and the kernel quotient from that kernel, where the pipeline reads both off
+# the maps' blocks, and _ref_sector_parts builds every part's groups and maps
+# afresh.  The pipeline's own versions must give the same datum, ledger,
+# obstruction, quotient map and parts on every datum below.
 
 def _ref_stacked_kernel(domain, homs):
     a, b, c, k = domain.a, domain.b, domain.c, domain.k
@@ -323,6 +332,20 @@ def _ref_stacked_kernel(domain, homs):
     return ClosedSubgroup(domain, lie, gens)
 
 
+def _ref_is_proper(d):
+    r = _ref_stacked_kernel(d.domain, d.homs).noncompact_rank()
+    if r:
+        return ProperReport(False, f"joint kernel has noncompact rank {r}", r)
+    return ProperReport(True, "joint kernel compact; image closed and relatively open", 0)
+
+
+def _ref_quotient_by_joint_kernel(d):
+    N = _ref_stacked_kernel(d.domain, d.homs)
+    if N.is_trivial():
+        return None
+    return _ref_round_trip_quotient(d, N)
+
+
 def _ref_sector_parts(d):
     g = d.domain
     torus_dom = ElementaryGroup(b=g.b, haar=HaarRecord(torus_total=g.haar.torus_total))
@@ -391,22 +414,24 @@ def _normal_form_and_split(d):
 
 
 def test_normal_form_and_split_match_reference(monkeypatch):
-    import blca.homs
     import blca.structure
+    import blca.subquot
     rnd = random.Random(18)
     seen = {"mixing": 0, "quotiented": 0, "torus_finite_kernel": 0,
             "obstructed": 0, "improper": 0}
     for i in range(300):
         d = _pin_datum(rnd, i % 4)
         ker = joint_kernel(d)
-        with monkeypatch.context() as mp:
-            mp.setattr(blca.homs, "_stacked_kernel", _ref_stacked_kernel)
-            mp.setattr(blca.structure, "_sector_parts", _ref_sector_parts)
-            ref_ker = joint_kernel(d)
-            want = _normal_form_and_split(d)
+        ref_ker = _ref_stacked_kernel(d.domain, d.homs)
         assert ker.contains(ref_ker) and ref_ker.contains(ker)
         assert len(ker.gens) == len(ref_ker.gens)
         assert ker.lie_rank() == ref_ker.lie_rank()
+        with monkeypatch.context() as mp:
+            mp.setattr(blca.subquot, "is_proper", _ref_is_proper)
+            mp.setattr(blca.subquot, "_quotient_by_joint_kernel",
+                       _ref_quotient_by_joint_kernel)
+            mp.setattr(blca.structure, "_sector_parts", _ref_sector_parts)
+            want = _normal_form_and_split(d)
         got = _normal_form_and_split(d)
         assert got == want
         seen["mixing"] += any(any(any(row) for row in getattr(h, name))
@@ -520,7 +545,7 @@ def _ref_reduce_transversal(d, k, n):
     new_homs = []
     for j, h in enumerate(d.homs):
         if j == k:
-            image = _compact_image_subgroup(h, n)
+            image = _image_subgroup(h, n)
             ann_k = _annihilator_of_compact_kernel(image, h.codomain)
             incl_k = _ref_lattice_inclusion_hom(ann_k, dual_group(h.codomain))
             tau = adjoint_hom(h).compose(incl_k)
@@ -590,15 +615,16 @@ def test_torus_quotient_matches_the_dual_round_trip(monkeypatch):
     while compared < 1000:
         d = _any_datum(rnd, i)
         i += 1
-        report = is_proper(d)
-        if not report or report.kernel.is_trivial():
+        if not is_proper(d):
             continue
-        N = report.kernel
+        N = joint_kernel(d)
+        if N.is_trivial():
+            continue
         compared += 1
         want = _ref_round_trip_quotient(d, N)
         with monkeypatch.context() as mp:
             _without_adjoints(mp)
-            got = blca.subquot._quotient_by_joint_kernel(d, N)
+            got = blca.subquot._quotient_by_joint_kernel(d)
         assert got == want
         assert _haar_records(got[0]) == _haar_records(want[0])
         assert got[1].domain.haar == want[1].domain.haar
@@ -612,6 +638,29 @@ def test_torus_quotient_matches_the_dual_round_trip(monkeypatch):
         seen["weighted"] += d.domain.haar != ElementaryGroup().haar
     assert seen["finite_sector"] >= 300 and seen["mixing"] >= 100, seen
     assert min(seen.values()) >= 50, seen
+
+
+def test_properness_and_kernel_read_off_the_blocks():
+    # the normal form decides properness by one rational rank and the compact
+    # kernel through its annihilator; both must say what the joint kernel
+    # itself says
+    rnd = random.Random(23)
+    seen = {"mixing": 0, "improper": 0, "nontrivial": 0}
+    for i in range(3000):
+        d = _all_blocks_datum(rnd) if i % 2 else _any_datum(rnd, i // 2)
+        N = joint_kernel(d)
+        report = is_proper(d)
+        assert report.noncompact_rank == N.noncompact_rank()
+        seen["mixing"] += _is_mixing(d)
+        if not report:
+            seen["improper"] += 1
+            continue
+        got = _quotient_by_joint_kernel(d)
+        assert (got is None) == N.is_trivial()
+        if got is not None:
+            seen["nontrivial"] += 1
+            assert f", {len(N.gens)} discrete generators)" in got[2]
+    assert min(seen.values()) >= 800, seen
 
 
 def test_reduce_transversal_matches_the_dual_round_trip(monkeypatch):
@@ -641,6 +690,30 @@ def test_reduce_transversal_matches_the_dual_round_trip(monkeypatch):
         seen["mixing"] += _is_mixing(d)
         seen["target_quotiented"] += got.homs[k].codomain != d.homs[k].codomain
     assert seen["finite_sector"] >= 300 and min(seen.values()) >= 50, seen
+
+
+def test_image_subgroup_decides_what_a_map_kills():
+    # reduce_transversal asks whether a map kills n by mapping n; building
+    # the map's kernel and testing containment is the reference
+    def sparse_hom(rnd, dom):
+        full = random_hom(rnd, dom, random_group(rnd))
+        return BlockHom(dom, full.codomain, **{name: blk for name, blk
+                                              in full.blocks().items()
+                                              if rnd.random() < 0.5})
+
+    rnd = random.Random(24)
+    seen = {True: 0, False: 0}
+    for i in range(2000):
+        dom = random_group(rnd)
+        h = sparse_hom(rnd, dom)
+        homs = [sparse_hom(rnd, dom) for _ in range(rnd.randint(1, 2))]
+        if i % 3 == 0:
+            homs.append(h)
+        n = joint_kernel(Datum(dom, homs, [F(2)] * len(homs)))
+        kills = kernel_info(h).contains(n)
+        assert _image_subgroup(h, n).is_trivial() == kills
+        seen[kills] += 1
+    assert min(seen.values()) >= 500, seen
 
 
 def test_finite_sector_kernel_keeps_the_adapted_order():
