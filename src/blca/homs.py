@@ -325,11 +325,16 @@ class Datum:
     def haar_factor(self) -> ExactValue:
         """m / prod_j m_j^(1/p_j), m the domain's Haar scale and m_j the j-th
         target's: the constant of this datum over its constant at unit
-        scales."""
-        val = ExactValue.of(self.domain.haar.scalar())
-        for h, r in zip(self.homs, self.reciprocal_exponents()):
-            if r:
-                val = val / ExactValue.of(h.codomain.haar.scalar()) ** r
+        scales.  A scale of 1 contributes nothing and is not factored, so
+        a datum at unit scales gives ExactValue.one() itself."""
+        val = ExactValue.one()
+        m = self.domain.haar.scalar()
+        if m != 1:
+            val = ExactValue.of(m)
+        for h, p in zip(self.homs, self.exponents):
+            m = h.codomain.haar.scalar()
+            if p is not None and m != 1:
+                val = val / ExactValue.of(m) ** (1 / p)
         return val
 
 

@@ -52,8 +52,9 @@ from .intmat import det_rational, hstack, mat_vec
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
 from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, rank_condition
-from .subquot import (NondegenerateResult, _annihilator_of_compact_kernel,
-                      _characters, _quotient, _sector_parts, corestrict_open,
+from .subquot import (_EMPTY, NondegenerateResult,
+                      _annihilator_of_compact_kernel, _characters, _quotient,
+                      _sector_parts, corestrict_open,
                       kernel_embedding, make_nondegenerate,
                       merge_finite_coordinates)
 
@@ -349,11 +350,12 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
 # -- factor evaluation ------------------------------------------------------
 
 # The report of a part with trivial domain and targets at unit scale, one
-# shared object per sector: most data leave three of their four parts
-# trivial, and callers that keep many reports would otherwise hold a copy of
-# each.  Fields and notes are those the sector's engine reports; a torus or
-# free part that the rank condition certifies at Haar factor 1 gets the same
-# report.
+# shared object per sector: most data occupy one sector, and callers that
+# keep many reports would otherwise hold a copy of each.  The split gives
+# every absent sector the part on _EMPTY, whose report is read off its
+# domain without a scan.  Fields and notes are those the sector's engine
+# reports; a torus or free part that the rank condition certifies at Haar
+# factor 1 gets the same report.
 _TRIVIAL_REPORTS = {
     "torus": FactorReport("torus", FINITE, 1.0, ExactValue.one(), EXACT),
     "vector": FactorReport("vector", FINITE, 1.0, ExactValue.one(), EXACT),
@@ -380,14 +382,15 @@ _FAILS_NOTES = {
 
 def _trivial_report(name: str, fd: Datum) -> Optional[FactorReport]:
     """The shared report when fd is trivial and its Haar factor is 1, else
-    None.  The factor is priced exactly only when some scale it reads is
-    not 1."""
+    None.  The part of an absent sector, on _EMPTY, gets it at once.  Any
+    other part is scanned, since a trivial domain may still map into a
+    nontrivial target (R^1 -> T^1 through RT leaves such a torus part)."""
+    if fd.domain is _EMPTY:
+        return _TRIVIAL_REPORTS[name]
     if not (fd.domain.is_trivial()
             and all(h.codomain.is_trivial() for h in fd.homs)):
         return None
-    unit = fd.domain.haar.scalar() == 1 and all(
-        h.codomain.haar.scalar() == 1 for h in fd.homs)
-    if not unit and fd.haar_factor() != ExactValue.one():
+    if fd.haar_factor() != ExactValue.one():
         return None
     return _TRIVIAL_REPORTS[name]
 

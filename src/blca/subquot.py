@@ -27,11 +27,12 @@ only through its annihilator.
 The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
 and are dropped.  structure.analyze is the one routine that splits a datum.
-The split builds each part's domain and each distinct target once, shares
-the unit Haar record, gives a part that is trivial everywhere one zero map
-per distinct target, and returns a datum that lives in one sector, Haar
-records included, as its own part, so it builds only the maps of parts that
-differ from the datum.
+The split builds only the sectors the datum occupies: every sector absent
+from the domain and every target at unit scale shares one empty part, built
+on the constant group _EMPTY, and a datum that lives in one sector, Haar
+records included, is its own part.  Otherwise it builds each part's domain
+and each distinct target once, shares the unit Haar record, and gives a part
+that is trivial everywhere one zero map per distinct target.
 """
 
 from __future__ import annotations
@@ -399,22 +400,45 @@ _PARTS = (("b", "torus_total", "TT"), ("a", "vector_scale", "RR"),
           ("torsion", "f_point", "FF"), ("c", "z_point", "ZZ"))
 
 
+# The group and map of the part of an absent sector.  Both are immutable,
+# like UNIT_HAAR, and only _sector_parts builds on _EMPTY, so a part whose
+# domain is _EMPTY is known to be trivial at unit scales.
+_EMPTY = ElementaryGroup()
+_ZERO = BlockHom(_EMPTY, _EMPTY)
+
+
+def _absent(g: ElementaryGroup, dim: str, scale: str) -> bool:
+    """Whether g has no sector `dim` and a unit Haar scale `scale`."""
+    return not getattr(g, dim) and getattr(g.haar, scale) == 1
+
+
 def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
     """The torus, vector, finite and free diagonal-block data of a
     nondegenerate datum, in that order.
 
     Each part keeps its own sector's Haar scale; off-diagonal blocks are
-    dropped (they do not contribute a factor of their own).  The groups are
-    shared: each part's domain, and each distinct target, is built once per
-    call.  When a part's domain and targets equal the datum's own, Haar
-    records included, the datum lives in that one sector and is its own
-    part, so it is returned as it is.  A sector that is trivial in the
-    domain and in every target has only zero maps, so each distinct target
-    gets one map, built once, that every index into it shares.
+    dropped (they do not contribute a factor of their own).  A sector
+    absent from the domain and from every target, with scale 1 in each of
+    their records, has nothing to build: every such sector gets one shared
+    part, the zero maps _ZERO on _EMPTY.  Otherwise the groups are shared:
+    each part's domain, and each distinct target, is built once per call.
+    When a part's domain and targets equal the datum's own, Haar records
+    included, the datum lives in that one sector and is its own part, so it
+    is returned as it is.  A sector that is trivial in the domain and in
+    every target but carries a scale other than 1 has only zero maps, so
+    each distinct target gets one map, built once, that every index into it
+    shares.
     """
     parts = []
     own_targets = d.targets
+    empty = None
     for dim, scale, block in _PARTS:
+        if _absent(d.domain, dim, scale) and all(
+                _absent(t, dim, scale) for t in own_targets):
+            if empty is None:
+                empty = Datum(_EMPTY, [_ZERO] * d.J, d.exponents)
+            parts.append(empty)
+            continue
         groups: Dict[tuple, ElementaryGroup] = {}
         dom = _part_group(groups, d.domain, dim, scale)
         targets = [_part_group(groups, h.codomain, dim, scale) for h in d.homs]

@@ -18,7 +18,7 @@ from blca.intmat import mat_vec
 from blca.oracle import (alternating_maximization, discretized_compact_check,
                          scalar_gaussian_probe)
 from blca.rank import FAILS, HOLDS_CERTIFIED, rank_condition
-from blca.structure import (FINITE, INFINITE, bl_constant, duality_check,
+from blca.structure import (FINITE, bl_constant, duality_check,
                             reduce_p_infinity, reduce_p_one,
                             reduce_transversal)
 

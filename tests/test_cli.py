@@ -1,6 +1,5 @@
 """Command line round trips, exit codes, and parse diagnostics."""
 import json
-import math
 from pathlib import Path
 
 import pytest

@@ -7,7 +7,8 @@ import pytest
 
 from blca.errors import (BadExponent, IrrationalEntry, NotWellDefined,
                          ShapeMismatch)
-from blca.groups import ElementaryGroup, HaarRecord, dual_group
+from blca.exact import ExactValue
+from blca.groups import UNIT_HAAR, ElementaryGroup, HaarRecord, dual_group
 from blca.homs import (BlockHom, ClosedSubgroup, Datum, GroupElement,
                        adjoint_hom, conjugate_exponent, image_is_open,
                        is_proper, is_surjective, joint_kernel, kernel_info,
@@ -259,3 +260,42 @@ def test_floats_rejected_like_the_file_format():
         Datum(T, [BlockHom(T, T, TT=[[1]])], [1.5])
     # a float infinity is still read as the exponent infinity
     assert parse_exponent(math.inf) is None
+
+
+# -- the Haar factor ---------------------------------------------------------
+
+def _ref_haar_factor(d):
+    """m / prod_j m_j^(1/p_j) as a product over every record, unit scales
+    included."""
+    val = ExactValue.of(d.domain.haar.scalar())
+    for h, r in zip(d.homs, d.reciprocal_exponents()):
+        if r:
+            val = val / ExactValue.of(h.codomain.haar.scalar()) ** r
+    return val
+
+
+def test_haar_factor_matches_the_full_product():
+    # skipping the unit scales changes no value, and a datum at unit scales
+    # gets the shared unit itself; scales 2 and 1/2 also multiply to 1
+    rnd = random.Random(25)
+    scales = (F(1), F(2), F(1, 2), F(1, 3), F(9, 4), F(5, 2))
+
+    def group():
+        haar = (UNIT_HAAR if rnd.random() < 0.5
+                else HaarRecord(*(rnd.choice(scales) for _ in range(4))))
+        return ElementaryGroup(a=rnd.randint(0, 1), b=rnd.randint(0, 1), haar=haar)
+    seen = {"unit": 0, "scaled": 0, "one": 0}
+    for _ in range(600):
+        dom = group()
+        homs = [BlockHom(dom, group()) for _ in range(rnd.randint(1, 4))]
+        exps = [rnd.choice((None, 1, F(3, 2), F(2), F(5))) for _ in homs]
+        d = Datum(dom, homs, exps)
+        got, want = d.haar_factor(), _ref_haar_factor(d)
+        assert got == want
+        unit = all(g.haar.scalar() == 1 for g in (dom,) + d.targets)
+        if unit:
+            assert got is ExactValue.one()
+        seen["unit"] += unit
+        seen["scaled"] += not unit
+        seen["one"] += not unit and got == 1
+    assert seen["unit"] >= 60 and seen["scaled"] >= 300 and seen["one"] >= 20

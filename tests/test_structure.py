@@ -517,10 +517,10 @@ def test_pipeline_runs_each_check_once(monkeypatch):
 
 
 def test_pipeline_builds_each_group_once(monkeypatch):
-    # the normal form and split build each group and map once: a part that
-    # is trivial in every group shares one zero map per distinct target, a
-    # datum that lives in one sector at unit scales is its own part, and a
-    # record at unit scales is the shared one
+    # the normal form and split build each group and map once: a datum that
+    # lives in one sector at unit scales is its own part, every absent sector
+    # shares the one empty part on the constant zero map, and a record at
+    # unit scales is the shared one
     counts = {"HaarRecord": 0, "BlockHom": 0}
 
     def counted(cls):
@@ -538,16 +538,16 @@ def test_pipeline_builds_each_group_once(monkeypatch):
     counted(HaarRecord)
     counted(BlockHom)
     assert bl_constant(young).kind == FINITE
-    # the vector part is the datum itself; the torus, finite and free parts
-    # each get one zero map into their one distinct target
-    assert counts == {"HaarRecord": 0, "BlockHom": 3}
+    # the vector part is the datum itself; the torus, finite and free
+    # sectors are absent, and their one shared part builds no map
+    assert counts == {"HaarRecord": 0, "BlockHom": 0}
     counts.update(HaarRecord=0, BlockHom=0)
     rep = bl_constant(torus)
     assert rep.kind == FINITE and "2 discrete generators" in rep.ledger[0]
     # the kernel quotient builds the three maps out of T^2 / N and the
     # quotient map; the split then keeps the quotient datum as its torus part
-    # and builds one zero map each for the vector, finite and free parts
-    assert counts == {"HaarRecord": 0, "BlockHom": 7}
+    # and gives the absent vector, finite and free sectors the shared part
+    assert counts == {"HaarRecord": 0, "BlockHom": 4}
 
 
 def test_reports_share_their_notes_and_ledger():

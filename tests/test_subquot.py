@@ -14,8 +14,9 @@ from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
 from blca.intmat import (clear_denominators, from_columns, hermite_basis,
                          identity, integer_kernel, rational_kernel,
                          solve_integer, solve_rational, transpose)
-from blca.structure import _image_subgroup, analyze, reduce_transversal
-from blca.subquot import (_annihilator_of_compact_kernel,
+from blca.structure import (_image_subgroup, analyze, bl_constant,
+                            reduce_transversal)
+from blca.subquot import (_EMPTY, _annihilator_of_compact_kernel,
                           _is_nondegenerate, _quotient_by_joint_kernel,
                           _sector_parts, corestrict_open,
                           discrete_image_lattice, kernel_embedding,
@@ -779,3 +780,102 @@ def test_a_foreign_scale_rebuilds_the_part():
     assert parts[1] is not d
     assert parts[1].homs[0].codomain == R
     assert parts == _ref_sector_parts(d)
+
+
+# -- the one shared part of the absent sectors ---------------------------------
+
+_SECTORS = (("b", "torus_total", "TT"), ("a", "vector_scale", "RR"),
+            ("torsion", "f_point", "FF"), ("c", "z_point", "ZZ"))
+
+
+def _absent_sectors(d):
+    """The sectors, by their position in the split, that the domain and
+    every target lack, with scale 1 in each of their records."""
+    return [i for i, (dim, scale, _) in enumerate(_SECTORS)
+            if all(not getattr(g, dim) and getattr(g.haar, scale) == 1
+                   for g in (d.domain,) + d.targets)]
+
+
+def _one_sector_datum(rnd, pos):
+    """A datum at unit scales on the sector at position pos of the split."""
+    dim, _, block = _SECTORS[pos]
+
+    def group():
+        size = rnd.choice(CHAINS[1:]) if dim == "torsion" else rnd.randint(1, 3)
+        return ElementaryGroup(**{dim: size})
+    dom = group()
+    homs = []
+    for _ in range(rnd.randint(1, 4)):
+        cod = group()
+        homs.append(BlockHom(dom, cod, **{block: random_hom(rnd, dom, cod).blocks()[block]}))
+    return Datum(dom, homs, [rnd.choice((F(3, 2), F(2), F(3)))] * len(homs))
+
+
+def _reference_report(monkeypatch, d):
+    import blca.structure
+    with monkeypatch.context() as mp:
+        mp.setattr(blca.structure, "_sector_parts", _ref_sector_parts)
+        return bl_constant(d)
+
+
+def test_absent_sectors_share_one_empty_part(monkeypatch):
+    # a sector absent from the domain and from every target, at scale 1 in
+    # every record, gets the one part on _EMPTY; every part equals the one
+    # the reference builds afresh
+    rnd = random.Random(18)
+    data = [_pin_datum(rnd, i % 4) for i in range(300)]
+    for d in list(data):
+        try:
+            norm, why, _ = analyze(d)
+        except NotProper:
+            continue
+        if why is None and norm.datum is not d:
+            data.append(norm.datum)
+    rnd = random.Random(25)
+    one_sector = [_one_sector_datum(rnd, i % 4) for i in range(200)]
+    seen = {"absent": 0, "present": 0, "shared": 0, "drawn_absent": 0}
+    for n, d in enumerate(data + one_sector):
+        parts = _sector_parts(d)
+        assert parts == _ref_sector_parts(d)
+        absent = _absent_sectors(d)
+        for i, part in enumerate(parts):
+            assert (part.domain is _EMPTY) == (i in absent)
+        assert len({id(parts[i]) for i in absent}) <= 1
+        seen["absent"] += len(absent)
+        seen["present"] += 4 - len(absent)
+        seen["shared"] += len(absent) >= 2
+        seen["drawn_absent"] += len(absent) if n < len(data) else 0
+    for i, d in enumerate(one_sector):
+        pos = i % 4
+        parts = _sector_parts(d)
+        others = [p for j, p in enumerate(parts) if j != pos]
+        assert parts[pos] is d
+        assert others[0] is others[1] is others[2]
+        assert others[0].homs == (others[0].homs[0],) * d.J
+        assert others[0].exponents == d.exponents
+    assert seen["absent"] >= 500 and seen["present"] >= 1000
+    assert seen["shared"] >= 150 and seen["drawn_absent"] >= 25
+
+    # a finite point mass on R^2 keeps the finite part built, with its scale
+    heavy = ElementaryGroup(a=2, haar=HaarRecord(f_point=F(3)))
+    d = Datum(heavy, [BlockHom(heavy, R, RR=[[1, 0]]), BlockHom(heavy, R, RR=[[0, 1]]),
+                      BlockHom(heavy, R, RR=[[1, 1]])], [F(3, 2)] * 3)
+    parts = _sector_parts(d)
+    assert parts == _ref_sector_parts(d)
+    assert parts[2].domain is not _EMPTY and parts[2].domain.haar.f_point == 3
+    assert parts[0] is parts[3] and parts[0].domain is _EMPTY
+
+    # R^1 -> T^1 by RT: the torus part has a trivial domain but a target, so
+    # it is built and priced; with a scale on that target its factor is not 1
+    for scale in (F(1), F(4)):
+        circle = ElementaryGroup(b=1, haar=HaarRecord(torus_total=scale))
+        d = Datum(R, [BlockHom(R, circle, RT=[[F(1, 2)]]), BlockHom(R, R, RR=[[2]])],
+                  [2, 2])
+        parts = _sector_parts(d)
+        assert parts == _ref_sector_parts(d)
+        assert parts[0].domain is not _EMPTY
+        assert parts[0].targets == (circle, pt)
+        assert parts[2] is parts[3] and parts[2].domain is _EMPTY
+        rep = bl_constant(d)
+        assert rep.to_dict() == _reference_report(monkeypatch, d).to_dict()
+        assert rep.factors[0].exact == (F(1, 2) if scale == 4 else 1)
