@@ -74,7 +74,7 @@ BUDGET = "BUDGET"
 
 OBJECTIVE_CEILING = 1e8
 CONDITION_CEILING = 1e12
-ASCENT_TOLERANCE = 1e-10   # a sweep that moves the objective less has converged
+ASCENT_TOLERANCE = 1e-10   # a sweep that moves log obj less has converged
 ASCENT_BUDGET = 100000     # sweeps per ascent; an ascent that uses them all is BUDGET
 
 _SINGULAR_UPDATE = "singular matrix inside the coordinate update"
@@ -217,7 +217,7 @@ def _ascend(sigmas, recips, a, init_mats, budget):
         if cond > CONDITION_CEILING:
             return GaussianResult(math.inf, DIVERGED, sweep,
                                   f"denominator condition passed {CONDITION_CEILING:g}")
-        drift = abs(math.exp(new_log_obj) - math.exp(log_obj)) if new_log_obj < 700 else math.inf
+        drift = abs(new_log_obj - log_obj)
         log_obj = new_log_obj
         if drift < ASCENT_TOLERANCE:
             return GaussianResult(math.exp(log_obj), CONVERGED, sweep)

@@ -258,8 +258,10 @@ def scalar_gaussian_probe(d: Datum) -> float:
     Log-spaced grid of 13 points per map over several decades, widened
     while the maximum sits on the boundary, then golden-section refinement
     coordinate by coordinate.
-    Returns inf when widening never brings the maximum inside (the objective
-    climbs without bound).
+    When five widenings leave the maximum on the boundary, it returns the
+    grid's best value, a gaussian lower bound, or inf if that value passes
+    _PROBE_CEILING: so a divergent datum may read finite (R with x -> x at
+    p = 101/100 reads 4.997).
     """
     import numpy as np
     for g in (d.domain, *d.targets):

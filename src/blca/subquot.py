@@ -27,21 +27,19 @@ only through its annihilator.
 The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
 and are dropped.  structure.analyze is the one routine that splits a datum.
-The split builds only the sectors the datum occupies: every sector absent
-from the domain and every target at unit scale shares one empty part, built
-on the constant group _EMPTY, and a datum that lives in one sector, Haar
-records included, is its own part.  Otherwise it builds each part's domain
-and each distinct target once, shares the unit Haar record, and gives a part
-that is trivial everywhere one zero map per distinct target.
+One presence test decides the split: a sector is present when the domain
+or a target has it or carries a scale other than 1 for it.  Every absent
+sector shares one empty part, built on the constant group _EMPTY; a datum
+with one present sector is its own part, with nothing built; and one path
+builds every other part from the maps' diagonal blocks.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import Degenerate, NotProper
 from .groups import UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup
@@ -417,55 +415,33 @@ def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:
     nondegenerate datum, in that order.
 
     Each part keeps its own sector's Haar scale; off-diagonal blocks are
-    dropped (they do not contribute a factor of their own).  A sector
-    absent from the domain and from every target, with scale 1 in each of
-    their records, has nothing to build: every such sector gets one shared
-    part, the zero maps _ZERO on _EMPTY.  Otherwise the groups are shared:
-    each part's domain, and each distinct target, is built once per call.
-    When a part's domain and targets equal the datum's own, Haar records
-    included, the datum lives in that one sector and is its own part, so it
-    is returned as it is.  A sector that is trivial in the domain and in
-    every target but carries a scale other than 1 has only zero maps, so
-    each distinct target gets one map, built once, that every index into it
-    shares.
+    dropped (they do not contribute a factor of their own).  Every absent
+    sector (see the module docstring) gets one shared part, the zero maps
+    _ZERO on _EMPTY.  A datum with one present sector is its own part.
+    Otherwise each present part, one present only through a scale
+    included, takes every map's diagonal block.
     """
+    targets = d.targets
+    present = [not (_absent(d.domain, dim, scale)
+                    and all(_absent(t, dim, scale) for t in targets))
+               for dim, scale, _ in _PARTS]
+    empty = Datum(_EMPTY, [_ZERO] * d.J, d.exponents)
+    if sum(present) == 1:
+        return tuple(d if here else empty for here in present)
     parts = []
-    own_targets = d.targets
-    empty = None
-    for dim, scale, block in _PARTS:
-        if _absent(d.domain, dim, scale) and all(
-                _absent(t, dim, scale) for t in own_targets):
-            if empty is None:
-                empty = Datum(_EMPTY, [_ZERO] * d.J, d.exponents)
+    for here, (dim, scale, block) in zip(present, _PARTS):
+        if not here:
             parts.append(empty)
             continue
-        groups: Dict[tuple, ElementaryGroup] = {}
-        dom = _part_group(groups, d.domain, dim, scale)
-        targets = [_part_group(groups, h.codomain, dim, scale) for h in d.homs]
-        if dom == d.domain and all(map(operator.eq, targets, own_targets)):
-            parts.append(d)
-            continue
-        if getattr(dom, dim) or any(getattr(t, dim) for t in targets):
-            homs = [BlockHom(dom, t, **{block: getattr(h, block)})
-                    for h, t in zip(d.homs, targets)]
-        else:
-            zero: Dict[int, BlockHom] = {}
-            homs = []
-            for t in targets:
-                if id(t) not in zero:
-                    zero[id(t)] = BlockHom(dom, t)
-                homs.append(zero[id(t)])
+        dom = _sector_group(d.domain, dim, scale)
+        homs = [BlockHom(dom, _sector_group(h.codomain, dim, scale),
+                         **{block: getattr(h, block)}) for h in d.homs]
         parts.append(Datum(dom, homs, d.exponents))
     return tuple(parts)
 
 
-def _part_group(groups: Dict[tuple, ElementaryGroup], g: ElementaryGroup,
-                dim: str, scale: str) -> ElementaryGroup:
-    """g's sector `dim` with its Haar scale `scale`, built once per distinct
-    sector and scale in groups."""
-    size, q = getattr(g, dim), getattr(g.haar, scale)
-    key = (size, q.numerator, q.denominator)
-    if key not in groups:
-        haar = UNIT_HAAR if q == 1 else HaarRecord(**{scale: q})
-        groups[key] = ElementaryGroup(**{dim: size}, haar=haar)
-    return groups[key]
+def _sector_group(g: ElementaryGroup, dim: str, scale: str) -> ElementaryGroup:
+    """g's sector `dim` with its Haar scale `scale`."""
+    q = getattr(g.haar, scale)
+    haar = UNIT_HAAR if q == 1 else HaarRecord(**{scale: q})
+    return ElementaryGroup(**{dim: getattr(g, dim)}, haar=haar)

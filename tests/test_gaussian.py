@@ -236,7 +236,8 @@ def _reference_ascent(sigmas, recips, a, budget, exact=True):
     inv((1 - r_j) s_j inv(Q_{-j}) s_j^T); when r_j >= 1 or Q_{-j} is singular
     (the block has no maximum), or always when exact is False, take the
     fixed-point step inv(s_j inv(Q) s_j^T).  The objective from slogdet and
-    the SVD condition number."""
+    the SVD condition number; a sweep that moves log obj by less than 1e-10
+    has converged."""
     import numpy as np
 
     def objective(mats):
@@ -269,7 +270,7 @@ def _reference_ascent(sigmas, recips, a, budget, exact=True):
         new_log_obj, cond = objective(mats)
         if new_log_obj > math.log(1e8) or cond > 1e12:
             return DIVERGED, sweep, math.inf
-        drift = abs(math.exp(new_log_obj) - math.exp(log_obj))
+        drift = abs(new_log_obj - log_obj)
         log_obj = new_log_obj
         if drift < 1e-10:
             return CONVERGED, sweep, math.exp(log_obj)
@@ -430,3 +431,30 @@ def test_exact_steps_match_the_fixed_point_loop(monkeypatch):
             want = gaussian_bl_constant(d, verdict)
         assert got.status == want.status == CONVERGED, d
         assert abs(got.value - want.value) <= 1e-8 * want.value, d
+
+
+def _barthe_rank_one_plane(rows):
+    """Barthe's closed form for three rank-one maps of R^2 at p = 3/2:
+    every basis S gets delta_S = 1/3, so the constant is
+    prod_S (a_S / delta_S)^(-delta_S / 2) with a_S = det(U_S)^2 * 4/9.
+    Logarithms of the exact integer determinants keep it accurate at any
+    entry size."""
+    log_bl = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
+            log_bl -= (2 * math.log(abs(det)) + math.log(4 / 3)) / 6
+    return math.exp(log_bl)
+
+
+def test_small_constants_converge_to_the_closed_form():
+    # the constant is tiny when the entries are large; the ascent must stop
+    # on the relative change of its objective, not on an absolute one
+    from blca.structure import bl_constant
+    data = [[[s + 1, 3], [5, s + 11], [7, 11]] for s in (10**3, 10**6, 10**9, 10**12)]
+    data.append([[123456789012345678901, 3], [5, 98765432109876543211], [7, 11]])
+    for rows in data:
+        d = Datum(R2, [BlockHom(R2, R1, RR=[row]) for row in rows], [F(3, 2)] * 3)
+        want = _barthe_rank_one_plane(rows)
+        got = bl_constant(d).value
+        assert abs(got - want) <= 1e-9 * want, (rows, got, want)

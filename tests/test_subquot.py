@@ -879,3 +879,30 @@ def test_absent_sectors_share_one_empty_part(monkeypatch):
         rep = bl_constant(d)
         assert rep.to_dict() == _reference_report(monkeypatch, d).to_dict()
         assert rep.factors[0].exact == (F(1, 2) if scale == 4 else 1)
+
+
+def test_the_one_sector_split_builds_nothing(monkeypatch):
+    # a datum with one present sector is its own part and the others share
+    # the empty part, so the split constructs no group and no map
+    import blca.subquot
+    built = {"groups": 0, "maps": 0}
+
+    def counting(cls, key):
+        def construct(*args, **kwargs):
+            built[key] += 1
+            return cls(*args, **kwargs)
+        return construct
+    rnd = random.Random(26)
+    data = [_one_sector_datum(rnd, i % 4) for i in range(200)]
+    monkeypatch.setattr(blca.subquot, "ElementaryGroup",
+                        counting(ElementaryGroup, "groups"))
+    monkeypatch.setattr(blca.subquot, "BlockHom", counting(BlockHom, "maps"))
+    for i, d in enumerate(data):
+        parts = _sector_parts(d)
+        assert parts[i % 4] is d
+    assert built == {"groups": 0, "maps": 0}
+    # the wrappers count: a datum with two present sectors builds its parts
+    d = Datum(R, [BlockHom(R, ElementaryGroup(b=1), RT=[[F(1, 2)]]),
+                  BlockHom(R, R, RR=[[2]])], [2, 2])
+    _sector_parts(d)
+    assert built["groups"] > 0 and built["maps"] > 0
