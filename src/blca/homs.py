@@ -27,7 +27,6 @@ from .exact import ExactValue
 from .groups import ElementaryGroup, LatticeSubgroup, dual_group
 from .intmat import (
     clear_denominators,
-    diagonal_of,
     from_columns,
     hermite_basis,
     identity,
@@ -37,7 +36,6 @@ from .intmat import (
     matmul,
     rational_kernel,
     rational_rank,
-    smith_normal_form,
     solve_rational,
     solve_semi_integer,
     transpose,
@@ -413,30 +411,6 @@ class ClosedSubgroup:
                                 list(v)) is None:
                 return False
         return all(self.contains_element(el) for el in other.gens)
-
-
-def torus_kernel(tt: Sequence[Sequence[int]], b: int):
-    """The kernel of t -> tt t (mod 1) on T^b, from one Smith form.
-
-    Returns (lie, wound): lie are integer columns spanning the identity
-    component, and wound lists (col, d), one per nonzero diagonal entry d,
-    where col / d lies in the kernel.  Together they generate it, and
-    len(wound) is the rank of tt.
-    """
-    if any(any(row) for row in tt):
-        _, dmat, v = smith_normal_form(tt)
-        diag = diagonal_of(dmat)
-    else:
-        diag, v = [], identity(b)
-    lie, wound = [], []
-    for i in range(b):
-        col = [v[r][i] for r in range(b)]
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            wound.append((col, d))
-        else:
-            lie.append(col)
-    return lie, wound
 
 
 def _stacked_kernel(domain: ElementaryGroup, homs: Sequence[BlockHom]) -> ClosedSubgroup:

@@ -45,10 +45,9 @@ from .exact import ExactValue
 from .finite import subgroup_bl_constant
 from .gaussian import bcct_finiteness, gaussian_bl_constant
 from .groups import ElementaryGroup, HaarRecord, dual_group
-from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum, adjoint_hom,
-                   discrete_image_lattice, image_is_open, is_surjective,
-                   kernel_info)
-from .intmat import det_rational, hstack, mat_vec
+from .homs import (BlockHom, ClosedSubgroup, Datum, adjoint_hom,
+                   discrete_image_lattice, image_is_open, is_surjective)
+from .intmat import hstack, mat_vec, rational_rank
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
 from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, rank_condition
@@ -170,30 +169,12 @@ def reduce_p_infinity(d: Datum) -> Datum:
                  [d.exponents[j] for j in keep])
 
 
-def _point_kernel_inclusion(h: BlockHom) -> BlockHom:
-    """Inclusion of the trivial group as the kernel of an isomorphism.
-
-    The single point carries the ratio of the two measures; for triangular
-    block structure the jacobian is the product of the diagonal jacobians,
-    of which only the vector one can differ from 1.
-    """
-    g, cod = h.domain, h.codomain
-    det = abs(det_rational(h.RR)) if g.a else Fraction(1)
-    gh, ch = g.haar, cod.haar
-    mass = (gh.vector_scale / (ch.vector_scale * det)
-            * gh.torus_total / ch.torus_total
-            * gh.z_point / ch.z_point
-            * gh.f_point / ch.f_point)
-    model = ElementaryGroup(haar=HaarRecord(f_point=mass))
-    return BlockHom.zero(model, g)
-
-
 def _kernel_inclusion(h: BlockHom) -> BlockHom:
     """Kernel of h as an embedded elementary group with the fiber measure.
 
-    Non-surjective maps with open image are corestricted first; a trivial
-    kernel is handled for arbitrary block structure, a nontrivial one needs
-    a sector-diagonal map.
+    A non-surjective map with open image is corestricted first; a trivial
+    kernel is the empty model, whose point carries the ratio of the two
+    measures.
     """
     if not is_surjective(h):
         if not image_is_open(h):
@@ -201,8 +182,6 @@ def _kernel_inclusion(h: BlockHom) -> BlockHom:
                 "kernel reduction needs an open image; a non-open image "
                 "already forces an infinite constant at any finite exponent")
         h = corestrict_open(h, discrete_image_lattice(h))
-    if kernel_info(h).is_trivial():
-        return _point_kernel_inclusion(h)
     return kernel_embedding(h)
 
 
@@ -256,8 +235,8 @@ def reduce_exponents(d: Datum) -> ExponentReduction:
 
     The constant is unchanged at every step.  The folding stops, leaving a
     unit index in place, at the first map whose image is not open (that
-    already forces an infinite constant at finite exponents) and at a kernel
-    reduce_p_one cannot model (Degenerate).  An empty datum resolves to the
+    already forces an infinite constant at finite exponents); every other
+    kernel has a model (kernel_embedding).  An empty datum resolves to the
     constant carried by EmptyDatum.
     """
     try:
@@ -277,9 +256,6 @@ def reduce_exponents(d: Datum) -> ExponentReduction:
             break
         try:
             cur = reduce_p_one(cur, k)
-        except Degenerate as exc:
-            blocked = f"left index {k} in place: {exc}"
-            break
         except EmptyDatum as exc:
             ledger.append("removed the last unit-exponent index; the value "
                           "is the mass of its kernel")
@@ -435,6 +411,26 @@ def _finite_factor(fd: Datum) -> FactorReport:
                      f"at one of size {res.argmax_size}",)))
 
 
+def _torus_gap(d: Datum) -> Optional[FactorReport]:
+    """An infinite vector report when some map of the nondegenerate datum d
+    reaches a torus direction of its target only through its RT block, else
+    None.  The vector part sees that direction too: concentrate every
+    function near the image of one point of R^a times T^b.  The domain side
+    shrinks like eps^a, map j's norm like eps^((a_j + g_j) / p_j), g_j the
+    torus directions TT_j misses, and a finite vector part has
+    a = sum_j a_j / p_j, so the ratio grows like eps^(-sum_j g_j / p_j)."""
+    for j, h in enumerate(d.homs):
+        if (h.codomain.b and any(map(any, h.RT))
+                and rational_rank(h.TT) < h.codomain.b):
+            return FactorReport(
+                "vector", INFINITE, math.inf, None, CERTIFIED,
+                witness=f"map {j} reaches T^{h.codomain.b} through RT",
+                notes=("a torus direction reached only from the vector sector "
+                       "counts as a vector target dimension, and concentrating "
+                       "near a point outruns the right-hand side",))
+    return None
+
+
 def _vector_factor(fd: Datum) -> FactorReport:
     """The vector part of a nondegenerate datum, priced."""
     red = reduce_exponents(fd)
@@ -565,9 +561,12 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
         return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger,
                              witnesses=(why,)), None
     torus_d, vector_d, finite_d, free_d = parts
+    vector = _trivial_report("vector", vector_d) or _vector_factor(vector_d)
+    if vector.kind != INFINITE:
+        vector = _torus_gap(norm.datum) or vector
     factors = (
         _trivial_report("torus", torus_d) or _torus_factor(torus_d),
-        _trivial_report("vector", vector_d) or _vector_factor(vector_d),
+        vector,
         _trivial_report("finite", finite_d) or _finite_factor(finite_d),
         _trivial_report("free", free_d) or _free_factor(free_d),
     )
@@ -708,42 +707,6 @@ def verify(d: Datum, *, tol: float = 1e-6, seed: int = 0
 
 # -- dualization ------------------------------------------------------------
 
-def _strip_sector_mixing(d: Datum) -> Tuple[Datum, bool]:
-    homs = []
-    dropped = False
-    for h in d.homs:
-        mixing = any(any(row) for name in MIXING_BLOCKS
-                     for row in getattr(h, name))
-        if mixing:
-            dropped = True
-            homs.append(BlockHom(h.domain, h.codomain, RR=h.RR, TT=h.TT,
-                                 ZZ=h.ZZ, FF=h.FF))
-        else:
-            homs.append(h)
-    if not dropped:
-        return d, False
-    return Datum(d.domain, homs, d.exponents), True
-
-
-def _canonical_form(d: Datum) -> Tuple[Datum, List[str]]:
-    """Equivalent datum with sector-diagonal surjective maps and trivial
-    joint kernel; the constant is unchanged at every step."""
-    notes: List[str] = []
-    cur = d
-    for _ in range(8):
-        res = make_nondegenerate(cur)
-        notes.extend(res.ledger)
-        if res.obstruction is not None:
-            raise Degenerate(res.obstruction + "; the dual form needs a "
-                                               "nondegenerate datum")
-        cur, dropped = _strip_sector_mixing(res.datum)
-        if not dropped:
-            return cur, notes
-        notes.append("dropped sector-mixing blocks; the constant agrees "
-                     "with the sector-diagonal form")
-    raise Degenerate("canonicalization did not stabilize")
-
-
 def _product_of_duals(targets: Sequence[ElementaryGroup]):
     """The product of the duals of the targets, with canonical finite
     coordinates.  Returns (group, sector offsets, finite generator columns)
@@ -776,28 +739,30 @@ def dual_datum(d: Datum) -> Datum:
     the product of the dual targets, with the coordinate projections and the
     conjugate exponents.
 
-    The input is first brought to sector-diagonal nondegenerate form (the
-    constant is unchanged); Degenerate is raised when that is impossible,
-    i.e. when some image stays non-open.
+    The input is first brought to nondegenerate form (the constant is
+    unchanged); Degenerate is raised when that is impossible, i.e. when some
+    image stays non-open.  Mixing blocks are kept: each adjoint dualizes
+    them, and the annihilator's model carries them (kernel_embedding).
     """
-    cur, _ = _canonical_form(d)
+    res = make_nondegenerate(d)
+    if res.obstruction is not None:
+        raise Degenerate(res.obstruction + "; the dual form needs a "
+                                           "nondegenerate datum")
+    cur = res.datum
     targets = [h.codomain for h in cur.homs]
     duals, product, chain, gens = _product_of_duals(targets)
     taus = [adjoint_hom(h) for h in cur.homs]
     ghat = dual_group(cur.domain)
 
-    rr = reduce(hstack, [t.RR for t in taus], []) if product.a else None
-    tt = reduce(hstack, [t.TT for t in taus], []) if product.b else None
-    zz = reduce(hstack, [t.ZZ for t in taus], []) if product.c else None
-    ff = None
-    if gens:
-        cols = []
-        for t in taus:
-            for i in range(t.domain.k):
-                cols.append([t.FF[r][i] for r in range(ghat.k)])
-        ff = [[sum(gen[i] * cols[i][r] for i in range(len(gen)))
-               for gen in gens] for r in range(ghat.k)]
-    tau = BlockHom(product, ghat, RR=rr, TT=tt, ZZ=zz, FF=ff)
+    # tau sums the adjoints over the product: their blocks out of R, T and Z
+    # side by side, those out of F combined into each canonical generator
+    blocks = {name: reduce(hstack, [getattr(t, name) for t in taus], [])
+              for name in ("RR", "RT", "TT", "ZR", "ZT", "ZZ", "ZF")}
+    cols = [[*(row[i] for row in t.FT), *(row[i] for row in t.FF)]
+            for t in taus for i in range(t.domain.k)]
+    mixed = [[sum(gen[i] * cols[i][r] for i in range(len(gen))) for gen in gens]
+             for r in range(ghat.b + ghat.k)]
+    tau = BlockHom(product, ghat, FT=mixed[:ghat.b], FF=mixed[ghat.b:], **blocks)
     iota = kernel_embedding(tau)
 
     new_homs = []

@@ -24,31 +24,38 @@ No joint kernel is built for this: properness is one rational rank of the
 maps' vector and free rows (homs.is_proper), and the compact kernel is known
 only through its annihilator.
 
+The kernel of one surjective map, mixing blocks included, has an elementary
+model (kernel_embedding) with Weil's fiber measure, mu_G = mu_K (x) mu_H.
+Folding a unit exponent and the dual datum's annihilator both use it.
+
 The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
-and are dropped.  structure.analyze is the one routine that splits a datum.
-One presence test decides the split: a sector is present when the domain
-or a target has it or carries a scale other than 1 for it.  Every absent
-sector shares one empty part, built on the constant group _EMPTY; a datum
-with one present sector is its own part, with nothing built; and one path
-builds every other part from the maps' diagonal blocks.
+and are dropped (a torus direction reached only through RT is the one
+exception, which structure._torus_gap prices).  structure.analyze is the
+one routine that splits a datum.  One presence test decides the split: a
+sector is present when the domain or a target has it or carries a scale
+other than 1 for it.  Every absent sector shares one empty part, built on
+the constant group _EMPTY; a datum with one present sector is its own
+part, with nothing built; and one path builds every other part from the
+maps' diagonal blocks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import Degenerate, NotProper
 from .groups import UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup
-from .homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
-                   discrete_image_lattice, image_is_open, is_proper,
-                   is_surjective, joint_kernel, torus_kernel)
-from .intmat import (congruence_kernel, det_rational, from_columns, identity,
-                     integer_kernel, rational_kernel, row_hermite_form,
-                     solve_rational)
+from .homs import (BlockHom, ClosedSubgroup, Datum, discrete_image_lattice,
+                   image_is_open, is_proper, is_surjective, joint_kernel)
+from .intmat import (congruence_kernel, det_rational, diagonal_of, from_columns,
+                     identity, integer_kernel, rational_kernel,
+                     row_hermite_form, smith_normal_form, solve_rational,
+                     unimodular_inverse)
 
 
 def _fold_haar(haar: HaarRecord, other: str, keeps_other: int, keeps_f: int) -> HaarRecord:
@@ -113,100 +120,96 @@ def merge_finite_coordinates(orders: List[int]):
 
 
 def kernel_embedding(h: BlockHom) -> BlockHom:
-    """Inclusion of an elementary model of ker h into h's domain.
+    """Inclusion of an elementary model of ker h into h's domain, for any
+    surjective h, mixing blocks included; Degenerate when h is not onto.
 
-    Needs a sector-diagonal surjective map.  The returned map's domain is the
-    kernel re-expressed as an elementary group; its Haar record is the fiber
-    measure, i.e. the one for which the domain measure disintegrates as
-    (kernel) x (codomain) sector by sector.  The continuous sectors pick up
-    the jacobian of the chosen parametrization, so the record depends on the
-    basis only through the measure it induces on the kernel.
+    h is onto, so its lifted connected map [[RR, 0], [RT, TT]] is onto too,
+    and every discrete point of the kernel has a connected lift through one
+    section S of it.  The model's identity component is R^a_n x T^b_n: the
+    tangent vectors that move x, each with its torus part (the elimination
+    runs with the torus coordinates first), and the integer kernel of TT.
+    Its component group is Z^c_n x F_n: the points (n, m, u) with ZZ m = 0
+    and ZF m + FF u = 0 mod the target orders, n the integer point the
+    lifted torus rows land on, modulo the lifts of the covering kernel (the
+    units of Z^b and the order vectors of F), reduced by one Smith form.  A
+    cyclic generator of order s is lifted to an element (0, q/s, 0, u) of
+    order s.
+
+    The Haar record is Weil's fiber measure, mu_G = mu_K (x) mu_H.  h maps
+    the identity component of G onto that of H, so K maps onto the kernel of
+    the induced map of component groups, where every point weighs 1: the
+    blocks ZR, ZT, ZF and FT move points and no density, so they never enter
+    the measure.  What is left is the Lebesgue jacobian |det [B | S]| of the
+    lifted connected map, B the model's connected columns, and the record's
+    scalar is scalar(G) |det [B | S]| / scalar(H).  It sits on the model's
+    first sector among R, T, Z and F, on F for the trivial model.
     """
     g, cod = h.domain, h.codomain
-    for name in MIXING_BLOCKS:
-        blk = getattr(h, name)
-        if any(any(row) for row in blk):
-            raise Degenerate(f"kernel model needs a sector-diagonal map; "
-                             f"block {name} is nonzero")
     if not is_surjective(h):
         raise Degenerate("kernel model needs a surjective map; corestrict "
                          "onto the open image first")
+    a, b, c, k = g.a, g.b, g.c, g.k
 
-    # vector sector: kernel basis plus a section, whose combined determinant
-    # is the jacobian tying the fiber scale to the two Lebesgue scales
-    if g.a:
-        basis = rational_kernel(h.RR) if h.RR else identity(g.a)
-        section = []
-        for rhs in identity(cod.a):
-            sol = solve_rational(h.RR, rhs)
-            if sol is None:
-                raise Degenerate("vector block is not surjective")
-            section.append(sol)
-        jac = abs(det_rational(from_columns(list(basis) + section, g.a)))
-    else:
-        basis, jac = [], Fraction(1)
-    a_n = len(basis)
+    # identity component, and the jacobian; conn is in the coordinates (t, x)
+    conn = [[0] * b + rr for rr in h.RR] + [tt + rt for tt, rt in zip(h.TT, h.RT)]
+    tangent = rational_kernel(conn) if conn else identity(a + b)
+    vector = [v[b:] + v[:b] for v in tangent if any(v[b:])]
+    torus = integer_kernel(h.TT) if h.TT else identity(b)
+    section = [s[b:] + s[:b] for s in (solve_rational(conn, e)
+                                       for e in identity(len(conn)))]
+    cols = vector + [[0] * a + col for col in torus] + section
+    jac = abs(det_rational(from_columns(cols, a + b))) if cols else Fraction(1)
 
-    # torus sector: diagonalize; zero diagonal slots stay toral, slots with
-    # entry d > 1 become cyclic generators wound 1/d of the way along
-    if g.b:
-        torus_cols, wound = torus_kernel(h.TT, g.b)
-        torus_tors = [(col, d) for col, d in wound if d > 1]
-    else:
-        torus_cols, torus_tors = [], []
-    b_n = len(torus_cols)
-    compact_component_count = 1
-    for _, d in torus_tors:
-        compact_component_count *= d
+    # component group: the units of n, then a basis of the (m, u); the lifts
+    # of the covering kernel in those coordinates go through one Smith form
+    rows = [zz + [0] * (k + cod.k) for zz in h.ZZ]
+    rows += [zf + ff + [-e * (j == r) for j in range(cod.k)]
+             for r, (zf, ff, e) in enumerate(zip(h.ZF, h.FF, cod.torsion))]
+    discrete = [v[:c + k] for v in (integer_kernel(rows) if rows else identity(c + k))]
+    points = [row + [0] * (c + k) for row in identity(cod.b)]
+    points += [[0] * cod.b + v for v in discrete]
+    rel = [[row[i] for row in h.TT] + [0] * len(discrete) for i in range(b)]
+    for i, d in enumerate(g.torsion):
+        order = [0] * c + [d * (j == i) for j in range(k)]
+        coords = solve_rational(from_columns(discrete, c + k), order) if discrete else []
+        rel.append([int(x) for x in [d * row[i] for row in h.FT] + coords])
+    left, dmat, right = smith_normal_form(from_columns(rel, len(points)))
+    diag, inverse = diagonal_of(dmat), unimodular_inverse(left)
+    free, cyclic, chain = [], [], []
+    for i in range(len(points)):
+        s = diag[i] if i < len(diag) else 0
+        if s == 1:
+            continue
+        point = [sum(row[i] * x for row, x in zip(inverse, col)) for col in zip(*points)]
+        n, m, u = point[:cod.b], point[cod.b:cod.b + c], point[cod.b + c:]
+        if s:
+            cyclic.append([Fraction(row[i], s) for row in right[:b]] + u)
+            chain.append(s)
+            continue
+        y = [-sum(map(operator.mul, zr, m)) for zr in h.ZR]
+        y += [ni - sum(map(operator.mul, zt, m)) - sum(map(operator.mul, ft, u))
+              for ni, zt, ft in zip(n, h.ZT, h.FT)]
+        free.append([sum(map(operator.mul, y, row)) for row in from_columns(section, a + b)]
+                    + m + u)
 
-    # free sector
-    if g.c:
-        free_basis = integer_kernel(h.ZZ) if h.ZZ else identity(g.c)
-    else:
-        free_basis = []
-    c_n = len(free_basis)
-
-    # finite sector
-    if g.k:
-        if cod.k:
-            rows = [[Fraction(h.FF[r][i], cod.torsion[r]) for i in range(g.k)]
-                    for r in range(cod.k)]
-            lat = LatticeSubgroup.from_generators(
-                g.torsion, congruence_kernel(rows, [1] * cod.k))
-        else:
-            lat = LatticeSubgroup.full(g.torsion)
-        _, f_cols, f_orders = lat.structure()
-    else:
-        f_cols, f_orders = [], []
-
-    # glue the two finite contributions into one canonical chain
-    chain, gens = merge_finite_coordinates(
-        [d for _, d in torus_tors] + list(f_orders))
-    split = len(torus_tors)
-    ft_block = [[Fraction(0)] * len(gens) for _ in range(g.b)]
-    ff_block = [[0] * len(gens) for _ in range(g.k)]
-    for r, gen in enumerate(gens):
-        for i, (col, d) in enumerate(torus_tors):
-            for row in range(g.b):
-                ft_block[row][r] += Fraction(gen[i] * col[row], d)
-        for j in range(len(f_orders)):
-            for row in range(g.k):
-                ff_block[row][r] += gen[split + j] * f_cols[j][row]
-
-    gh, ch = g.haar, cod.haar
-    haar = HaarRecord(
-        vector_scale=gh.vector_scale * jac / ch.vector_scale,
-        torus_total=gh.torus_total / ch.torus_total,
-        z_point=gh.z_point / ch.z_point,
-        f_point=gh.f_point / (ch.f_point * compact_component_count))
-    model = ElementaryGroup(a=a_n, b=b_n, c=c_n, torsion=tuple(chain), haar=haar)
+    scale = g.haar.scalar() * jac / cod.haar.scalar()
+    field = ("vector_scale" if vector else "torus_total" if torus
+             else "z_point" if free else "f_point")
+    model = ElementaryGroup(a=len(vector), b=len(torus), c=len(free),
+                            torsion=tuple(chain),
+                            haar=UNIT_HAAR if scale == 1 else HaarRecord(**{field: scale}))
+    xt, xtm = a + b, a + b + c
     return BlockHom(
         model, g,
-        RR=from_columns(basis, g.a) if g.a else None,
-        TT=from_columns(torus_cols, g.b) if g.b else None,
-        FT=ft_block if (g.b and gens) else None,
-        ZZ=from_columns(free_basis, g.c) if g.c else None,
-        FF=ff_block if (g.k and gens) else None)
+        RR=from_columns([v[:a] for v in vector], a),
+        RT=from_columns([v[a:] for v in vector], b),
+        TT=from_columns(torus, b),
+        ZR=from_columns([z[:a] for z in free], a),
+        ZT=from_columns([z[a:xt] for z in free], b),
+        ZZ=from_columns([z[xt:xtm] for z in free], c),
+        ZF=from_columns([z[xtm:] for z in free], k),
+        FT=from_columns([f[:b] for f in cyclic], b),
+        FF=from_columns([f[b:] for f in cyclic], k))
 
 
 def _annihilator_of_compact_kernel(N: ClosedSubgroup, g: ElementaryGroup) -> LatticeSubgroup:
@@ -406,8 +409,9 @@ _ZERO = BlockHom(_EMPTY, _EMPTY)
 
 
 def _absent(g: ElementaryGroup, dim: str, scale: str) -> bool:
-    """Whether g has no sector `dim` and a unit Haar scale `scale`."""
-    return not getattr(g, dim) and getattr(g.haar, scale) == 1
+    """Whether g has no sector `dim` and a unit Haar scale `scale`.  Most
+    groups share UNIT_HAAR, which is known to be 1 without a comparison."""
+    return not getattr(g, dim) and (g.haar is UNIT_HAAR or getattr(g.haar, scale) == 1)
 
 
 def _sector_parts(d: Datum) -> Tuple[Datum, Datum, Datum, Datum]:

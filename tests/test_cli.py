@@ -6,6 +6,7 @@ import pytest
 
 from blca.cli import (DatumFormatError, build_parser, datum_document,
                       dump_datum, load_datum, load_document, main)
+from blca.structure import bl_constant
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -366,23 +367,30 @@ def test_unit_exponent_vector_reports(tmp_path, capsys, rows, exponents, kind,
         assert (report["exact"], vector["exact"]) == (exact, exact)
 
 
-@pytest.mark.parametrize("doc", [
+@pytest.mark.parametrize("doc, folds", [
     # map 0 has the finite image {0, 1/2} in T, which is not open
-    {"domain": {"a": 1, "torsion": [2]},
-     "targets": [{"b": 1}, {"a": 1}, {"torsion": [2]}],
-     "homs": [{"FT": [["1/2"]]}, {"RR": [[1]]}, {"FF": [[1]]}],
-     "exponents": [1, 2, 2]},
-    # map 0 mixes the torus and finite sectors, so its kernel has no model
-    {"domain": {"b": 1, "torsion": [2]},
-     "targets": [{"b": 1}, {"b": 1}, {"torsion": [2]}],
-     "homs": [{"TT": [[1]], "FT": [["1/2"]]}, {"TT": [[1]]}, {"FF": [[1]]}],
-     "exponents": [1, 2, 2]},
+    ({"domain": {"a": 1, "torsion": [2]},
+      "targets": [{"b": 1}, {"a": 1}, {"torsion": [2]}],
+      "homs": [{"FT": [["1/2"]]}, {"RR": [[1]]}, {"FF": [[1]]}],
+      "exponents": [1, 2, 2]}, False),
+    # map 0 mixes the torus and finite sectors; its kernel has a model, so
+    # the index folds and nothing is left blocked
+    ({"domain": {"b": 1, "torsion": [2]},
+      "targets": [{"b": 1}, {"b": 1}, {"torsion": [2]}],
+      "homs": [{"TT": [[1]], "FT": [["1/2"]]}, {"TT": [[1]]}, {"FF": [[1]]}],
+      "exponents": [1, 2, 2]}, True),
 ], ids=["non_open_image", "sector_mixing"])
-def test_reduce_leaves_a_blocked_fold_in_place(tmp_path, capsys, doc):
+def test_reduce_leaves_a_blocked_fold_in_place(tmp_path, capsys, doc, folds):
     src = write(tmp_path, doc)
     assert main(["reduce", "--json", src]) == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"schema_version", "command", "seed", "ledger", "datum"}
+    if folds:
+        assert out["ledger"] == [FOLD]
+        want = bl_constant(load_datum(src))
+        got = bl_constant(load_datum(write(tmp_path, out["datum"], "reduced.json")))
+        assert (got.kind, got.exact) == (want.kind, want.exact)
+        return
     assert out["datum"]["exponents"] == [1, 2, 2]
     assert len(out["ledger"]) == 1
     assert out["ledger"][0].startswith("left index 0 in place: ")

@@ -205,15 +205,17 @@ def test_reduce_exponents_stops_at_a_non_open_image():
     assert vector.kind == INFINITE
     assert vector.witness == "map 0 has image a proper subspace"
     assert vector.notes[:-1] == (FOLD,)
-    # a kernel that mixes sectors has no model: Degenerate leaves it in place
+    # a kernel that mixes sectors has a model too: the index folds, and the
+    # constant stays
     g = ElementaryGroup(b=1, torsion=(2,))
     mixing = Datum(g, [BlockHom(g, T, TT=[[1]], FT=[[F(1, 2)]]),
                        BlockHom(g, T, TT=[[1]]), BlockHom(g, C2, FF=[[1]])],
                    [1, 2, 2])
     red = reduce_exponents(mixing)
-    assert (red.datum, red.ledger) == (mixing, ())
-    assert red.blocked.startswith("left index 0 in place: kernel model needs "
-                                  "a sector-diagonal map")
+    assert FOLD in red.ledger
+    want, got = bl_constant(mixing), bl_constant(red.datum)
+    assert (got.kind, got.exact) == (want.kind, want.exact)
+    assert red.blocked is None
 
 
 def test_reduction_preserves_the_constant():
@@ -319,6 +321,25 @@ def test_sector_mixing_dual_preserves_constant():
     assert bl_constant(dual_datum(d)).kind == FINITE
     chk = duality_check(d)
     assert chk.passed is True
+
+
+def test_a_torus_direction_reached_through_rt_is_infinite():
+    # R x Z/2 with x -> x mod 1 into T, the identity onto R x Z/2 and x -> x
+    # onto R, all at p = 2.  Split by blocks, the torus part 0 -> T^1 and the
+    # other parts are finite, but f0 = eps^(-1/2) on [0, eps] in T, f1 the
+    # same at u = 0 and f2 the same on R have unit norms and the integral
+    # eps^(-1/2): the constant is infinite, and so is the dual's
+    g = ElementaryGroup(a=1, torsion=(2,))
+    d = Datum(g, [BlockHom(g, T, RT=[[1]]),
+                  BlockHom(g, ElementaryGroup(a=1, torsion=(2,)), RR=[[1]], FF=[[1]]),
+                  BlockHom(g, R1, RR=[[1]])], [2, 2, 2])
+    rep = bl_constant(d)
+    assert (rep.kind, rep.certification) == (INFINITE, "certified")
+    vector = rep.factors[1]
+    assert (vector.kind, vector.witness) == (INFINITE, "map 0 reaches T^1 through RT")
+    assert [f.kind for f in rep.factors] == [FINITE, INFINITE, FINITE, FINITE]
+    chk = duality_check(d)
+    assert chk.passed is True and chk.dual.kind == INFINITE
 
 
 def test_finite_report_holds_no_copies():

@@ -9,13 +9,13 @@ import pytest
 from blca.errors import Degenerate, NotProper
 from blca.groups import ElementaryGroup, HaarRecord, dual_group
 from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
-                       GroupElement, ProperReport, adjoint_hom, is_proper,
-                       is_surjective, joint_kernel, kernel_info)
+                       GroupElement, ProperReport, adjoint_hom, image_is_open,
+                       is_proper, is_surjective, joint_kernel, kernel_info)
 from blca.intmat import (clear_denominators, from_columns, hermite_basis,
                          identity, integer_kernel, rational_kernel,
                          solve_integer, solve_rational, transpose)
-from blca.structure import (_image_subgroup, analyze, bl_constant,
-                            reduce_transversal)
+from blca.structure import (INFINITE, _image_subgroup, analyze, bl_constant,
+                            duality_check, reduce_transversal)
 from blca.subquot import (_EMPTY, _annihilator_of_compact_kernel,
                           _is_nondegenerate, _quotient_by_joint_kernel,
                           _sector_parts, corestrict_open,
@@ -221,6 +221,24 @@ def test_merge_finite_coordinates():
     assert merge_finite_coordinates([]) == ([], [])
 
 
+def _whole(g):
+    """g as a closed subgroup of itself."""
+    gens = [GroupElement((0,) * g.a, (0,) * g.b, tuple(row), (0,) * g.k)
+            for row in identity(g.c)]
+    gens += [GroupElement((0,) * g.a, (0,) * g.b, (0,) * g.c, tuple(row))
+             for row in identity(g.k)]
+    return ClosedSubgroup(g, identity(g.a + g.b), gens)
+
+
+def _onto(h):
+    """h corestricted onto its open image, or None when that is not open."""
+    if is_surjective(h):
+        return h
+    if not image_is_open(h):
+        return None
+    return corestrict_open(h, discrete_image_lattice(h))
+
+
 def test_kernel_embedding_weil_mass():
     # Z/4 -> Z/2 with weighted measures: the kernel inclusion carries the
     # fiber mass ratio
@@ -238,6 +256,65 @@ def test_kernel_embedding_weil_mass():
     mass_g = g.haar.f_point * g.finite_order
     assert mass_n * mass_h == mass_g
     assert ker.haar.f_point == F(3, 5)
+
+    # mixing maps, by hand.  R -> T by x -> x: the kernel Z, point mass
+    # vs_G / tt_H
+    r3 = replace(R, haar=HaarRecord(vector_scale=F(3)))
+    t5 = replace(T, haar=HaarRecord(torus_total=F(5)))
+    iota = kernel_embedding(BlockHom(r3, t5, RT=[[1]]))
+    assert iota == BlockHom(ElementaryGroup(c=1, haar=HaarRecord(z_point=F(3, 5))),
+                            r3, ZR=[[1]])
+    assert iota.domain.haar == HaarRecord(z_point=F(3, 5))
+    # Z -> Z/2 by ZF: the kernel 2Z, point mass z_G / f_H
+    z7 = replace(Z, haar=HaarRecord(z_point=F(7)))
+    f11 = replace(Z2, haar=HaarRecord(f_point=F(11)))
+    iota = kernel_embedding(BlockHom(z7, f11, ZF=[[1]]))
+    assert iota == BlockHom(ElementaryGroup(c=1, haar=HaarRecord(z_point=F(7, 11))),
+                            z7, ZZ=[[2]])
+    assert iota.domain.haar == HaarRecord(z_point=F(7, 11))
+    # T x Z/2 -> T by (t, f) -> 2t + f/2: Z/4 generated by (1/4, 1), mass 2
+    tk = ElementaryGroup(b=1, torsion=(2,))
+    iota = kernel_embedding(BlockHom(tk, T, TT=[[2]], FT=[[F(1, 2)]]))
+    assert iota == BlockHom(ElementaryGroup(torsion=(4,), haar=HaarRecord(f_point=F(1, 2))),
+                            tk, FT=[[F(1, 4)]], FF=[[1]])
+    assert iota.domain.haar == HaarRecord(f_point=F(1, 2))
+    assert iota.domain.total_mass() == 2
+
+    # compact data on T^b x F with FT blocks: mass(G) = mass(K) mass(H)
+    rnd = random.Random(27)
+    compact = 0
+    while compact < 150:
+        dom = ElementaryGroup(b=rnd.randint(0, 2), torsion=rnd.choice(CHAINS[1:]),
+                              haar=_random_haar(rnd))
+        cod = ElementaryGroup(b=rnd.randint(0, 2), torsion=rnd.choice(CHAINS),
+                              haar=_random_haar(rnd))
+        h = _onto(random_hom(rnd, dom, cod))
+        if h is None or not any(map(any, h.FT)):
+            continue
+        compact += 1
+        iota = kernel_embedding(h)
+        assert dom.total_mass() == iota.domain.total_mass() * h.codomain.total_mass()
+
+    # every block drawn: the inclusion is injective, h kills it, and its
+    # image is kernel_info(h), by containment both ways
+    seen = dict.fromkeys(MIXING_BLOCKS, 0)
+    models = set()
+    while min(seen.values()) < 150:
+        h = _onto(random_hom(rnd, random_group(rnd), random_group(rnd)))
+        if h is None:
+            continue
+        iota = kernel_embedding(h)
+        assert not any(any(row) for blk in h.compose(iota).blocks().values()
+                       for row in blk)
+        assert kernel_info(iota).is_trivial()
+        image = _image_subgroup(iota, _whole(iota.domain))
+        ker = kernel_info(h)
+        assert ker.contains(image) and image.contains(ker)
+        for name in MIXING_BLOCKS:
+            seen[name] += any(map(any, getattr(h, name)))
+        k = iota.domain
+        models.add((k.a > 0, k.b > 0, k.c > 0, k.k > 0))
+    assert len(models) == 16
 
 
 # -- the normal form and split against reference copies ----------------------
@@ -601,6 +678,42 @@ def _without_adjoints(mp):
 
 def _is_mixing(d):
     return any(any(map(any, getattr(h, name))) for h in d.homs for name in MIXING_BLOCKS)
+
+
+def _stripped(d):
+    """d with every mixing block dropped."""
+    return Datum(d.domain, [BlockHom(h.domain, h.codomain, RR=h.RR, TT=h.TT,
+                                     ZZ=h.ZZ, FF=h.FF) for h in d.homs],
+                 d.exponents)
+
+
+def test_duality_holds_on_mixing_data_as_given():
+    # Fourier invariance, BL(d) = s(d) BL(d^), on proper data with mixing
+    # blocks that have a dual form: the dual keeps the blocks, so the two
+    # sides treat each of them differently, and every pair must agree or be
+    # infinite on both sides
+    rnd = random.Random(27)
+    seen = {"finite": 0, "infinite": 0, "dual_mixing": 0, "kernel_moved": 0,
+            "torus_gap": 0}
+    i = 0
+    while seen["finite"] + seen["infinite"] < 300:
+        d = _pin_datum(rnd, 0) if i % 2 else _all_blocks_datum(rnd)
+        i += 1
+        if not (is_proper(d) and _is_mixing(d)) or make_nondegenerate(d).obstruction:
+            continue
+        chk = duality_check(d)
+        assert chk.passed is True, (d.domain, d.homs, chk.primal, chk.dual)
+        seen["infinite" if chk.primal.kind == INFINITE else "finite"] += 1
+        seen["dual_mixing"] += _is_mixing(chk.dual_datum)
+        stripped = _stripped(d)
+        if is_proper(stripped):
+            ker, plain = joint_kernel(d), joint_kernel(stripped)
+            seen["kernel_moved"] += not (ker.contains(plain) and plain.contains(ker))
+        seen["torus_gap"] += any(str(f.witness).endswith("through RT")
+                                 for rep in (chk.primal, chk.dual)
+                                 for f in rep.factors)
+    assert seen["finite"] >= 25 and seen["dual_mixing"] >= 100, seen
+    assert seen["kernel_moved"] >= 60 and seen["torus_gap"] >= 5, seen
 
 
 def test_torus_quotient_matches_the_dual_round_trip(monkeypatch):
