@@ -90,6 +90,12 @@ def _integer_matrix(rows, nrows, ncols, name):
                           nrows, ncols, name)
 
 
+def _nonzero_blocks(**blocks):
+    """The given blocks that have a nonzero entry.  BlockHom fills a block it
+    is not given with zeros, converting and checking no entry."""
+    return {name: m for name, m in blocks.items() if any(map(any, m))}
+
+
 class GroupElement(NamedTuple):
     """Element of R^a x T^b x Z^c x F; t holds a rational lift of the torus part."""
 

@@ -21,7 +21,9 @@ decides:
    it (Barthe's matroid criterion, Invent. Math. 1998).  The flat of F is
    the subspace ker(rows of F); its deficit is (n - r(F)) - sum of 1/p_j
    over the maps j outside F, so no subspace is built except the witness
-   or the critical subspace that the verdict reports;
+   or the critical subspace that the verdict reports, each straight as
+   the saturated lattice ker(rows of F) ∩ Z^n, the Hermite basis of the
+   integer kernel of F's cleared rows;
 2. the sum/intersection closure of the kernels: a violation there is an
    exact FAILS, and a closure that terminates under the completeness
    criterion certifies the condition (Valdimarsson, The Brascamp-Lieb
@@ -31,6 +33,12 @@ decides:
    subspace by its fraction-free reduced echelon basis, and the maps' rows
    are cleared to integers once.  Only the witness and the critical subspace
    get saturated integer bases.
+
+The torus and free factors read only the status and the witness, and each
+map's rank (a torus map of rank below its target's dimension is not onto):
+they call ``_prepare`` and ``_decide`` with ``split=False``, which looks for
+no critical subspace.  ``rank_condition``, the vector callers' entry, always
+does.
 """
 
 from __future__ import annotations
@@ -38,13 +46,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
 from .groups import saturate_columns
 from .homs import parse_exponent
-from .intmat import (clear_denominators, identity, matmul, primitive_kernel,
-                     primitive_rref, transpose)
+from .intmat import (clear_denominators, hermite_basis, identity, integer_kernel,
+                     matmul, primitive_kernel, primitive_rref, transpose)
 
 FAILS = "FAILS"
 HOLDS_CERTIFIED = "HOLDS_CERTIFIED"
@@ -114,14 +122,39 @@ def _full_space(n):
     return tuple(map(tuple, identity(n)))
 
 
-def _prepare(maps, p, dim):
+class _Prepared(NamedTuple):
     """The maps with each row cleared to integers (scaling a row changes no
-    rank or kernel), the integer weights scale/p_j (0 for p = inf) with
-    their scale, the lcm of the denominators of the 1/p_j, and the domain
-    dimension n, checked against the rows of every map."""
-    maps = [[clear_denominators([Fraction(x) for x in row]) for row in m] for m in maps]
-    recips = [Fraction(0) if q is None else 1 / q for q in (parse_exponent(v) for v in p)]
-    if len(maps) != len(recips):
+    rank or kernel) and their ranks, the integer weights scale/p_j (0 for
+    p = inf) with their scale, the lcm of the denominators of the 1/p_j, and
+    the domain dimension n."""
+    maps: list
+    ranks: List[int]
+    weights: List[int]
+    scale: int
+    n: int
+
+
+def _cleared(row) -> List[int]:
+    """row times the lcm of its denominators.  int and Fraction entries are
+    cleared as they are; any other entry goes through Fraction(x) first."""
+    kinds = set(map(type, row))
+    if kinds <= {int}:
+        return list(row)
+    return clear_denominators(row if kinds <= {int, Fraction} else [Fraction(x) for x in row])
+
+
+def _map_rank(rows) -> int:
+    """The rank of a map's integer rows; a map of one row has rank 1 exactly
+    when that row is nonzero."""
+    return _rank(rows) if len(rows) > 1 else int(any(map(any, rows)))
+
+
+def _prepare(maps, p, dim) -> _Prepared:
+    """The cleared maps, each map's rank, the weights and n, checked: one
+    exponent per map, and dim, when given, the width of every row."""
+    maps = [[_cleared(row) for row in m] for m in maps]
+    exps = [parse_exponent(v) for v in p]
+    if len(maps) != len(exps):
         raise ShapeMismatch("one exponent per map")
     widths = {len(row) for m in maps for row in m}
     if len(widths) > 1:
@@ -129,8 +162,10 @@ def _prepare(maps, p, dim):
     n = dim if dim is not None else (widths.pop() if widths else 0)
     if widths - {n}:
         raise ShapeMismatch(f"maps act on Q^{widths.pop()}, not on Q^{n}")
-    scale = lcm(*(r.denominator for r in recips))
-    return maps, [int(r * scale) for r in recips], scale, n
+    # 1/p_j = den/num in lowest terms, so scale is the lcm of the numerators
+    scale = lcm(*(q.numerator for q in exps if q is not None))
+    weights = [0 if q is None else q.denominator * (scale // q.numerator) for q in exps]
+    return _Prepared(maps, [_map_rank(m) for m in maps], weights, scale, n)
 
 
 def _deficit(space, maps, weights, scale) -> int:
@@ -177,7 +212,9 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         decide the condition (Barthe's criterion).  A subspace basis is
         built only for the witness (among the violating F of largest rank)
         and for ``critical`` (among the tight proper nonzero F of largest
-        rank).  HOLDS_CERTIFIED or FAILS.
+        rank), as the Hermite basis of the integer kernel of F's rows.  A
+        map of one row has rank 1 exactly when its row is nonzero.
+        HOLDS_CERTIFIED or FAILS.
     (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to depth 6
         (_CLOSURE_DEPTH rounds); each round joins and meets every new
         subspace with every other one, each unordered pair once.  Each
@@ -215,17 +252,22 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     proper nonzero subspace the route found with deficit exactly at the
     level, where the vector-sector constant splits.
     """
-    maps, weights, scale, n = _prepare(maps, p, dim)
+    return _decide(_prepare(maps, p, dim), torus=torus)
+
+
+def _decide(prep: _Prepared, *, torus: bool = False, split: bool = True) -> RankVerdict:
+    """rank_condition on prepared maps; without split, ``critical`` is left
+    None and no tight subspace is saturated."""
+    maps, ranks, weights, scale, n = prep
     if n == 0:
         return RankVerdict(HOLDS_CERTIFIED, None,
                            {"reason": "zero-dimensional domain has no nonzero subspaces"})
 
-    ranks = [_rank(m) for m in maps]
     whole = n * scale - sum(w * k for w, k in zip(weights, ranks))
     level = whole if torus else 0
     homogeneous = whole == 0
     if max(ranks, default=0) <= 1:
-        return _rank_one_condition(maps, weights, scale, n, level, homogeneous)
+        return _rank_one_condition(maps, weights, scale, n, level, homogeneous, split)
 
     kernels = [_cut(m, n) for m in maps]
     closure = list(dict.fromkeys([(), _full_space(n)] + kernels))
@@ -276,7 +318,7 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
     if violations:
         return RankVerdict(FAILS, _least(violations, n), evidence,
                            homogeneous=homogeneous)
-    tight = [s for s, d in deficits if d == level and 0 < len(s) < n]
+    tight = [s for s, d in deficits if split and d == level and 0 < len(s) < n]
     critical = _least(tight, n) if tight else None
 
     chain = _kernels_chain(kernels)
@@ -339,10 +381,10 @@ def _closed_sets(rows):
     return out
 
 
-def _rank_one_condition(maps, weights, scale, n, level, homogeneous) -> RankVerdict:
+def _rank_one_condition(maps, weights, scale, n, level, homogeneous, split) -> RankVerdict:
     """Exact decision for maps of rational rank <= 1 over the closed index
     sets of their rows, deficits scaled by scale against the scaled level;
-    subspaces only for the witness and the split."""
+    subspaces only for the witness and, with split, the critical one."""
     rows = [next((row for row in m if any(row)), None) for m in maps]
     outside = sum(weights)
     flats = []  # (F, r(F), deficit * scale): integer sums over the weights
@@ -358,21 +400,25 @@ def _rank_one_condition(maps, weights, scale, n, level, homogeneous) -> RankVerd
         evidence["level"] = Fraction(level, scale)
     violations = [(mask, r) for mask, r, d in flats if d > level]
     if violations:
-        return RankVerdict(FAILS, _least(_top_flats(rows, violations, n), n), evidence,
+        return RankVerdict(FAILS, _least_flat(rows, violations, n), evidence,
                            homogeneous=homogeneous)
     evidence["certificate"] = (
         f"rank-one maps: Barthe's criterion checked exactly on all "
         f"{len(flats)} flats of the kernels")
-    tight = [(mask, r) for mask, r, d in flats if d == level and 0 < r < n]
-    critical = _least(_top_flats(rows, tight, n), n) if tight else None
+    tight = [(mask, r) for mask, r, d in flats if split and d == level and 0 < r < n]
+    critical = _least_flat(rows, tight, n) if tight else None
     return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical, homogeneous)
 
 
-def _top_flats(rows, cands, n):
-    """The flats ker(rows of F) of the candidates (F, r(F)) of largest rank."""
+def _least_flat(rows, cands, n):
+    """The least by _witness_sort_key of the flats ker(rows of F) of the
+    candidates (F, r(F)) of largest rank, each as its saturated basis: the
+    Hermite basis of the integer kernel of F's rows (Q^n for no rows)."""
     top = max(r for _, r in cands)
-    return [_cut([row for j, row in enumerate(rows) if mask >> j & 1 and row is not None], n)
-            for mask, r in cands if r == top]
+    flats = ([row for j, row in enumerate(rows) if mask >> j & 1 and row is not None]
+             for mask, r in cands if r == top)
+    return min((tuple(map(tuple, hermite_basis(integer_kernel(f), n))) if f
+                else _full_space(n) for f in flats), key=_witness_sort_key)
 
 
 def _kernels_chain(kernels) -> bool:

@@ -45,12 +45,12 @@ from .exact import ExactValue
 from .finite import subgroup_bl_constant
 from .gaussian import bcct_finiteness, gaussian_bl_constant
 from .groups import ElementaryGroup, HaarRecord, dual_group
-from .homs import (BlockHom, ClosedSubgroup, Datum, adjoint_hom,
+from .homs import (BlockHom, ClosedSubgroup, Datum, _nonzero_blocks, adjoint_hom,
                    discrete_image_lattice, image_is_open, is_surjective)
 from .intmat import hstack, mat_vec, rational_rank
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
-from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, rank_condition
+from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, _decide, _prepare
 from .subquot import (_EMPTY, NondegenerateResult,
                       _annihilator_of_compact_kernel, _characters, _quotient,
                       _sector_parts, corestrict_open,
@@ -388,15 +388,25 @@ def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
 
 
 def _torus_factor(fd: Datum) -> FactorReport:
-    verdict = rank_condition([h.TT for h in fd.homs], fd.exponents,
-                             dim=fd.domain.b, torus=True)
-    return _rank_decided_factor("torus", fd, verdict)
+    """The torus part priced by the torus rank condition, once every map is
+    onto.  A map of rank below its target's dimension b_j has a subtorus of
+    lower dimension for its image: f_j on an eps-neighbourhood of it keeps
+    the left side fixed while its norm falls like eps^(g_j / p_j), g_j the
+    directions it misses."""
+    prep = _prepare([h.TT for h in fd.homs], fd.exponents, fd.domain.b)
+    for j, (k, h) in enumerate(zip(prep.ranks, fd.homs)):
+        if k < h.codomain.b:
+            return FactorReport(
+                "torus", INFINITE, math.inf, None, CERTIFIED,
+                witness=f"map {j} is not onto T^{h.codomain.b}",
+                notes=("concentration near the image of a map that is not onto "
+                       "outruns the right-hand side; no finite constant exists",))
+    return _rank_decided_factor("torus", fd, _decide(prep, torus=True, split=False))
 
 
 def _free_factor(fd: Datum) -> FactorReport:
-    verdict = rank_condition([h.ZZ for h in fd.homs], fd.exponents,
-                             dim=fd.domain.c)
-    return _rank_decided_factor("free", fd, verdict)
+    prep = _prepare([h.ZZ for h in fd.homs], fd.exponents, fd.domain.c)
+    return _rank_decided_factor("free", fd, _decide(prep, split=False))
 
 
 def _finite_factor(fd: Datum) -> FactorReport:
@@ -762,7 +772,8 @@ def dual_datum(d: Datum) -> Datum:
             for t in taus for i in range(t.domain.k)]
     mixed = [[sum(gen[i] * cols[i][r] for i in range(len(gen))) for gen in gens]
              for r in range(ghat.b + ghat.k)]
-    tau = BlockHom(product, ghat, FT=mixed[:ghat.b], FF=mixed[ghat.b:], **blocks)
+    tau = BlockHom(product, ghat,
+                   **_nonzero_blocks(FT=mixed[:ghat.b], FF=mixed[ghat.b:], **blocks))
     iota = kernel_embedding(tau)
 
     new_homs = []

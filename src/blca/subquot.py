@@ -50,8 +50,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import Degenerate, NotProper
 from .groups import UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup
-from .homs import (BlockHom, ClosedSubgroup, Datum, discrete_image_lattice,
-                   image_is_open, is_proper, is_surjective, joint_kernel)
+from .homs import (BlockHom, ClosedSubgroup, Datum, _nonzero_blocks,
+                   discrete_image_lattice, image_is_open, is_proper,
+                   is_surjective, joint_kernel)
 from .intmat import (congruence_kernel, det_rational, diagonal_of, from_columns,
                      identity, integer_kernel, rational_kernel,
                      row_hermite_form, smith_normal_form, solve_rational,
@@ -199,8 +200,7 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
                             torsion=tuple(chain),
                             haar=UNIT_HAAR if scale == 1 else HaarRecord(**{field: scale}))
     xt, xtm = a + b, a + b + c
-    return BlockHom(
-        model, g,
+    return BlockHom(model, g, **_nonzero_blocks(
         RR=from_columns([v[:a] for v in vector], a),
         RT=from_columns([v[a:] for v in vector], b),
         TT=from_columns(torus, b),
@@ -209,7 +209,7 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
         ZZ=from_columns([z[xt:xtm] for z in free], c),
         ZF=from_columns([z[xtm:] for z in free], k),
         FT=from_columns([f[:b] for f in cyclic], b),
-        FF=from_columns([f[b:] for f in cyclic], k))
+        FF=from_columns([f[b:] for f in cyclic], k)))
 
 
 def _annihilator_of_compact_kernel(N: ClosedSubgroup, g: ElementaryGroup) -> LatticeSubgroup:

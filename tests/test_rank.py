@@ -1,18 +1,22 @@
 """Subspace growth conditions for free and torus data."""
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from blca.errors import ShapeMismatch
 from blca.exact import ExactValue
-from blca.groups import ElementaryGroup, LatticeSubgroup
+from blca.groups import ElementaryGroup, LatticeSubgroup, saturate_columns
 from blca.homs import BlockHom, ClosedSubgroup, Datum
-from blca.intmat import (from_columns, mat_vec, matmul, rational_kernel,
+from blca.intmat import (clear_denominators, from_columns, mat_vec, matmul,
+                         primitive_kernel, primitive_rref, rational_kernel,
                          rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
-                       _canon, _full_space, _witness_sort_key, rank_condition)
+                       _canon, _closed_sets, _decide, _full_space, _map_rank,
+                       _prepare, _rank, _witness_sort_key, rank_condition)
 from blca.subquot import _annihilator_of_compact_kernel
 from test_groups import free_rank
 
@@ -524,6 +528,111 @@ def test_rank_one_route_matches_meet_closure():
         seen["zero map"] += any(not any(any(r) for r in m) for m in maps)
         seen["inf"] += None in p
     assert min(seen.values()) >= 50, seen
+
+
+# -- the rank-one route against its saturate-every-flat form ----------------
+# The reference is the rank-one route as it was before witnesses went
+# straight to a Hermite basis: it copies every entry into a Fraction, ranks
+# every map by elimination, names each reported flat by the echelon form of
+# its rational kernel and saturates that with saturate_columns, and always
+# looks for a critical subspace.
+
+def _ref_cut(covectors, n):
+    """The echelon name of the subspace where every covector vanishes."""
+    if not covectors:
+        return _full_space(n)
+    return tuple(map(tuple, primitive_rref(primitive_kernel(covectors))[0]))
+
+
+def _ref_least(spaces, n):
+    low = min(map(len, spaces))
+    return min((tuple(map(tuple, saturate_columns(s, n))) for s in spaces if len(s) == low),
+               key=_witness_sort_key)
+
+
+def _ref_top_flats(rows, cands, n):
+    top = max(r for _, r in cands)
+    return [_ref_cut([row for j, row in enumerate(rows) if mask >> j & 1 and row is not None], n)
+            for mask, r in cands if r == top]
+
+
+def _ref_rank_one_verdict(maps, p, n, torus=False):
+    maps = [[clear_denominators([F(x) for x in row]) for row in m] for m in maps]
+    recips = [F(0) if q is None else 1 / F(q) for q in p]
+    scale = lcm(*(r.denominator for r in recips))
+    weights = [int(r * scale) for r in recips]
+    ranks = [len(primitive_rref(m)[1]) for m in maps]
+    assert max(ranks, default=0) <= 1
+    whole = n * scale - sum(w * k for w, k in zip(weights, ranks))
+    level = whole if torus else 0
+    rows = [next((row for row in m if any(row)), None) for m in maps]
+    flats = [(mask, r, (n - r) * scale
+              - sum(w for j, w in enumerate(weights) if not mask >> j & 1))
+             for mask, r in _closed_sets(rows)]
+    evidence = {"flats": len(flats), "max_deficit": F(max(d for *_, d in flats), scale)}
+    if level:
+        evidence["level"] = F(level, scale)
+    violations = [(mask, r) for mask, r, d in flats if d > level]
+    if violations:
+        return RankVerdict(FAILS, _ref_least(_ref_top_flats(rows, violations, n), n),
+                           evidence, homogeneous=whole == 0)
+    evidence["certificate"] = (
+        f"rank-one maps: Barthe's criterion checked exactly on all "
+        f"{len(flats)} flats of the kernels")
+    tight = [(mask, r) for mask, r, d in flats if d == level and 0 < r < n]
+    critical = _ref_least(_ref_top_flats(rows, tight, n), n) if tight else None
+    return RankVerdict(HOLDS_CERTIFIED, None, evidence, critical, whole == 0)
+
+
+def test_rank_one_route_matches_its_saturating_reference():
+    import random
+    rnd = random.Random(28)
+    seen = {FAILS: 0, "torus " + FAILS: 0, "critical": 0, "torus critical": 0,
+            "zero-row map": 0, "zero map": 0, "integer rows": 0, "nonzero witness": 0}
+    for trial in range(400):
+        n = rnd.randint(2, 4)
+        maps, p = _random_rank_one_datum(rnd, n, rnd.randint(1, 6))
+        if trial % 2:  # integer rows, as torus and free blocks come
+            maps = [[clear_denominators(row) for row in m] for m in maps]
+            seen["integer rows"] += 1
+        for torus in (False, True):
+            ref = _ref_rank_one_verdict(maps, p, n, torus)
+            assert rank_condition(maps, p, dim=n, torus=torus) == ref, (trial, torus)
+            # the torus and free factors: the same verdict without the split
+            bare = _decide(_prepare(maps, p, n), torus=torus, split=False)
+            assert bare == replace(ref, critical=None), (trial, torus)
+            tag = "torus " if torus else ""
+            seen[tag + FAILS] += ref.status == FAILS
+            seen[tag + "critical"] += ref.critical is not None
+            seen["nonzero witness"] += bool(ref.witness)
+        seen["zero-row map"] += any(not m for m in maps)
+        seen["zero map"] += any(m and not any(map(any, m)) for m in maps)
+    assert seen[FAILS] >= 200 and seen["torus " + FAILS] >= 30, seen
+    assert seen["critical"] >= 25 and seen["torus critical"] >= 60, seen
+    assert seen["zero-row map"] >= 75 and seen["zero map"] >= 70, seen
+    assert seen["nonzero witness"] >= 200, seen
+
+
+def test_prepare_clears_every_input_kind_as_fractions():
+    import numpy as np
+    rows = [[1, -2, 0], [F(1, 2), F(-3), F(5, 3)], ["3/4", "-1", "0"], [0.5, 2.0, -0.25],
+            [np.int64(4), np.int32(-6), np.int64(0)], [0, 0, 0], [F(0), 0, "0"],
+            [1, F(2, 3), np.int64(5)], [True, False, 2]]
+    for row in rows:
+        cleared = _prepare([[row]], [2], 3).maps[0][0]
+        assert cleared == clear_denominators([F(x) for x in row]), row
+        assert _map_rank([cleared]) == _rank([cleared]), row
+    maps = [[row] for row in rows] + [[], [rows[0], rows[1]], [rows[5], rows[6]]]
+    prep = _prepare(maps, [3] * len(maps), 3)
+    assert prep.ranks == [_rank(m) for m in prep.maps]
+    as_fractions = [[[F(x) for x in row] for row in m] for m in maps]
+    assert prep.maps == _prepare(as_fractions, [3] * len(maps), 3).maps
+    rank_one = [m for m in maps if rational_rank([[F(x) for x in r] for r in m]) <= 1]
+    for torus in (False, True):
+        for p in ([2] * len(rank_one), [F(len(rank_one), 3)] * len(rank_one)):
+            fracs = [[[F(x) for x in row] for row in m] for m in rank_one]
+            assert (rank_condition(rank_one, p, dim=3, torus=torus)
+                    == rank_condition(fracs, p, dim=3, torus=torus))
 
 
 # -- the closure route against a closure of saturated names -----------------

@@ -325,10 +325,11 @@ def test_sector_mixing_dual_preserves_constant():
 
 def test_a_torus_direction_reached_through_rt_is_infinite():
     # R x Z/2 with x -> x mod 1 into T, the identity onto R x Z/2 and x -> x
-    # onto R, all at p = 2.  Split by blocks, the torus part 0 -> T^1 and the
-    # other parts are finite, but f0 = eps^(-1/2) on [0, eps] in T, f1 the
-    # same at u = 0 and f2 the same on R have unit norms and the integral
-    # eps^(-1/2): the constant is infinite, and so is the dual's
+    # onto R, all at p = 2.  Split by blocks, the other parts are finite and
+    # the torus part is 0 -> T^1, a map that is not onto, but f0 = eps^(-1/2)
+    # on [0, eps] in T, f1 the same at u = 0 and f2 the same on R have unit
+    # norms and the integral eps^(-1/2): the constant is infinite, and so is
+    # the dual's
     g = ElementaryGroup(a=1, torsion=(2,))
     d = Datum(g, [BlockHom(g, T, RT=[[1]]),
                   BlockHom(g, ElementaryGroup(a=1, torsion=(2,)), RR=[[1]], FF=[[1]]),
@@ -337,7 +338,8 @@ def test_a_torus_direction_reached_through_rt_is_infinite():
     assert (rep.kind, rep.certification) == (INFINITE, "certified")
     vector = rep.factors[1]
     assert (vector.kind, vector.witness) == (INFINITE, "map 0 reaches T^1 through RT")
-    assert [f.kind for f in rep.factors] == [FINITE, INFINITE, FINITE, FINITE]
+    assert [f.kind for f in rep.factors] == [INFINITE, INFINITE, FINITE, FINITE]
+    assert rep.factors[0].witness == "map 0 is not onto T^1"
     chk = duality_check(d)
     assert chk.passed is True and chk.dual.kind == INFINITE
 
@@ -432,18 +434,19 @@ def test_verify_reads_the_probe_as_a_lower_bound_at_a_critical_subspace():
 
 
 def test_verify_reads_the_critical_subspace_from_the_priced_verdict(monkeypatch):
-    import blca.gaussian
     import blca.rank
     import blca.structure
     calls = []
 
+    # every verdict, through rank_condition or a factor's own call, is one
+    # _decide
     def counted(*args, **kwargs):
         calls.append(1)
-        return rank_condition(*args, **kwargs)
+        return decide(*args, **kwargs)
 
-    rank_condition = blca.rank.rank_condition
-    for mod in (blca.gaussian, blca.rank, blca.structure):
-        monkeypatch.setattr(mod, "rank_condition", counted)
+    decide = blca.rank._decide
+    for mod in (blca.rank, blca.structure):
+        monkeypatch.setattr(mod, "_decide", counted)
     rep, rows = verify(young_datum())
     vec = [r for r in rows if r["part"] == "vector"][0]
     assert (rep.kind, vec["status"]) == (FINITE, "ok")

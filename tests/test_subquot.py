@@ -979,7 +979,8 @@ def test_absent_sectors_share_one_empty_part(monkeypatch):
     assert parts[0] is parts[3] and parts[0].domain is _EMPTY
 
     # R^1 -> T^1 by RT: the torus part has a trivial domain but a target, so
-    # it is built and priced; with a scale on that target its factor is not 1
+    # it is built and priced; its map 0 -> T^1 is not onto, so its factor is
+    # infinite whatever the scale on that target
     for scale in (F(1), F(4)):
         circle = ElementaryGroup(b=1, haar=HaarRecord(torus_total=scale))
         d = Datum(R, [BlockHom(R, circle, RT=[[F(1, 2)]]), BlockHom(R, R, RR=[[2]])],
@@ -991,7 +992,8 @@ def test_absent_sectors_share_one_empty_part(monkeypatch):
         assert parts[2] is parts[3] and parts[2].domain is _EMPTY
         rep = bl_constant(d)
         assert rep.to_dict() == _reference_report(monkeypatch, d).to_dict()
-        assert rep.factors[0].exact == (F(1, 2) if scale == 4 else 1)
+        assert (rep.factors[0].kind, rep.factors[0].witness) == (
+            INFINITE, "map 0 is not onto T^1")
 
 
 def test_the_one_sector_split_builds_nothing(monkeypatch):
