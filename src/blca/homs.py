@@ -32,7 +32,6 @@ from .intmat import (
     identity,
     integer_kernel,
     mat_add,
-    mat_vec,
     matmul,
     rational_kernel,
     rational_rank,
@@ -42,13 +41,22 @@ from .intmat import (
 )
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x) of Python ints; a numpy integer would stay its numerator,
+    in a fixed width that wraps on overflow."""
+    q = Fraction(x)
+    return q if type(q.numerator) is int else Fraction(int(q.numerator), int(q.denominator))
+
+
 def _frac_entry(x) -> Fraction:
     if type(x) is Fraction:
         return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, float):
         raise IrrationalEntry(f"float entry {x!r} is not exact; pass an int or a Fraction")
     try:
-        return Fraction(x)
+        return _fraction(x)
     except (TypeError, ValueError) as exc:
         raise IrrationalEntry(f"entry {x!r} is not rational") from exc
 
@@ -566,31 +574,24 @@ def is_proper(d: Datum) -> ProperReport:
     return ProperReport(True, "joint kernel compact; image closed and relatively open", 0)
 
 
+def _connected_rows(h: BlockHom) -> List[List]:
+    """The rows of h's lifted connected map [[RR, 0], [RT, TT]] from R^a x R^b
+    to R^a' x R^b', with the torus coordinates first: [0 | RR] and [TT | RT]."""
+    b = h.domain.b
+    return [[0] * b + rr for rr in h.RR] + [tt + rt for tt, rt in zip(h.TT, h.RT)]
+
+
 def image_is_open(h: BlockHom) -> bool:
     """True when h(G) is open in the codomain.
 
-    A closed subgroup is open iff it contains the connected component, which
-    pins down two checks: RR hits all of the target vector sector, and the
-    fibre directions over x' = 0 (RT on ker RR, plus all of TT) span the
-    target torus.  Discrete sources contribute countably many cosets and can
-    never fill a positive-dimensional gap.
+    A closed subgroup is open iff it contains the connected component.  The
+    image of G's identity component is that of the lifted connected map mod
+    Z^b', and the discrete sectors add countably many of its cosets, which
+    never fill a positive-dimensional gap; so the image is open exactly when
+    the lifted connected map has full rank a' + b'.
     """
-    t = h.codomain
-    if rational_rank(h.RR) != t.a:
-        return False
-    if t.b == 0:
-        return True
-    span = transpose(h.TT)
-    if h.domain.a:
-        if t.a == 0:
-            ker = identity(h.domain.a)
-        else:
-            ker = rational_kernel(h.RR)
-        for v in ker:
-            span.append(mat_vec(h.RT, v))
-    if not span:
-        return False
-    return rational_rank(span) == t.b
+    rows = _connected_rows(h)
+    return not rows or rational_rank(rows) == len(rows)
 
 
 def discrete_image_lattice(h: BlockHom) -> LatticeSubgroup:

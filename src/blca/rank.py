@@ -50,7 +50,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
 from .groups import saturate_columns
-from .homs import parse_exponent
+from .homs import _fraction, parse_exponent
 from .intmat import (clear_denominators, hermite_basis, identity, integer_kernel,
                      matmul, primitive_kernel, primitive_rref, transpose)
 
@@ -135,12 +135,13 @@ class _Prepared(NamedTuple):
 
 
 def _cleared(row) -> List[int]:
-    """row times the lcm of its denominators.  int and Fraction entries are
-    cleared as they are; any other entry goes through Fraction(x) first."""
+    """row times the lcm of its denominators, in Python ints.  int and
+    Fraction entries are cleared as they are; any other entry, a numpy
+    integer say, is made a Fraction of Python ints first."""
     kinds = set(map(type, row))
     if kinds <= {int}:
         return list(row)
-    return clear_denominators(row if kinds <= {int, Fraction} else [Fraction(x) for x in row])
+    return clear_denominators(row if kinds <= {int, Fraction} else list(map(_fraction, row)))
 
 
 def _map_rank(rows) -> int:

@@ -46,7 +46,7 @@ from .finite import subgroup_bl_constant
 from .gaussian import bcct_finiteness, gaussian_bl_constant
 from .groups import ElementaryGroup, HaarRecord, dual_group
 from .homs import (BlockHom, ClosedSubgroup, Datum, _nonzero_blocks, adjoint_hom,
-                   discrete_image_lattice, image_is_open, is_surjective)
+                   image_is_open)
 from .intmat import hstack, mat_vec, rational_rank
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
@@ -169,22 +169,6 @@ def reduce_p_infinity(d: Datum) -> Datum:
                  [d.exponents[j] for j in keep])
 
 
-def _kernel_inclusion(h: BlockHom) -> BlockHom:
-    """Kernel of h as an embedded elementary group with the fiber measure.
-
-    A non-surjective map with open image is corestricted first; a trivial
-    kernel is the empty model, whose point carries the ratio of the two
-    measures.
-    """
-    if not is_surjective(h):
-        if not image_is_open(h):
-            raise Degenerate(
-                "kernel reduction needs an open image; a non-open image "
-                "already forces an infinite constant at any finite exponent")
-        h = corestrict_open(h, discrete_image_lattice(h))
-    return kernel_embedding(h)
-
-
 def reduce_p_one(d: Datum, k: int) -> Datum:
     """Restrict the datum to the kernel of the k-th map when p_k = 1.
 
@@ -192,15 +176,21 @@ def reduce_p_one(d: Datum, k: int) -> Datum:
     disappears; the kernel carries the fiber measure, which is what makes
     the constant come out unchanged.  k is 0-based.
 
-    Raises NotUnitExponent unless p_k = 1, and EmptyDatum when k was the
-    only index (resolution then holds the kernel's total mass, or infinity).
+    Raises NotUnitExponent unless p_k = 1, Degenerate when corestrict_open
+    finds the k-th image not open, and EmptyDatum when k was the only index
+    (resolution then holds the kernel's total mass, or infinity).
     """
     if not 0 <= k < d.J:
         raise ShapeMismatch(f"index {k} out of range for {d.J} maps")
     if d.exponents[k] != 1:
         raise NotUnitExponent(
             f"index {k} has exponent {d.exponents[k]}, not 1")
-    iota = _kernel_inclusion(d.homs[k])
+    onto = corestrict_open(d.homs[k])
+    if onto is None:
+        raise Degenerate(
+            "kernel reduction needs an open image; a non-open image "
+            "already forces an infinite constant at any finite exponent")
+    iota = kernel_embedding(onto)
     rest = [(d.homs[j].compose(iota), d.exponents[j])
             for j in range(d.J) if j != k]
     if not rest:

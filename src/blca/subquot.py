@@ -5,8 +5,9 @@ is safe: quotient the domain by the compact joint kernel, and shrink every
 codomain onto the (open) image of its map.  Both are integer linear algebra
 in the adapted coordinates of one lattice (LatticeSubgroup.adapted).  An open
 subgroup of an elementary group is the full vector and torus sectors times a
-lattice in the discrete sector, and corestriction onto it rewrites each
-map's discrete outputs in the lattice's adapted coordinates.
+lattice in the discrete sector.  corestrict_open decides a map's openness
+once (homs.image_is_open, one rank) and gives every caller the map onto its
+image, its discrete outputs in the adapted coordinates of its image lattice.
 
 The kernel quotient is the same computation on the dual side.  The
 annihilator of a compact subgroup N of G is open in the dual, R^a x T^c x L
@@ -50,9 +51,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import Degenerate, NotProper
 from .groups import UNIT_HAAR, ElementaryGroup, HaarRecord, LatticeSubgroup
-from .homs import (BlockHom, ClosedSubgroup, Datum, _nonzero_blocks,
-                   discrete_image_lattice, image_is_open, is_proper,
-                   is_surjective, joint_kernel)
+from .homs import (BlockHom, ClosedSubgroup, Datum, _connected_rows,
+                   _nonzero_blocks, discrete_image_lattice, image_is_open,
+                   is_proper, is_surjective, joint_kernel)
 from .intmat import (congruence_kernel, det_rational, diagonal_of, from_columns,
                      identity, integer_kernel, rational_kernel,
                      row_hermite_form, smith_normal_form, solve_rational,
@@ -76,17 +77,20 @@ def _fold_haar(haar: HaarRecord, other: str, keeps_other: int, keeps_f: int) -> 
     return replace(haar, **{other: Fraction(1), "f_point": scale * haar.f_point})
 
 
-def corestrict_open(h: BlockHom, lattice: LatticeSubgroup) -> BlockHom:
-    """Corestrict h onto the open subgroup (full R and T sectors) x lattice.
-
-    The discrete part of the image of h must lie inside the lattice; the
-    rewritten discrete blocks are each output's coordinates in the lattice's
-    adapted generators (LatticeSubgroup.adapted).  Vector and torus sector
-    blocks pass through unchanged.
-    """
+def corestrict_open(h: BlockHom) -> Optional[BlockHom]:
+    """h onto its image: h itself when h is onto, None when the image is
+    not open, and otherwise h corestricted onto the image, the full vector
+    and torus sectors times discrete_image_lattice(h).  Each discrete output
+    is rewritten in that lattice's adapted coordinates (LatticeSubgroup.adapted)."""
+    if not image_is_open(h):
+        return None
     cod = h.codomain
-    if lattice.orders != cod.discrete_orders():
-        raise Degenerate("lattice does not live in the codomain's discrete sector")
+    orders = cod.discrete_orders()
+    if not orders:
+        return h
+    lattice = discrete_image_lattice(h)
+    if lattice == LatticeSubgroup.full(orders):
+        return h
     free_cols, _, tors_orders, coordinates = lattice.adapted()
     c_new, k_new = len(free_cols), len(tors_orders)
     # restricting Haar measure keeps the discrete point masses
@@ -96,10 +100,6 @@ def corestrict_open(h: BlockHom, lattice: LatticeSubgroup) -> BlockHom:
     cols = ([[row[i] for row in h.ZZ] + [row[i] for row in h.ZF] for i in range(c)]
             + [[0] * cod.c + [row[i] for row in h.FF] for i in range(h.domain.k)])
     coords = list(map(coordinates, cols))
-    if None in coords:
-        raise Degenerate("map image escapes the subgroup being corestricted to")
-    if any(any(z[:c_new]) for z in coords[c:]):
-        raise Degenerate("finite-order image with a free coordinate")
     return BlockHom(h.domain, new_cod, RR=h.RR, RT=h.RT, TT=h.TT, ZR=h.ZR,
                     ZT=h.ZT, FT=h.FT,
                     ZZ=[[z[r] for z in coords[:c]] for r in range(c_new)],
@@ -152,7 +152,7 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
     a, b, c, k = g.a, g.b, g.c, g.k
 
     # identity component, and the jacobian; conn is in the coordinates (t, x)
-    conn = [[0] * b + rr for rr in h.RR] + [tt + rt for tt, rt in zip(h.TT, h.RT)]
+    conn = _connected_rows(h)
     tangent = rational_kernel(conn) if conn else identity(a + b)
     vector = [v[b:] + v[:b] for v in tangent if any(v[b:])]
     torus = integer_kernel(h.TT) if h.TT else identity(b)
@@ -342,10 +342,11 @@ class NondegenerateResult:
 def make_nondegenerate(d: Datum) -> NondegenerateResult:
     """Equivalent datum with trivial joint kernel and surjective maps.
 
-    Quotients the domain by the compact joint kernel, then corestricts every
-    codomain onto its image when that image is open.  A non-open image is left
-    alone with a ledger warning: corestriction there would change the constant
-    (and for finite exponents the constant is infinite anyway).  Idempotent.
+    Quotients the domain by the compact joint kernel, then puts each map
+    through corestrict_open, which decides its openness once.  A non-open
+    image is left alone with a ledger warning: corestriction there would
+    change the constant (and for finite exponents the constant is infinite
+    anyway).  When no map moves, the datum comes back as it is.  Idempotent.
 
     The quotient leaves a trivial joint kernel and every corestricted map is
     onto, so the first non-open image is the only obstruction left; the
@@ -365,23 +366,21 @@ def make_nondegenerate(d: Datum) -> NondegenerateResult:
     homs = []
     obstruction = None
     for pos, h in enumerate(cur.homs):
-        if is_surjective(h):
-            homs.append(h)
-            continue
-        if not image_is_open(h):
+        onto = corestrict_open(h)
+        if onto is None:
             ledger.append(f"map {pos}: image is not open in {h.codomain.describe()}; "
                           f"left in place (a finite exponent there forces an "
                           f"infinite constant)")
             obstruction = obstruction or f"map {pos} is not surjective"
-            homs.append(h)
-            continue
-        h2 = corestrict_open(h, discrete_image_lattice(h))
-        ledger.append(f"map {pos}: codomain corestricted to its open image "
-                      f"{h2.codomain.describe()}, open-subgroup measure "
-                      f"(discrete point masses kept)")
-        homs.append(h2)
-    out = Datum(cur.domain, homs, cur.exponents)
-    return NondegenerateResult(out, tuple(ledger), quotient_map, obstruction)
+            onto = h
+        elif onto is not h:
+            ledger.append(f"map {pos}: codomain corestricted to its open image "
+                          f"{onto.codomain.describe()}, open-subgroup measure "
+                          f"(discrete point masses kept)")
+        homs.append(onto)
+    if any(map(operator.is_not, homs, cur.homs)):
+        cur = Datum(cur.domain, homs, cur.exponents)
+    return NondegenerateResult(cur, tuple(ledger), quotient_map, obstruction)
 
 
 def _is_nondegenerate(d: Datum) -> Optional[str]:

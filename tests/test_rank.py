@@ -17,6 +17,7 @@ from blca.intmat import (clear_denominators, from_columns, mat_vec, matmul,
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
                        _canon, _closed_sets, _decide, _full_space, _map_rank,
                        _prepare, _rank, _witness_sort_key, rank_condition)
+from blca.structure import bl_constant
 from blca.subquot import _annihilator_of_compact_kernel
 from test_groups import free_rank
 
@@ -621,6 +622,7 @@ def test_prepare_clears_every_input_kind_as_fractions():
     for row in rows:
         cleared = _prepare([[row]], [2], 3).maps[0][0]
         assert cleared == clear_denominators([F(x) for x in row]), row
+        assert all(type(x) is int for x in cleared), row
         assert _map_rank([cleared]) == _rank([cleared]), row
     maps = [[row] for row in rows] + [[], [rows[0], rows[1]], [rows[5], rows[6]]]
     prep = _prepare(maps, [3] * len(maps), 3)
@@ -633,6 +635,29 @@ def test_prepare_clears_every_input_kind_as_fractions():
             fracs = [[[F(x) for x in row] for row in m] for m in rank_one]
             assert (rank_condition(rank_one, p, dim=3, torus=torus)
                     == rank_condition(fracs, p, dim=3, torus=torus))
+
+
+def test_numpy_integer_entries_do_not_wrap():
+    # numpy integers become Python ints at the type boundaries (rank._cleared
+    # and homs._frac_entry); kept as they were, the elimination would
+    # multiply in int32 or int64 and wrap on these rows
+    import warnings
+
+    import numpy as np
+    rows = [(196608, 196609, 196608), (196609, 196608, 196608),
+            (196609, 196609, 196608), (150000, 150000, 150000)]
+    p = (1, 3, 3, 3)
+    R3, R1 = ElementaryGroup(a=3), ElementaryGroup(a=1)
+    want = bl_constant(Datum(R3, [BlockHom(R3, R1, RR=[list(r)]) for r in rows], p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind in (int, np.int32, np.int64):
+            maps = [[[kind(x) for x in row]] for row in rows]
+            witness = rank_condition(maps, p).witness
+            assert witness == ((0, 196608, -196609),), kind
+            assert all(type(x) is int for x in witness[0]), kind
+            d = Datum(R3, [BlockHom(R3, R1, RR=m) for m in maps], p)
+            assert bl_constant(d).to_dict() == want.to_dict(), kind
 
 
 # -- the closure route against a closure of saturated names -----------------

@@ -516,7 +516,7 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     import blca.homs
     import blca.structure
     import blca.subquot
-    calls = {"kernel": 0, "proper": 0, "quotient": 0, "surjective": 0}
+    calls = {"kernel": 0, "proper": 0, "quotient": 0, "open": 0, "lattice": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -531,13 +531,23 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     monkeypatch.setattr(blca.subquot, "_quotient_by_joint_kernel",
                         counted("quotient",
                                 blca.subquot._quotient_by_joint_kernel))
-    surjective = counted("surjective", blca.homs.is_surjective)
+    is_open = counted("open", blca.homs.image_is_open)
     for mod in (blca.subquot, blca.structure):
-        monkeypatch.setattr(mod, "is_surjective", surjective)
+        monkeypatch.setattr(mod, "image_is_open", is_open)
+    monkeypatch.setattr(blca.subquot, "discrete_image_lattice",
+                        counted("lattice", blca.homs.discrete_image_lattice))
     assert bl_constant(young_datum()).kind == FINITE
     # properness and the kernel quotient once each with no joint kernel,
-    # and each map's surjectivity once, all inside make_nondegenerate
-    assert calls == {"kernel": 0, "proper": 1, "quotient": 1, "surjective": 3}
+    # and each map's openness once, all inside make_nondegenerate; a map
+    # with no discrete sector needs no image lattice
+    assert calls == {"kernel": 0, "proper": 1, "quotient": 1, "open": 3, "lattice": 0}
+    # Z -> Z by 2 and by 3: each map's openness and image lattice once,
+    # in the one corestrict_open call that takes it onto its image
+    calls.update(kernel=0, proper=0, quotient=0, open=0, lattice=0)
+    free = Datum(Z1, [BlockHom(Z1, Z1, ZZ=[[2]]), BlockHom(Z1, Z1, ZZ=[[3]])], [2, 2])
+    rep = bl_constant(free)
+    assert sum("corestricted" in line for line in rep.ledger) == 2
+    assert calls == {"kernel": 0, "proper": 1, "quotient": 1, "open": 2, "lattice": 2}
 
 
 def test_pipeline_builds_each_group_once(monkeypatch):

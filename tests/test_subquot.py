@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from blca.errors import Degenerate, NotProper
-from blca.groups import ElementaryGroup, HaarRecord, dual_group
+from blca.errors import NotProper
+from blca.groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
 from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
                        GroupElement, ProperReport, adjoint_hom, image_is_open,
                        is_proper, is_surjective, joint_kernel, kernel_info)
 from blca.intmat import (clear_denominators, from_columns, hermite_basis,
-                         identity, integer_kernel, rational_kernel,
-                         solve_integer, solve_rational, transpose)
+                         identity, integer_kernel, mat_vec, rational_kernel,
+                         rational_rank, solve_integer, solve_rational,
+                         transpose)
 from blca.structure import (INFINITE, _image_subgroup, analyze, bl_constant,
                             duality_check, reduce_transversal)
 from blca.subquot import (_EMPTY, _annihilator_of_compact_kernel,
@@ -97,9 +98,9 @@ def test_finite_quotient_carries_mass():
 def test_nondegenerate_input_untouched():
     d = Datum(R, [BlockHom(R, R, RR=[[F(1)]])], [F(2)])
     res = make_nondegenerate(d)
-    assert res.datum == d
+    # no map moved, so no datum is built
+    assert res.datum is d
     assert res.ledger == ()
-    assert make_nondegenerate(res.datum).datum == res.datum
 
 
 def test_idempotent_after_quotient():
@@ -107,7 +108,7 @@ def test_idempotent_after_quotient():
     nd = make_nondegenerate(Datum(g, [BlockHom(g, R, RR=[[F(1)]])],
                                   [F(2)])).datum
     again = make_nondegenerate(nd)
-    assert again.datum == nd and again.ledger == ()
+    assert again.datum is nd and again.ledger == ()
 
 
 def test_non_open_image_warned_not_fixed():
@@ -201,13 +202,65 @@ def test_discrete_image_lattice():
     assert lat.contains([2]) and not lat.contains([1])
 
 
-def test_corestrict_open_rejects_escaping_image():
-    # into 2Z, and into the trivial lattice, which has no generator to solve for
-    h = BlockHom(Z, Z, ZZ=[[1]])
-    for k in (2, 0):
-        lat = discrete_image_lattice(BlockHom(Z, Z, ZZ=[[k]]))
-        with pytest.raises(Degenerate):
-            corestrict_open(h, lat)
+def test_corestrict_open_gives_the_map_onto_its_image():
+    onto = BlockHom(T, T, TT=[[2]])
+    assert corestrict_open(onto) is onto
+    assert corestrict_open(BlockHom(Z, R, ZR=[[F(1)]])) is None
+    h = corestrict_open(BlockHom(Z, Z, ZZ=[[2]]))
+    assert h.codomain == Z and h.ZZ == [[1]]
+
+
+def _parent_image_is_open(h):
+    """image_is_open as it was before it became one rank: RR hits all of the
+    target vector sector, and the fibre directions over x' = 0 (RT on ker
+    RR, plus all of TT) span the target torus."""
+    t = h.codomain
+    if rational_rank(h.RR) != t.a:
+        return False
+    if t.b == 0:
+        return True
+    span = transpose(h.TT)
+    if h.domain.a:
+        ker = identity(h.domain.a) if t.a == 0 else rational_kernel(h.RR)
+        span += [mat_vec(h.RT, v) for v in ker]
+    return bool(span) and rational_rank(span) == t.b
+
+
+def _parent_onto(h):
+    """h onto its image as the normal form took it before corestrict_open
+    decided openness itself: h when onto, None when the image is not open,
+    else the corestriction onto the map's own image lattice."""
+    if not _parent_image_is_open(h):
+        return None
+    orders = h.codomain.discrete_orders()
+    lattice = discrete_image_lattice(h)
+    if not orders or lattice == LatticeSubgroup.full(orders):
+        return h
+    return _ref_corestrict_open(h, lattice)
+
+
+def test_openness_is_one_rank_of_the_lifted_connected_map():
+    # every block drawn, each kept with probability 1/2
+    rnd = random.Random(29)
+    seen = {"open": 0, "not open": 0, "corestricted": 0}
+    for _ in range(2000):
+        full = random_hom(rnd, random_group(rnd), random_group(rnd))
+        h = BlockHom(full.domain, full.codomain,
+                     **{name: blk for name, blk in full.blocks().items()
+                        if rnd.random() < 0.5})
+        is_open = image_is_open(h)
+        assert is_open == _parent_image_is_open(h)
+        onto = corestrict_open(h)
+        assert onto == _parent_onto(h)
+        assert (onto is None) == (not is_open)
+        assert (onto is h) == is_surjective(h)
+        if onto is not None and onto is not h:
+            assert is_surjective(onto)
+            seen["corestricted"] += 1
+        seen["open" if is_open else "not open"] += 1
+    # 547 open, 1453 not open and 471 corestricted at this seed
+    assert seen["open"] >= 450 and seen["not open"] >= 1300
+    assert seen["corestricted"] >= 400
 
 
 def test_merge_finite_coordinates():
@@ -228,15 +281,6 @@ def _whole(g):
     gens += [GroupElement((0,) * g.a, (0,) * g.b, (0,) * g.c, tuple(row))
              for row in identity(g.k)]
     return ClosedSubgroup(g, identity(g.a + g.b), gens)
-
-
-def _onto(h):
-    """h corestricted onto its open image, or None when that is not open."""
-    if is_surjective(h):
-        return h
-    if not image_is_open(h):
-        return None
-    return corestrict_open(h, discrete_image_lattice(h))
 
 
 def test_kernel_embedding_weil_mass():
@@ -288,7 +332,7 @@ def test_kernel_embedding_weil_mass():
                               haar=_random_haar(rnd))
         cod = ElementaryGroup(b=rnd.randint(0, 2), torsion=rnd.choice(CHAINS),
                               haar=_random_haar(rnd))
-        h = _onto(random_hom(rnd, dom, cod))
+        h = corestrict_open(random_hom(rnd, dom, cod))
         if h is None or not any(map(any, h.FT)):
             continue
         compact += 1
@@ -300,7 +344,7 @@ def test_kernel_embedding_weil_mass():
     seen = dict.fromkeys(MIXING_BLOCKS, 0)
     models = set()
     while min(seen.values()) < 150:
-        h = _onto(random_hom(rnd, random_group(rnd), random_group(rnd)))
+        h = corestrict_open(random_hom(rnd, random_group(rnd), random_group(rnd)))
         if h is None:
             continue
         iota = kernel_embedding(h)
