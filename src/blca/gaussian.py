@@ -315,8 +315,17 @@ def gaussian_bl_constant(d: Datum, verdict: Optional[RankVerdict] = None) -> Gau
 
 def bcct_finiteness(d: Datum) -> RankVerdict:
     """Exact finiteness test for a vector datum: the rank verdict on its
-    rational blocks.  The constant is finite exactly when the verdict is
-    homogeneous and its condition holds (Bennett, Carbery, Christ, Tao); a
-    FAILS verdict or a homogeneity mismatch certifies infiniteness, and
-    finiteness is certified only under HOLDS_CERTIFIED."""
-    return rank_condition([h.RR for h in d.homs], d.exponents, dim=d.domain.a)
+    rational blocks, homogeneous when n = sum_j a_j / p_j over the targets'
+    dimensions a_j (Bennett, Carbery, Christ, Tao).  The constant is finite
+    exactly when the verdict is homogeneous and its condition holds; a FAILS
+    verdict or a homogeneity mismatch certifies infiniteness, and finiteness
+    is certified only under HOLDS_CERTIFIED.  On onto maps a_j is map j's
+    rank; a map that is not onto, at 1/p_j > 0, breaks homogeneity or makes
+    Q^n violate the condition."""
+    verdict = rank_condition([h.RR for h in d.homs], d.exponents, dim=d.domain.a)
+    s = math.lcm(*(p.numerator for p in d.exponents if p))  # clears every a_j / p_j
+    homogeneous = d.domain.a * s == sum(h.codomain.a * p.denominator * s // p.numerator
+                                        for h, p in zip(d.homs, d.exponents) if p)
+    if homogeneous != verdict.homogeneous:
+        verdict = replace(verdict, homogeneous=homogeneous)
+    return verdict

@@ -36,15 +36,23 @@ from .intmat import (
 )
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x) of Python ints; a numpy integer would stay its numerator
+    or denominator, in a fixed width that wraps on overflow."""
+    q = Fraction(x)
+    n, d = q.numerator, q.denominator
+    return q if type(n) is int is type(d) else Fraction(int(n), int(d))
+
+
 def _positive_fraction(x, name: str) -> Fraction:
-    """x as a positive Fraction, kept as it is when it is one.  A float is
-    not exact and a bool is not a number, as in the file format."""
-    if type(x) is not Fraction:
+    """x as a positive Fraction of Python ints, x itself when it is one.
+    A float is not exact and a bool is not a number, as in the file format."""
+    if not (type(x) is Fraction and type(x._numerator) is int is type(x._denominator)):
         if isinstance(x, bool):
             raise ValueError(f"{name} must be a rational number, got {x!r}")
         if isinstance(x, float):
             raise IrrationalEntry(f"{name} {x!r} is not exact; pass an int or a Fraction")
-        x = Fraction(x)
+        x = _fraction(x)
     if x.numerator <= 0:
         raise ValueError(f"{name} must be positive")
     return x

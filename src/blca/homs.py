@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadExponent, EmptyDatum, IrrationalEntry, NotWellDefined, ShapeMismatch
 from .exact import ExactValue
-from .groups import ElementaryGroup, LatticeSubgroup, dual_group
+from .groups import ElementaryGroup, LatticeSubgroup, _fraction, dual_group
 from .intmat import (
     clear_denominators,
     from_columns,
@@ -41,15 +41,9 @@ from .intmat import (
 )
 
 
-def _fraction(x) -> Fraction:
-    """Fraction(x) of Python ints; a numpy integer would stay its numerator,
-    in a fixed width that wraps on overflow."""
-    q = Fraction(x)
-    return q if type(q.numerator) is int else Fraction(int(q.numerator), int(q.denominator))
-
-
 def _frac_entry(x) -> Fraction:
-    if type(x) is Fraction:
+    # the slots, not the properties, which cost a call each
+    if type(x) is Fraction and type(x._numerator) is int is type(x._denominator):
         return x
     if type(x) is int:
         return Fraction(x)

@@ -49,8 +49,8 @@ from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
-from .groups import saturate_columns
-from .homs import _fraction, parse_exponent
+from .groups import _fraction, saturate_columns
+from .homs import parse_exponent
 from .intmat import (clear_denominators, hermite_basis, identity, integer_kernel,
                      matmul, primitive_kernel, primitive_rref, transpose)
 
@@ -135,13 +135,15 @@ class _Prepared(NamedTuple):
 
 
 def _cleared(row) -> List[int]:
-    """row times the lcm of its denominators, in Python ints.  int and
-    Fraction entries are cleared as they are; any other entry, a numpy
-    integer say, is made a Fraction of Python ints first."""
+    """row times the lcm of its denominators, in Python ints.  Any entry but
+    an int or a Fraction of ints, a numpy integer or a Fraction of them say,
+    is made a Fraction of Python ints first."""
     kinds = set(map(type, row))
     if kinds <= {int}:
         return list(row)
-    return clear_denominators(row if kinds <= {int, Fraction} else list(map(_fraction, row)))
+    plain = kinds <= {int, Fraction} and all(
+        type(x) is int or type(x._numerator) is int is type(x._denominator) for x in row)
+    return clear_denominators(row if plain else list(map(_fraction, row)))
 
 
 def _map_rank(rows) -> int:

@@ -47,15 +47,14 @@ from .gaussian import bcct_finiteness, gaussian_bl_constant
 from .groups import ElementaryGroup, HaarRecord, dual_group
 from .homs import (BlockHom, ClosedSubgroup, Datum, _nonzero_blocks, adjoint_hom,
                    image_is_open)
-from .intmat import hstack, mat_vec, rational_rank
+from .intmat import hstack, mat_vec
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
 from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, _decide, _prepare
 from .subquot import (_EMPTY, NondegenerateResult,
                       _annihilator_of_compact_kernel, _characters, _quotient,
-                      _sector_parts, corestrict_open,
-                      kernel_embedding, make_nondegenerate,
-                      merge_finite_coordinates)
+                      _sector_parts, kernel_embedding,
+                      make_nondegenerate, merge_finite_coordinates)
 
 FINITE = "FINITE"
 INFINITE = "INFINITE"
@@ -176,21 +175,17 @@ def reduce_p_one(d: Datum, k: int) -> Datum:
     disappears; the kernel carries the fiber measure, which is what makes
     the constant come out unchanged.  k is 0-based.
 
-    Raises NotUnitExponent unless p_k = 1, Degenerate when corestrict_open
-    finds the k-th image not open, and EmptyDatum when k was the only index
-    (resolution then holds the kernel's total mass, or infinity).
+    Raises NotUnitExponent unless p_k = 1, Degenerate when the k-th image
+    is not open (kernel_embedding, which takes the map onto its image), and
+    EmptyDatum when k was the only index (resolution then holds the
+    kernel's total mass, or infinity).
     """
     if not 0 <= k < d.J:
         raise ShapeMismatch(f"index {k} out of range for {d.J} maps")
     if d.exponents[k] != 1:
         raise NotUnitExponent(
             f"index {k} has exponent {d.exponents[k]}, not 1")
-    onto = corestrict_open(d.homs[k])
-    if onto is None:
-        raise Degenerate(
-            "kernel reduction needs an open image; a non-open image "
-            "already forces an infinite constant at any finite exponent")
-    iota = kernel_embedding(onto)
+    iota = kernel_embedding(d.homs[k])
     rest = [(d.homs[j].compose(iota), d.exponents[j])
             for j in range(d.J) if j != k]
     if not rest:
@@ -377,12 +372,14 @@ def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
     return FactorReport(name, FINITE, float(corr), corr, cert, notes=notes)
 
 
-def _torus_factor(fd: Datum) -> FactorReport:
-    """The torus part priced by the torus rank condition, once every map is
-    onto.  A map of rank below its target's dimension b_j has a subtorus of
-    lower dimension for its image: f_j on an eps-neighbourhood of it keeps
-    the left side fixed while its norm falls like eps^(g_j / p_j), g_j the
-    directions it misses."""
+def _torus_factor(fd: Datum) -> Tuple[FactorReport, Optional[FactorReport]]:
+    """The torus part priced by the torus rank condition, and the vector
+    part's report of a torus direction reached through RT (None when every
+    map is onto), both read off each map's rank.  A map of rank below b_j
+    misses g_j directions: f_j near its image keeps the left side fixed
+    while its norm falls like eps^(g_j / p_j).  On a nondegenerate datum
+    [RT_j | TT_j] has full row rank, so RT_j reaches them, and concentrating
+    near one point of R^a x T^b grows the vector part like eps^(-g_j / p_j)."""
     prep = _prepare([h.TT for h in fd.homs], fd.exponents, fd.domain.b)
     for j, (k, h) in enumerate(zip(prep.ranks, fd.homs)):
         if k < h.codomain.b:
@@ -390,8 +387,14 @@ def _torus_factor(fd: Datum) -> FactorReport:
                 "torus", INFINITE, math.inf, None, CERTIFIED,
                 witness=f"map {j} is not onto T^{h.codomain.b}",
                 notes=("concentration near the image of a map that is not onto "
-                       "outruns the right-hand side; no finite constant exists",))
-    return _rank_decided_factor("torus", fd, _decide(prep, torus=True, split=False))
+                       "outruns the right-hand side; no finite constant exists",)
+            ), FactorReport(
+                "vector", INFINITE, math.inf, None, CERTIFIED,
+                witness=f"map {j} reaches T^{h.codomain.b} through RT",
+                notes=("a torus direction reached only from the vector sector "
+                       "counts as a vector target dimension, and concentrating "
+                       "near a point outruns the right-hand side",))
+    return _rank_decided_factor("torus", fd, _decide(prep, torus=True, split=False)), None
 
 
 def _free_factor(fd: Datum) -> FactorReport:
@@ -409,26 +412,6 @@ def _finite_factor(fd: Datum) -> FactorReport:
         "finite", FINITE, float(res.value), res.value, EXACT,
         notes=_kept((f"maximum over {res.subgroup_count} subgroups, attained "
                      f"at one of size {res.argmax_size}",)))
-
-
-def _torus_gap(d: Datum) -> Optional[FactorReport]:
-    """An infinite vector report when some map of the nondegenerate datum d
-    reaches a torus direction of its target only through its RT block, else
-    None.  The vector part sees that direction too: concentrate every
-    function near the image of one point of R^a times T^b.  The domain side
-    shrinks like eps^a, map j's norm like eps^((a_j + g_j) / p_j), g_j the
-    torus directions TT_j misses, and a finite vector part has
-    a = sum_j a_j / p_j, so the ratio grows like eps^(-sum_j g_j / p_j)."""
-    for j, h in enumerate(d.homs):
-        if (h.codomain.b and any(map(any, h.RT))
-                and rational_rank(h.TT) < h.codomain.b):
-            return FactorReport(
-                "vector", INFINITE, math.inf, None, CERTIFIED,
-                witness=f"map {j} reaches T^{h.codomain.b} through RT",
-                notes=("a torus direction reached only from the vector sector "
-                       "counts as a vector target dimension, and concentrating "
-                       "near a point outruns the right-hand side",))
-    return None
 
 
 def _vector_factor(fd: Datum) -> FactorReport:
@@ -561,12 +544,12 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
         return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger,
                              witnesses=(why,)), None
     torus_d, vector_d, finite_d, free_d = parts
+    trivial = _trivial_report("torus", torus_d)
+    torus, gap = (trivial, None) if trivial else _torus_factor(torus_d)
     vector = _trivial_report("vector", vector_d) or _vector_factor(vector_d)
-    if vector.kind != INFINITE:
-        vector = _torus_gap(norm.datum) or vector
     factors = (
-        _trivial_report("torus", torus_d) or _torus_factor(torus_d),
-        vector,
+        torus,
+        gap if gap and vector.kind != INFINITE else vector,
         _trivial_report("finite", finite_d) or _finite_factor(finite_d),
         _trivial_report("free", free_d) or _free_factor(free_d),
     )

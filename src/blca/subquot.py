@@ -25,20 +25,21 @@ No joint kernel is built for this: properness is one rational rank of the
 maps' vector and free rows (homs.is_proper), and the compact kernel is known
 only through its annihilator.
 
-The kernel of one surjective map, mixing blocks included, has an elementary
-model (kernel_embedding) with Weil's fiber measure, mu_G = mu_K (x) mu_H.
-Folding a unit exponent and the dual datum's annihilator both use it.
+The kernel of one map with an open image H, mixing blocks included, has an
+elementary model (kernel_embedding, which corestricts the map onto H itself)
+with Weil's fiber measure, mu_G = mu_K (x) mu_H.  Folding a unit exponent
+and the dual datum's annihilator both use it.
 
 The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
 and are dropped (a torus direction reached only through RT is the one
-exception, which structure._torus_gap prices).  structure.analyze is the
-one routine that splits a datum.  One presence test decides the split: a
-sector is present when the domain or a target has it or carries a scale
-other than 1 for it.  Every absent sector shares one empty part, built on
-the constant group _EMPTY; a datum with one present sector is its own
-part, with nothing built; and one path builds every other part from the
-maps' diagonal blocks.
+exception, which structure._torus_factor reports for the vector part too).
+structure.analyze is the one routine that splits a datum.  One presence
+test decides the split: a sector is present when the domain or a target
+has it or carries a scale other than 1 for it.  Every absent sector shares
+one empty part, built on the constant group _EMPTY; a datum with one
+present sector is its own part, with nothing built; and one path builds
+every other part from the maps' diagonal blocks.
 """
 
 from __future__ import annotations
@@ -121,12 +122,13 @@ def merge_finite_coordinates(orders: List[int]):
 
 
 def kernel_embedding(h: BlockHom) -> BlockHom:
-    """Inclusion of an elementary model of ker h into h's domain, for any
-    surjective h, mixing blocks included; Degenerate when h is not onto.
+    """Inclusion of an elementary model of ker h into h's domain, mixing
+    blocks included, for any h with an open image (Degenerate otherwise).
 
-    h is onto, so its lifted connected map [[RR, 0], [RT, TT]] is onto too,
-    and every discrete point of the kernel has a connected lift through one
-    section S of it.  The model's identity component is R^a_n x T^b_n: the
+    corestrict_open first takes h onto its image H, which moves no kernel.
+    Then the lifted connected map [[RR, 0], [RT, TT]] is onto, and every
+    discrete point of the kernel has a connected lift through one section S
+    of it.  The model's identity component is R^a_n x T^b_n: the
     tangent vectors that move x, each with its torus part (the elimination
     runs with the torus coordinates first), and the integer kernel of TT.
     Its component group is Z^c_n x F_n: the points (n, m, u) with ZZ m = 0
@@ -145,10 +147,11 @@ def kernel_embedding(h: BlockHom) -> BlockHom:
     scalar is scalar(G) |det [B | S]| / scalar(H).  It sits on the model's
     first sector among R, T, Z and F, on F for the trivial model.
     """
+    h = corestrict_open(h)
+    if h is None:
+        raise Degenerate("kernel model needs an open image; a non-open image "
+                         "already forces an infinite constant at any finite exponent")
     g, cod = h.domain, h.codomain
-    if not is_surjective(h):
-        raise Degenerate("kernel model needs a surjective map; corestrict "
-                         "onto the open image first")
     a, b, c, k = g.a, g.b, g.c, g.k
 
     # identity component, and the jacobian; conn is in the coordinates (t, x)

@@ -8,6 +8,7 @@ from blca.gaussian import (BUDGET, CONVERGED, DIVERGED, bcct_finiteness,
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, Datum
 from blca.rank import FAILS, HOLDS_CERTIFIED, RankVerdict
+from blca.structure import INFINITE, bl_constant
 
 F = Fraction
 
@@ -57,6 +58,23 @@ def test_axes_p2_diverges():
     assert res.value == math.inf
     v = bcct_finiteness(d)
     assert v.status == FAILS and not v.homogeneous
+
+
+def test_bcct_homogeneity_reads_the_target_dimensions():
+    # x -> (x, 0) into R^2 is not onto, and the constant is infinite: f_0 = 1
+    # on [0, 1] x [-eps, eps].  Homogeneity is n = sum_j a_j / p_j, as BCCT
+    # state it, so at p = (2, 2) it fails (1 against 3/2) although the ranks
+    # balance, and at p = (4, 2), where the dimensions balance, the whole
+    # line has deficit 1 - 3/4 > 0 and the condition fails there
+    d = Datum(R1, [BlockHom(R1, R2, RR=[[1], [0]]), BlockHom(R1, R1, RR=[[1]])], [2, 2])
+    v = bcct_finiteness(d)
+    assert not v.homogeneous
+    assert bl_constant(d).kind == INFINITE
+    v = bcct_finiteness(Datum(d.domain, d.homs, [4, 2]))
+    assert v.homogeneous and v.status == FAILS and v.witness == ((1,),)
+    # a map out of the trivial group into R^1 is not onto either
+    R0 = ElementaryGroup()
+    assert not bcct_finiteness(Datum(R0, [BlockHom(R0, R1)], [2])).homogeneous
 
 
 def test_axes_p1_gives_one():

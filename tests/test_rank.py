@@ -9,7 +9,7 @@ import pytest
 
 from blca.errors import ShapeMismatch
 from blca.exact import ExactValue
-from blca.groups import ElementaryGroup, LatticeSubgroup, saturate_columns
+from blca.groups import ElementaryGroup, HaarRecord, LatticeSubgroup, saturate_columns
 from blca.homs import BlockHom, ClosedSubgroup, Datum
 from blca.intmat import (clear_denominators, from_columns, mat_vec, matmul,
                          primitive_kernel, primitive_rref, rational_kernel,
@@ -136,8 +136,8 @@ def test_torus_holder_certifies_past_the_completeness_rule():
     from blca.structure import _torus_factor
     T4 = ElementaryGroup(b=4)
     homs = [BlockHom(T4, T2, TT=m) for m in maps]
-    assert _torus_factor(Datum(T4, homs, [4] * 4)).certification == "exact"
-    assert _torus_factor(Datum(T4, homs, [3] * 4)).certification == "heuristic"
+    assert _torus_factor(Datum(T4, homs, [4] * 4))[0].certification == "exact"
+    assert _torus_factor(Datum(T4, homs, [3] * 4))[0].certification == "heuristic"
 
 
 def test_torus_young3_fails_at_a_point_near_one():
@@ -153,7 +153,7 @@ def test_torus_young3_fails_at_a_point_near_one():
 def test_torus_doubling_datum_is_one():
     from blca.structure import _torus_factor
     d = Datum(T, [BlockHom(T, T, TT=[[1]]), BlockHom(T, T, TT=[[2]])], [2, 2])
-    f = _torus_factor(d)
+    f = _torus_factor(d)[0]
     assert (f.kind, f.exact, f.certification) == ("FINITE", ExactValue.one(), "exact")
 
 
@@ -162,7 +162,7 @@ def test_torus_witness_lives_in_the_domain():
     # of Q^1, not a line of the annihilator's Q^3
     from blca.structure import _torus_factor
     d = Datum(T, [BlockHom(T, T, TT=[[1]])] * 4, [F(21, 20)] * 4)
-    f = _torus_factor(d)
+    f = _torus_factor(d)[0]
     assert (f.kind, f.witness) == ("INFINITE", ())
 
 
@@ -194,7 +194,7 @@ def _dual_rank_reference(d: Datum) -> RankVerdict:
 def _torus_status(d: Datum) -> str:
     """The pipeline's torus factor, read back as a rank verdict status."""
     from blca.structure import _torus_factor
-    f = _torus_factor(d)
+    f = _torus_factor(d)[0]
     return {("INFINITE", "certified"): FAILS, ("FINITE", "exact"): HOLDS_CERTIFIED,
             ("FINITE", "heuristic"): LIKELY_HOLDS}[f.kind, f.certification]
 
@@ -638,9 +638,11 @@ def test_prepare_clears_every_input_kind_as_fractions():
 
 
 def test_numpy_integer_entries_do_not_wrap():
-    # numpy integers become Python ints at the type boundaries (rank._cleared
-    # and homs._frac_entry); kept as they were, the elimination would
-    # multiply in int32 or int64 and wrap on these rows
+    # numpy integers, and Fractions with a numpy numerator or denominator,
+    # become Python ints at the type boundaries (rank._cleared,
+    # homs._frac_entry, and groups._positive_fraction for Haar scales); kept
+    # as they were, the elimination would multiply in int32 or int64 and
+    # wrap on these rows, and a Haar scale would not convert to Decimal
     import warnings
 
     import numpy as np
@@ -649,15 +651,30 @@ def test_numpy_integer_entries_do_not_wrap():
     p = (1, 3, 3, 3)
     R3, R1 = ElementaryGroup(a=3), ElementaryGroup(a=1)
     want = bl_constant(Datum(R3, [BlockHom(R3, R1, RR=[list(r)]) for r in rows], p))
+    kinds = [int]
+    for w in (np.int32, np.int64):
+        kinds += [w, lambda x, w=w: F(w(x), w(1)), lambda x, w=w: F(x, w(1)),
+                  lambda x, w=w: F(w(x), 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for kind in (int, np.int32, np.int64):
+        for kind in kinds:
             maps = [[[kind(x) for x in row]] for row in rows]
             witness = rank_condition(maps, p).witness
             assert witness == ((0, 196608, -196609),), kind
             assert all(type(x) is int for x in witness[0]), kind
             d = Datum(R3, [BlockHom(R3, R1, RR=m) for m in maps], p)
+            assert all(type(q.numerator) is type(q.denominator) is int
+                       for h in d.homs for q in h.RR[0]), kind
             assert bl_constant(d).to_dict() == want.to_dict(), kind
+        # a Haar scale past 2^40 on Z/2, with the identity map at p = 2
+        Z2 = ElementaryGroup(torsion=(2,))
+        scale = 2**40 + 15
+        for given in (scale, np.int64(scale), F(np.int64(scale), np.int64(1))):
+            g = ElementaryGroup(torsion=(2,), haar=HaarRecord(f_point=given))
+            q = g.haar.f_point
+            assert q == scale and type(q.numerator) is type(q.denominator) is int
+            rep = bl_constant(Datum(g, [BlockHom(g, Z2, FF=[[1]])], [2]))
+            assert str(rep.exact) == "2^(1/2) * 1099511627791", given
 
 
 # -- the closure route against a closure of saturated names -----------------

@@ -365,7 +365,7 @@ def test_vector_reports_share_their_trivial_parts():
     # each shared report is the one its sector's engine computes
     torus_d, _, finite_d, free_d = analyze(young_datum())[2]
     assert [fa for fa, _ in shared] == [
-        _torus_factor(torus_d), _finite_factor(finite_d), _free_factor(free_d)]
+        _torus_factor(torus_d)[0], _finite_factor(finite_d), _free_factor(free_d)]
     # a unit Haar scale is required: a scaled trivial part gets its own report
     scaled = ElementaryGroup(a=2, haar=HaarRecord(f_point=F(3)))
     d = Datum(scaled, [BlockHom(scaled, R1, RR=[[1, 0]]), BlockHom(scaled, R1, RR=[[0, 1]]),
@@ -548,6 +548,34 @@ def test_pipeline_runs_each_check_once(monkeypatch):
     rep = bl_constant(free)
     assert sum("corestricted" in line for line in rep.ledger) == 2
     assert calls == {"kernel": 0, "proper": 1, "quotient": 1, "open": 2, "lattice": 2}
+    # a fold decides its map's openness once: reduce_exponents scans every
+    # map, then kernel_embedding takes map k onto its image through the one
+    # corestrict_open call, with no is_surjective check.  Count every binding,
+    # is_surjective's own calls included
+    for mod in (blca.homs, blca.subquot, blca.structure):
+        monkeypatch.setattr(mod, "image_is_open", is_open)
+    lattice = counted("lattice", blca.homs.discrete_image_lattice)
+    onto = counted("surjective", blca.homs.is_surjective)
+    for mod in (blca.homs, blca.subquot):
+        monkeypatch.setattr(mod, "discrete_image_lattice", lattice)
+        monkeypatch.setattr(mod, "is_surjective", onto)
+    rz = ElementaryGroup(a=1, c=1)
+    fold = Datum(rz, [BlockHom(rz, rz, RR=[[1]], ZZ=[[2]]),
+                      BlockHom(rz, R1, RR=[[1]], ZR=[[1]])], [1, 2])
+    calls.update(kernel=0, proper=0, quotient=0, open=0, lattice=0, surjective=0)
+    red = reduce_exponents(fold)
+    assert red.ledger == (FOLD,)
+    assert calls == {"kernel": 0, "proper": 0, "quotient": 0, "open": 3, "lattice": 1,
+                     "surjective": 0}
+    # the R^3 cascade: the normal form decides the three maps once, then
+    # three folds scan 3, 2 and 1 maps and corestrict each folded one
+    R3 = ElementaryGroup(a=3)
+    cascade = Datum(R3, [BlockHom(R3, R1, RR=[r]) for r in ([1, 2, 0], [0, 1, 3], [1, 0, 1])],
+                    [1, 1, 1])
+    calls.update(open=0, lattice=0, proper=0, quotient=0)
+    rep = bl_constant(cascade)
+    assert rep.exact == ExactValue.of(F(1, 7))
+    assert calls["open"] == 12 and calls["surjective"] == 0
 
 
 def test_pipeline_builds_each_group_once(monkeypatch):

@@ -1,4 +1,5 @@
 """Kernel quotients, corestrictions, and the four-factor splitting."""
+import math
 import random
 import sys
 from dataclasses import replace
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from blca.errors import NotProper
+from blca.errors import Degenerate, NotProper
 from blca.groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
 from blca.homs import (MIXING_BLOCKS, BlockHom, ClosedSubgroup, Datum,
                        GroupElement, ProperReport, adjoint_hom, image_is_open,
@@ -15,8 +16,11 @@ from blca.intmat import (clear_denominators, from_columns, hermite_basis,
                          identity, integer_kernel, mat_vec, rational_kernel,
                          rational_rank, solve_integer, solve_rational,
                          transpose)
-from blca.structure import (INFINITE, _image_subgroup, analyze, bl_constant,
-                            duality_check, reduce_transversal)
+from blca.structure import (CERTIFIED, INFINITE, FactorReport, _finite_factor,
+                            _free_factor, _image_subgroup, _torus_factor,
+                            _trivial_report, _vector_factor, analyze, bl_constant,
+                            dual_datum, duality_check, reduce_p_infinity,
+                            reduce_transversal)
 from blca.subquot import (_EMPTY, _annihilator_of_compact_kernel,
                           _is_nondegenerate, _quotient_by_joint_kernel,
                           _sector_parts, corestrict_open,
@@ -359,6 +363,46 @@ def test_kernel_embedding_weil_mass():
         k = iota.domain
         models.add((k.a > 0, k.b > 0, k.c > 0, k.k > 0))
     assert len(models) == 16
+
+
+def test_kernel_embedding_takes_an_open_map_onto_its_image():
+    # onto: the model of h itself, as pinned above
+    iota = kernel_embedding(BlockHom(Z, Z2, ZF=[[1]]))
+    assert iota == BlockHom(Z, Z, ZZ=[[2]])
+    # open but not onto: the model of corestrict_open(h), whose kernel is
+    # the same subgroup.  Z -> Z by 2 and R x Z -> R x Z by (1, 2) are
+    # injective, and Z^2 -> Z by (2, 4) has the kernel Z (2, -1)
+    rz = ElementaryGroup(a=1, c=1)
+    for h in (BlockHom(Z, Z, ZZ=[[2]]), BlockHom(rz, rz, RR=[[1]], ZZ=[[2]])):
+        assert corestrict_open(h) is not h
+        iota = kernel_embedding(h)
+        assert iota == kernel_embedding(corestrict_open(h))
+        assert iota.domain == pt and iota.codomain == h.domain
+    z2 = ElementaryGroup(c=2)
+    iota = kernel_embedding(BlockHom(z2, Z, ZZ=[[2, 4]]))
+    assert iota.domain == Z and iota.ZZ in ([[2], [-1]], [[-2], [1]])
+    # an image that is not open: a line in R^2, and Z -> R
+    for h in (BlockHom(R, R2, RR=[[1], [0]]), BlockHom(Z, R, ZR=[[1]])):
+        with pytest.raises(Degenerate, match="open image"):
+            kernel_embedding(h)
+    # every block drawn: the model of each open map is that of its
+    # corestriction, and its image is kernel_info(h)
+    rnd = random.Random(30)
+    seen = {"onto": 0, "corestricted": 0, "not open": 0}
+    while min(seen.values()) < 100:
+        h = random_hom(rnd, random_group(rnd), random_group(rnd))
+        onto = corestrict_open(h)
+        if onto is None:
+            seen["not open"] += 1
+            with pytest.raises(Degenerate):
+                kernel_embedding(h)
+            continue
+        seen["onto" if onto is h else "corestricted"] += 1
+        iota = kernel_embedding(h)
+        assert iota == kernel_embedding(onto)
+        image = _image_subgroup(iota, _whole(iota.domain))
+        ker = kernel_info(h)
+        assert ker.contains(image) and image.contains(ker)
 
 
 # -- the normal form and split against reference copies ----------------------
@@ -758,6 +802,60 @@ def test_duality_holds_on_mixing_data_as_given():
                                  for f in rep.factors)
     assert seen["finite"] >= 25 and seen["dual_mixing"] >= 100, seen
     assert seen["kernel_moved"] >= 60 and seen["torus_gap"] >= 5, seen
+
+
+# -- the torus part's RT report against a reference copy ---------------------
+# _ref_torus_gap is the vector report a torus direction reached through RT
+# gave before the torus part's ranks decided it: a scan of the normalized
+# datum with a rational rank of each map's TT block.  _ref_factors prices a
+# datum's parts with it, the way bl_constant did.
+
+def _ref_torus_gap(d):
+    for j, h in enumerate(d.homs):
+        if (h.codomain.b and any(map(any, h.RT))
+                and rational_rank(h.TT) < h.codomain.b):
+            return FactorReport(
+                "vector", INFINITE, math.inf, None, CERTIFIED,
+                witness=f"map {j} reaches T^{h.codomain.b} through RT",
+                notes=("a torus direction reached only from the vector sector "
+                       "counts as a vector target dimension, and concentrating "
+                       "near a point outruns the right-hand side",))
+    return None
+
+
+def _ref_factors(d):
+    """bl_constant(d)'s factors, the vector one replaced by _ref_torus_gap
+    unless it is INFINITE; None when d is priced before the split."""
+    norm, why, parts = analyze(reduce_p_infinity(d))
+    if why is not None:
+        return None
+    torus_d, vector_d, finite_d, free_d = parts
+    vector = _trivial_report("vector", vector_d) or _vector_factor(vector_d)
+    if vector.kind != INFINITE:
+        vector = _ref_torus_gap(norm.datum) or vector
+    return (_trivial_report("torus", torus_d) or _torus_factor(torus_d)[0], vector,
+            _trivial_report("finite", finite_d) or _finite_factor(finite_d),
+            _trivial_report("free", free_d) or _free_factor(free_d))
+
+
+def test_torus_part_reports_rt_as_the_reference_scan():
+    # the mixing data of the duality test and their duals: on a
+    # nondegenerate datum [RT_j | TT_j] has full row rank, so a torus map
+    # that is not onto is reached through RT, and the torus part's ranks
+    # give the report the scan of the whole datum gave
+    rnd = random.Random(27)
+    priced = gaps = i = 0
+    while priced < 300:
+        d = _pin_datum(rnd, 0) if i % 2 else _all_blocks_datum(rnd)
+        i += 1
+        if not (is_proper(d) and _is_mixing(d)) or make_nondegenerate(d).obstruction:
+            continue
+        for side in (d, dual_datum(d)):
+            want = _ref_factors(side)
+            assert bl_constant(side).factors == (want or ()), side
+            gaps += want is not None and str(want[1].witness).endswith("through RT")
+        priced += 1
+    assert gaps >= 5, gaps
 
 
 def test_torus_quotient_matches_the_dual_round_trip(monkeypatch):
