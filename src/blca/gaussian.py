@@ -28,12 +28,15 @@ One sweep updates every M_j in order, then evaluates the objective once.  An
 update neither inverts Q nor forms Q_{-j}: it reads the block maximum off
 Q^{-1} and corrects Q^{-1} for the change in M_j, by Sherman-Morrison when s_j
 is one row (M_j is then a number and nothing is factored) and otherwise by
-Woodbury, with one small solve and two small symmetric eigenvalue problems
-that give (s_j Q^{-1} s_j^T)^{-1} and decide the fallback.  At the end of the
-sweep Q is assembled once and factored by one symmetric eigendecomposition,
-which gives log det Q, the condition number lambda_max/lambda_min that the
-divergence check reads, and a fresh Q^{-1} for the next sweep.  The
-corrections therefore never carry rounding from one sweep into the next.
+Woodbury, with one small solve by pivoted elimination and two small symmetric
+eigenvalue problems, by cyclic Jacobi, that give (s_j Q^{-1} s_j^T)^{-1} and
+decide the fallback.  At the end of the sweep Q is assembled once and
+factored by Cholesky, which gives log det Q and a fresh Q^{-1} for the next
+sweep, so the corrections never carry rounding from one sweep into the next.
+The divergence check reads the condition number lambda_max/lambda_min of Q
+through its upper bound tr(Q) tr(Q^{-1}); only when that bound passes half
+of CONDITION_CEILING are Q's eigenvalues computed, by Jacobi, for the ratio
+itself, so the check fires at the same sweep as on the exact ratio.
 
 One ascent from the identity suffices: log obj is jointly geodesically
 concave on the positive-definite matrices, so every fixed point of the ascent
@@ -46,16 +49,19 @@ exactly, splits the datum into its two diagonal pieces, and splits each
 piece again until none has a critical subspace; then each simple piece gets
 one ascent.
 
-The ascent works in floats; objectives are tracked in log scale so that
-near-divergent instances do not overflow before the threshold check fires.
+The ascent works in Python floats, on matrices held as lists of rows;
+objectives are tracked in log scale so that near-divergent instances do not
+overflow before the threshold check fires.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from operator import getitem, mul
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import SingularDenominator
 from .homs import Datum
@@ -63,10 +69,10 @@ from .intmat import (clear_denominators, columns, det_rational, from_columns, hs
                      identity, matmul, primitive_rref, rational_rref)
 from .rank import RankVerdict, rank_condition
 
-# numpy is imported inside the functions that use it, so that importing
-# blca, and running its exact sectors, does not load it.
-if TYPE_CHECKING:
-    import numpy as np
+# The ascent's matrices are lists of rows of Python floats.  They are a few
+# rows across, where numpy's cost per call outweighs the arithmetic, so
+# pricing a vector datum does not load numpy; only verify's oracles do.
+Matrix = List[List[float]]
 
 CONVERGED = "CONVERGED"
 DIVERGED = "DIVERGED"
@@ -78,53 +84,144 @@ ASCENT_TOLERANCE = 1e-10   # a sweep that moves log obj less has converged
 ASCENT_BUDGET = 100000     # sweeps per ascent; an ascent that uses them all is BUDGET
 
 _SINGULAR_UPDATE = "singular matrix inside the coordinate update"
+_JACOBI_SWEEPS = 60        # cyclic Jacobi converges quadratically; this is a backstop
+_EPS = sys.float_info.epsilon
 
 
-def _float_blocks(maps, n: int) -> List[np.ndarray]:
-    """The rational maps of Q^n as float arrays, one (rows, n) array each."""
-    import numpy as np
-    return [np.array([[float(x) for x in row] for row in m], dtype=float).reshape(len(m), n)
-            for m in maps]
+def _float_blocks(maps) -> List[Matrix]:
+    """The rational maps of Q^n as float matrices, one list of rows each."""
+    return [[[float(x) for x in row] for row in m] for m in maps]
 
 
-def _log_objective(sigmas: Sequence[np.ndarray], recips: Sequence[float],
-                   mats: Sequence[np.ndarray], a: int) -> Tuple[float, float, np.ndarray]:
-    """(log objective, condition number of Q, Q^-1) at mats, where
+def _cholesky(q: Matrix) -> Optional[Matrix]:
+    """The rows of the lower-triangular L with q = L L^T, row i cut after its
+    diagonal entry, or None when q is not positive definite.  Reads only the
+    lower triangle of q."""
+    low: Matrix = []
+    for qi in q:
+        li: List[float] = []
+        for lj in low:
+            li.append((qi[len(li)] - sum(map(mul, li, lj))) / lj[-1])
+        x = qi[len(li)] - sum(map(mul, li, li))
+        if not x > 0:
+            return None
+        li.append(math.sqrt(x))
+        low.append(li)
+    return low
+
+
+def _cholesky_inverse(low: Matrix) -> Matrix:
+    """q^-1 = L^-T L^-1, exactly symmetric, from the Cholesky rows L of q."""
+    cols: Matrix = []   # the columns of L^-1, grown by forward substitution
+    for i, li in enumerate(low):
+        for c in cols:
+            c.append(-sum(map(mul, li, c)) / li[i])
+        cols.append([0.0] * i + [1.0 / li[i]])
+    return [[sum(map(mul, u, v)) for v in cols] for u in cols]
+
+
+def _jacobi(a: Matrix) -> Tuple[List[float], Matrix]:
+    """(eigenvalues, eigenvectors as columns) of the symmetric matrix a, by
+    cyclic Jacobi rotations, each of which zeroes one off-diagonal entry,
+    until every off-diagonal entry is below rounding against its two
+    diagonal entries."""
+    n = len(a)
+    a = [row[:] for row in a]
+    vec = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
+                    continue
+                rotated = True
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for r in range(n):
+                    if r != p and r != q:
+                        x, y = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * x - s * y
+                        a[r][q] = a[q][r] = s * x + c * y
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for row in vec:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+        if not rotated:
+            break
+    return [a[i][i] for i in range(n)], vec
+
+
+def _solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """x with a x = b for square a, by elimination with partial pivoting, or
+    None when a is singular."""
+    n = len(a)
+    rows = [ai[:] + bi[:] for ai, bi in zip(a, b)]
+    for k in range(n):
+        top = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[top] = rows[top], rows[k]
+        pivot = rows[k]
+        if pivot[k] == 0.0:
+            return None
+        for row in rows[k + 1:]:
+            f = row[k] / pivot[k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
+    x: Matrix = [[] for _ in range(n)]
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = [(row[n + c] - sum(row[i] * x[i][c] for i in range(k + 1, n))) / row[k]
+                for c in range(len(b[0]))]
+    return x
+
+
+def _log_objective(sigmas: Sequence[Matrix], recips: Sequence[float],
+                   mats: Sequence[Matrix], a: int) -> Tuple[float, float, Matrix]:
+    """(log objective, condition bound of Q, Q^-1) at mats, where
     Q = sum_j r_j s_j^T M_j s_j is the denominator matrix; the last two come
-    from one eigendecomposition of Q."""
-    import numpy as np
-    # Q = S^T D S, with the maps' rows stacked in S and the blocks r_j M_j
-    # on the diagonal of D
-    terms = [(s, r, m) for s, r, m in zip(sigmas, recips, mats) if r and m.size]
-    rows = np.concatenate([s for s, _, _ in terms] or [np.zeros((0, a))])
-    d = np.zeros((len(rows), len(rows)))
-    num, at = 0.0, 0
-    for s, r, m in terms:
-        k = m.shape[0]
-        if k == 1:
-            x = float(m[0, 0])
+    from one Cholesky factorization of Q.
+
+    The condition bound is tr(Q) tr(Q^-1), which is at least
+    lambda_max/lambda_min; once it passes CONDITION_CEILING/2, the ratio
+    itself is computed from Q's eigenvalues."""
+    # Q = sum over the maps' rows t of (D s)_t^T s_t, with the blocks r_j M_j
+    # making up D
+    num, rows, scaled = 0.0, [], []
+    for s, r, m in zip(sigmas, recips, mats):
+        if not (r and m):
+            continue
+        if len(m) == 1:
+            x = m[0][0]
             if not x > 0:
                 raise SingularDenominator("covariance matrix not positive definite")
             num += 0.5 * r * math.log(x)
-            d[at, at] = r * x
+            rx = r * x
+            scaled.append([rx * y for y in s[0]])
         else:
-            sign, ld = np.linalg.slogdet(m)
-            if sign <= 0:
+            low = _cholesky(m)
+            if low is None:
                 raise SingularDenominator("covariance matrix not positive definite")
-            num += 0.5 * r * ld
-            d[at:at + k, at:at + k] = r * m
-        at += k
-    q = rows.T @ d @ rows
+            # half the log det of M is the sum of the logs of L's diagonal
+            num += r * sum(map(math.log, map(getitem, low, range(len(low)))))
+            cols = list(zip(*s))
+            scaled.extend([r * sum(map(mul, mi, c)) for c in cols] for mi in m)
+        rows.extend(s)
     if a == 0:
-        return num, 1.0, q
-    try:
-        lam, vec = np.linalg.eigh(q)
-    except np.linalg.LinAlgError:
-        raise SingularDenominator("denominator matrix is singular") from None
-    if not lam[0] > 0:
+        return num, 1.0, []
+    cols = list(zip(*rows))
+    q = [[sum(map(mul, u, v)) for v in cols] for u in zip(*scaled)]
+    low = _cholesky(q)
+    if low is None:
         raise SingularDenominator("denominator matrix is singular")
-    ld = math.fsum(map(math.log, lam.tolist()))
-    return num - 0.5 * ld, float(lam[-1] / lam[0]), (vec / lam) @ vec.T
+    qinv = _cholesky_inverse(low)
+    cond = sum(map(getitem, q, range(a))) * sum(map(getitem, qinv, range(a)))
+    if cond > CONDITION_CEILING / 2:
+        # the lower triangle, which the factorization read, mirrored
+        lam = _jacobi([[q[max(i, j)][min(i, j)] for j in range(a)] for i in range(a)])[0]
+        cond = max(lam) / min(lam) if min(lam) > 0 else math.inf
+    return num - sum(map(math.log, map(getitem, low, range(a)))), cond, qinv
 
 
 @dataclass(frozen=True)
@@ -142,7 +239,11 @@ class GaussianResult:
         return f"GaussianResult({self.status}, value={self.value:.12g}, sweeps={self.sweeps})"
 
 
-def _block_step(qinv, s, r: float, m) -> bool:
+def _symmetrized(a: Matrix) -> Matrix:
+    return [[0.5 * (x + y) for x, y in zip(u, v)] for u, v in zip(a, zip(*a))]
+
+
+def _block_step(qinv: Matrix, s: Matrix, r: float, m: Matrix) -> bool:
     """Move M_j = m, the covariance of the map s at r = 1/p_j, to the maximum
     of obj in its block, or, where the block has none, take the stationarity
     step.  m and qinv change in place, qinv to the inverse of the new Q;
@@ -158,51 +259,58 @@ def _block_step(qinv, s, r: float, m) -> bool:
     -w D (I + middle D)^-1 w^T, w = Q^-1 s^T; I + middle D is invertible while
     the new Q is.
     """
-    import numpy as np
-    if m.shape[0] == 1:
+    if len(m) == 1:
         # one row: middle is a number mu, and nothing is factored
         v = s[0]
-        w = qinv @ v
-        mu = float(v @ w)
+        w = [sum(map(mul, row, v)) for row in qinv]
+        mu = sum(map(mul, v, w))
         if not mu > 0:
             return False
-        x = float(m[0, 0])
+        x = m[0][0]
         new_x = 1.0 / mu
         if r < 1.0 and new_x - r * x > new_x / CONDITION_CEILING:
             new_x = (new_x - r * x) / (1.0 - r)
         dx = r * (new_x - x)
-        qinv -= np.multiply.outer(dx / (1.0 + mu * dx) * w, w)
-        m[0, 0] = new_x
+        fw = [dx / (1.0 + mu * dx) * y for y in w]
+        qinv[:] = [[q - c * y for q, y in zip(row, w)] for row, c in zip(qinv, fw)]
+        m[0][0] = new_x
         return True
-    w = qinv @ s.T
-    middle = s @ w
-    lam, vec = np.linalg.eigh(middle)
-    if not lam[0] > 0:
+    # the columns of w = Q^-1 s^T, as rows; Q^-1 is symmetric
+    wt = [[sum(map(mul, row, v)) for row in qinv] for v in s]
+    middle = _symmetrized([[sum(map(mul, u, v)) for v in wt] for u in s])
+    lam, vec = _jacobi(middle)
+    if not min(lam) > 0:
         return False
-    new_m = (vec / lam) @ vec.T
-    new_m = 0.5 * (new_m + new_m.T)
+    new_m = _symmetrized([[sum(map(mul, [x / l for x, l in zip(u, lam)], v)) for v in vec]
+                          for u in vec])
     if r < 1.0:
-        inv_p = new_m - r * m
-        if np.linalg.eigvalsh(inv_p)[0] * lam[0] * CONDITION_CEILING > 1.0:
-            new_m = inv_p / (1.0 - r)
-    delta = r * (new_m - m)
-    try:
-        qinv -= w @ np.linalg.solve(np.eye(len(m)) + delta @ middle, delta) @ w.T
-    except np.linalg.LinAlgError:
+        inv_p = [[x - r * y for x, y in zip(u, v)] for u, v in zip(new_m, m)]
+        if min(_jacobi(inv_p)[0]) * min(lam) * CONDITION_CEILING > 1.0:
+            new_m = [[x / (1.0 - r) for x in u] for u in inv_p]
+    delta = [[r * (x - y) for x, y in zip(u, v)] for u, v in zip(new_m, m)]
+    step = [[float(i == j) + sum(map(mul, u, c)) for j, c in enumerate(zip(*middle))]
+            for i, u in enumerate(delta)]
+    x = _solve(step, delta)
+    if x is None:
         return False
-    m[...] = new_m
+    # Q^-1 -= w x w^T
+    w = list(zip(*wt))
+    for i, wi in enumerate(w):
+        ui = [sum(map(mul, wi, xc)) for xc in zip(*x)]
+        qinv[i] = [q - sum(map(mul, ui, wj)) for q, wj in zip(qinv[i], w)]
+    m[:] = new_m
     return True
 
 
 def _ascend(sigmas, recips, a, init_mats, budget):
     """Cyclic block-coordinate ascent from init_mats, at most budget sweeps."""
-    mats = [m.copy() for m in init_mats]
+    mats = [[row[:] for row in m] for m in init_mats]
     try:
         log_obj, _, qinv = _log_objective(sigmas, recips, mats, a)
     except SingularDenominator as exc:
         return GaussianResult(math.inf, DIVERGED, 0, str(exc))
     log_ceiling = math.log(OBJECTIVE_CEILING)
-    active = [(s, r, m) for s, r, m in zip(sigmas, recips, mats) if r and s.shape[0]]
+    active = [(s, r, m) for s, r, m in zip(sigmas, recips, mats) if r and s]
     for sweep in range(1, budget + 1):
         for s, r, m in active:
             if not _block_step(qinv, s, r, m):
@@ -274,9 +382,8 @@ def _piece_constant(maps, exponents, n: int, critical) -> GaussianResult:
     proper nonzero subspace, so it is not searched)."""
     recips = [Fraction(0) if p is None else 1 / Fraction(p) for p in exponents]
     if critical is None:
-        import numpy as np
-        sigmas = _float_blocks(maps, n)
-        init = [np.eye(s.shape[0]) for s in sigmas]
+        sigmas = _float_blocks(maps)
+        init = [[[float(i == j) for j in range(len(s))] for i in range(len(s))] for s in sigmas]
         return _ascend(sigmas, [float(r) for r in recips], n, init, ASCENT_BUDGET)
     jacobian, inner, outer = _split(maps, recips, critical, n)
     parts = []

@@ -23,6 +23,17 @@ def young_datum():
     return Datum(R2, maps, [F(3, 2)] * 3)
 
 
+def _eye(k):
+    """The k x k identity as the ascent kernel takes it: a list of float rows."""
+    return [[float(i == j) for j in range(k)] for i in range(k)]
+
+
+def _arrays(sigmas, a):
+    """The kernel's list matrices as the (rows, a) arrays _reference_ascent takes."""
+    import numpy as np
+    return [np.array(s, dtype=float).reshape(len(s), a) for s in sigmas]
+
+
 def test_holder_line_converges_to_one():
     d = Datum(R1, [BlockHom(R1, R1, RR=[[1]])] * 3, [F(3)] * 3)
     res = gaussian_bl_constant(d)
@@ -41,12 +52,11 @@ def test_young_sharp_constant():
 def test_objective_at_identity():
     # the ascent's objective at its starting point: the covariance sum for
     # unit choices has determinant 12/9
-    import numpy as np
     from blca.gaussian import _float_blocks, _log_objective
     d = young_datum()
-    sigmas = _float_blocks([h.RR for h in d.homs], 2)
+    sigmas = _float_blocks([h.RR for h in d.homs])
     recips = [float(r) for r in d.reciprocal_exponents()]
-    log_obj, _, _ = _log_objective(sigmas, recips, [np.eye(1)] * 3, 2)
+    log_obj, _, _ = _log_objective(sigmas, recips, [_eye(1) for _ in range(3)], 2)
     assert abs(math.exp(log_obj) - 1 / math.sqrt(12 / 9)) < 1e-12
 
 
@@ -341,14 +351,12 @@ def _kernel_cases():
 
 def test_ascent_matches_the_textbook_loop():
     # the same status and sweep count on every datum, the same value to 1e-9
-    import numpy as np
     from blca.gaussian import _ascend, _float_blocks
     for name, d, budget, expected in _kernel_cases():
-        sigmas = _float_blocks([h.RR for h in d.homs], d.domain.a)
+        sigmas = _float_blocks([h.RR for h in d.homs])
         recips = [float(r) for r in d.reciprocal_exponents()]
-        want = _reference_ascent(sigmas, recips, d.domain.a, budget)
-        got = _ascend(sigmas, recips, d.domain.a,
-                      [np.eye(s.shape[0]) for s in sigmas], budget)
+        want = _reference_ascent(_arrays(sigmas, d.domain.a), recips, d.domain.a, budget)
+        got = _ascend(sigmas, recips, d.domain.a, [_eye(len(s)) for s in sigmas], budget)
         assert (got.status, got.sweeps) == want[:2], name
         if expected is not None:
             assert got.status == expected, name
@@ -360,19 +368,18 @@ def test_ascent_matches_the_textbook_loop():
 
 def _float_datum(d):
     from blca.gaussian import _float_blocks
-    sigmas = _float_blocks([h.RR for h in d.homs], d.domain.a)
+    sigmas = _float_blocks([h.RR for h in d.homs])
     return sigmas, [float(r) for r in d.reciprocal_exponents()]
 
 
 def test_no_block_update_lowers_the_objective():
     # an exact step maximizes its block, and the fallback step is the
     # monotone fixed-point step
-    import numpy as np
     from blca.gaussian import _block_step, _log_objective
     for name, d, budget, _ in _kernel_cases():
         a = d.domain.a
         sigmas, recips = _float_datum(d)
-        mats = [np.eye(s.shape[0]) for s in sigmas]
+        mats = [_eye(len(s)) for s in sigmas]
         log_obj, _, qinv = _log_objective(sigmas, recips, mats, a)
         for _ in range(min(budget, 20)):
             for s, r, m in zip(sigmas, recips, mats):
@@ -386,7 +393,6 @@ def test_no_block_update_lowers_the_objective():
 def test_an_exact_step_lands_on_its_block_maximum():
     # scaling the new covariance either way lowers the objective; the axes
     # data have no block maximum, and at r = 1 no block has one
-    import numpy as np
     from blca.gaussian import _block_step, _log_objective
     exact = 0
     for name, d, _, expected in _kernel_cases():
@@ -394,21 +400,100 @@ def test_an_exact_step_lands_on_its_block_maximum():
             continue
         a = d.domain.a
         sigmas, recips = _float_datum(d)
-        mats = [np.eye(s.shape[0]) for s in sigmas]
+        mats = [_eye(len(s)) for s in sigmas]
         for _ in range(3):
             for s, r, m in zip(sigmas, recips, mats):
                 _, _, qinv = _log_objective(sigmas, recips, mats, a)
                 assert _block_step(qinv, s, r, m), name
                 if r >= 1:
                     continue
-                top = m.copy()
+                top = [row[:] for row in m]
                 peak, _, _ = _log_objective(sigmas, recips, mats, a)
                 for factor in (1 - 1e-3, 1 + 1e-3):
-                    m[...] = factor * top
+                    m[:] = [[factor * x for x in row] for row in top]
                     assert _log_objective(sigmas, recips, mats, a)[0] <= peak, name
-                m[...] = top
+                m[:] = top
                 exact += 1
     assert exact > 100
+
+
+def _graded_spd(rnd, n, cond):
+    """A seeded positive-definite D A D of size n with condition number about
+    cond: A has a unit diagonal and small off-diagonal entries, and D falls
+    geometrically down the diagonal over a factor sqrt(cond).  Its inverse,
+    determinant and eigenvalues are then fixed to high relative accuracy by
+    its entries, so numpy and the float kernels can be held to 1e-9 even
+    when cond is 1e12.  D must fall, not be shuffled: numpy's tridiagonal
+    eigensolver keeps the small eigenvalues' relative accuracy only then.
+    Returns the matrix and D's diagonal."""
+    scale = math.exp(rnd.uniform(-5, 5))
+    d = [scale * cond ** (-0.5 * i / max(n - 1, 1)) for i in range(n)]
+    a = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            a[i][j] = a[j][i] = rnd.uniform(-0.4, 0.4) / n
+    return [[d[i] * a[i][j] * d[j] for j in range(n)] for i in range(n)], d
+
+
+def test_float_kernels_match_numpy():
+    # Cholesky's log det and inverse, Jacobi's eigenpairs and the pivoted
+    # solve, on seeded positive-definite matrices of size 1-4 up to
+    # condition 1e11; the inverse and the solution are compared in D's
+    # scaling, where each entry counts relative to its own size
+    import random
+    import numpy as np
+    from blca.gaussian import _cholesky, _cholesky_inverse, _jacobi, _solve
+    rnd = random.Random(31)
+    for n in (1, 2, 3, 4):
+        for cond in (1.0, 1e3, 1e6, 1e9, 1e11):
+            for _ in range(10):
+                q, d = _graded_spd(rnd, n, cond)
+                want, dd = np.array(q), np.diag(d)
+                low = _cholesky(q)
+                log_det = 2 * sum(math.log(row[-1]) for row in low)
+                assert abs(log_det - np.linalg.slogdet(want)[1]) <= 1e-9 * max(1, abs(log_det))
+                got_inv, want_inv = np.array(_cholesky_inverse(low)), np.linalg.inv(want)
+                assert (got_inv == got_inv.T).all()
+                err = np.abs(dd @ (got_inv - want_inv) @ dd).max()
+                assert err <= 1e-9 * np.abs(dd @ want_inv @ dd).max()
+                lam, vec = _jacobi(q)
+                want_lam = np.linalg.eigvalsh(want)
+                assert np.allclose(sorted(lam), want_lam, rtol=1e-9, atol=0)
+                vec = np.array(vec)
+                assert np.allclose(vec.T @ vec, np.eye(n), rtol=0, atol=1e-12)
+                assert np.allclose(vec @ np.diag(lam) @ vec.T, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+                b = [[rnd.uniform(-1, 1) for _ in range(2)] for _ in range(n)]
+                got_x, want_x = np.array(_solve(q, b)), np.linalg.solve(want, np.array(b))
+                assert np.abs(dd @ (got_x - want_x)).max() <= 1e-9 * np.abs(dd @ want_x).max()
+    # the solve pivots past a zero, and reports a singular matrix
+    assert _solve([[0.0, 2.0], [3.0, 1.0]], [[2.0], [4.0]]) == [[1.0], [1.0]]
+    assert _solve([[1.0, 2.0], [2.0, 4.0]], [[1.0], [0.0]]) is None
+
+
+def test_condition_bound_never_undercuts_the_eigenvalue_ratio():
+    # _log_objective reports tr(Q) tr(Q^-1), an upper bound on
+    # lambda_max/lambda_min, and the ratio itself once the bound passes half
+    # the ceiling; Q is set to each matrix by one map, the identity, at r = 1
+    import random
+    import numpy as np
+    from blca.gaussian import CONDITION_CEILING, _log_objective
+    rnd = random.Random(37)
+    near = 0
+    for n in (1, 2, 3, 4):
+        eye = [[float(i == j) for j in range(n)] for i in range(n)]
+        for cond in (1.0, 1e3, 1e6, 1e9, 1e11, 6e11, 1e12, 3e12):
+            for _ in range(10):
+                q, _ = _graded_spd(rnd, n, cond)
+                lam = np.linalg.eigvalsh(np.array(q))
+                want = lam[-1] / lam[0]
+                got = _log_objective([eye], [1.0], [q], n)[1]
+                # never below the ratio, up to rounding in the eigenvalues
+                assert got >= want * (1 - 1e-12), (n, cond)
+                if got >= CONDITION_CEILING / 2:
+                    assert abs(got - want) <= 1e-6 * want, (n, cond)
+                    near += 1
+    assert near >= 50
 
 
 def _frame3_datum():
@@ -438,7 +523,8 @@ def test_exact_steps_match_the_fixed_point_loop(monkeypatch):
     data.append(_frame3_datum())
 
     def fixed_point(sigmas, recips, a, init_mats, budget):
-        status, sweeps, value = _reference_ascent(sigmas, recips, a, budget, exact=False)
+        status, sweeps, value = _reference_ascent(_arrays(sigmas, a), recips, a, budget,
+                                                  exact=False)
         return GaussianResult(value, status, sweeps)
 
     for d in data:

@@ -3,8 +3,9 @@
 Each case records the exit code, stdout and stderr of one in-process run of
 `blca.cli.main`.  Text output and exit codes must match exactly; --json
 stdout is compared as parsed JSON, with floats matching to a relative 1e-9
-(the gaussian ascent and the oracles use numpy, whose builds may differ in
-the last ulp).
+(the oracles use numpy, whose builds may differ in the last ulp, and the
+gaussian ascent's logarithms and square roots come from the platform's C
+library).
 
 Regenerate, only when an output change is intended, with
 

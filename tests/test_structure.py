@@ -655,6 +655,38 @@ print('numpy' in sys.modules)
     assert numpy_loaded == "False"
 
 
+def test_vector_sectors_do_not_load_numpy():
+    # the gaussian ascent works on Python floats: pricing a vector datum, its
+    # duality check, and an ascent with two-row (Woodbury) block steps must
+    # not load numpy either
+    import os
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """
+import sys
+from fractions import Fraction
+import blca, blca.cli
+d = blca.cli.load_datum(sys.argv[1])
+print(f"{blca.bl_constant(d).value:.12g}")
+print(blca.duality_check(d).passed)
+R3, R2 = blca.ElementaryGroup(a=3), blca.ElementaryGroup(a=2)
+frame = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+         [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
+homs = [blca.BlockHom(R3, R2, RR=m) for m in frame]
+rep = blca.bl_constant(blca.Datum(R3, homs, [Fraction(8, 3)] * 4))
+print(any('converged' in note for f in rep.factors if f.name == 'vector' for note in f.notes))
+print('numpy' in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    young = os.path.join(root, "data", "young_r.json")
+    done = subprocess.run([sys.executable, "-c", script, young],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    young, dual, frame, numpy_loaded = done.stdout.split("\n")[:4]
+    assert (young, dual, frame) == ("0.866025403784", "True", "True")
+    assert numpy_loaded == "False"
+
+
 # -- the vector and free parts' rank-decided reports -------------------------
 
 FRAME3 = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
