@@ -44,7 +44,7 @@ from .errors import (BadSubgroup, Degenerate, EmptyDatum, NotProper,
 from .exact import ExactValue
 from .finite import subgroup_bl_constant
 from .gaussian import bcct_finiteness, gaussian_bl_constant
-from .groups import ElementaryGroup, HaarRecord, dual_group
+from .groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
 from .homs import (BlockHom, ClosedSubgroup, Datum, _nonzero_blocks, adjoint_hom,
                    image_is_open)
 from .intmat import hstack, mat_vec
@@ -53,8 +53,7 @@ from .oracle import (alternating_maximization, discretized_compact_check,
 from .rank import FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, _decide, _prepare
 from .subquot import (_EMPTY, NondegenerateResult,
                       _annihilator_of_compact_kernel, _characters, _quotient,
-                      _sector_parts, kernel_embedding,
-                      make_nondegenerate, merge_finite_coordinates)
+                      _sector_parts, kernel_embedding, make_nondegenerate)
 
 FINITE = "FINITE"
 INFINITE = "INFINITE"
@@ -310,13 +309,13 @@ def reduce_transversal(d: Datum, k: int, n: ClosedSubgroup):
 
 # -- factor evaluation ------------------------------------------------------
 
-# The report of a part with trivial domain and targets at unit scale, one
-# shared object per sector: most data occupy one sector, and callers that
-# keep many reports would otherwise hold a copy of each.  The split gives
-# every absent sector the part on _EMPTY, whose report is read off its
-# domain without a scan.  Fields and notes are those the sector's engine
-# reports; a torus or free part that the rank condition certifies at Haar
-# factor 1 gets the same report.
+# The report of a trivial part at Haar factor 1, one shared object per
+# sector: most data occupy one sector, and callers that keep many reports
+# would otherwise hold a copy of each.  The split gives every absent sector
+# the part on _EMPTY, which _priced reads off its domain without running an
+# engine.  Fields and notes are those the sector's engine reports on any
+# other trivial part; a torus or free part that the rank condition certifies
+# at Haar factor 1 gets the shared object itself.
 _TRIVIAL_REPORTS = {
     "torus": FactorReport("torus", FINITE, 1.0, ExactValue.one(), EXACT),
     "vector": FactorReport("vector", FINITE, 1.0, ExactValue.one(), EXACT),
@@ -341,21 +340,6 @@ _FAILS_NOTES = {
 }
 
 
-def _trivial_report(name: str, fd: Datum) -> Optional[FactorReport]:
-    """The shared report when fd is trivial and its Haar factor is 1, else
-    None.  The part of an absent sector, on _EMPTY, gets it at once.  Any
-    other part is scanned, since a trivial domain may still map into a
-    nontrivial target (R^1 -> T^1 through RT leaves such a torus part)."""
-    if fd.domain is _EMPTY:
-        return _TRIVIAL_REPORTS[name]
-    if not (fd.domain.is_trivial()
-            and all(h.codomain.is_trivial() for h in fd.homs)):
-        return None
-    if fd.haar_factor() != ExactValue.one():
-        return None
-    return _TRIVIAL_REPORTS[name]
-
-
 def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
     if verdict.status == FAILS:
         return FactorReport(name, INFINITE, math.inf, None, CERTIFIED,
@@ -373,13 +357,14 @@ def _rank_decided_factor(name: str, fd: Datum, verdict) -> FactorReport:
 
 
 def _torus_factor(fd: Datum) -> Tuple[FactorReport, Optional[FactorReport]]:
-    """The torus part priced by the torus rank condition, and the vector
-    part's report of a torus direction reached through RT (None when every
-    map is onto), both read off each map's rank.  A map of rank below b_j
-    misses g_j directions: f_j near its image keeps the left side fixed
-    while its norm falls like eps^(g_j / p_j).  On a nondegenerate datum
-    [RT_j | TT_j] has full row rank, so RT_j reaches them, and concentrating
-    near one point of R^a x T^b grows the vector part like eps^(-g_j / p_j)."""
+    """The torus part priced by the torus rank condition, and the report of
+    a torus direction reached through RT (None when every map is onto),
+    both read off each map's rank; the second goes into _vector_factor.
+    A map of rank below b_j misses g_j directions: f_j near its image keeps
+    the left side fixed while its norm falls like eps^(g_j / p_j).  On a
+    nondegenerate datum [RT_j | TT_j] has full row rank, so RT_j reaches
+    them, and concentrating near one point of R^a x T^b grows the vector
+    part like eps^(-g_j / p_j)."""
     prep = _prepare([h.TT for h in fd.homs], fd.exponents, fd.domain.b)
     for j, (k, h) in enumerate(zip(prep.ranks, fd.homs)):
         if k < h.codomain.b:
@@ -414,8 +399,10 @@ def _finite_factor(fd: Datum) -> FactorReport:
                      f"at one of size {res.argmax_size}",)))
 
 
-def _vector_factor(fd: Datum) -> FactorReport:
-    """The vector part of a nondegenerate datum, priced."""
+def _vector_factor(fd: Datum, gap: Optional[FactorReport] = None) -> FactorReport:
+    """The vector part of a nondegenerate datum, priced.  gap, the torus
+    part's report of a direction reached through RT, replaces every report
+    that is not INFINITE, so no ascent runs only to be overridden."""
     red = reduce_exponents(fd)
     notes = list(red.ledger)
     if red.datum is None:
@@ -423,9 +410,9 @@ def _vector_factor(fd: Datum) -> FactorReport:
             return FactorReport("vector", INFINITE, math.inf, None, CERTIFIED,
                                 witness="noncompact kernel at exponent 1",
                                 notes=tuple(notes))
-        return FactorReport("vector", FINITE, float(red.resolution),
-                            ExactValue.of(red.resolution), EXACT,
-                            notes=tuple(notes))
+        return gap or FactorReport("vector", FINITE, float(red.resolution),
+                                   ExactValue.of(red.resolution), EXACT,
+                                   notes=tuple(notes))
     # every map of a nondegenerate datum is onto; a map can have a proper
     # subspace as its image only once reduce_exponents has changed the datum,
     # by composing the maps with the kernel inclusion of a folded index
@@ -450,10 +437,13 @@ def _vector_factor(fd: Datum) -> FactorReport:
                    else f"dilations of R^{fd.domain.a}")
         return FactorReport("vector", INFINITE, math.inf, None, CERTIFIED,
                             witness=witness, notes=tuple(notes) + (detail,))
+    if gap:
+        return gap
     base = HEURISTIC if verdict.status == LIKELY_HOLDS else NUMERICAL
     if verdict.status == LIKELY_HOLDS:
         notes.append("finiteness rests on an uncertified rank search")
-    if fd.domain.a == 0 and all(h.codomain.a == 0 for h in fd.homs):
+    # every map is onto here, so R^0 has only R^0 targets
+    if fd.domain.a == 0:
         corr = fd.haar_factor()
         return FactorReport("vector", FINITE, float(corr), corr,
                             EXACT if base == NUMERICAL else base,
@@ -544,15 +534,19 @@ def _priced(d: Datum) -> Tuple[ConstantReport,
         return _early_report(INFINITE, math.inf, None, CERTIFIED, ledger,
                              witnesses=(why,)), None
     torus_d, vector_d, finite_d, free_d = parts
-    trivial = _trivial_report("torus", torus_d)
-    torus, gap = (trivial, None) if trivial else _torus_factor(torus_d)
-    vector = _trivial_report("vector", vector_d) or _vector_factor(vector_d)
-    factors = (
-        torus,
-        gap if gap and vector.kind != INFINITE else vector,
-        _trivial_report("finite", finite_d) or _finite_factor(finite_d),
-        _trivial_report("free", free_d) or _free_factor(free_d),
-    )
+    # an absent sector's part on _EMPTY has the shared report; every other
+    # part is priced by its own engine, once
+    torus, vector, finite, free = _TRIVIAL_REPORTS.values()
+    gap = None
+    if torus_d.domain is not _EMPTY:
+        torus, gap = _torus_factor(torus_d)
+    if vector_d.domain is not _EMPTY:
+        vector = _vector_factor(vector_d, gap)
+    if finite_d.domain is not _EMPTY:
+        finite = _finite_factor(finite_d)
+    if free_d.domain is not _EMPTY:
+        free = _free_factor(free_d)
+    factors = (torus, vector, finite, free)
     if not ledger and all(map(operator.is_, factors, _UNIT_REPORT.factors)):
         return _UNIT_REPORT, parts
     witnesses = tuple(f.witness for f in factors if f.witness is not None)
@@ -702,7 +696,7 @@ def _product_of_duals(targets: Sequence[ElementaryGroup]):
     orders: List[int] = []
     for g in duals:
         orders.extend(g.torsion)
-    chain, gens = merge_finite_coordinates(orders)
+    _, gens, chain, _ = LatticeSubgroup.full(orders).adapted()
     vs = Fraction(1)
     tt = Fraction(1)
     zp = Fraction(1)

@@ -33,7 +33,8 @@ and the dual datum's annihilator both use it.
 The four diagonal blocks of a nondegenerate datum are then its torus, vector,
 finite and free parts; the off-diagonal blocks carry no constant of their own
 and are dropped (a torus direction reached only through RT is the one
-exception, which structure._torus_factor reports for the vector part too).
+exception: structure._torus_factor finds it, and the vector part's engine
+reports it in place of a finite vector factor, with no ascent).
 structure.analyze is the one routine that splits a datum.  One presence
 test decides the split: a sector is present when the domain or a target
 has it or carries a scale other than 1 for it.  Every absent sector shares
@@ -106,19 +107,6 @@ def corestrict_open(h: BlockHom) -> Optional[BlockHom]:
                     ZZ=[[z[r] for z in coords[:c]] for r in range(c_new)],
                     ZF=[[z[r] for z in coords[:c]] for r in range(c_new, c_new + k_new)],
                     FF=[[z[r] for z in coords[c:]] for r in range(c_new, c_new + k_new)])
-
-
-def merge_finite_coordinates(orders: List[int]):
-    """Canonical form of a direct sum of cyclic blocks Z/orders[i].
-
-    Returns (chain, gens): chain is the ascending divisibility sequence of the
-    sum, and gens[r] gives the coordinates of the r-th canonical generator in
-    the original blocks.  Both empty when there are no blocks.
-    """
-    if not orders:
-        return [], []
-    _, tors_cols, chain = LatticeSubgroup.full(tuple(orders)).structure()
-    return chain, tors_cols
 
 
 def kernel_embedding(h: BlockHom) -> BlockHom:

@@ -11,10 +11,11 @@ from blca.exact import ExactValue
 from blca.groups import ElementaryGroup, HaarRecord
 from blca.homs import BlockHom, ClosedSubgroup, Datum
 from blca.intmat import det_rational
-from blca.structure import (FINITE, INFINITE, UNKNOWN, ExponentReduction,
-                            analyze, bl_constant, dual_datum, duality_check,
-                            reduce_exponents, reduce_p_infinity, reduce_p_one,
-                            reduce_transversal, verify)
+from blca.structure import (_TRIVIAL_REPORTS, FINITE, INFINITE, UNKNOWN,
+                            ExponentReduction, analyze, bl_constant, dual_datum,
+                            duality_check, reduce_exponents, reduce_p_infinity,
+                            reduce_p_one, reduce_transversal, verify)
+from blca.subquot import _EMPTY
 from test_finite import _random_finite_datum
 
 F = Fraction
@@ -342,6 +343,64 @@ def test_a_torus_direction_reached_through_rt_is_infinite():
     assert rep.factors[0].witness == "map 0 is not onto T^1"
     chk = duality_check(d)
     assert chk.passed is True and chk.dual.kind == INFINITE
+
+
+def test_the_rt_report_runs_no_ascent(monkeypatch):
+    # R^2 with x -> x_1 / 2 into T^1 at p = 2 and Young's maps at p = 3/2:
+    # the vector part alone is Young's finite datum, but map 0 reaches T^1
+    # only through RT, so the vector factor is the torus part's RT report and
+    # the gaussian ascent is never started
+    import blca.gaussian
+    calls = []
+    ascend = blca.gaussian._ascend
+
+    def counted(*args):
+        calls.append(1)
+        return ascend(*args)
+    monkeypatch.setattr(blca.gaussian, "_ascend", counted)
+    d = Datum(R2, [BlockHom(R2, T, RT=[[F(1, 2), 0]]),
+                   BlockHom(R2, R1, RR=[[1, 0]]),
+                   BlockHom(R2, R1, RR=[[0, 1]]),
+                   BlockHom(R2, R1, RR=[[1, 1]])], [2] + [F(3, 2)] * 3)
+    torus, vector = bl_constant(d).factors[:2]
+    assert (torus.kind, torus.witness) == (INFINITE, "map 0 is not onto T^1")
+    assert (vector.kind, vector.witness) == (INFINITE,
+                                             "map 0 reaches T^1 through RT")
+    assert calls == []
+    assert bl_constant(young_datum()).kind == FINITE and len(calls) == 1
+    # the same report where the vector part's folds resolve to a mass
+    d = Datum(R1, [BlockHom(R1, T, RT=[[F(1, 2)]]),
+                   BlockHom(R1, R1, RR=[[2]])], [1, 1])
+    assert reduce_exponents(analyze(d)[2][1]).resolution == F(1, 2)
+    assert bl_constant(d).factors[1] == vector
+
+
+def test_parts_present_only_through_a_scale():
+    # trivial groups whose Haar scales cancel: each such part is built,
+    # priced by its own engine, and reports what the shared report says
+    for name, dim, scale in (("torus", "b", "torus_total"),
+                             ("finite", "torsion", "f_point"),
+                             ("free", "c", "z_point")):
+        heavy = ElementaryGroup(a=1, haar=HaarRecord(**{scale: F(3)}))
+        light = ElementaryGroup(haar=HaarRecord(**{scale: F(3)}))
+        d = Datum(heavy, [BlockHom(heavy, light), BlockHom(heavy, R1, RR=[[1]]),
+                          BlockHom(heavy, R1, RR=[[1]])], [1, 2, 2])
+        parts = analyze(d)[2]
+        i = ("torus", "vector", "finite", "free").index(name)
+        assert parts[i].domain is not _EMPTY, name
+        assert not getattr(parts[i].domain, dim), name
+        assert parts[i].haar_factor() == 1, name
+        assert bl_constant(d).factors[i] == _TRIVIAL_REPORTS[name], name
+
+    # the vector part of Z/2 at vector scale 2 onto Z/2 at vector scale 2
+    # (p = 1) and onto Z/2 (p = 2) folds its unit exponent, and says so
+    dom = ElementaryGroup(torsion=(2,), haar=HaarRecord(vector_scale=F(2)))
+    d = Datum(dom, [BlockHom(dom, dom, FF=[[1]]), BlockHom(dom, C2, FF=[[1]])],
+              [1, 2])
+    vector = bl_constant(d).factors[1]
+    assert (vector.kind, vector.value, vector.certification) == (FINITE, 1.0,
+                                                                 "exact")
+    assert vector.notes == (FOLD,)
 
 
 def test_finite_report_holds_no_copies():

@@ -16,16 +16,16 @@ from blca.intmat import (clear_denominators, from_columns, hermite_basis,
                          identity, integer_kernel, mat_vec, rational_kernel,
                          rational_rank, solve_integer, solve_rational,
                          transpose)
-from blca.structure import (CERTIFIED, INFINITE, FactorReport, _finite_factor,
-                            _free_factor, _image_subgroup, _torus_factor,
-                            _trivial_report, _vector_factor, analyze, bl_constant,
+from blca.structure import (_TRIVIAL_REPORTS, CERTIFIED, INFINITE, FactorReport,
+                            _finite_factor, _free_factor, _image_subgroup,
+                            _torus_factor, _vector_factor, analyze, bl_constant,
                             dual_datum, duality_check, reduce_p_infinity,
                             reduce_transversal)
 from blca.subquot import (_EMPTY, _annihilator_of_compact_kernel,
                           _is_nondegenerate, _quotient_by_joint_kernel,
                           _sector_parts, corestrict_open,
                           discrete_image_lattice, kernel_embedding,
-                          make_nondegenerate, merge_finite_coordinates)
+                          make_nondegenerate)
 from test_groups import _ref_structure
 from test_homs import CHAINS, random_group, random_hom
 
@@ -268,14 +268,19 @@ def test_openness_is_one_rank_of_the_lifted_connected_map():
 
 
 def test_merge_finite_coordinates():
-    chain, gens = merge_finite_coordinates([2, 4])
+    # the adapted generators of all of Z/orders[i], as the dual datum reads
+    # them: the divisibility chain and each generator in the original blocks
+    def merged(orders):
+        _, gens, chain, _ = LatticeSubgroup.full(orders).adapted()
+        return chain, gens
+    chain, gens = merged([2, 4])
     assert list(chain) == [2, 4]
     assert len(gens) == 2
     # coprime blocks merge into one cyclic factor
-    chain2, gens2 = merge_finite_coordinates([2, 3])
+    chain2, gens2 = merged([2, 3])
     assert list(chain2) == [6]
     assert len(gens2) == 1
-    assert merge_finite_coordinates([]) == ([], [])
+    assert merged([]) == ([], [])
 
 
 def _whole(g):
@@ -829,13 +834,15 @@ def _ref_factors(d):
     norm, why, parts = analyze(reduce_p_infinity(d))
     if why is not None:
         return None
+    def price(name, fd, engine):
+        return _TRIVIAL_REPORTS[name] if fd.domain is _EMPTY else engine(fd)
     torus_d, vector_d, finite_d, free_d = parts
-    vector = _trivial_report("vector", vector_d) or _vector_factor(vector_d)
+    vector = price("vector", vector_d, _vector_factor)
     if vector.kind != INFINITE:
         vector = _ref_torus_gap(norm.datum) or vector
-    return (_trivial_report("torus", torus_d) or _torus_factor(torus_d)[0], vector,
-            _trivial_report("finite", finite_d) or _finite_factor(finite_d),
-            _trivial_report("free", free_d) or _free_factor(free_d))
+    return (price("torus", torus_d, lambda fd: _torus_factor(fd)[0]), vector,
+            price("finite", finite_d, _finite_factor),
+            price("free", free_d, _free_factor))
 
 
 def test_torus_part_reports_rt_as_the_reference_scan():
