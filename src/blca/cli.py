@@ -43,16 +43,14 @@ from typing import List, Optional, Sequence
 from .errors import BlcaError, NotProper
 from .exact import ExactValue
 from .finite import tower_limit
-from .groups import ElementaryGroup, HaarRecord
-from .homs import BlockHom, Datum
+from .groups import _SCALES, ElementaryGroup, HaarRecord
+from .homs import BLOCKS, BlockHom, Datum
 from .structure import (FINITE, INFINITE, analyze, bl_constant, duality_check,
                         reduce_exponents, verify)
 
 SCHEMA_VERSION = 1
 
-_BLOCK_KEYS = ("RR", "RT", "TT", "ZR", "ZT", "ZZ", "ZF", "FT", "FF")
 _GROUP_KEYS = ("a", "b", "c", "torsion", "haar")
-_HAAR_KEYS = ("vector_scale", "torus_total", "z_point", "f_point")
 
 
 class DatumFormatError(BlcaError):
@@ -105,9 +103,9 @@ def _parse_group(obj, where: str) -> ElementaryGroup:
     torsion = tuple(_nonneg_int(t, f"{where}.torsion[{i}]")
                     for i, t in enumerate(torsion))
     haar_obj = obj.get("haar", {})
-    _check_keys(haar_obj, _HAAR_KEYS, f"{where}.haar")
+    _check_keys(haar_obj, _SCALES, f"{where}.haar")
     scales = {key: _rational(haar_obj.get(key, 1), f"{where}.haar.{key}")
-              for key in _HAAR_KEYS}
+              for key in _SCALES}
     try:
         haar = HaarRecord(**scales)
     except ValueError as exc:
@@ -154,9 +152,9 @@ def _parse_datum(doc, where: str = "datum") -> Datum:
                for j, t in enumerate(targets_obj)]
     homs = []
     for j, blocks in enumerate(homs_obj):
-        _check_keys(blocks, _BLOCK_KEYS, f"{where}.homs[{j}]")
+        _check_keys(blocks, BLOCKS, f"{where}.homs[{j}]")
         kw = {name: _parse_matrix(blocks[name], f"{where}.homs[{j}].{name}")
-              for name in _BLOCK_KEYS if name in blocks}
+              for name in BLOCKS if name in blocks}
         homs.append(BlockHom(domain, targets[j], **kw))
     exponents = [_parse_exponent(p, f"{where}.exponents[{j}]")
                  for j, p in enumerate(exps_obj)]
@@ -204,18 +202,13 @@ def _rat_doc(q: Fraction):
 def _group_doc(g: ElementaryGroup) -> dict:
     return {
         "a": g.a, "b": g.b, "c": g.c, "torsion": list(g.torsion),
-        "haar": {
-            "vector_scale": _rat_doc(g.haar.vector_scale),
-            "torus_total": _rat_doc(g.haar.torus_total),
-            "z_point": _rat_doc(g.haar.z_point),
-            "f_point": _rat_doc(g.haar.f_point),
-        },
+        "haar": {key: _rat_doc(getattr(g.haar, key)) for key in _SCALES},
     }
 
 
 def _hom_doc(h: BlockHom) -> dict:
     out = {}
-    for name in _BLOCK_KEYS:
+    for name in BLOCKS:
         block = getattr(h, name)
         if any(any(row) for row in block):
             out[name] = [[_rat_doc(Fraction(v)) for v in row] for row in block]

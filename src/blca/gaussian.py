@@ -26,13 +26,14 @@ infiniteness comes from the exact rational checks in bcct_finiteness.
 
 One sweep updates every M_j in order, then evaluates the objective once.  An
 update neither inverts Q nor forms Q_{-j}: it reads the block maximum off
-Q^{-1} and corrects Q^{-1} for the change in M_j, by Sherman-Morrison when s_j
-is one row (M_j is then a number and nothing is factored) and otherwise by
-Woodbury, with one small solve by pivoted elimination and two small symmetric
-eigenvalue problems, by cyclic Jacobi, that give (s_j Q^{-1} s_j^T)^{-1} and
-decide the fallback.  At the end of the sweep Q is assembled once and
-factored by Cholesky, which gives log det Q and a fresh Q^{-1} for the next
-sweep, so the corrections never carry rounding from one sweep into the next.
+Q^{-1} and corrects Q^{-1} for the change in M_j by Sherman-Morrison, once
+when s_j is one row (M_j is then a number and nothing is factored) and
+otherwise once per eigenvector of the change, largest eigenvalue first.  The
+small symmetric eigenvalue problems, which give (s_j Q^{-1} s_j^T)^{-1},
+decide the fallback and split the change, are solved by cyclic Jacobi.  At
+the end of the sweep Q is assembled once and factored by Cholesky, which
+gives log det Q and a fresh Q^{-1} for the next sweep, so the corrections
+never carry rounding from one sweep into the next.
 The divergence check reads the condition number lambda_max/lambda_min of Q
 through its upper bound tr(Q) tr(Q^{-1}); only when that bound passes half
 of CONDITION_CEILING are Q's eigenvalues computed, by Jacobi, for the ratio
@@ -155,28 +156,6 @@ def _jacobi(a: Matrix) -> Tuple[List[float], Matrix]:
     return [a[i][i] for i in range(n)], vec
 
 
-def _solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """x with a x = b for square a, by elimination with partial pivoting, or
-    None when a is singular."""
-    n = len(a)
-    rows = [ai[:] + bi[:] for ai, bi in zip(a, b)]
-    for k in range(n):
-        top = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        rows[k], rows[top] = rows[top], rows[k]
-        pivot = rows[k]
-        if pivot[k] == 0.0:
-            return None
-        for row in rows[k + 1:]:
-            f = row[k] / pivot[k]
-            row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
-    x: Matrix = [[] for _ in range(n)]
-    for k in reversed(range(n)):
-        row = rows[k]
-        x[k] = [(row[n + c] - sum(row[i] * x[i][c] for i in range(k + 1, n))) / row[k]
-                for c in range(len(b[0]))]
-    return x
-
-
 def _log_objective(sigmas: Sequence[Matrix], recips: Sequence[float],
                    mats: Sequence[Matrix], a: int) -> Tuple[float, float, Matrix]:
     """(log objective, condition bound of Q, Q^-1) at mats, where
@@ -243,6 +222,19 @@ def _symmetrized(a: Matrix) -> Matrix:
     return [[0.5 * (x + y) for x, y in zip(u, v)] for u, v in zip(a, zip(*a))]
 
 
+def _rank_one_update(qinv: Matrix, w: List[float], mu: float, c: float) -> bool:
+    """Correct qinv = Q^-1 in place to the inverse of Q + c u u^T, given
+    w = Q^-1 u and mu = u^T w, by Sherman-Morrison:
+    qinv -= c / (1 + c mu) w w^T.  Returns False, changing nothing, when
+    1 + c mu <= 0, where Q + c u u^T is not positive definite."""
+    den = 1.0 + c * mu
+    if not den > 0:
+        return False
+    fw = [c / den * y for y in w]
+    qinv[:] = [[q - f * y for q, y in zip(row, w)] for row, f in zip(qinv, fw)]
+    return True
+
+
 def _block_step(qinv: Matrix, s: Matrix, r: float, m: Matrix) -> bool:
     """Move M_j = m, the covariance of the map s at r = 1/p_j, to the maximum
     of obj in its block, or, where the block has none, take the stationarity
@@ -255,9 +247,12 @@ def _block_step(qinv: Matrix, s: Matrix, r: float, m: Matrix) -> bool:
     P^-1 counts as positive definite only when its smallest eigenvalue is
     above 1/CONDITION_CEILING of the largest eigenvalue of middle^-1.  When it
     is not, or when r >= 1, the block has no maximum and N = middle^-1.  Q then
-    changes by s^T D s with D = r (N - M_j), so by Woodbury Q^-1 changes by
-    -w D (I + middle D)^-1 w^T, w = Q^-1 s^T; I + middle D is invertible while
-    the new Q is.
+    changes by s^T D s with D = r (N - M_j), the sum of d_i u_i u_i^T over
+    D's eigenpairs (d_i, e_i) with u_i = s^T e_i, and Q^-1 takes one
+    Sherman-Morrison step per eigenpair, largest d_i first: every
+    intermediate Q then lies above the new one, so it is positive definite
+    while the new Q is.  The steps run on a copy of Q^-1, so a refused step
+    changes nothing.
     """
     if len(m) == 1:
         # one row: middle is a number mu, and nothing is factored
@@ -270,9 +265,8 @@ def _block_step(qinv: Matrix, s: Matrix, r: float, m: Matrix) -> bool:
         new_x = 1.0 / mu
         if r < 1.0 and new_x - r * x > new_x / CONDITION_CEILING:
             new_x = (new_x - r * x) / (1.0 - r)
-        dx = r * (new_x - x)
-        fw = [dx / (1.0 + mu * dx) * y for y in w]
-        qinv[:] = [[q - c * y for q, y in zip(row, w)] for row, c in zip(qinv, fw)]
+        if not _rank_one_update(qinv, w, mu, r * (new_x - x)):
+            return False
         m[0][0] = new_x
         return True
     # the columns of w = Q^-1 s^T, as rows; Q^-1 is symmetric
@@ -287,17 +281,15 @@ def _block_step(qinv: Matrix, s: Matrix, r: float, m: Matrix) -> bool:
         inv_p = [[x - r * y for x, y in zip(u, v)] for u, v in zip(new_m, m)]
         if min(_jacobi(inv_p)[0]) * min(lam) * CONDITION_CEILING > 1.0:
             new_m = [[x / (1.0 - r) for x in u] for u in inv_p]
-    delta = [[r * (x - y) for x, y in zip(u, v)] for u, v in zip(new_m, m)]
-    step = [[float(i == j) + sum(map(mul, u, c)) for j, c in enumerate(zip(*middle))]
-            for i, u in enumerate(delta)]
-    x = _solve(step, delta)
-    if x is None:
-        return False
-    # Q^-1 -= w x w^T
-    w = list(zip(*wt))
-    for i, wi in enumerate(w):
-        ui = [sum(map(mul, wi, xc)) for xc in zip(*x)]
-        qinv[i] = [q - sum(map(mul, ui, wj)) for q, wj in zip(qinv[i], w)]
+    d, e = _jacobi([[r * (x - y) for x, y in zip(u, v)] for u, v in zip(new_m, m)])
+    cols = list(zip(*s))
+    work = [row[:] for row in qinv]
+    for di, ei in sorted(zip(d, zip(*e)), key=lambda pair: -pair[0]):
+        u = [sum(map(mul, ei, c)) for c in cols]
+        w = [sum(map(mul, row, u)) for row in work]
+        if not _rank_one_update(work, w, sum(map(mul, u, w)), di):
+            return False
+    qinv[:] = work
     m[:] = new_m
     return True
 

@@ -205,18 +205,17 @@ class BlockHom:
 
         # A product over an empty middle dimension comes back shape-degenerate
         # ([] or rows of length 0) even though the true block is a nonempty
-        # zero matrix; drop those and let the constructor rebuild the zeros.
+        # zero matrix; skip those, and let _nonzero_blocks drop what is zero.
         def tot(*products):
             live = [m for m in products if m and m[0]]
             if not live:
-                return None
+                return []
             out = live[0]
             for m in live[1:]:
                 out = mat_add(out, m)
             return out
 
-        return BlockHom(
-            g.domain, f.codomain,
+        return BlockHom(g.domain, f.codomain, **_nonzero_blocks(
             RR=tot(matmul(f.RR, g.RR)),
             ZR=tot(matmul(f.RR, g.ZR), matmul(f.ZR, g.ZZ)),
             RT=tot(matmul(f.RT, g.RR), matmul(f.TT, g.RT)),
@@ -227,7 +226,7 @@ class BlockHom:
             ZF=tot(matmul(f.ZF, g.ZZ), matmul(f.FF, g.ZF)),
             FT=tot(matmul(f.TT, g.FT), matmul(f.FT, g.FF)),
             FF=tot(matmul(f.FF, g.FF)),
-        )
+        ))
 
 
 def adjoint_hom(h: BlockHom) -> BlockHom:
@@ -244,23 +243,19 @@ def adjoint_hom(h: BlockHom) -> BlockHom:
     zf = [[int(d_src[i] * h.FT[s][i]) for s in range(h.codomain.b)] for i in range(k)]
     ff = [[int(Fraction(d_src[i] * h.FF[r][i], d_dst[r])) for r in range(k2)] for i in range(k)]
 
-    def opt(m):
-        # an empty literal has lost its row count; None lets the constructor
-        # rebuild the zero block at the right shape
-        return m if m else None
-
-    return BlockHom(
-        dual_group(h.codomain), dual_group(h.domain),
-        RR=opt(transpose(h.RR)),
-        ZR=opt(transpose(h.RT)),
-        RT=opt(transpose(h.ZR)),
-        TT=opt(transpose(h.ZZ)),
-        ZT=opt(transpose(h.ZT)),
-        FT=opt(ft),
-        ZZ=opt(transpose(h.TT)),
-        ZF=opt(zf),
-        FF=opt(ff),
-    )
+    # an empty transpose has lost its row count; _nonzero_blocks drops it
+    # with the zero blocks, and the constructor rebuilds them at their shapes
+    return BlockHom(dual_group(h.codomain), dual_group(h.domain), **_nonzero_blocks(
+        RR=transpose(h.RR),
+        ZR=transpose(h.RT),
+        RT=transpose(h.ZR),
+        TT=transpose(h.ZZ),
+        ZT=transpose(h.ZT),
+        FT=ft,
+        ZZ=transpose(h.TT),
+        ZF=zf,
+        FF=ff,
+    ))
 
 
 def conjugate_exponent(p: Optional[Fraction]) -> Optional[Fraction]:

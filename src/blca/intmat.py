@@ -323,6 +323,10 @@ def rational_rref(m: Sequence[Sequence]) -> Tuple[RatMatrix, List[int]]:
 
 
 def rational_rank(m: Sequence[Sequence]) -> int:
+    """The rank of m over Q; one row has rank 1 exactly when it is nonzero,
+    so it is not eliminated."""
+    if len(m) == 1:
+        return int(any(m[0]))
     return len(_cleared_rref(m)[1])
 
 

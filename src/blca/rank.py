@@ -52,7 +52,7 @@ from .errors import ShapeMismatch
 from .groups import _fraction, saturate_columns
 from .homs import parse_exponent
 from .intmat import (clear_denominators, hermite_basis, identity, integer_kernel,
-                     matmul, primitive_kernel, primitive_rref, transpose)
+                     matmul, primitive_kernel, primitive_rref, rational_rank, transpose)
 
 FAILS = "FAILS"
 HOLDS_CERTIFIED = "HOLDS_CERTIFIED"
@@ -146,12 +146,6 @@ def _cleared(row) -> List[int]:
     return clear_denominators(row if plain else list(map(_fraction, row)))
 
 
-def _map_rank(rows) -> int:
-    """The rank of a map's integer rows; a map of one row has rank 1 exactly
-    when that row is nonzero."""
-    return _rank(rows) if len(rows) > 1 else int(any(map(any, rows)))
-
-
 def _prepare(maps, p, dim) -> _Prepared:
     """The cleared maps, each map's rank, the weights and n, checked: one
     exponent per map, and dim, when given, the width of every row."""
@@ -168,7 +162,7 @@ def _prepare(maps, p, dim) -> _Prepared:
     # 1/p_j = den/num in lowest terms, so scale is the lcm of the numerators
     scale = lcm(*(q.numerator for q in exps if q is not None))
     weights = [0 if q is None else q.denominator * (scale // q.numerator) for q in exps]
-    return _Prepared(maps, [_map_rank(m) for m in maps], weights, scale, n)
+    return _Prepared(maps, list(map(rational_rank, maps)), weights, scale, n)
 
 
 def _deficit(space, maps, weights, scale) -> int:
@@ -215,8 +209,9 @@ def rank_condition(maps: Sequence[Sequence[Sequence]], p: Sequence,
         decide the condition (Barthe's criterion).  A subspace basis is
         built only for the witness (among the violating F of largest rank)
         and for ``critical`` (among the tight proper nonzero F of largest
-        rank), as the Hermite basis of the integer kernel of F's rows.  A
-        map of one row has rank 1 exactly when its row is nonzero.
+        rank), as the Hermite basis of the integer kernel of F's rows.  The
+        map ranks come from ``rational_rank``, which gives a map of one row
+        rank 1 exactly when its row is nonzero, with no elimination.
         HOLDS_CERTIFIED or FAILS.
     (ii) The sum/intersection closure of {0, Q^n, ker A_j} up to depth 6
         (_CLOSURE_DEPTH rounds); each round joins and meets every new

@@ -45,8 +45,8 @@ from .exact import ExactValue
 from .finite import subgroup_bl_constant
 from .gaussian import bcct_finiteness, gaussian_bl_constant
 from .groups import ElementaryGroup, HaarRecord, LatticeSubgroup, dual_group
-from .homs import (BlockHom, ClosedSubgroup, Datum, _nonzero_blocks, adjoint_hom,
-                   image_is_open)
+from .homs import (BlockHom, ClosedSubgroup, Datum, _connected_rows, _nonzero_blocks,
+                   adjoint_hom, image_is_open)
 from .intmat import hstack, mat_vec
 from .oracle import (alternating_maximization, discretized_compact_check,
                      scalar_gaussian_probe)
@@ -252,17 +252,12 @@ def reduce_exponents(d: Datum) -> ExponentReduction:
 # -- transversal quotient ---------------------------------------------------
 
 def _image_subgroup(h: BlockHom, n: ClosedSubgroup) -> ClosedSubgroup:
-    """h(n) in h's codomain: each tangent vector v goes to
-    [RR v_x ; RT v_x + TT v_t], zero images dropped, and each generator
+    """h(n) in h's codomain: each tangent vector v = (v_x, v_t) goes through
+    the lifted connected map (homs._connected_rows, torus coordinates first)
+    to [RR v_x ; RT v_x + TT v_t], zero images dropped, and each generator
     through h.apply.  So h kills n exactly when the image is trivial."""
-    a = h.domain.a
-    lie = []
-    for v in n.lie:
-        vx, vt = v[:a], v[a:]
-        w = mat_vec(h.RR, vx) + list(map(operator.add, mat_vec(h.RT, vx),
-                                          mat_vec(h.TT, vt)))
-        if any(w):
-            lie.append(w)
+    a, conn = h.domain.a, _connected_rows(h)
+    lie = [w for w in (mat_vec(conn, v[a:] + v[:a]) for v in n.lie) if any(w)]
     return ClosedSubgroup(h.codomain, lie, [h.apply(el) for el in n.gens])
 
 

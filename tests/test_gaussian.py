@@ -436,13 +436,13 @@ def _graded_spd(rnd, n, cond):
 
 
 def test_float_kernels_match_numpy():
-    # Cholesky's log det and inverse, Jacobi's eigenpairs and the pivoted
-    # solve, on seeded positive-definite matrices of size 1-4 up to
-    # condition 1e11; the inverse and the solution are compared in D's
-    # scaling, where each entry counts relative to its own size
+    # Cholesky's log det and inverse, Jacobi's eigenpairs and the
+    # Sherman-Morrison update, on seeded positive-definite matrices of size
+    # 1-4 up to condition 1e11; the inverses are compared in D's scaling,
+    # where each entry counts relative to its own size
     import random
     import numpy as np
-    from blca.gaussian import _cholesky, _cholesky_inverse, _jacobi, _solve
+    from blca.gaussian import _cholesky, _cholesky_inverse, _jacobi, _rank_one_update
     rnd = random.Random(31)
     for n in (1, 2, 3, 4):
         for cond in (1.0, 1e3, 1e6, 1e9, 1e11):
@@ -463,12 +463,22 @@ def test_float_kernels_match_numpy():
                 assert np.allclose(vec.T @ vec, np.eye(n), rtol=0, atol=1e-12)
                 assert np.allclose(vec @ np.diag(lam) @ vec.T, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
-                b = [[rnd.uniform(-1, 1) for _ in range(2)] for _ in range(n)]
-                got_x, want_x = np.array(_solve(q, b)), np.linalg.solve(want, np.array(b))
-                assert np.abs(dd @ (got_x - want_x)).max() <= 1e-9 * np.abs(dd @ want_x).max()
-    # the solve pivots past a zero, and reports a singular matrix
-    assert _solve([[0.0, 2.0], [3.0, 1.0]], [[2.0], [4.0]]) == [[1.0], [1.0]]
-    assert _solve([[1.0, 2.0], [2.0, 4.0]], [[1.0], [0.0]]) is None
+                # q + c u u^T with u = D z, in D's scaling like q itself
+                u = [di * rnd.uniform(-1, 1) for di in d]
+                c = rnd.uniform(0, 2)
+                qinv = _cholesky_inverse(low)
+                w = [sum(x * y for x, y in zip(row, u)) for row in qinv]
+                mu = sum(x * y for x, y in zip(u, w))
+                assert _rank_one_update(qinv, w, mu, c)
+                got_inv = np.array(qinv)
+                want_inv = np.linalg.inv(want + c * np.outer(u, u))
+                err = np.abs(dd @ (got_inv - want_inv) @ dd).max()
+                assert err <= 1e-9 * np.abs(dd @ want_inv @ dd).max()
+                # c = -2/mu makes q + c u u^T indefinite: refused, qinv untouched
+                qinv = _cholesky_inverse(low)
+                kept = [row[:] for row in qinv]
+                assert not _rank_one_update(qinv, w, mu, -2.0 / mu)
+                assert qinv == kept
 
 
 def test_condition_bound_never_undercuts_the_eigenvalue_ratio():
@@ -501,6 +511,57 @@ def _frame3_datum():
     frame = [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
              [[1, 0, 0], [0, 1, 0]], [[1, -1, 0], [1, 0, -1]]]
     return Datum(R3, [BlockHom(R3, R2, RR=m) for m in frame], [F(8, 3)] * 4)
+
+
+def test_two_row_steps_keep_the_inverse_exact():
+    # in the first 5 sweeps of the converging two-row cases and the Q^3
+    # frame, the Q^-1 that a two-row step corrects eigenvector by eigenvector
+    # equals the Cholesky inverse of Q assembled afresh, to 1e-9 in the
+    # scaling that gives the latter a unit diagonal
+    from blca.gaussian import _block_step, _log_objective
+    cases = [(name, d) for name, d, _, expected in _kernel_cases()
+             if expected != DIVERGED and any(len(h.RR) == 2 for h in d.homs)]
+    cases.append(("frame", _frame3_datum()))
+    steps = 0
+    for name, d in cases:
+        a = d.domain.a
+        sigmas, recips = _float_datum(d)
+        mats = [_eye(len(s)) for s in sigmas]
+        _, _, qinv = _log_objective(sigmas, recips, mats, a)
+        for _ in range(5):
+            for s, r, m in zip(sigmas, recips, mats):
+                assert _block_step(qinv, s, r, m), name
+                if len(s) != 2:
+                    continue
+                want = _log_objective(sigmas, recips, mats, a)[2]
+                for i in range(a):
+                    for j in range(a):
+                        err = abs(qinv[i][j] - want[i][j])
+                        assert err <= 1e-9 * math.sqrt(want[i][i] * want[j][j]), name
+                steps += 1
+            _, _, qinv = _log_objective(sigmas, recips, mats, a)
+    assert steps == 65
+
+
+def test_two_row_steps_run_largest_eigenvalue_first():
+    # at r = 1, m enters a two-row step only through D = N - m.  From Q = I,
+    # with rows u_1 = (1, 0) and u_2 = (1, 1) and D = diag(-3/2, 3), the new
+    # Q = I - 3/2 u_1 u_1^T + 3 u_2 u_2^T = [[5/2, 3], [3, 4]] is positive
+    # definite, but I - 3/2 u_1 u_1^T is not: only the step along u_2 first
+    # keeps every intermediate Q positive definite
+    from blca.gaussian import _block_step
+    s = [[1.0, 0.0], [1.0, 1.0]]
+    n = [[2.0, -1.0], [-1.0, 1.0]]   # (s Q^-1 s^T)^-1, the step's N at r = 1
+    m = [[3.5, -1.0], [-1.0, -2.0]]  # N - diag(-3/2, 3)
+    qinv = _eye(2)
+    assert _block_step(qinv, s, 1.0, m)
+    for got, want in zip(qinv + m, [[4.0, -3.0], [-3.0, 2.5]] + n):
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(got, want)), (qinv, m)
+    # a new Q that is not positive definite: the step along e_1 is taken on
+    # a copy, the one along e_2 is refused, and neither qinv nor m changes
+    qinv, m = _eye(2), [[0.2, 0.0], [0.0, 20.0]]
+    assert not _block_step(qinv, _eye(2), 0.5, m)
+    assert (qinv, m) == (_eye(2), [[0.2, 0.0], [0.0, 20.0]])
 
 
 def test_exact_steps_match_the_fixed_point_loop(monkeypatch):

@@ -311,6 +311,9 @@ def test_rational_routines_match_the_reference_copies():
         seen["rational"] += any(x.denominator > 1 for row in rat for x in row)
         seen["int entries"] += any(type(x) is int for row in mixed for x in row)
     assert min(seen.values()) >= 25, seen
+    # one row has rank 1 exactly when it is nonzero, an empty row included
+    for m in ([[0, 0]], [[F(0), F(1, 2)]], [[]]):
+        assert rational_rank(m) == _ref_rational_rank(m), m
 
 
 def test_primitive_names_match_the_rational_forms():

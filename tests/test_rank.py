@@ -15,7 +15,7 @@ from blca.intmat import (clear_denominators, from_columns, mat_vec, matmul,
                          primitive_kernel, primitive_rref, rational_kernel,
                          rational_rank)
 from blca.rank import (FAILS, HOLDS_CERTIFIED, LIKELY_HOLDS, RankVerdict,
-                       _canon, _closed_sets, _decide, _full_space, _map_rank,
+                       _canon, _closed_sets, _decide, _full_space,
                        _prepare, _rank, _witness_sort_key, rank_condition)
 from blca.structure import bl_constant
 from blca.subquot import _annihilator_of_compact_kernel
@@ -623,7 +623,7 @@ def test_prepare_clears_every_input_kind_as_fractions():
         cleared = _prepare([[row]], [2], 3).maps[0][0]
         assert cleared == clear_denominators([F(x) for x in row]), row
         assert all(type(x) is int for x in cleared), row
-        assert _map_rank([cleared]) == _rank([cleared]), row
+        assert rational_rank([cleared]) == _rank([cleared]), row
     maps = [[row] for row in rows] + [[], [rows[0], rows[1]], [rows[5], rows[6]]]
     prep = _prepare(maps, [3] * len(maps), 3)
     assert prep.ranks == [_rank(m) for m in prep.maps]

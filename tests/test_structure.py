@@ -716,8 +716,8 @@ print('numpy' in sys.modules)
 
 def test_vector_sectors_do_not_load_numpy():
     # the gaussian ascent works on Python floats: pricing a vector datum, its
-    # duality check, and an ascent with two-row (Woodbury) block steps must
-    # not load numpy either
+    # duality check, and an ascent with two-row block steps must not load
+    # numpy either
     import os
     import subprocess
     import sys
